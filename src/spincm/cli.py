@@ -23,7 +23,7 @@ from .presets import load_preset, preset_names
 from .rk import audit, default_z_samples, integrate, trajectory_csv_lines
 from .solver_rational import solve_rational, solve_rational_reduced
 from .solver_trig import solve_trig, solve_trig_reduced
-from .spectral import branch_count_genus, genericity_check
+from .spectral import _count_branch_points, genericity_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -221,7 +221,7 @@ def cmd_curve(args):
     report = {"N": spec.ctx.N}
     report.update(rep.to_json_dict())
     if rep.ga1_ok and rep.ga2_ok:
-        B, genus = branch_count_genus(spec, pt)
+        B, genus = _count_branch_points(spec, pt)
         report["B"] = B
         report["genus"] = genus
     else:

@@ -377,20 +377,26 @@ def reduced_eom(spec, rpt):
 # Lax operators
 # ---------------------------------------------------------------------------
 
-def _check_z_regular(spec, z):
-    z = complex(z)
+def _check_z_regular(spec, zs):
+    """The spectral parameters as a complex array; PoleError for the first one
+    within POLE_TOL of a z-pole of L(z)."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
     if spec.family == "rational":
-        if abs(z) < special.POLE_TOL:
-            raise PoleError("rational Lax pole at z=0", nearest=0.0)
+        near = np.zeros(zs.shape)
+        dist = np.abs(zs)
     elif spec.family == "trigonometric":
-        near = math.pi * round(z.real / math.pi)
-        if abs(z - near) < special.POLE_TOL:
-            raise PoleError(f"trigonometric Lax pole at z={z}", nearest=near)
+        near = math.pi * np.round(zs.real / math.pi)
+        dist = np.abs(zs - near)
     else:
-        z0, _, _ = spec.lattice.reduce(z)
-        if abs(z0) < special.POLE_TOL:
-            raise PoleError(f"elliptic Lax pole at z={z}", nearest=z - z0)
-    return z
+        z0, _, _ = spec.lattice.reduce(zs)
+        near = zs - z0
+        dist = np.abs(z0)
+    bad = np.flatnonzero(dist < special.POLE_TOL)
+    if bad.size:
+        k = bad[0]
+        raise PoleError(f"{spec.family} Lax pole at z={zs[k]}",
+                        nearest=near[k].item())
+    return zs
 
 
 def lax(spec, pt, z):
@@ -399,40 +405,40 @@ def lax(spec, pt, z):
 
 
 def lax_batch(spec, pt, zs):
-    """L(q,p,xi)(z) stacked over a list of spectral parameters."""
+    """L(q,p,xi)(z) stacked over an array of spectral parameters: shape
+    (len(zs), N, N)."""
     check_regular(spec, pt.q)
-    zs = [_check_z_regular(spec, z) for z in zs]
+    zs = _check_z_regular(spec, zs)
     N = spec.ctx.N
     xi = pt.xi
     A = alpha_matrix(pt.q)
-    P = np.diag(pt.p)
-    out = np.empty((len(zs), N, N), dtype=complex)
+    out = np.zeros((zs.size, N, N), dtype=complex)
+    diag = np.arange(N)
+    out[:, diag, diag] = pt.p
 
     if spec.family == "rational":
         m = spec.mask_active
-        base = P.copy()
-        base[m] += xi[m] / A[m]
-        for k, z in enumerate(zs):
-            out[k] = base + xi / z
+        out[:, m] += xi[m] / A[m]
+        out += xi / zs[:, None, None]
         return out
 
     if spec.family == "trigonometric":
-        base = P.copy()
         ms = spec.mask_span
-        base[ms] += xi[ms] / np.tan(A[ms])
-        base[spec.mask_plus] += -1j * xi[spec.mask_plus]
-        base[spec.mask_minus] += 1j * xi[spec.mask_minus]
-        for k, z in enumerate(zs):
-            out[k] = base + cot_c(z) * xi
+        out[:, ms] += xi[ms] / np.tan(A[ms])
+        out[:, spec.mask_plus] += -1j * xi[spec.mask_plus]
+        out[:, spec.mask_minus] += 1j * xi[spec.mask_minus]
+        # cot z by cot_c's one-sided exponential forms, |w| <= 1
+        up = zs.imag >= 0.0
+        w = np.exp(np.where(up, 2j, -2j) * zs)
+        cz = np.where(up, 1j * (w + 1.0) / (w - 1.0),
+                      1j * (1.0 + w) / (1.0 - w))
+        out += cz[:, None, None] * xi
         return out
 
     lat = spec.lattice
     m = spec.mask_active
-    diag_xi = np.diag(np.diag(xi))
-    for k, z in enumerate(zs):
-        L = P + special.zeta_w(lat, z) * diag_xi
-        L[m] -= special.l_func(lat, A[m], z) * xi[m]
-        out[k] = L
+    out[:, diag, diag] += special.zeta_w(lat, zs)[:, None] * np.diag(xi)
+    out[:, m] -= special.l_func(lat, A[m][None, :], zs[:, None]) * xi[m]
     return out
 
 
@@ -476,7 +482,7 @@ def _check_momentum_zero(pt):
 def r_action_on_M(spec, pt, z):
     """Closed-form (R(q) M)(z) on J^-1(0), M(z) = L(z)/z."""
     _check_momentum_zero(pt)
-    z = _check_z_regular(spec, complex(z))
+    z = complex(_check_z_regular(spec, z)[0])
     check_regular(spec, pt.q)
     N = spec.ctx.N
     xi = pt.xi
@@ -557,6 +563,6 @@ def contour_hamiltonian(spec, pt, n_samples=64):
         raise ValidationError("n_samples must be >= 16")
     r = contour_radius(spec)
     zs = r * np.exp(2j * math.pi * np.arange(n_samples) / n_samples)
-    Ls = lax_batch(spec, pt, list(zs))
+    Ls = lax_batch(spec, pt, zs)
     vals = np.einsum("kij,kji->k", Ls, Ls)
     return complex(0.5 * vals.mean())

@@ -4,13 +4,29 @@ branch-point counting by the argument principle, and isospectral auditing.
 
 The spectral curve C: det(L(z) - wI) = 0 is an N-sheeted cover of the torus;
 projecting instead to the w-line gives a degree-N map to P^1 whose
-ramification points are the zeros of Res_w(I, dI/dz), an elliptic function
+ramification points are the zeros of Res_w(I, dI/dz), an elliptic function D
 of z.  Counting those zeros in a fundamental parallelogram gives B, and
 g = B/2 - N + 1 recovers the genus (N^2 - N + 2)/2 for generic data.
+
+Generic data (GA2) has a spin matrix xi with N distinct nonzero eigenvalues
+mu_i.  Then every sheet runs off as mu_i/z at the puncture z = 0, the
+w-projection has degree N, and D has a pole of order exactly N^2 + N at
+z = 0, its only pole in the cell.  An elliptic function has as many zeros as
+poles, so B = N^2 + N is known analytically.  The cell contours measure zeros
+minus poles, a sum that is 0 in exact arithmetic; B is reported as that sum
+plus N^2 + N, so the count checks that the contours resolve every zero, not
+the genus formula.  A singular xi lowers both the degree and the pole order,
+by an amount that the spectrum alone does not fix (at N = 3 the order is 9,
+not 12), so GA2 excludes it.
+
+The genericity grid and the contours are evaluated over whole arrays of z,
+in blocks of Z_BLOCK: one stacked Lax matrix and d/dz, one batched
+Faddeev-LeVerrier recursion and one stacked eigvals call per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,9 +34,17 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, ValidationError
-from .models import PhasePoint, alpha_matrix, lax, _check_momentum_zero
+from .models import (PhasePoint, alpha_matrix, lax, lax_batch,
+                     _check_momentum_zero)
 
 GA_GAP_TOL = 1e-8
+# spectral parameters per stacked evaluation of the branch function (bounds
+# the memory of the theta series and the Lax stacks)
+Z_BLOCK = 128
+# argument-principle contours: the cell is cut into CELL_GRID x CELL_GRID
+# subcells with EDGE_SAMPLES points per subcell edge before refinement
+CELL_GRID = 4
+EDGE_SAMPLES = 24
 
 
 # ---------------------------------------------------------------------------
@@ -28,35 +52,67 @@ GA_GAP_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 def _charpoly(L, Ldz=None):
-    """Coefficients c of det(wI - L) = sum_k c[k] w^k (monic, c[N] = 1) by the
-    Faddeev-LeVerrier recursion; with Ldz also returns dc/dz."""
-    N = L.shape[0]
-    c = np.zeros(N + 1, dtype=complex)
-    c[N] = 1.0
-    M = np.eye(N, dtype=complex)
+    """Coefficients c of det(wI - L) = sum_k c[k] w^k (monic, c[..., N] = 1) by
+    the Faddeev-LeVerrier recursion over a stack L of shape (..., N, N); with
+    Ldz also returns dc/dz."""
+    N = L.shape[-1]
+    eye = np.eye(N)
+    c = np.zeros(L.shape[:-2] + (N + 1,), dtype=complex)
+    c[..., N] = 1.0
+    M = np.broadcast_to(eye, L.shape)
     cd = Md = None
     if Ldz is not None:
-        cd = np.zeros(N + 1, dtype=complex)
-        Md = np.zeros((N, N), dtype=complex)
+        cd = np.zeros_like(c)
+        Md = np.zeros(L.shape, dtype=complex)
     for k in range(1, N + 1):
         A = L @ M
-        c[N - k] = -np.trace(A) / k
+        c[..., N - k] = -np.trace(A, axis1=-2, axis2=-1) / k
         if Ldz is not None:
             Ad = Ldz @ M + L @ Md
-            cd[N - k] = -np.trace(Ad) / k
-            Md = Ad + cd[N - k] * np.eye(N)
-        M = A + c[N - k] * np.eye(N)
+            cd[..., N - k] = -np.trace(Ad, axis1=-2, axis2=-1) / k
+            Md = Ad + cd[..., N - k, None, None] * eye
+        M = A + c[..., N - k, None, None] * eye
     return (c, cd) if Ldz is not None else c
 
 
-def _lax_dz(spec, pt, z):
-    """d/dz of the elliptic Lax matrix."""
+def _lax_dz(spec, pt, zs):
+    """d/dz of the elliptic Lax matrix, stacked over the array zs."""
     lat = spec.lattice
     A = alpha_matrix(pt.q)
     m = spec.mask_active
-    out = -special.wp(lat, z) * np.diag(np.diag(pt.xi))
-    out[m] -= special.l_func_dz(lat, A[m], z) * pt.xi[m]
+    N = spec.ctx.N
+    out = np.zeros((zs.size, N, N), dtype=complex)
+    diag = np.arange(N)
+    out[:, diag, diag] = -special.wp(lat, zs)[:, None] * np.diag(pt.xi)
+    out[:, m] -= special.l_func_dz(lat, A[m][None, :], zs[:, None]) * pt.xi[m]
     return out
+
+
+def _horner(c, w):
+    """sum_k c[..., k] w^k at the points w[..., j], for each leading index."""
+    out = np.zeros(w.shape, dtype=complex)
+    for k in range(c.shape[-1] - 1, -1, -1):
+        out = out * w + c[..., k, None]
+    return out
+
+
+def _sheet_partials(spec, pt, zs):
+    """(dI/dw, dI/dz) of I(z, w) = det(wI - L(z)) at the N sheets w_i(z) over
+    each z of zs: two arrays of shape (len(zs), N).  Evaluated in blocks of
+    Z_BLOCK spectral parameters, one stacked eigvals call per block."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    N = spec.ctx.N
+    dw = np.empty((zs.size, N), dtype=complex)
+    dz = np.empty((zs.size, N), dtype=complex)
+    slope = np.arange(1, N + 1)
+    for s in range(0, zs.size, Z_BLOCK):
+        blk = zs[s:s + Z_BLOCK]
+        L = lax_batch(spec, pt, blk)
+        c, cd = _charpoly(L, _lax_dz(spec, pt, blk))
+        roots = np.linalg.eigvals(L)
+        dw[s:s + Z_BLOCK] = _horner(c[:, 1:] * slope, roots)
+        dz[s:s + Z_BLOCK] = _horner(cd, roots)
+    return dw, dz
 
 
 @dataclass
@@ -102,17 +158,20 @@ class GenericityReport:
     ga1_min: float
     ga2_ok: bool
     ga2_min_gap: float
+    ga2_min_abs: float
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self):
         return {"ga1": bool(self.ga1_ok), "ga1_min": self.ga1_min,
                 "ga2": bool(self.ga2_ok), "ga2_min_gap": self.ga2_min_gap,
+                "ga2_min_abs": self.ga2_min_abs,
                 "grid": self.details.get("grid")}
 
 
 def genericity_check(spec, pt, grid=20):
-    """GA2: distinct eigenvalues of xi.  GA1: lower bound of
-    |dI/dw| + |dI/dz| over curve points sampled on a z-grid."""
+    """GA2: N distinct nonzero eigenvalues of xi (smallest gap and smallest
+    modulus both at least GA_GAP_TOL).  GA1: lower bound of |dI/dw| + |dI/dz|
+    over curve points sampled on a z-grid."""
     if spec.family != "elliptic":
         raise ValidationError("genericity_check requires the elliptic family")
     lam = np.linalg.eigvals(pt.xi)
@@ -120,27 +179,21 @@ def genericity_check(spec, pt, grid=20):
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
             gap = min(gap, abs(lam[i] - lam[j]))
-    ga2 = bool(gap >= GA_GAP_TOL)
+    min_abs = np.abs(lam).min()
+    ga2 = bool(gap >= GA_GAP_TOL and min_abs >= GA_GAP_TOL)
 
     lat = spec.lattice
-    ga1_min = np.inf
     ss = (np.arange(grid) + 0.61803) / grid
     uu = (np.arange(grid) + 0.38196) / grid
-    for s in ss:
-        for u in uu:
-            z = (2 * s - 1) * lat.omega1 + (2 * u - 1) * lat.omega2
-            if lat.lattice_distance(z) < 1e-3:
-                continue
-            L = lax(spec, pt, z)
-            c, cd = _charpoly(L, _lax_dz(spec, pt, z))
-            roots = np.linalg.eigvals(L)
-            for w in roots:
-                dPdw = np.polyval(np.polyder(c[::-1]), w)
-                dPdz = np.polyval(cd[::-1], w)
-                ga1_min = min(ga1_min, abs(dPdw) + abs(dPdz))
+    s, u = np.meshgrid(ss, uu, indexing="ij")
+    zs = ((2 * s - 1) * lat.omega1 + (2 * u - 1) * lat.omega2).ravel()
+    zs = zs[lat.lattice_distance(zs) >= 1e-3]
+    dw, dz = _sheet_partials(spec, pt, zs)
+    ga1_min = np.min(np.abs(dw) + np.abs(dz), initial=np.inf)
     ga1 = bool(ga1_min >= GA_GAP_TOL)
     return GenericityReport(ga1_ok=ga1, ga1_min=float(ga1_min), ga2_ok=ga2,
                             ga2_min_gap=float(gap),
+                            ga2_min_abs=float(min_abs),
                             details={"grid": f"{grid}x{grid}"})
 
 
@@ -150,34 +203,31 @@ def genericity_check(spec, pt, grid=20):
 
 def _branch_function(spec, pt):
     """D(z) = prod_i dI/dz(z, w_i(z)) over the sheets: an elliptic function of z
-    whose zeros are the ramification points of the w-projection."""
-    def D(z):
-        L = lax(spec, pt, z)
-        c, cd = _charpoly(L, _lax_dz(spec, pt, z))
-        roots = np.linalg.eigvals(L)
-        out = 1.0 + 0.0j
-        for w in roots:
-            out *= np.polyval(cd[::-1], w)
-        return out
+    whose zeros are the ramification points of the w-projection.  D maps an
+    array of z to the array of its values."""
+    def D(zs):
+        return np.prod(_sheet_partials(spec, pt, zs)[1], axis=-1)
     return D
 
 
 def _winding(fun, points, max_refine=6):
     """Winding number of fun along a closed polyline, doubling the sampling
-    until phase steps are resolved and the total is integer; None on failure."""
+    until phase steps are resolved and the total is integer; None on failure.
+    fun maps an array of points to their values; each refinement evaluates
+    only the new midpoints."""
     pts = np.asarray(points, dtype=complex)
-    for _ in range(max_refine + 1):
-        vals = np.array([fun(z) for z in pts])
+    vals = fun(pts)
+    for refine in range(max_refine + 1):
+        if refine:
+            mids = 0.5 * (pts + np.roll(pts, -1))
+            pts = np.stack([pts, mids], axis=-1).ravel()
+            vals = np.stack([vals, fun(mids)], axis=-1).ravel()
         if np.any(vals == 0) or not np.all(np.isfinite(vals)):
             return None
         steps = np.angle(np.roll(vals, -1) / vals)
         total = steps.sum() / (2.0 * math.pi)
         if np.abs(steps).max() < 2.6 and abs(total - round(total)) < 0.05:
             return int(round(total))
-        refined = np.empty(2 * len(pts), dtype=complex)
-        refined[0::2] = pts
-        refined[1::2] = 0.5 * (pts + np.roll(pts, -1))
-        pts = refined
     return None
 
 
@@ -192,17 +242,27 @@ def _cell_boundary(corner, e1, e2, m):
     ])
 
 
-def branch_count_genus(spec, pt, grid=4, samples_per_edge=24):
-    """(B, genus): B counts zeros of the branch function in a fundamental
-    parallelogram by the argument principle on a grid x grid subdivision (the
-    order-(N^2+N) pole at the puncture is measured on a small circle and added
-    back); genus = B/2 - N + 1."""
+def branch_count_genus(spec, pt):
+    """(B, genus) with genus = B/2 - N + 1; requires GA1 and GA2 (DomainError).
+
+    B is the number of zeros of the branch function D in a fundamental
+    parallelogram.  Under GA2, D has one pole in the cell, of the analytic
+    order N^2 + N at z = 0, and as many zeros as poles, so B = N^2 + N.  The
+    argument principle on CELL_GRID x CELL_GRID subcells measures zeros minus
+    poles, 0 in exact arithmetic, and B is that sum plus N^2 + N: the count
+    differs from N^2 + N only where a contour misses a zero."""
     if spec.family != "elliptic":
         raise ValidationError("branch_count_genus requires the elliptic family")
     rep = genericity_check(spec, pt)
     if not (rep.ga1_ok and rep.ga2_ok):
         raise DomainError("genericity assumptions fail: "
                           f"GA1={rep.ga1_ok}, GA2={rep.ga2_ok}")
+    return _count_branch_points(spec, pt)
+
+
+def _count_branch_points(spec, pt):
+    """branch_count_genus without its genericity gate, for callers that have
+    already run genericity_check."""
     lat = spec.lattice
     N = spec.ctx.N
     D = _branch_function(spec, pt)
@@ -210,35 +270,21 @@ def branch_count_genus(spec, pt, grid=4, samples_per_edge=24):
 
     for jitter in (0.0, 0.0371 + 0.0213j, -0.0241 + 0.0431j):
         # base corner placing the lattice point 0 at the center of a cell
-        base = -(1.0 + 1.0 / grid) * (lat.omega1 + lat.omega2)
+        base = -(1.0 + 1.0 / CELL_GRID) * (lat.omega1 + lat.omega2)
         base = base + jitter * (p1 + p2)
-        e1, e2 = p1 / grid, p2 / grid
+        e1, e2 = p1 / CELL_GRID, p2 / CELL_GRID
         total = 0
-        ok = True
-        for i in range(grid):
-            for j in range(grid):
-                corner = base + i * e1 + j * e2
-                w = _winding(D, _cell_boundary(corner, e1, e2, samples_per_edge))
-                if w is None:
-                    ok = False
-                    break
-                total += w
-            if not ok:
+        for i, j in itertools.product(range(CELL_GRID), repeat=2):
+            corner = base + i * e1 + j * e2
+            w = _winding(D, _cell_boundary(corner, e1, e2, EDGE_SAMPLES))
+            if w is None:
                 break
-        if not ok:
-            continue
-        # pole order at the puncture from a small circle; shrink until the
-        # winding stabilizes (a branch zero may sit close to the origin)
-        mp = min(abs(p1), abs(p2))
-        w0s = []
-        for div in (16, 32, 64):
-            circle = (mp / div) * np.exp(2j * math.pi * np.arange(256) / 256)
-            w0s.append(_winding(D, circle))
-        if w0s[-1] is None or w0s[-2] != w0s[-1]:
-            continue
-        B = total - w0s[-1]
-        genus = B // 2 - N + 1
-        return int(B), int(genus)
+            total += w
+        else:
+            # total is zeros minus poles of the elliptic D; under GA2 its one
+            # pole in the cell, at z = 0, has order N^2 + N
+            B = total + N * (N + 1)
+            return int(B), int(B // 2 - N + 1)
     raise RuntimeError("branch counting failed: contour through a zero even "
                        "after jittering the fundamental domain")
 

@@ -117,6 +117,7 @@ def test_curve_reports(tmp_path):
     d = json.loads(read(out))
     assert d["N"] == 2 and d["B"] == 6 and d["genus"] == 2
     assert d["ga1"] and d["ga2"]
+    assert abs(d["ga2_min_abs"] - 2 ** 0.5) < 1e-12
     out2 = tmp_path / "curven.json"
     assert run(tmp_path, "curve", "--preset", "nilpotent-xi-sl2",
                "--out", str(out2)) == 0
@@ -130,6 +131,13 @@ def test_determinism(tmp_path):
         "--out", str(a))
     run(tmp_path, "simulate", "--preset", "rational-sl3", "--seed", "7",
         "--out", str(b))
+    assert read(a) == read(b)
+
+
+def test_curve_determinism(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(tmp_path, "curve", "--preset", "elliptic-sl3", "--out", str(a)) == 0
+    assert run(tmp_path, "curve", "--preset", "elliptic-sl3", "--out", str(b)) == 0
     assert read(a) == read(b)
 
 

@@ -10,11 +10,12 @@ from spincm.errors import ContractError, DomainError, PoleError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, _cartan_correction,
                            _kernel_matrices, contour_hamiltonian, elliptic_model,
-                           eom, hamiltonian, lax, lax_limit, lax_residual,
+                           eom, hamiltonian, lax, lax_batch, lax_limit,
+                           lax_residual,
                            r_action_on_M, rational_model, reduce_point,
                            reduced_eom, reduced_hamiltonian, trig_model,
                            _rk4_step)
-from spincm.special import EllipticLattice, wp_prime
+from spincm.special import EllipticLattice, cot_c, wp_prime
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -103,6 +104,41 @@ def test_lax_examples(spec_r2):
     assert np.allclose(lax(spec_r2, free, 0.37), np.diag([2.0, -2.0]))
     with pytest.raises(PoleError):
         lax(spec_r2, pt, 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_elliptic_lax_batch_matches_single_z(lat, n):
+    spec = elliptic_model(ctx(n), lat)
+    pt = random_point(spec, np.random.default_rng(n), scale=0.5)
+    zs = np.array([0.31 + 0.17j, -0.42 + 0.05j, 0.9 + 0.7j, 2.3 - 1.1j, 0.01j])
+    Ls = lax_batch(spec, pt, zs)
+    assert Ls.shape == (len(zs), n, n)
+    for z, L in zip(zs, Ls):
+        one = lax(spec, pt, z)
+        assert np.abs(L - one).max() <= 1e-13 * np.abs(one).max()
+
+
+def test_elliptic_lax_batch_pole(lat):
+    spec = elliptic_model(ctx(3), lat)
+    pt = random_point(spec, np.random.default_rng(0), scale=0.5)
+    pole = 2 * lat.omega1 + 2 * lat.omega2
+    with pytest.raises(PoleError) as exc:
+        lax_batch(spec, pt, [0.3 + 0.2j, pole + 1e-10, 0.5])
+    assert abs(exc.value.nearest - pole) < 1e-9
+
+
+def test_trig_lax_batch_matches_cot(spec_t2):
+    # L(z) depends on z only through cot(z) xi: check it on both sides of the
+    # real axis and far from it, where the one-sided forms saturate
+    pt = PhasePoint(q=[0.4, -0.4], p=[0.3, -0.3], xi=E12 + 2 * E21)
+    zs = np.array([0.7, 0.9 - 0.4j, 1.1 + 0.3j, 0.2 + 50j, -0.6 - 50j])
+    Ls = lax_batch(spec_t2, pt, zs)
+    for z, L in zip(zs, Ls):
+        dL = L - Ls[0] - (cot_c(z) - cot_c(zs[0])) * pt.xi
+        assert np.abs(dL).max() <= 1e-14
+    with pytest.raises(PoleError) as exc:
+        lax_batch(spec_t2, pt, [0.5, math.pi + 1e-12])
+    assert exc.value.nearest == pytest.approx(math.pi)
 
 
 def test_lax_limit_examples(spec_r2, spec_t2):

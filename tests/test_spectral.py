@@ -10,7 +10,8 @@ from spincm.liecore import build_sl_context
 from spincm.models import PhasePoint, elliptic_model, lax
 from spincm.rk import default_z_samples, integrate
 from spincm.special import EllipticLattice
-from spincm.spectral import (branch_count_genus, char_poly_coeffs, gauge_lax,
+from spincm.spectral import (Z_BLOCK, _branch_function, _winding,
+                             branch_count_genus, char_poly_coeffs, gauge_lax,
                              genericity_check, isospectral_drift)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -84,6 +85,7 @@ def test_gauge_lax_validations(spec2, pt2):
 def test_genericity(spec2, pt2):
     rep = genericity_check(spec2, pt2)
     assert rep.ga2_ok and abs(rep.ga2_min_gap - 2 * np.sqrt(2)) < 1e-12
+    assert abs(rep.ga2_min_abs - np.sqrt(2)) < 1e-12
     assert rep.ga1_ok and rep.ga1_min > 1e-8
     nilp = PhasePoint(q=[0.31, -0.31], p=[0.4, -0.4], xi=E12)
     rep2 = genericity_check(spec2, nilp)
@@ -103,6 +105,68 @@ def test_branch_count_requires_genericity(spec2):
     free = PhasePoint(q=[0.31, -0.31], p=[0.4, -0.4], xi=np.zeros((2, 2)))
     with pytest.raises(DomainError):
         branch_count_genus(spec2, free)
+
+
+def test_singular_xi_is_not_generic(lat):
+    # distinct eigenvalues 0, +-sqrt(2): the sheet with eigenvalue 0 stays
+    # finite at z = 0, so the pole order of the branch function there is not
+    # N^2 + N and the count is refused
+    spec = elliptic_model(build_sl_context(3), lat)
+    xi = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    pt = PhasePoint(q=[0.31 + 0.11j, -0.02 + 0.05j, -0.29 - 0.16j],
+                    p=[0.4, -0.1, -0.3], xi=xi)
+    rep = genericity_check(spec, pt)
+    assert rep.ga1_ok and not rep.ga2_ok
+    assert abs(rep.ga2_min_gap - np.sqrt(2)) < 1e-12
+    assert rep.ga2_min_abs < 1e-12
+    with pytest.raises(DomainError):
+        branch_count_genus(spec, pt)
+
+
+def test_branch_count_generic_n4_with_zero_near_puncture(lat):
+    # a generic N = 4 point whose branch function has a zero close to z = 0;
+    # measuring the pole order on small circles around 0 used to fail here
+    rng = np.random.default_rng(3)
+    N, scale = 4, 0.5
+    q = (np.linspace(0.45, -0.45, N) * (0.9 + 0.2 * rng.uniform())
+         + 0.05 * rng.standard_normal(N) + 0.08j * rng.standard_normal(N))
+    q = q - q.mean()
+    p = 0.3 * rng.standard_normal(N)
+    p = p - p.mean()
+    xi = scale * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    np.fill_diagonal(xi, 0.0)
+    spec = elliptic_model(build_sl_context(N), lat)
+    assert branch_count_genus(spec, PhasePoint(q=q, p=p, xi=xi)) == (20, 7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_branch_function_array_matches_single_z(lat, n):
+    spec = elliptic_model(build_sl_context(n), lat)
+    pt = random_point(spec, np.random.default_rng(n), scale=0.5)
+    D = _branch_function(spec, pt)
+    # more points than one block, so the blocks are stitched together
+    k = np.arange(Z_BLOCK + 20)
+    zs = 0.6 * np.exp(2j * np.pi * k / k.size) + 0.1 * (k % 3)
+    vals = D(zs)
+    assert vals.shape == zs.shape
+    one = np.array([D(np.array([z]))[0] for z in zs])
+    assert np.all(np.abs(vals - one) <= 1e-13 * np.abs(one))
+
+
+def test_winding_evaluates_each_point_once():
+    seen = []
+
+    def fun(zs):
+        seen.extend(zs)
+        return zs - (0.99 + 0.5j)
+
+    # the zero sits just inside the right edge, a quarter of the way down
+    # from the top corner: the phase step across it is resolved only after
+    # two doublings (4 -> 8 -> 16 points)
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    assert _winding(fun, square) == 1
+    assert len(seen) == 16
+    assert len(set(np.round(seen, 12))) == 16
 
 
 def test_isospectral_drift_free(spec2):
