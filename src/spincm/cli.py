@@ -1,6 +1,7 @@
 """Batch front door: simulate / exact / compare / audit / curve commands.
 
-Exit codes: 0 success, 2 validation error, 3 factorization breakdown (partial
+Exit codes: 0 success, 1 `compare` threshold failed (report still written,
+with "pass": false), 2 validation error, 3 factorization breakdown (partial
 CSV still written), 4 oracle blow-up (partial CSV still written), 5 requested
 exact mode unsupported for the family.  Outputs embed the config hash, the
 library version and the seed; identical configs produce identical bytes.
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BreakdownError, GridError, ValidationError
+from .errors import BreakdownError, GridError, ValidationError, require_keys
 from .models import PhasePoint, ReducedPoint, model_from_json_dict
 from .presets import load_preset, preset_names
 from .rk import audit, default_z_samples, integrate, trajectory_csv_lines
@@ -26,6 +27,7 @@ from .solver_trig import solve_trig, solve_trig_reduced
 from .spectral import _count_branch_points, genericity_check
 
 EXIT_OK = 0
+EXIT_THRESHOLD = 1
 EXIT_VALIDATION = 2
 EXIT_BREAKDOWN = 3
 EXIT_BLOWUP = 4
@@ -56,6 +58,7 @@ def _resolve(args):
         preset_dir = os.environ.get("SPINCM_PRESET_DIR")
         if preset_dir and os.path.exists(os.path.join(preset_dir, args.preset + ".json")):
             d = _load_json(os.path.join(preset_dir, args.preset + ".json"))
+            require_keys(d, ("model", "init"), "preset")
             spec = model_from_json_dict(d["model"])
             pt = _point_from_json(d["init"])
             params.update(d.get("defaults", {}))
@@ -132,16 +135,14 @@ def cmd_simulate(args):
 
 
 def _exact(spec, pt, params):
+    """(trajectory, factorization or None) of the family's exact solver; a
+    reduced point gives no factorization."""
     times = np.linspace(0.0, params["t_end"], int(params["samples"]))
-    if spec.family == "rational":
-        if isinstance(pt, ReducedPoint):
-            return solve_rational_reduced(spec, pt, times), None
-        return solve_rational(spec, pt, times)
-    if spec.family == "trigonometric":
-        if isinstance(pt, ReducedPoint):
-            return solve_trig_reduced(spec, pt, times), None
-        return solve_trig(spec, pt, times)
-    raise NotImplementedError
+    full, reduced = {"rational": (solve_rational, solve_rational_reduced),
+                     "trigonometric": (solve_trig, solve_trig_reduced)}[spec.family]
+    if isinstance(pt, ReducedPoint):
+        return reduced(spec, pt, times), None
+    return full(spec, pt, times)
 
 
 def cmd_exact(args):
@@ -154,10 +155,8 @@ def cmd_exact(args):
             "is out of scope; use `simulate` and `curve` instead.\n")
         return EXIT_UNSUPPORTED
     code = EXIT_OK
-    fact = None
     try:
-        out = _exact(spec, pt, params)
-        traj, fact = out if isinstance(out, tuple) else (out, None)
+        traj, fact = _exact(spec, pt, params)
     except BreakdownError as exc:
         traj, fact = exc.partial, exc.factors
         code = EXIT_BREAKDOWN
@@ -180,8 +179,7 @@ def cmd_compare(args):
     if traj_o.blowup:
         return EXIT_BLOWUP
     try:
-        out = _exact(spec, pt, params)
-        traj_e = out[0] if isinstance(out, tuple) else out
+        traj_e, _fact = _exact(spec, pt, params)
     except BreakdownError:
         return EXIT_BREAKDOWN
     reduced = isinstance(pt, ReducedPoint)
@@ -197,7 +195,7 @@ def cmd_compare(args):
     report.update({"threshold": thr, "pass": bool(ok)})
     report.update(_meta(config))
     _write_json(args.out, report)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_THRESHOLD
 
 
 def cmd_audit(args):
@@ -262,8 +260,8 @@ def main(argv=None):
                "curve": cmd_curve}[args.command]
     try:
         return handler(args)
-    except (ValidationError, GridError, KeyError, FileNotFoundError,
-            json.JSONDecodeError, NotImplementedError) as exc:
+    except (ValidationError, GridError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -1,38 +1,81 @@
 """Blockwise eigendecomposition with continuation along a matrix path.
 
 Shared by both exact solvers: matrices block-diagonal with respect to a
-partition of {0..N-1} are diagonalized per block, eigenvector columns are
-matched to the previous step by maximal overlap, and a deterministic gauge is
-applied.  Two gauges are provided:
+partition of {0..N-1} are diagonalized per block, and eigenvector columns are
+matched to the previous step by maximal overlap.  One gauge is used, the pivot
+gauge of ``PivotPath``: a fixed component of each eigenvector is scaled to
+exactly 1.  It is local in time and therefore accumulates no gauge drift, and
+the Cartan velocity Pi_h(g^-1 g') is available in closed form from
+first-order eigenvector perturbation.  ``CartanWalk`` integrates it with
+composite Simpson over FINE substeps per output interval.
 
- * the presentation gauge of ``diagonalize_in_levi`` (unit-norm columns, phase
-   fixed at the start, continuity-matched afterwards, det = 1), and
- * the internal pivot gauge of ``PivotPath`` (a fixed component of each
-   eigenvector scaled to exactly 1), which is local in time and therefore
-   accumulates no gauge drift; the Cartan velocity Pi_h(g^-1 g') is then
-   available in closed form from first-order eigenvector perturbation.
+Matching (here, and of Lax eigenvalues in ``rk.audit``) goes through one
+helper, ``best_assignment``: the shortest augmenting path method (Crouse 2016),
+O(N^3), step for step as scipy's ``linear_sum_assignment``, whose import would
+cost about 20 MB of memory.  Tie rule: each step scans the unassigned columns
+from the highest index down and takes the first of least reduced cost, or a
+later free column of equal cost.  Among optima of exactly equal cost the
+result is thus a fixed function of the cost matrix (the identity for a
+constant one), not always the lexicographically first permutation.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
 from .errors import BreakdownError, DomainError, GridError, ValidationError
 
-COLLISION_GAP = 1e-10
-
 
 def best_assignment(cost):
-    """Permutation p minimizing sum_i cost[i, p[i]]; ties broken lexicographically."""
-    n = cost.shape[0]
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(n)):
-        c = sum(cost[i, perm[i]] for i in range(n))
-        if c < best_cost - 1e-12:
-            best, best_cost = perm, c
-    return best
+    """Permutation p minimizing sum_i cost[i, p[i]] over a square real cost
+    matrix (see the module docstring for the method and the tie rule)."""
+    c = np.asarray(cost, dtype=float).tolist()
+    n = len(c)
+    u, v = [0.0] * n, [0.0] * n  # dual variables of rows and columns
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row `cur` to a free column
+        spc = [math.inf] * n
+        in_rows, in_cols = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            in_rows[i] = True
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(n):
+            if in_rows[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(n):
+            if in_cols[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # augment along the path back to row `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row)
 
 
 def block_gap(d, blocks):
@@ -48,16 +91,6 @@ def block_gap(d, blocks):
     return gap
 
 
-def check_block_structure(M, blocks, tol=1e-9, what="matrix"):
-    mask = np.zeros(M.shape, dtype=bool)
-    for blk in blocks:
-        mask[np.ix_(list(blk), list(blk))] = True
-    off = np.abs(M[~mask]).max(initial=0.0)
-    if off > tol * max(1.0, np.abs(M).max(initial=0.0)):
-        raise ValidationError(f"{what} is not block-diagonal for the given "
-                              f"partition (off-block magnitude {off:.3e})")
-
-
 def _eig_blocks(M, blocks):
     """Eigen-decompose each block; returns full-size (vals, vecs) with vecs
     supported on their blocks."""
@@ -70,16 +103,23 @@ def _eig_blocks(M, blocks):
             vals[idx[0]] = M[idx[0], idx[0]]
             vecs[idx[0], idx[0]] = 1.0
             continue
-        w, v = np.linalg.eig(M[np.ix_(idx, idx)])
-        for c, slot in enumerate(idx):
-            vals[slot] = w[c]
-            vecs[np.ix_(idx, [slot])] = v[:, [c]]
+        vals[idx], vecs[np.ix_(idx, idx)] = np.linalg.eig(M[np.ix_(idx, idx)])
     return vals, vecs
+
+
+def _discriminant(vals, blocks):
+    """Product over the blocks of the squared within-block eigenvalue
+    differences: analytic in t, with a zero at each collision."""
+    D = 1.0 + 0.0j
+    for blk in blocks:
+        for i in range(len(blk)):
+            for j in range(i + 1, len(blk)):
+                D *= (vals[blk[i]] - vals[blk[j]]) ** 2
+    return D
 
 
 def _match(blocks, ref_vecs, vals, vecs):
     """Permute eigenpairs within blocks to maximize overlap with ref columns."""
-    N = len(vals)
     vals_out = vals.copy()
     vecs_out = vecs.copy()
     for blk in blocks:
@@ -92,46 +132,12 @@ def _match(blocks, ref_vecs, vals, vecs):
         newn = new / np.linalg.norm(new, axis=0, keepdims=True)
         overlap = np.abs(refn.conj().T @ newn)
         perm = best_assignment(-overlap)
-        vals_out[idx] = vals[idx][list(perm)]
-        sub = new[:, list(perm)]
-        vecs_out[np.ix_(idx, idx)] = sub
+        vals_out[idx] = vals[idx][perm]
+        vecs_out[np.ix_(idx, idx)] = new[:, perm]
     return vals_out, vecs_out
 
 
-def diagonalize_in_levi(ctx, partition, M, prev=None):
-    """M = g d g^-1 blockwise, with the deterministic presentation gauge.
-
-    Without ``prev`` the eigenvalue order follows M's diagonal (identity
-    overlap) and each column's maximum-modulus entry is made real positive;
-    with ``prev = (g_prev, d_prev)`` columns are continuity-matched and phased
-    against g_prev.  A final scalar rescale enforces det g = 1.  Eigenvalue
-    collision inside a block (gap < 1e-10) raises BreakdownError.
-    """
-    M = np.asarray(M, dtype=complex)
-    N = M.shape[0]
-    blocks = list(partition)
-    check_block_structure(M, blocks)
-    vals, vecs = _eig_blocks(M, blocks)
-    ref = np.eye(N, dtype=complex) if prev is None else np.asarray(prev[0])
-    vals, vecs = _match(blocks, ref, vals, vecs)
-    gap = block_gap(vals, blocks)
-    if gap < COLLISION_GAP:
-        raise BreakdownError(
-            f"eigenvalue collision within a block (gap {gap:.3e})", gap=gap)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    for c in range(N):
-        if prev is None:
-            piv = int(np.argmax(np.abs(vecs[:, c])))
-            ph = vecs[piv, c]
-        else:
-            ph = np.vdot(ref[:, c], vecs[:, c])
-        if abs(ph) > 0:
-            vecs[:, c] *= abs(ph) / ph
-    det = np.linalg.det(vecs)
-    vecs = vecs * det ** (-1.0 / N)
-    return vecs, vals
-
-
+FINE = 4  # Simpson substeps per output interval before any halving
 GAP_REFINE = 1e-4
 GAP_COLLIDE = 1e-6
 MAX_HALVINGS = 12
@@ -146,16 +152,8 @@ def locate_collision(Mfun, blocks, t_lo, t_hi):
     Returns (t_star, collided): the real collision-time estimate and whether
     the located zero is numerically on the real axis inside the bracket.
     """
-    blocks_l = [list(b) for b in blocks]
-
     def disc(t):
-        vals, _ = _eig_blocks(Mfun(t), blocks_l)
-        D = 1.0 + 0.0j
-        for blk in blocks_l:
-            for i in range(len(blk)):
-                for j in range(i + 1, len(blk)):
-                    D *= (vals[blk[i]] - vals[blk[j]]) ** 2
-        return D
+        return _discriminant(_eig_blocks(Mfun(t), blocks)[0], blocks)
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)
@@ -263,7 +261,7 @@ class CartanWalk:
     def __init__(self, Mfun, Mdotfun, blocks, t0=0.0, log0=None):
         self.Mfun = Mfun
         self.Mdotfun = Mdotfun
-        self.blocks = [tuple(b) for b in blocks]
+        self.blocks = [list(b) for b in blocks]
         self.path = PivotPath(self.blocks, Mfun(t0))
         self.t = t0
         self.Lam = np.zeros(self.path.N, dtype=complex)
@@ -287,23 +285,12 @@ class CartanWalk:
     def _breakdown(self, t_lo, t_hi):
         t_star, collided = locate_collision(self.Mfun, self.blocks, t_lo, t_hi)
         if collided:
-            vals, _ = _eig_blocks(self.Mfun(t_star), [list(b) for b in self.blocks])
+            vals, _ = _eig_blocks(self.Mfun(t_star), self.blocks)
             gap = block_gap(vals, self.blocks)
             raise BreakdownError(
                 f"factorization breakdown: eigenvalue collision at "
                 f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
         return False
-
-    def _disc(self):
-        D = 1.0 + 0.0j
-        for blk in self.blocks:
-            if len(blk) < 2:
-                continue
-            vals = self.path.d[list(blk)]
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    D *= (vals[i] - vals[j]) ** 2
-        return D
 
     def _node(self, t):
         """Advance to t; returns (gap, cartan velocity, branch-jump flag)."""
@@ -327,19 +314,19 @@ class CartanWalk:
         return gap, w, jump
 
     # -- the walk -------------------------------------------------------------
-    def advance_interval(self, t_next, fine):
-        """Walk [self.t, t_next] with `fine` substeps, halving the substep when
+    def advance_interval(self, t_next):
+        """Walk [self.t, t_next] with FINE substeps, halving the substep when
         the eigen gap drops below GAP_REFINE or the branch log jumps; raises
         BreakdownError at a genuine collision, GridError if branch tracking
         cannot be stabilized."""
         t_start = self.t
         saved = self._snapshot()
-        n = max(2, fine + fine % 2)
+        n = FINE
         for attempt in range(MAX_HALVINGS + 1):
             ts = np.linspace(t_start, t_next, n + 1)
             hstep = ts[1] - ts[0]
             ws = [self.path.cartan_velocity(self.Mdotfun(t_start))]
-            D_prev = self._disc()
+            D_prev = _discriminant(self.path.d, self.blocks)
             t_prev = t_start
             trouble = False
             jumped = False
@@ -348,7 +335,7 @@ class CartanWalk:
                 ws.append(w)
                 if gap < GAP_COLLIDE:
                     self._breakdown(t_start, t_next)
-                D_now = self._disc()
+                D_now = _discriminant(self.path.d, self.blocks)
                 if D_prev != 0 and abs(np.angle(D_now / D_prev)) > 2.0:
                     # discriminant phase flip: collision candidate in (t_prev, t)
                     self._breakdown(t_prev, t)

@@ -42,3 +42,11 @@ class BreakdownError(RuntimeError):
 
 class GridError(RuntimeError):
     """A sampled path is too coarse to track branches/continuations reliably."""
+
+
+def require_keys(d, keys, what):
+    """Raise ValidationError naming the first of `keys` missing from the JSON
+    object `d` (a `what` record)."""
+    for key in keys:
+        if key not in d:
+            raise ValidationError(f"{what} JSON lacks the key {key!r}")

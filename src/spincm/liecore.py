@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_keys
 
 TRACELESS_TOL = 1e-12
 
@@ -170,6 +170,7 @@ class RootSubset:
 
     @staticmethod
     def from_json_dict(d):
+        require_keys(d, ("kind", "members"), "root subset")
         kind = d["kind"]
         if kind == "delta":
             members = tuple((int(i) - 1, int(j) - 1) for i, j in d["members"])

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .errors import ContractError, DomainError, PoleError, ValidationError
+from .errors import (ContractError, DomainError, PoleError, ValidationError,
+                     require_keys)
 from .liecore import LieContext, RootSubset, reduce_gauge, validate_root_subset
 from .special import EllipticLattice, cot_c
 
@@ -52,94 +53,84 @@ def _vec(x, N, name):
     return v
 
 
+class _Point:
+    """Validation of q, p and the N x N matrix field, and the [[re, im]] JSON
+    codec, shared by PhasePoint and ReducedPoint; `_matrix` names the field."""
+
+    _matrix = None
+
+    def _validate(self):
+        """Normalize q and p in place; return the matrix field as an array."""
+        self.q = np.asarray(self.q, dtype=complex).reshape(-1)
+        N = self.q.size
+        self.q = _vec(self.q, N, "q")
+        self.p = _vec(self.p, N, "p")
+        m = np.asarray(getattr(self, self._matrix), dtype=complex)
+        if m.shape != (N, N):
+            raise ValidationError(f"{self._matrix} must be {N}x{N}, got {m.shape}")
+        return m
+
+    @property
+    def N(self):
+        return self.q.size
+
+    def to_json_dict(self):
+        return {key: [[z.real, z.imag] for z in getattr(self, key).ravel()]
+                for key in ("q", "p", self._matrix)}
+
+    @classmethod
+    def from_json_dict(cls, d):
+        keys = ("q", "p", cls._matrix)
+        require_keys(d, keys, "point")
+        q, p, m = (np.array([complex(a, b) for a, b in d[key]]) for key in keys)
+        if m.size != q.size ** 2:
+            raise ValidationError(f"{cls._matrix} must have {q.size ** 2} "
+                                  f"entries, got {m.size}")
+        return cls(q, p, m.reshape(q.size, q.size))
+
+
 @dataclass
-class PhasePoint:
+class PhasePoint(_Point):
     """(q, p, xi) with q, p Cartan elements stored as diagonal vectors."""
 
     q: np.ndarray
     p: np.ndarray
     xi: np.ndarray
 
+    _matrix = "xi"
+
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=complex).reshape(-1)
-        N = self.q.size
-        self.q = _vec(self.q, N, "q")
-        self.p = _vec(self.p, N, "p")
-        xi = np.asarray(self.xi, dtype=complex)
-        if xi.shape != (N, N):
-            raise ValidationError(f"xi must be {N}x{N}, got {xi.shape}")
-        if abs(np.trace(xi)) > 1e-10 * max(1.0, np.abs(xi).max(initial=0.0)) * N:
+        xi = self._validate()
+        if abs(np.trace(xi)) > 1e-10 * max(1.0, np.abs(xi).max(initial=0.0)) * self.N:
             raise ValidationError("xi must be traceless")
         self.xi = xi
-
-    @property
-    def N(self):
-        return self.q.size
 
     def momentum(self):
         """J = -Pi_h(xi), as a diagonal vector."""
         return -np.diag(self.xi)
 
-    def to_json_dict(self):
-        return {
-            "q": [[z.real, z.imag] for z in self.q],
-            "p": [[z.real, z.imag] for z in self.p],
-            "xi": [[z.real, z.imag] for z in self.xi.ravel()],
-        }
-
-    @staticmethod
-    def from_json_dict(d):
-        q = [complex(a, b) for a, b in d["q"]]
-        p = [complex(a, b) for a, b in d["p"]]
-        n = len(q)
-        xi = np.array([complex(a, b) for a, b in d["xi"]]).reshape(n, n)
-        return PhasePoint(q=q, p=p, xi=xi)
-
 
 @dataclass
-class ReducedPoint:
+class ReducedPoint(_Point):
     """(q, p, s) on TU x g_red: s has zero diagonal and s_{a_i} = 1 exactly."""
 
     q: np.ndarray
     p: np.ndarray
     s: np.ndarray
 
+    _matrix = "s"
+
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=complex).reshape(-1)
-        N = self.q.size
-        self.q = _vec(self.q, N, "q")
-        self.p = _vec(self.p, N, "p")
-        s = np.asarray(self.s, dtype=complex).copy()
-        if s.shape != (N, N):
-            raise ValidationError(f"s must be {N}x{N}, got {s.shape}")
+        s = self._validate().copy()
         if np.abs(np.diag(s)).max(initial=0.0) > 1e-10:
             raise ValidationError("s must have zero diagonal")
-        for k in range(N - 1):
+        for k in range(self.N - 1):
             if abs(s[k, k + 1] - 1.0) > 1e-8:
                 raise ValidationError(
                     f"s_(alpha_{k + 1}) = {s[k, k + 1]} != 1 on a reduced point")
             s[k, k + 1] = 1.0
         np.fill_diagonal(s, 0.0)
         self.s = s
-
-    @property
-    def N(self):
-        return self.q.size
-
-    def to_json_dict(self):
-        return {
-            "q": [[z.real, z.imag] for z in self.q],
-            "p": [[z.real, z.imag] for z in self.p],
-            "s": [[z.real, z.imag] for z in self.s.ravel()],
-        }
-
-    @staticmethod
-    def from_json_dict(d):
-        q = [complex(a, b) for a, b in d["q"]]
-        p = [complex(a, b) for a, b in d["p"]]
-        n = len(q)
-        s = np.array([complex(a, b) for a, b in d["s"]]).reshape(n, n)
-        return ReducedPoint(q=q, p=p, s=s)
 
 
 def reduce_point(ctx, pt):
@@ -224,15 +215,17 @@ def elliptic_model(ctx, lattice):
 
 def model_from_json_dict(d):
     from .liecore import build_sl_context
-    ctx = build_sl_context(int(d["N"]))
+    require_keys(d, ("N", "family"), "model")
     fam = d["family"]
+    if fam not in FAMILIES:
+        raise ValidationError(f"unknown family {fam!r}")
+    require_keys(d, ("lattice",) if fam == "elliptic" else ("root_subset",), "model")
+    ctx = build_sl_context(int(d["N"]))
     if fam == "rational":
         return rational_model(ctx, RootSubset.from_json_dict(d["root_subset"]))
     if fam == "trigonometric":
         return trig_model(ctx, RootSubset.from_json_dict(d["root_subset"]))
-    if fam == "elliptic":
-        return elliptic_model(ctx, EllipticLattice.from_json_dict(d["lattice"]))
-    raise ValidationError(f"unknown family {fam!r}")
+    return elliptic_model(ctx, EllipticLattice.from_json_dict(d["lattice"]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,6 @@ def lax_limit(spec, pt, which):
     limits land in the parabolic subalgebras p^{+/-}_{pi'} by construction.
     """
     check_regular(spec, pt.q)
-    N = spec.ctx.N
     xi = pt.xi
     A = alpha_matrix(pt.q)
     P = np.diag(pt.p)
@@ -464,13 +456,20 @@ def lax_limit(spec, pt, which):
         if spec.family != "trigonometric":
             raise ValidationError(f"{which} limit requires the trigonometric family")
         sign = 1.0 if which == "trig_plus_i_inf" else -1.0
-        out = P - sign * 1j * np.diag(np.diag(xi))
-        ms = spec.mask_span
-        out[ms] += (1.0 / np.tan(A[ms]) - sign * 1j) * xi[ms]
-        mo = spec.mask_plus if sign > 0 else spec.mask_minus
-        out[mo] += -sign * 2j * xi[mo]
-        return out
+        return (P - sign * 1j * np.diag(np.diag(xi))
+                + trig_limit_tail(spec, pt.q, xi, sign))
     raise ValidationError(f"unknown limit {which!r}")
+
+
+def trig_limit_tail(spec, q, xi, sign):
+    """The root-space part of the trigonometric L(sign * i inf) at (q, xi)."""
+    A = alpha_matrix(q)
+    out = np.zeros_like(xi)
+    ms = spec.mask_span
+    out[ms] += (1.0 / np.tan(A[ms]) - sign * 1j) * xi[ms]
+    mo = spec.mask_plus if sign > 0 else spec.mask_minus
+    out[mo] += -sign * 2j * xi[mo]
+    return out
 
 
 def _check_momentum_zero(pt):
@@ -520,29 +519,17 @@ def r_action_on_M(spec, pt, z):
     return out
 
 
-def _rk4_step(spec, pt, h):
-    """One classical RK4 step of the full equations of motion."""
-    def f(q, p, xi):
-        return eom(spec, PhasePoint(q=q, p=p, xi=xi))
-
-    k1 = f(pt.q, pt.p, pt.xi)
-    k2 = f(pt.q + 0.5 * h * k1[0], pt.p + 0.5 * h * k1[1], pt.xi + 0.5 * h * k1[2])
-    k3 = f(pt.q + 0.5 * h * k2[0], pt.p + 0.5 * h * k2[1], pt.xi + 0.5 * h * k2[2])
-    k4 = f(pt.q + h * k3[0], pt.p + h * k3[1], pt.xi + h * k3[2])
-    q = pt.q + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    p = pt.p + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    xi = pt.xi + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return PhasePoint(q=q, p=p, xi=xi)
-
-
 def lax_residual(spec, pt, z, delta=1e-4):
-    """|| d/dt L(z) - [L(z), (R(q)M)(z)] || with the time derivative taken along
-    the equations of motion by a central finite difference of step `delta`."""
+    """|| d/dt L(z) - [L(z), (R(q)M)(z)] || with the time derivative taken by a
+    central difference of step `delta` along the straight line x +/- delta f(x),
+    f the vector field of ``eom``: the same O(delta^2) approximation of
+    d/dt L(x(t)) as a difference along the flow."""
     _check_momentum_zero(pt)
     RM = r_action_on_M(spec, pt, z)
     L0 = lax(spec, pt, z)
-    plus = _rk4_step(spec, pt, delta)
-    minus = _rk4_step(spec, pt, -delta)
+    f = eom(spec, pt)
+    plus, minus = (PhasePoint(q=pt.q + h * f[0], p=pt.p + h * f[1],
+                              xi=pt.xi + h * f[2]) for h in (delta, -delta))
     dL = (lax(spec, plus, z) - lax(spec, minus, z)) / (2.0 * delta)
     return float(np.linalg.norm(dL - (L0 @ RM - RM @ L0)))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .liecore import build_sl_context, delta_subset, pi_subset
 from .models import (PhasePoint, ReducedPoint, elliptic_model, rational_model,
                      trig_model)
@@ -45,7 +46,7 @@ def preset_names():
 
 def load_preset(name, seed=0):
     if name not in _E:
-        raise KeyError(f"unknown preset {name!r}; available: {preset_names()}")
+        raise ValidationError(f"unknown preset {name!r}; available: {preset_names()}")
     return _E[name](seed)
 
 

@@ -8,11 +8,11 @@ standard embedded error control applies unchanged.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .continuation import best_assignment
 from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
                      eom, hamiltonian, lax_batch, reduced_eom,
@@ -190,14 +190,10 @@ def default_z_samples(spec):
 
 
 def match_eigenvalues(prev, new):
-    """Permutation of `new` minimizing total distance to `prev`; ties by index."""
-    n = len(prev)
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(n)):
-        cost = sum(abs(new[perm[i]] - prev[i]) for i in range(n))
-        if cost < best_cost - 1e-15:
-            best, best_cost = perm, cost
-    return np.array([new[best[i]] for i in range(n)])
+    """Permutation of `new` minimizing the total distance to `prev`, by
+    ``continuation.best_assignment`` on the cost |new[j] - prev[i]|."""
+    new = np.asarray(new)
+    return new[best_assignment(np.abs(new[None, :] - np.asarray(prev)[:, None]))]
 
 
 @dataclass

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import CartanWalk
-from .errors import BreakdownError, ContractError, ValidationError
-from .models import PhasePoint, alpha_matrix, check_regular, lax_limit, reduce_point
-from .rk import Trajectory
+from . import exact
+from .models import PhasePoint, alpha_matrix, lax_limit
 
 
 @dataclass
-class RationalFactorization:
+class RationalFactorization(exact.Factorization):
     """Per-time factors g(t) (block, det 1, g(0)=I), d(t), h(t), k(t)=g(t)h(t)."""
 
     times: np.ndarray
@@ -32,61 +30,26 @@ class RationalFactorization:
     k: list
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json_dict(self):
-        def cpx(m):
-            return [[z.real, z.imag] for z in np.asarray(m).ravel()]
-        return {
-            "times": list(map(float, self.times)),
-            "g": [cpx(m) for m in self.g],
-            "d": [cpx(v) for v in self.d],
-            "h": [cpx(v) for v in self.h],
-            "k": [cpx(m) for m in self.k],
-            "diagnostics": {k: float(v) for k, v in self.diagnostics.items()},
-        }
 
-
-def _validate_times(times):
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValidationError("times must be a 1-d grid with at least 2 nodes")
-    if abs(times[0]) > 1e-14:
-        raise ValidationError("times must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("times must be strictly increasing")
-    return times
-
-
-def _check_on_level_set(pt):
-    scale = max(1.0, float(np.abs(pt.xi).max(initial=0.0)))
-    if np.abs(np.diag(pt.xi)).max(initial=0.0) > 1e-10 * scale:
-        raise ContractError("factorization solvers require Pi_h(xi0) = 0")
-
-
-def solve_rational(spec, pt0, times, fine=4):
+def solve_rational(spec, pt0, times):
     """Exact rational flow through pt0 in J^-1(0) at the given output times.
 
     Returns (Trajectory, RationalFactorization).  On an eigenvalue collision
     raises BreakdownError carrying the collision time and the partial results.
     """
-    if spec.family != "rational":
-        raise ValidationError("solve_rational requires a rational ModelSpec")
-    _check_on_level_set(pt0)
-    check_regular(spec, pt0.q)
-    times = _validate_times(times)
+    return exact.solve(spec, pt0, times, family="rational",
+                       provenance="exact-rational",
+                       factorization=RationalFactorization, setup=_setup)
 
-    blocks = spec.subset.partition
+
+def _setup(spec, pt0):
+    """M(t) = q0 + t L(inf), and the state map of the module docstring."""
     Linf = lax_limit(spec, pt0, "rational_inf")
     Q0 = np.diag(pt0.q)
-    walk = CartanWalk(lambda t: Q0 + t * Linf, lambda t: Linf, blocks)
     mask = spec.mask_active
     xi0 = pt0.xi
 
-    out_states, out_times = [], []
-    gs, ds, hs, ks = [], [], [], []
-    p_offdiag_max = 0.0
-
-    def emit(t):
-        nonlocal p_offdiag_max
+    def node(t, walk):
         g, d, h, k = walk.factors()
         kinv = np.linalg.inv(k)
         xi_t = kinv @ xi0 @ k
@@ -94,52 +57,13 @@ def solve_rational(spec, pt0, times, fine=4):
         A = alpha_matrix(d)
         P[mask] -= xi_t[mask] / A[mask]
         off = P - np.diag(np.diag(P))
-        p_offdiag_max = max(p_offdiag_max, float(np.abs(off).max(initial=0.0)))
-        out_states.append(PhasePoint(q=d, p=np.diag(P), xi=xi_t))
-        out_times.append(float(t))
-        gs.append(g)
-        ds.append(d)
-        hs.append(h)
-        ks.append(k)
+        residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
+        return PhasePoint(q=d, p=np.diag(P), xi=xi_t), residuals, (g, d, h, k)
 
-    def wrap_up():
-        diags = {"min_gap": float(walk.min_gap),
-                 "p_offdiag_residual": p_offdiag_max,
-                 "pivot_jumps": float(walk.path.pivot_jumps)}
-        traj = Trajectory(times=np.array(out_times), states=out_states,
-                          provenance="exact-rational", stats=dict(diags))
-        fact = RationalFactorization(times=np.array(out_times), g=gs, d=ds,
-                                     h=hs, k=ks, diagnostics=diags)
-        return traj, fact
-
-    emit(0.0)
-    try:
-        for t_next in times[1:]:
-            walk.advance_interval(float(t_next), fine)
-            emit(t_next)
-    except BreakdownError as exc:
-        traj, fact = wrap_up()
-        traj.breakdown_time = exc.time
-        exc.partial, exc.factors = traj, fact
-        raise
-    return wrap_up()
+    return (lambda t: Q0 + t * Linf), (lambda t: Linf), None, node
 
 
-def solve_rational_reduced(spec, rpt0, times, fine=4):
+def solve_rational_reduced(spec, rpt0, times):
     """Reduced exact flow: lift s0 to xi0 := s0 (g(s0) = identity), solve, and
     push each state through the gauge reduction."""
-    pt0 = PhasePoint(q=rpt0.q, p=rpt0.p, xi=rpt0.s)
-    try:
-        traj, _fact = solve_rational(spec, pt0, times, fine=fine)
-    except BreakdownError as exc:
-        if exc.partial is not None:
-            exc.partial = _reduce_traj(spec.ctx, exc.partial)
-        raise
-    return _reduce_traj(spec.ctx, traj)
-
-
-def _reduce_traj(ctx, traj):
-    states = [reduce_point(ctx, st) for st in traj.states]
-    return Trajectory(times=traj.times, states=states,
-                      provenance=traj.provenance, stats=dict(traj.stats),
-                      breakdown_time=traj.breakdown_time)
+    return exact.solve_reduced(solve_rational, spec, rpt0, times)

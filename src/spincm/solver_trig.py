@@ -2,13 +2,13 @@
 
 Pipeline per time t: factorize exp(+it L(+i inf)) and exp(-it L(-i inf)) in the
 parabolic subgroups P^{+/-}_{pi'} (block-unipotent times block-diagonal Levi),
-solve the Levi conjugation problem
+and follow the Levi conjugation problem
 
-    g_-(t)^-1 e^{2i q0} g_+(t) = x(t) d(t) x(t)^-1,
+    g_-(t)^-1 e^{2i q0} g_+(t) = x(t) d(t) x(t)^-1
 
-extract q(t) = (1/2i) log d(t) with a branch-tracked logarithm, correct by the
-Cartan quadrature h(t) = exp(-int Pi_h(x^-1 x')), and conjugate by
-k(t) = x(t) h(t):
+with the shared continuation walk, which tracks the logarithm of d(t)
+continuously: q(t) = (1/2i) log d(t).  The walk's Cartan quadrature gives
+h(t) = exp(-int Pi_h(x^-1 x')), and conjugating by k(t) = x(t) h(t):
 
     xi(t) = k(t)^-1 xi0 k(t)
     p(t)  = k(t)^-1 L0(+/-i inf) k(t) minus the time-t non-Cartan part of the
@@ -22,18 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .continuation import CartanWalk, check_block_structure, diagonalize_in_levi
-from .errors import BreakdownError, DomainError, GridError, ValidationError
-from .models import (PhasePoint, alpha_matrix, check_regular, lax_limit,
-                     reduce_point)
-from .rk import Trajectory
-from .solver_rational import _check_on_level_set, _validate_times
+from . import exact
+from .errors import BreakdownError, ValidationError
+from .models import PhasePoint, lax_limit, trig_limit_tail
 
 P_SIGN_TOL = 1e-8
 
 
 @dataclass
-class TrigFactorization:
+class TrigFactorization(exact.Factorization):
     """Per-time parabolic factors, Levi conjugation data and k_+(0,t)=x(t)h(t)."""
 
     times: np.ndarray
@@ -46,16 +43,6 @@ class TrigFactorization:
     h: list  # diagonal vectors
     k_plus: list
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        def cpx(m):
-            return [[z.real, z.imag] for z in np.asarray(m).ravel()]
-        out = {"times": list(map(float, self.times))}
-        for name in ("n_plus", "n_minus", "g_plus", "g_minus", "x", "d", "h",
-                     "k_plus"):
-            out[name] = [cpx(m) for m in getattr(self, name)]
-        out["diagnostics"] = {k: float(v) for k, v in self.diagnostics.items()}
-        return out
 
 
 def parabolic_factor(ctx, subset, A, sign):
@@ -90,64 +77,23 @@ def parabolic_factor(ctx, subset, A, sign):
     return n, g
 
 
-def levi_conjugation_solve(ctx, subset, B, prev=None):
-    """B = x d x^-1 for block-diagonal B over the pi' blocks, with the same
-    continuity/normalization contract as diagonalize_in_levi."""
-    check_block_structure(np.asarray(B, dtype=complex), subset.partition,
-                          what="Levi conjugation input")
-    return diagonalize_in_levi(ctx, subset.partition, B, prev=prev)
-
-
-def cartan_log(d_path, q0, jump_tol=2.8):
-    """q(t) = (1/2i) log d(t) along a sampled diagonal path, with the branch
-    chosen continuously (entrywise unwrapping) and q(0) = q0."""
-    d_path = np.asarray(d_path, dtype=complex)
-    q0 = np.asarray(q0, dtype=complex).reshape(-1)
-    if d_path.ndim != 2 or d_path.shape[1] != q0.size:
-        raise ValidationError("d_path must be (T, N) matching q0")
-    if np.abs(d_path).min() < 1e-300:
-        raise DomainError("vanishing diagonal entry in cartan_log")
-    if np.abs(np.exp(2j * q0) - d_path[0]).max() > 1e-8 * max(
-            1.0, float(np.abs(d_path[0]).max())):
-        raise ValidationError("d_path[0] must equal exp(2i q0)")
-    logs = np.empty_like(d_path)
-    logs[0] = 2j * q0
-    for k in range(1, d_path.shape[0]):
-        step = np.log(d_path[k] / d_path[k - 1])
-        if np.abs(step.imag).max() > jump_tol:
-            raise GridError(f"branch jump of {np.abs(step.imag).max():.3f} rad "
-                            f"between grid nodes {k - 1} and {k}: grid too coarse")
-        logs[k] = logs[k - 1] + step
-    return logs / 2j
-
-
-def _limit_tail(spec, q, xi, sign):
-    """The non-Cartan, non-p part of L(+/- i inf) at (q, xi) on J^-1(0)."""
-    A = alpha_matrix(q)
-    out = np.zeros_like(xi)
-    ms = spec.mask_span
-    out[ms] += (1.0 / np.tan(A[ms]) - sign * 1j) * xi[ms]
-    mo = spec.mask_plus if sign > 0 else spec.mask_minus
-    out[mo] += -sign * 2j * xi[mo]
-    return out
-
-
-def solve_trig(spec, pt0, times, fine=4):
+def solve_trig(spec, pt0, times):
     """Exact trigonometric flow through pt0 in J^-1(0) at the given times.
 
     Returns (Trajectory, TrigFactorization).  Raises BreakdownError on Levi
     eigenvalue collision, GridError on unresolvable branch jumps, and flags an
     internal error if the two sign branches of p(t) disagree beyond 1e-8.
     """
-    if spec.family != "trigonometric":
-        raise ValidationError("solve_trig requires a trigonometric ModelSpec")
-    _check_on_level_set(pt0)
-    check_regular(spec, pt0.q)
-    times = _validate_times(times)
+    return exact.solve(spec, pt0, times, family="trigonometric",
+                       provenance="exact-trig",
+                       factorization=TrigFactorization, setup=_setup)
 
+
+def _setup(spec, pt0):
+    """M(t) = g_-(t)^-1 e^{2i q0} g_+(t) and the state map of the module
+    docstring."""
     ctx = spec.ctx
     subset = spec.subset
-    blocks = subset.partition
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt0, "trig_minus_i_inf")
     e2iq0 = np.exp(2j * pt0.q)
@@ -168,81 +114,28 @@ def solve_trig(spec, pt0, times, fine=4):
         return (8.0 * (Bfun(t + fd_h) - Bfun(t - fd_h))
                 - (Bfun(t + 2 * fd_h) - Bfun(t - 2 * fd_h))) / (12.0 * fd_h)
 
-    walk = CartanWalk(Bfun, Bdot, blocks, log0=2j * pt0.q)
-
-    out_states, out_times = [], []
-    nps, nms, gps, gms, xs, ds, hs, kps = [], [], [], [], [], [], [], []
-    p_mismatch_max = 0.0
-    p_offdiag_max = 0.0
-
-    def emit(t):
-        nonlocal p_mismatch_max, p_offdiag_max
+    def node(t, walk):
         x, d, h, k = walk.factors()
         q_t = walk.logd / 2j
         kinv = np.linalg.inv(k)
         xi_t = kinv @ xi0 @ k
-        p_full = {}
-        for sign, L0 in ((1.0, Lp), (-1.0, Lm)):
-            p_full[sign] = kinv @ L0 @ k - _limit_tail(spec, q_t, xi_t, sign)
-        mism = float(np.abs(p_full[1.0] - p_full[-1.0]).max())
-        p_mismatch_max = max(p_mismatch_max, mism)
-        off = p_full[1.0] - np.diag(np.diag(p_full[1.0]))
-        p_offdiag_max = max(p_offdiag_max, float(np.abs(off).max(initial=0.0)))
+        p_plus, p_minus = (kinv @ L0 @ k - trig_limit_tail(spec, q_t, xi_t, sign)
+                           for sign, L0 in ((1.0, Lp), (-1.0, Lm)))
+        mism = float(np.abs(p_plus - p_minus).max())
         if mism > P_SIGN_TOL:
             raise RuntimeError(
                 f"internal error: the two sign branches of p(t) disagree by "
                 f"{mism:.3e} at t={t}")
-        out_states.append(PhasePoint(q=q_t, p=np.diag(p_full[1.0]), xi=xi_t))
-        out_times.append(float(t))
-        np_, gp, nm, gm = pieces(float(t))
-        nps.append(np_)
-        nms.append(nm)
-        gps.append(gp)
-        gms.append(gm)
-        xs.append(x)
-        ds.append(d)
-        hs.append(h)
-        kps.append(k)
+        off = p_plus - np.diag(np.diag(p_plus))
+        residuals = {"p_sign_mismatch": mism,
+                     "p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
+        np_, gp, nm, gm = pieces(t)
+        return (PhasePoint(q=q_t, p=np.diag(p_plus), xi=xi_t), residuals,
+                (np_, nm, gp, gm, x, d, h, k))
 
-    def wrap_up():
-        diags = {"min_gap": float(walk.min_gap),
-                 "p_sign_mismatch": p_mismatch_max,
-                 "p_offdiag_residual": p_offdiag_max,
-                 "pivot_jumps": float(walk.path.pivot_jumps)}
-        traj = Trajectory(times=np.array(out_times), states=out_states,
-                          provenance="exact-trig", stats=dict(diags))
-        fact = TrigFactorization(times=np.array(out_times), n_plus=nps,
-                                 n_minus=nms, g_plus=gps, g_minus=gms, x=xs,
-                                 d=ds, h=hs, k_plus=kps, diagnostics=diags)
-        return traj, fact
-
-    emit(0.0)
-    try:
-        for t_next in times[1:]:
-            walk.advance_interval(float(t_next), fine)
-            emit(t_next)
-    except BreakdownError as exc:
-        traj, fact = wrap_up()
-        traj.breakdown_time = exc.time
-        exc.partial, exc.factors = traj, fact
-        raise
-    return wrap_up()
+    return Bfun, Bdot, 2j * pt0.q, node
 
 
-def solve_trig_reduced(spec, rpt0, times, fine=4):
+def solve_trig_reduced(spec, rpt0, times):
     """Reduced exact flow: lift s0 to xi0 := s0, solve, reduce each state."""
-    pt0 = PhasePoint(q=rpt0.q, p=rpt0.p, xi=rpt0.s)
-    try:
-        traj, _fact = solve_trig(spec, pt0, times, fine=fine)
-    except BreakdownError as exc:
-        if exc.partial is not None:
-            exc.partial = _reduce_traj(spec.ctx, exc.partial)
-        raise
-    return _reduce_traj(spec.ctx, traj)
-
-
-def _reduce_traj(ctx, traj):
-    states = [reduce_point(ctx, st) for st in traj.states]
-    return Trajectory(times=traj.times, states=states,
-                      provenance=traj.provenance, stats=dict(traj.stats),
-                      breakdown_time=traj.breakdown_time)
+    return exact.solve_reduced(solve_trig, spec, rpt0, times)

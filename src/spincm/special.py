@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import PoleError, ValidationError
+from .errors import PoleError, ValidationError, require_keys
 
 POLE_TOL = 1e-8
 
@@ -128,6 +128,7 @@ class EllipticLattice:
 
     @staticmethod
     def from_json_dict(d):
+        require_keys(d, ("omega1", "omega2"), "lattice")
         return EllipticLattice(complex(*d["omega1"]), complex(*d["omega2"]))
 
     # -- reduction ----------------------------------------------------------

@@ -164,6 +164,23 @@ def test_validation_exit2(tmp_path):
     bad.write_text("{not json")
     assert run(tmp_path, "simulate", "--model", str(bad),
                "--init", str(bad)) == 2
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "N": 2, "family": "rational",
+        "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}}))
+    no_q = tmp_path / "no_q.json"
+    no_q.write_text(json.dumps({"p": [[2, 0], [-2, 0]],
+                                "xi": [[0, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert run(tmp_path, "simulate", "--model", str(model),
+               "--init", str(no_q)) == 2
+
+
+def test_compare_threshold_failure_exit1(tmp_path):
+    out = tmp_path / "cmp.json"
+    assert run(tmp_path, "compare", "--preset", "rational-sl2",
+               "--threshold", "1e-30", "--out", str(out)) == 1
+    d = json.loads(read(out))
+    assert d["pass"] is False and d["threshold"] == 1e-30
 
 
 def test_z_samples_flag(tmp_path):

@@ -1,9 +1,12 @@
 """Adaptive RK oracle: accuracy, order, blow-up semantics, auditing, CSV."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
+from spincm.continuation import best_assignment
 from spincm.errors import ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, elliptic_model, rational_model,
@@ -103,6 +106,28 @@ def test_eigenvalue_matching():
     prev = np.array([1.0 + 0j, -1.0 + 0j])
     new = np.array([-1.01 + 0j, 1.02 + 0j])
     assert np.allclose(match_eigenvalues(prev, new), [1.02, -1.01])
+    # against enumeration of all permutations, N = 6
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        prev, new = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        best = min(itertools.permutations(range(6)),
+                   key=lambda perm: sum(abs(new[perm[i]] - prev[i]) for i in range(6)))
+        assert np.array_equal(match_eigenvalues(prev, new), new[list(best)])
+
+
+def test_best_assignment_follows_scipy():
+    """The assignment helper returns scipy's linear_sum_assignment permutation,
+    ties included (small integer costs tie often; a constant cost gives the
+    identity)."""
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(1)
+    for n in range(1, 9):
+        assert np.array_equal(best_assignment(np.full((n, n), 0.5)), np.arange(n))
+        for _ in range(50):
+            for cost in (rng.uniform(size=(n, n)),
+                         rng.integers(0, 3, size=(n, n)).astype(float)):
+                assert np.array_equal(best_assignment(cost),
+                                      linear_sum_assignment(cost)[1])
 
 
 def test_conservation_sl3_rational():

@@ -6,14 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 from sampling import random_point, random_reduced
+from spincm.continuation import MAX_HALVINGS, CartanWalk
 from spincm.errors import BreakdownError, GridError, ValidationError
 from spincm.liecore import build_sl_context, pi_subset, validate_root_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            reduce_point, trig_model)
 from spincm.rk import integrate
-from spincm.solver_trig import (cartan_log, levi_conjugation_solve,
-                                parabolic_factor, solve_trig,
-                                solve_trig_reduced)
+from spincm.solver_trig import parabolic_factor, solve_trig, solve_trig_reduced
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -82,49 +81,43 @@ def test_parabolic_sl3():
     assert np.abs(g[:2, 2]).max() == 0.0
 
 
-# -- Levi conjugation and the branch-tracked log ----------------------------------
-
-def test_levi_conjugation_diagonal(ctx2):
-    sub = validate_root_subset(ctx2, pi_subset([]))
-    B = np.diag([2.0 + 0j, 0.5])
-    x, d = levi_conjugation_solve(ctx2, sub, B)
-    assert np.allclose(x, np.eye(2))
-    assert np.allclose(d, [2.0, 0.5])
-
-
-def test_levi_conjugation_reconstruction(ctx2, spec2):
-    pt = PhasePoint(q=[np.pi / 8, -np.pi / 8], p=[1, -1], xi=E12 + E21)
-    sub = spec2.subset
-    t = 0.1
-    Lp = lax_limit(spec2, pt, "trig_plus_i_inf")
-    Lm = lax_limit(spec2, pt, "trig_minus_i_inf")
-    _, gp = parabolic_factor(ctx2, sub, expm(1j * t * Lp), "+")
-    _, gm = parabolic_factor(ctx2, sub, expm(-1j * t * Lm), "-")
-    B = np.linalg.solve(gm, np.diag(np.exp(2j * pt.q)) @ gp)
-    x, d = levi_conjugation_solve(ctx2, sub, B)
-    assert np.abs(x @ np.diag(d) @ np.linalg.inv(x) - B).max() < 1e-10
-
+# -- the branch-tracked log of the walk ----------------------------------------
 
 def test_cartan_log_unwraps_free_path():
     q0 = np.array([0.4, -0.4])
     p = np.array([3.0, -3.0])  # 2*q(t) leaves (-pi, pi] well before t=1
-    ts = np.linspace(0, 1.0, 60)
-    d_path = np.exp(2j * (q0[None, :] + ts[:, None] * p[None, :]))
-    q_path = cartan_log(d_path, q0)
-    assert np.abs(q_path - (q0[None, :] + ts[:, None] * p[None, :])).max() < 1e-12
+
+    def Mfun(t):
+        return np.diag(np.exp(2j * (q0 + t * p)))
+
+    walk = CartanWalk(Mfun, lambda t: Mfun(t) * 2j * p, ((0,), (1,)),
+                      log0=2j * q0)
+    for t in np.linspace(0, 1.0, 60)[1:]:
+        walk.advance_interval(t)
+        assert np.abs(walk.logd / 2j - (q0 + t * p)).max() < 1e-12
 
 
 def test_cartan_log_constant_and_errors():
+    """A constant path keeps its log; a 3 rad phase jump at t = 0.5 stays a
+    jump however fine the substeps, and the walk gives up with GridError after
+    MAX_HALVINGS halvings."""
     q0 = np.array([0.2, -0.2])
-    d_path = np.tile(np.exp(2j * q0), (5, 1))
-    q_path = cartan_log(d_path, q0)
-    assert np.abs(q_path - q0[None, :]).max() < 1e-14
-    with pytest.raises(ValidationError):
-        cartan_log(np.ones((3, 2), dtype=complex), q0)  # d(0) != exp(2i q0)
-    # a near-pi jump between nodes is a grid error
-    jumped = np.stack([np.exp(2j * q0), np.exp(2j * q0 + 1j * np.array([3.1, -3.1]))])
-    with pytest.raises(GridError):
-        cartan_log(jumped, q0)
+    d0 = np.exp(2j * q0)
+    jump = np.exp(3j * np.array([1.0, -1.0]))
+
+    def Mfun(t):  # locate_collision also samples complex t
+        return np.diag(d0 * jump if np.real(t) >= 0.5 else d0)
+
+    walk = CartanWalk(Mfun, lambda t: np.zeros((2, 2), dtype=complex),
+                      ((0,), (1,)), log0=2j * q0)
+    walk.advance_interval(0.25)
+    assert np.abs(walk.logd / 2j - q0).max() < 1e-14
+    restores = []
+    restore = walk._restore
+    walk._restore = lambda s: (restores.append(1), restore(s))
+    with pytest.raises(GridError, match=f"after {MAX_HALVINGS} halvings"):
+        walk.advance_interval(1.0)
+    assert len(restores) == MAX_HALVINGS
 
 
 # -- the assembled flow ------------------------------------------------------------
