@@ -7,7 +7,8 @@ gauge of ``PivotPath``: a fixed component of each eigenvector is scaled to
 exactly 1.  It is local in time and therefore accumulates no gauge drift, and
 the Cartan velocity Pi_h(g^-1 g') is available in closed form from
 first-order eigenvector perturbation.  ``CartanWalk`` integrates it with
-composite Simpson over FINE substeps per output interval.
+composite Simpson over FINE substeps per output interval, along one callable
+``path(t) -> (M, Mdot)`` that gives the exact derivative with the matrix.
 
 Matching (here, and of Lax eigenvalues in ``rk.audit``) goes through one
 helper, ``best_assignment``: the shortest augmenting path method (Crouse 2016),
@@ -144,7 +145,7 @@ MAX_HALVINGS = 12
 LOG_JUMP = 2.5  # radians; spec contract is "jump > pi between grid points"
 
 
-def locate_collision(Mfun, blocks, t_lo, t_hi):
+def locate_collision(path, blocks, t_lo, t_hi):
     """Root-find the within-block discriminant product D(t) by a complex secant
     iteration.  D is analytic with a simple zero at an eigenvalue collision, so
     this resolves sqrt-type collisions that pointwise gap thresholds cannot.
@@ -153,7 +154,7 @@ def locate_collision(Mfun, blocks, t_lo, t_hi):
     the located zero is numerically on the real axis inside the bracket.
     """
     def disc(t):
-        return _discriminant(_eig_blocks(Mfun(t), blocks)[0], blocks)
+        return _discriminant(_eig_blocks(path(t)[0], blocks)[0], blocks)
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)
@@ -195,11 +196,11 @@ class PivotPath:
     differences of eigenvectors.
     """
 
-    def __init__(self, blocks, M0, diag_tol=1e-9):
+    def __init__(self, blocks, M0):
         M0 = np.asarray(M0, dtype=complex)
         N = M0.shape[0]
         off = M0 - np.diag(np.diag(M0))
-        if np.abs(off).max(initial=0.0) > diag_tol * max(1.0, np.abs(M0).max()):
+        if np.abs(off).max(initial=0.0) > 1e-9 * max(1.0, np.abs(M0).max()):
             raise ValidationError("continuation must start from a diagonal matrix")
         self.blocks = [list(b) for b in blocks]
         self.N = N
@@ -248,9 +249,10 @@ class PivotPath:
 
 
 class CartanWalk:
-    """Walks a block-diagonalizable analytic matrix path M(t), tracking the
-    pivot-gauge eigendecomposition and the cumulative Cartan quadrature
-    Lambda(t), so that k(t) = g(t) exp(-Lambda(t)) satisfies Pi_h(k^-1 k') = 0.
+    """Walks a block-diagonalizable analytic matrix path M(t) from t = 0,
+    tracking the pivot-gauge eigendecomposition and the cumulative Cartan
+    quadrature Lambda(t), so that k(t) = g(t) exp(-Lambda(t)) satisfies
+    Pi_h(k^-1 k') = 0.  ``path(t)`` returns (M(t), M'(t)).
 
     With ``log0`` given, additionally tracks a continuous entrywise logarithm
     of the eigenvalue path d(t) (branch unwrapping for group-valued paths).
@@ -258,13 +260,14 @@ class CartanWalk:
     eigenvalue collision raises BreakdownError with the located time.
     """
 
-    def __init__(self, Mfun, Mdotfun, blocks, t0=0.0, log0=None):
-        self.Mfun = Mfun
-        self.Mdotfun = Mdotfun
+    def __init__(self, path, blocks, log0=None):
+        self.path = path
         self.blocks = [list(b) for b in blocks]
-        self.path = PivotPath(self.blocks, Mfun(t0))
-        self.t = t0
-        self.Lam = np.zeros(self.path.N, dtype=complex)
+        M0, Mdot0 = path(0.0)
+        self.pivot = PivotPath(self.blocks, M0)
+        self.t = 0.0
+        self.w = self.pivot.cartan_velocity(Mdot0)  # at the current node
+        self.Lam = np.zeros(self.pivot.N, dtype=complex)
         self._logdet = 0.0 + 0.0j
         self._det_prev = 1.0 + 0.0j
         self.min_gap = np.inf
@@ -272,33 +275,34 @@ class CartanWalk:
 
     # -- bookkeeping ---------------------------------------------------------
     def _snapshot(self):
-        return (self.path.g.copy(), self.path.d.copy(), self.path.pivots.copy(),
+        return (self.pivot.g.copy(), self.pivot.d.copy(), self.pivot.pivots.copy(),
                 self._logdet, self._det_prev, self.min_gap,
-                None if self.logd is None else self.logd.copy())
+                None if self.logd is None else self.logd.copy(), self.w)
 
     def _restore(self, s):
-        (self.path.g, self.path.d, self.path.pivots,
+        (self.pivot.g, self.pivot.d, self.pivot.pivots,
          self._logdet, self._det_prev, self.min_gap) = (
             s[0].copy(), s[1].copy(), s[2].copy(), s[3], s[4], s[5])
         self.logd = None if s[6] is None else s[6].copy()
+        self.w = s[7]
 
     def _breakdown(self, t_lo, t_hi):
-        t_star, collided = locate_collision(self.Mfun, self.blocks, t_lo, t_hi)
+        t_star, collided = locate_collision(self.path, self.blocks, t_lo, t_hi)
         if collided:
-            vals, _ = _eig_blocks(self.Mfun(t_star), self.blocks)
+            vals, _ = _eig_blocks(self.path(t_star)[0], self.blocks)
             gap = block_gap(vals, self.blocks)
             raise BreakdownError(
                 f"factorization breakdown: eigenvalue collision at "
                 f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
-        return False
 
     def _node(self, t):
-        """Advance to t; returns (gap, cartan velocity, branch-jump flag)."""
-        d_prev = self.path.d.copy()
-        gap = self.path.advance(self.Mfun(t))
+        """Advance to t and its Cartan velocity; returns (gap, branch jump)."""
+        M, Mdot = self.path(t)
+        d_prev = self.pivot.d.copy()
+        gap = self.pivot.advance(M)
         jump = False
         if self.logd is not None:
-            ratio = self.path.d / d_prev
+            ratio = self.pivot.d / d_prev
             if np.abs(ratio).min() < 1e-300:
                 raise DomainError("vanishing diagonal entry on the group path")
             steps = np.log(ratio)
@@ -306,12 +310,12 @@ class CartanWalk:
                 jump = True
             else:
                 self.logd = self.logd + steps
-        w = self.path.cartan_velocity(self.Mdotfun(t))
-        det = np.linalg.det(self.path.g)
+        self.w = self.pivot.cartan_velocity(Mdot)
+        det = np.linalg.det(self.pivot.g)
         self._logdet += np.log(det / self._det_prev)
         self._det_prev = det
         self.min_gap = min(self.min_gap, gap)
-        return gap, w, jump
+        return gap, jump
 
     # -- the walk -------------------------------------------------------------
     def advance_interval(self, t_next):
@@ -325,17 +329,17 @@ class CartanWalk:
         for attempt in range(MAX_HALVINGS + 1):
             ts = np.linspace(t_start, t_next, n + 1)
             hstep = ts[1] - ts[0]
-            ws = [self.path.cartan_velocity(self.Mdotfun(t_start))]
-            D_prev = _discriminant(self.path.d, self.blocks)
+            ws = [self.w]
+            D_prev = _discriminant(self.pivot.d, self.blocks)
             t_prev = t_start
             trouble = False
             jumped = False
             for t in ts[1:]:
-                gap, w, jump = self._node(t)
-                ws.append(w)
+                gap, jump = self._node(t)
+                ws.append(self.w)
                 if gap < GAP_COLLIDE:
                     self._breakdown(t_start, t_next)
-                D_now = _discriminant(self.path.d, self.blocks)
+                D_now = _discriminant(self.pivot.d, self.blocks)
                 if D_prev != 0 and abs(np.angle(D_now / D_prev)) > 2.0:
                     # discriminant phase flip: collision candidate in (t_prev, t)
                     self._breakdown(t_prev, t)
@@ -361,9 +365,9 @@ class CartanWalk:
     def factors(self):
         """(g_det1, d, h, k) at the current node; k = g*h is gauge-invariant and
         g is presented det-normalized with a continuously tracked N-th root."""
-        s = np.exp(-self._logdet / self.path.N)
-        g_pres = s * self.path.g
+        s = np.exp(-self._logdet / self.pivot.N)
+        g_pres = s * self.pivot.g
         h_raw = np.exp(-self.Lam)
         h_pres = h_raw / s
-        k = self.path.g * h_raw[None, :]
-        return g_pres, self.path.d.copy(), h_pres, k
+        k = self.pivot.g * h_raw[None, :]
+        return g_pres, self.pivot.d.copy(), h_pres, k

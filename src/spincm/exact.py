@@ -5,10 +5,11 @@ A ``CartanWalk`` follows the blockwise eigendecomposition of a family matrix
 path M(t) over the output grid; ``solve`` checks the input, walks, records a
 state and the factors at each node, keeps the diagnostics and attaches the
 partial results to a ``BreakdownError``.  A family supplies
-``setup(spec, pt0) -> (Mfun, Mdotfun, log0, node)``: log0 starts the walk's
-branch-tracked log of the eigenvalue path (None for none), and
-``node(t, walk)`` returns the state at t, a dict of residuals (their maxima
-become diagnostics) and one factor per field of its ``Factorization``.
+``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and
+its exact derivative, log0 starts the walk's branch-tracked log of the
+eigenvalue path (None for none), and ``node(t, walk)`` returns the state at
+t, a dict of residuals (their maxima become diagnostics) and one factor per
+field of its ``Factorization``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .continuation import CartanWalk
-from .errors import BreakdownError, ContractError, ValidationError
-from .models import PhasePoint, check_regular, reduce_point
+from .errors import BreakdownError, ValidationError
+from .models import (PhasePoint, _check_momentum_zero, check_regular,
+                     reduce_point)
 from .rk import Trajectory
 
 
@@ -53,12 +55,6 @@ def _validate_times(times):
     return times
 
 
-def _check_on_level_set(pt):
-    scale = max(1.0, float(np.abs(pt.xi).max(initial=0.0)))
-    if np.abs(np.diag(pt.xi)).max(initial=0.0) > 1e-10 * scale:
-        raise ContractError("factorization solvers require Pi_h(xi0) = 0")
-
-
 def solve(spec, pt0, times, *, family, provenance, factorization, setup):
     """Exact flow of a `family` model through pt0 at the given output times.
 
@@ -68,12 +64,12 @@ def solve(spec, pt0, times, *, family, provenance, factorization, setup):
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
                               f"ModelSpec")
-    _check_on_level_set(pt0)
+    _check_momentum_zero(pt0)
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
-    Mfun, Mdotfun, log0, node = setup(spec, pt0)
-    walk = CartanWalk(Mfun, Mdotfun, spec.subset.partition, log0=log0)
+    path, log0, node = setup(spec, pt0)
+    walk = CartanWalk(path, spec.subset.partition, log0=log0)
     out_times, states, worst = [], [], {}
     columns = [[] for _ in fields(factorization)[1:-1]]
 
@@ -88,7 +84,7 @@ def solve(spec, pt0, times, *, family, provenance, factorization, setup):
 
     def wrap_up():
         diags = {"min_gap": float(walk.min_gap), **worst,
-                 "pivot_jumps": float(walk.path.pivot_jumps)}
+                 "pivot_jumps": float(walk.pivot.pivot_jumps)}
         ts = np.array(out_times)
         traj = Trajectory(times=ts, states=states, provenance=provenance,
                           stats=dict(diags))
@@ -114,6 +110,7 @@ def solve_reduced(solve_full, spec, rpt0, times):
     try:
         traj, _fact = solve_full(spec, pt0, times)
     except BreakdownError as exc:
+        exc.factors = None  # full-space factors, not those of the reduced flow
         if exc.partial is not None:
             exc.partial = _reduce_traj(spec.ctx, exc.partial)
         raise

@@ -285,12 +285,16 @@ def gauge_group_element(ctx, xi):
         if abs(v) <= 1e-12 * scale:
             raise DomainError(f"outside U: xi_(alpha_{k + 1}) = 0")
         logs[k] = cmath.log(v)
-    coeff = ctx.inv_cartan.T @ logs  # coeff_i = sum_j C_ji log xi_{a_j}
-    diag = np.zeros(N, dtype=complex)
-    for i in range(N - 1):
-        diag[i] += coeff[i]
-        diag[i + 1] -= coeff[i]
-    return np.diag(np.exp(diag))
+    return np.diag(np.exp(coroot_diagonal(ctx, logs)))
+
+
+def coroot_diagonal(ctx, x):
+    """Diagonal of sum_ij C_ji x_j h_{a_i} for x indexed by the simple roots."""
+    coeff = ctx.inv_cartan.T @ x
+    diag = np.zeros(ctx.N, dtype=complex)
+    diag[:-1] += coeff
+    diag[1:] -= coeff
+    return diag
 
 
 def reduce_gauge(ctx, xi):

@@ -31,11 +31,12 @@ import numpy as np
 from . import special
 from .errors import (ContractError, DomainError, PoleError, ValidationError,
                      require_keys)
-from .liecore import LieContext, RootSubset, reduce_gauge, validate_root_subset
+from .liecore import (LieContext, RootSubset, coroot_diagonal, reduce_gauge,
+                      validate_root_subset)
 from .special import EllipticLattice, cot_c
 
 REGULARITY_MARGIN = 1e-6
-MOMENTUM_TOL = 1e-12
+MOMENTUM_TOL = 1e-10
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
 
@@ -248,17 +249,18 @@ def singular_distance(spec, w):
     return spec.lattice.lattice_distance(w)
 
 
-def check_regular(spec, q, margin=REGULARITY_MARGIN):
-    """Raise DomainError naming the offending root if q is closer than `margin`
-    to the singular set along any kernel-relevant root."""
+def check_regular(spec, q):
+    """Raise DomainError naming the offending root if q is closer than
+    REGULARITY_MARGIN to the singular set along any kernel-relevant root."""
     A = alpha_matrix(q)
     dist = singular_distance(spec, A)
-    bad = spec.mask_regular & (dist < margin)
+    bad = spec.mask_regular & (dist < REGULARITY_MARGIN)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise DomainError(
             f"singular configuration: alpha(q) = {A[i, j]:.3e} for root "
-            f"eps_{i + 1}-eps_{j + 1} is within {margin} of the singular set")
+            f"eps_{i + 1}-eps_{j + 1} is within {REGULARITY_MARGIN} of the "
+            f"singular set")
 
 
 def _kernel_matrices(spec, q):
@@ -345,12 +347,7 @@ def _cartan_correction(spec, K, s):
             if b != j and b != j + 1:
                 X[j] += Ks[j, b] * s[b, j + 1]  # alpha = (j, b), N = +1
                 X[j] -= Ks[b, j + 1] * s[j, b]  # alpha = (b, j+1), N = -1
-    coeff = spec.ctx.inv_cartan.T @ X
-    diag = np.zeros(N, dtype=complex)
-    for i in range(N - 1):
-        diag[i] += coeff[i]
-        diag[i + 1] -= coeff[i]
-    return diag
+    return coroot_diagonal(spec.ctx, X)
 
 
 def reduced_eom(spec, rpt):
@@ -420,12 +417,7 @@ def lax_batch(spec, pt, zs):
         out[:, ms] += xi[ms] / np.tan(A[ms])
         out[:, spec.mask_plus] += -1j * xi[spec.mask_plus]
         out[:, spec.mask_minus] += 1j * xi[spec.mask_minus]
-        # cot z by cot_c's one-sided exponential forms, |w| <= 1
-        up = zs.imag >= 0.0
-        w = np.exp(np.where(up, 2j, -2j) * zs)
-        cz = np.where(up, 1j * (w + 1.0) / (w - 1.0),
-                      1j * (1.0 + w) / (1.0 - w))
-        out += cz[:, None, None] * xi
+        out += cot_c(zs)[:, None, None] * xi
         return out
 
     lat = spec.lattice

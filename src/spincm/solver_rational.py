@@ -60,7 +60,7 @@ def _setup(spec, pt0):
         residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
         return PhasePoint(q=d, p=np.diag(P), xi=xi_t), residuals, (g, d, h, k)
 
-    return (lambda t: Q0 + t * Linf), (lambda t: Linf), None, node
+    return (lambda t: (Q0 + t * Linf, Linf)), None, node
 
 
 def solve_rational_reduced(spec, rpt0, times):

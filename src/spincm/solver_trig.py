@@ -1,18 +1,22 @@
 """Exact solution of the trigonometric family on J^-1(0).
 
-Pipeline per time t: factorize exp(+it L(+i inf)) and exp(-it L(-i inf)) in the
-parabolic subgroups P^{+/-}_{pi'} (block-unipotent times block-diagonal Levi),
-and follow the Levi conjugation problem
+exp(+it L(+i inf)) and exp(-it L(-i inf)) factorize in the parabolic subgroups
+P^{+/-}_{pi'} as block-unipotent n_{+/-} times Levi g_{+/-}.  L(+/-i inf) is
+block triangular, so g_{+/-} = exp(+/-it Lam_{+/-}) for its block-diagonal
+part Lam_{+/-}, and the Levi conjugation problem is in closed form:
 
-    g_-(t)^-1 e^{2i q0} g_+(t) = x(t) d(t) x(t)^-1
+    M(t) = g_-(t)^-1 e^{2i q0} g_+(t) = e^{it Lam_-} e^{2i q0} e^{it Lam_+}
+         = x(t) d(t) x(t)^-1,            M'(t) = i (Lam_- M + M Lam_+).
 
-with the shared continuation walk, which tracks the logarithm of d(t)
+The shared continuation walk follows M and tracks the logarithm of d(t)
 continuously: q(t) = (1/2i) log d(t).  The walk's Cartan quadrature gives
 h(t) = exp(-int Pi_h(x^-1 x')), and conjugating by k(t) = x(t) h(t):
 
     xi(t) = k(t)^-1 xi0 k(t)
     p(t)  = k(t)^-1 L0(+/-i inf) k(t) minus the time-t non-Cartan part of the
             limiting Lax value; both sign branches are computed and compared.
+
+``parabolic_factor`` runs only at the output times, for the recorded n, g.
 """
 
 from __future__ import annotations
@@ -90,29 +94,19 @@ def solve_trig(spec, pt0, times):
 
 
 def _setup(spec, pt0):
-    """M(t) = g_-(t)^-1 e^{2i q0} g_+(t) and the state map of the module
-    docstring."""
+    """The closed-form M(t), M'(t) and the state map of the module docstring."""
     ctx = spec.ctx
     subset = spec.subset
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt0, "trig_minus_i_inf")
+    levi = spec.mask_span | np.eye(ctx.N, dtype=bool)
+    Lam_p, Lam_m = np.where(levi, Lp, 0.0), np.where(levi, Lm, 0.0)
     e2iq0 = np.exp(2j * pt0.q)
     xi0 = pt0.xi
 
-    def pieces(t):
-        np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
-        nm, gm = parabolic_factor(ctx, subset, expm(-1j * t * Lm), "-")
-        return np_, gp, nm, gm
-
-    def Bfun(t):
-        _, gp, _, gm = pieces(t)
-        return np.linalg.solve(gm, e2iq0[:, None] * gp)
-
-    fd_h = 5e-4
-
-    def Bdot(t):
-        return (8.0 * (Bfun(t + fd_h) - Bfun(t - fd_h))
-                - (Bfun(t + 2 * fd_h) - Bfun(t - 2 * fd_h))) / (12.0 * fd_h)
+    def path(t):
+        M = expm(1j * t * Lam_m) @ (e2iq0[:, None] * expm(1j * t * Lam_p))
+        return M, 1j * (Lam_m @ M + M @ Lam_p)
 
     def node(t, walk):
         x, d, h, k = walk.factors()
@@ -129,11 +123,12 @@ def _setup(spec, pt0):
         off = p_plus - np.diag(np.diag(p_plus))
         residuals = {"p_sign_mismatch": mism,
                      "p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
-        np_, gp, nm, gm = pieces(t)
+        np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
+        nm, gm = parabolic_factor(ctx, subset, expm(-1j * t * Lm), "-")
         return (PhasePoint(q=q_t, p=np.diag(p_plus), xi=xi_t), residuals,
                 (np_, nm, gp, gm, x, d, h, k))
 
-    return Bfun, Bdot, 2j * pt0.q, node
+    return path, 2j * pt0.q, node
 
 
 def solve_trig_reduced(spec, rpt0, times):

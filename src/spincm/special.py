@@ -25,17 +25,24 @@ def _nearest_pi_multiple(z):
     return math.pi * round(z.real / math.pi)
 
 
+def _as_array(z):
+    arr = np.asarray(z, dtype=complex)
+    return arr, arr.ndim == 0
+
+
 def cot_c(z):
-    """cot z, stable for large |Im z| (saturates to -/+ i); poles on pi*Z."""
-    z = complex(z)
-    near = _nearest_pi_multiple(z)
-    if abs(z - near) < POLE_TOL:
-        raise PoleError(f"cot pole at z={z}", nearest=near)
-    if z.imag >= 0.0:
-        w = cmath.exp(2j * z)  # |w| <= 1
-        return 1j * (w + 1.0) / (w - 1.0)
-    w = cmath.exp(-2j * z)
-    return 1j * (1.0 + w) / (1.0 - w)
+    """cot z of a scalar or an array, stable for large |Im z| (saturates to
+    -/+ i) by one-sided exponential forms with |w| <= 1; poles on pi*Z."""
+    arr, scalar = _as_array(z)
+    near = math.pi * np.round(arr.real / math.pi)
+    bad = np.flatnonzero(np.abs(arr - near) < POLE_TOL)
+    if bad.size:
+        raise PoleError(f"cot pole at z={arr.flat[bad[0]]}",
+                        nearest=near.flat[bad[0]].item())
+    up = arr.imag >= 0.0
+    w = np.exp(np.where(up, 2j, -2j) * arr)
+    out = np.where(up, 1j * (w + 1.0) / (w - 1.0), 1j * (1.0 + w) / (1.0 - w))
+    return complex(out) if scalar else out
 
 
 def phi_alpha(w, z, root_class):
@@ -63,11 +70,6 @@ def phi_alpha(w, z, root_class):
         e = cmath.exp(2j * z)
         return -2j * e / (e - 1.0)
     return -2j / (1.0 - cmath.exp(-2j * z))
-
-
-def _as_array(z):
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
 
 
 class EllipticLattice:

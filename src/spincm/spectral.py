@@ -38,6 +38,8 @@ from .models import (PhasePoint, alpha_matrix, lax, lax_batch,
                      _check_momentum_zero)
 
 GA_GAP_TOL = 1e-8
+GA1_GRID = 20  # GA1 is sampled on a GA1_GRID x GA1_GRID grid of the cell
+MAX_REFINE = 6  # sampling doublings of a winding-number contour
 # spectral parameters per stacked evaluation of the branch function (bounds
 # the memory of the theta series and the Lax stacks)
 Z_BLOCK = 128
@@ -168,7 +170,7 @@ class GenericityReport:
                 "grid": self.details.get("grid")}
 
 
-def genericity_check(spec, pt, grid=20):
+def genericity_check(spec, pt):
     """GA2: N distinct nonzero eigenvalues of xi (smallest gap and smallest
     modulus both at least GA_GAP_TOL).  GA1: lower bound of |dI/dw| + |dI/dz|
     over curve points sampled on a z-grid."""
@@ -183,8 +185,8 @@ def genericity_check(spec, pt, grid=20):
     ga2 = bool(gap >= GA_GAP_TOL and min_abs >= GA_GAP_TOL)
 
     lat = spec.lattice
-    ss = (np.arange(grid) + 0.61803) / grid
-    uu = (np.arange(grid) + 0.38196) / grid
+    ss = (np.arange(GA1_GRID) + 0.61803) / GA1_GRID
+    uu = (np.arange(GA1_GRID) + 0.38196) / GA1_GRID
     s, u = np.meshgrid(ss, uu, indexing="ij")
     zs = ((2 * s - 1) * lat.omega1 + (2 * u - 1) * lat.omega2).ravel()
     zs = zs[lat.lattice_distance(zs) >= 1e-3]
@@ -194,7 +196,7 @@ def genericity_check(spec, pt, grid=20):
     return GenericityReport(ga1_ok=ga1, ga1_min=float(ga1_min), ga2_ok=ga2,
                             ga2_min_gap=float(gap),
                             ga2_min_abs=float(min_abs),
-                            details={"grid": f"{grid}x{grid}"})
+                            details={"grid": f"{GA1_GRID}x{GA1_GRID}"})
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +212,14 @@ def _branch_function(spec, pt):
     return D
 
 
-def _winding(fun, points, max_refine=6):
+def _winding(fun, points):
     """Winding number of fun along a closed polyline, doubling the sampling
     until phase steps are resolved and the total is integer; None on failure.
     fun maps an array of points to their values; each refinement evaluates
     only the new midpoints."""
     pts = np.asarray(points, dtype=complex)
     vals = fun(pts)
-    for refine in range(max_refine + 1):
+    for refine in range(MAX_REFINE + 1):
         if refine:
             mids = 0.5 * (pts + np.roll(pts, -1))
             pts = np.stack([pts, mids], axis=-1).ravel()

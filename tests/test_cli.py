@@ -80,6 +80,23 @@ def test_exact_exit_codes(tmp_path):
     assert len(rows) > 0
 
 
+def test_exact_reduced_breakdown_dumps_no_factors(tmp_path):
+    """A reduced point has no factorization to dump, also when it breaks down."""
+    model = {"N": 2, "family": "rational",
+             "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}}
+    init = {"q": [[1, 0], [-1, 0]], "p": [[-1, 0], [1, 0]],
+            "s": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+    mfile, ifile = tmp_path / "m.json", tmp_path / "i.json"
+    mfile.write_text(json.dumps(model))
+    ifile.write_text(json.dumps(init))
+    out, fac = tmp_path / "r.csv", tmp_path / "f.json"
+    assert run(tmp_path, "exact", "--model", str(mfile), "--init", str(ifile),
+               "--out", str(out), "--dump-factors", str(fac)) == 3
+    assert footer(read(out), "breakdown_at") is not None
+    assert len(csv_body(read(out))[1]) > 0
+    assert not fac.exists()
+
+
 def test_exact_trig_breakdown(tmp_path):
     assert run(tmp_path, "exact", "--preset", "trig-sl2-breakdown",
                "--out", str(tmp_path / "tb.csv")) == 3

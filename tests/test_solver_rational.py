@@ -8,7 +8,8 @@ from sampling import random_point, random_reduced
 from spincm.continuation import CartanWalk, PivotPath
 from spincm.errors import BreakdownError, ContractError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset
-from spincm.models import PhasePoint, ReducedPoint, lax, lax_limit, reduce_point
+from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
+                           r_action_on_M, reduce_point)
 from spincm.rk import integrate
 from spincm.solver_rational import solve_rational, solve_rational_reduced
 
@@ -48,7 +49,7 @@ def test_diagonalize_diagonal_matrix():
 def test_diagonalize_sl2_example():
     M0 = np.diag([3.0, -3.0]).astype(complex)
     K = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
-    walk = CartanWalk(lambda t: M0 + t * K, lambda t: K, ((0, 1),))
+    walk = CartanWalk(lambda t: (M0 + t * K, K), ((0, 1),))
     walk.advance_interval(1.0)
     g, d, _, _ = walk.factors()
     lam = np.sqrt(9 - 0.25)
@@ -153,6 +154,22 @@ def test_breakdown_at_analytic_time(spec2):
     assert e.partial is not None
     assert e.partial.times[-1] < e.time
     assert e.factors is not None
+
+
+def test_one_level_set_tolerance(spec2):
+    """J^-1(0) is checked with one tolerance: diag xi = +/-5e-11 is accepted by
+    the solver and the r-matrix action alike, +/-2e-10 by neither."""
+    for eps, ok in ((5e-11, True), (2e-10, False)):
+        pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21 + np.diag([eps, -eps]))
+        if ok:
+            tr, _ = solve_rational(spec2, pt, np.linspace(0, 0.5, 6))
+            assert len(tr.states) == 6
+            assert np.all(np.isfinite(r_action_on_M(spec2, pt, 1.0)))
+            continue
+        with pytest.raises(ContractError):
+            solve_rational(spec2, pt, np.linspace(0, 0.5, 6))
+        with pytest.raises(ContractError):
+            r_action_on_M(spec2, pt, 1.0)
 
 
 def test_solver_validations(spec2):

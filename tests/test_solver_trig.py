@@ -6,11 +6,13 @@ import pytest
 from scipy.linalg import expm
 
 from sampling import random_point, random_reduced
-from spincm.continuation import MAX_HALVINGS, CartanWalk
+from spincm import solver_trig
+from spincm.continuation import MAX_HALVINGS, CartanWalk, PivotPath
 from spincm.errors import BreakdownError, GridError, ValidationError
 from spincm.liecore import build_sl_context, pi_subset, validate_root_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            reduce_point, trig_model)
+from spincm.presets import load_preset
 from spincm.rk import integrate
 from spincm.solver_trig import parabolic_factor, solve_trig, solve_trig_reduced
 
@@ -90,7 +92,7 @@ def test_cartan_log_unwraps_free_path():
     def Mfun(t):
         return np.diag(np.exp(2j * (q0 + t * p)))
 
-    walk = CartanWalk(Mfun, lambda t: Mfun(t) * 2j * p, ((0,), (1,)),
+    walk = CartanWalk(lambda t: (Mfun(t), Mfun(t) * 2j * p), ((0,), (1,)),
                       log0=2j * q0)
     for t in np.linspace(0, 1.0, 60)[1:]:
         walk.advance_interval(t)
@@ -108,7 +110,7 @@ def test_cartan_log_constant_and_errors():
     def Mfun(t):  # locate_collision also samples complex t
         return np.diag(d0 * jump if np.real(t) >= 0.5 else d0)
 
-    walk = CartanWalk(Mfun, lambda t: np.zeros((2, 2), dtype=complex),
+    walk = CartanWalk(lambda t: (Mfun(t), np.zeros((2, 2), dtype=complex)),
                       ((0,), (1,)), log0=2j * q0)
     walk.advance_interval(0.25)
     assert np.abs(walk.logd / 2j - q0).max() < 1e-14
@@ -118,6 +120,52 @@ def test_cartan_log_constant_and_errors():
     with pytest.raises(GridError, match=f"after {MAX_HALVINGS} halvings"):
         walk.advance_interval(1.0)
     assert len(restores) == MAX_HALVINGS
+
+
+# -- the closed-form Levi path -------------------------------------------------------
+
+@pytest.mark.parametrize("N, members", [(3, [0]), (4, [0, 1])])
+def test_closed_form_levi_path(N, members):
+    """M(t) = e^{it Lam_-} e^{2i q0} e^{it Lam_+} equals g_-^-1 e^{2i q0} g_+ of
+    the parabolic factors, and M'(t) = i (Lam_- M + M Lam_+) its derivative."""
+    ctx = build_sl_context(N)
+    spec = trig_model(ctx, pi_subset(members))
+    pt = random_point(spec, np.random.default_rng(N), scale=0.4)
+    path, _, _ = solver_trig._setup(spec, pt)
+    Lp = lax_limit(spec, pt, "trig_plus_i_inf")
+    Lm = lax_limit(spec, pt, "trig_minus_i_inf")
+    e2iq0 = np.diag(np.exp(2j * pt.q))
+    dt = 1e-5
+    for t in (0.05, 0.2):
+        M, Mdot = path(t)
+        _, gp = parabolic_factor(ctx, spec.subset, expm(1j * t * Lp), "+")
+        _, gm = parabolic_factor(ctx, spec.subset, expm(-1j * t * Lm), "-")
+        assert np.abs(M - np.linalg.solve(gm, e2iq0 @ gp)).max() <= 1e-12
+        central = (path(t + dt)[0] - path(t - dt)[0]) / (2 * dt)
+        assert np.abs(Mdot - central).max() <= 1e-7
+
+
+def test_expm_per_node_and_sample(monkeypatch):
+    """A trig-sl3 solve makes at most two expm per walk node (the path) plus
+    two per output sample (the recorded parabolic factors)."""
+    count = {"expm": 0, "nodes": 1}  # the walk starts on the node t = 0
+    expm0, advance0 = solver_trig.expm, PivotPath.advance
+
+    def counted_expm(A):
+        count["expm"] += 1
+        return expm0(A)
+
+    def counted_advance(self, M):
+        count["nodes"] += 1
+        return advance0(self, M)
+
+    monkeypatch.setattr(solver_trig, "expm", counted_expm)
+    monkeypatch.setattr(PivotPath, "advance", counted_advance)
+    data = load_preset("trig-sl3")
+    times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
+    solve_trig(data["model"], data["init"], times)
+    assert count["nodes"] > len(times)
+    assert count["expm"] <= 2 * count["nodes"] + 2 * len(times)
 
 
 # -- the assembled flow ------------------------------------------------------------

@@ -45,6 +45,19 @@ def test_cot_pole():
     with pytest.raises(PoleError) as exc:
         cot_c(math.pi + 1e-12)
     assert abs(exc.value.nearest - math.pi) < 1e-9
+    with pytest.raises(PoleError) as exc:
+        cot_c(np.array([0.5, 0.3j, -2 * math.pi + 1e-12j]))
+    assert abs(exc.value.nearest + 2 * math.pi) < 1e-9
+
+
+def test_cot_array_matches_scalar():
+    zs = np.array([[0.7, -2.0 + 0.3j], [1.1 - 40j, 0.2 + 60j]])
+    out = cot_c(zs)
+    assert out.shape == zs.shape and type(cot_c(0.7)) is complex
+    for z, c in zip(zs.ravel(), out.ravel()):
+        assert c == cot_c(z)
+        if abs(z.imag) < 5:
+            assert abs(c - np.cos(z) / np.sin(z)) < 1e-14
 
 
 def test_phi_alpha_examples():
