@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BreakdownError, GridError, ValidationError, require_keys
+from .errors import BreakdownError, ValidationError, require_keys
 from .models import PhasePoint, ReducedPoint, model_from_json_dict
 from .presets import load_preset, preset_names
 from .rk import audit, default_z_samples, integrate, trajectory_csv_lines
@@ -135,14 +135,14 @@ def cmd_simulate(args):
 
 
 def _exact(spec, pt, params):
-    """(trajectory, factorization or None) of the family's exact solver; a
-    reduced point gives no factorization."""
+    """(trajectory, factorization or None) of the family's exact solver at
+    the error tolerance --tol; a reduced point gives no factorization."""
     times = np.linspace(0.0, params["t_end"], int(params["samples"]))
     full, reduced = {"rational": (solve_rational, solve_rational_reduced),
                      "trigonometric": (solve_trig, solve_trig_reduced)}[spec.family]
     if isinstance(pt, ReducedPoint):
-        return reduced(spec, pt, times), None
-    return full(spec, pt, times)
+        return reduced(spec, pt, times, params["tol"]), None
+    return full(spec, pt, times, params["tol"])
 
 
 def cmd_exact(args):
@@ -260,7 +260,7 @@ def main(argv=None):
                "curve": cmd_curve}[args.command]
     try:
         return handler(args)
-    except (ValidationError, GridError, FileNotFoundError,
+    except (ValidationError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

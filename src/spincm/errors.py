@@ -40,10 +40,6 @@ class BreakdownError(RuntimeError):
         self.factors = factors
 
 
-class GridError(RuntimeError):
-    """A sampled path is too coarse to track branches/continuations reliably."""
-
-
 def require_keys(d, keys, what):
     """Raise ValidationError naming the first of `keys` missing from the JSON
     object `d` (a `what` record)."""

@@ -1,15 +1,30 @@
 """The driver shared by the exact solvers of the rational and trigonometric
 families.
 
-A ``CartanWalk`` follows the blockwise eigendecomposition of a family matrix
-path M(t) over the output grid; ``solve`` checks the input, walks, records a
-state and the factors at each node, keeps the diagnostics and attaches the
-partial results to a ``BreakdownError``.  A family supplies
-``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and
-its exact derivative, log0 starts the walk's branch-tracked log of the
-eigenvalue path (None for none), and ``node(t, walk)`` returns the state at
-t, a dict of residuals (their maxima become diagnostics) and one factor per
-field of its ``Factorization``.
+Both solvers diagonalize a block-diagonal family matrix path
+M(t) = k(t) diag(d(t)) k(t)^-1 and conjugate by k(t).  ``transport``
+integrates Kato's adiabatic transport equation (Kato 1950) for the
+eigenvector matrix k and l = d (or l = log d for a group-valued path) on the
+oracle's Dormand-Prince core ``rk.dp5``.  With B = k^-1 M' k:
+
+    k' = k W,   W_ij = B_ij / (d_j - d_i) for i != j in one block, W_ii = 0,
+    l' = diag(B)   (l = d),     or     l' = diag(B) / d   (l = log d).
+
+From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
+log d needs no branch tracking.  Before each output interval the blockwise
+eigenvalues of M at its end give the within-block discriminant D; a phase
+turn of D over 2 rad hands the interval to ``continuation.locate_collision``.
+A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
+always ends in a BreakdownError, never in a silent state.
+
+``solve`` checks the input, runs the transport over the output grid, records
+a state and the factors at each output time, keeps the diagnostics and
+attaches the partial results to a ``BreakdownError``.  A family supplies
+``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and its
+exact derivative; log0 is None when l = d, else l(0) = log d(0); ``node(t)``
+returns M(t) and a map ``(k, l) -> (state, residuals, factors)`` to the state
+at t, a dict of residuals (their maxima become diagnostics) and one factor
+per field of its ``Factorization``.
 """
 
 from __future__ import annotations
@@ -17,12 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg.lapack import zgesv
 
-from .continuation import CartanWalk
-from .errors import BreakdownError, ValidationError
+from .continuation import (GAP_COLLIDE, _discriminant, block_eigvals,
+                           block_gap, locate_collision, same_block)
+from .errors import BreakdownError, DomainError, ValidationError
 from .models import (PhasePoint, _check_momentum_zero, check_regular,
                      reduce_point)
-from .rk import Trajectory
+from .rk import Trajectory, check_tol, dp5
 
 
 @dataclass
@@ -44,6 +61,15 @@ class Factorization:
         return out
 
 
+def present(k):
+    """(g, h) with k = g diag(h): g is k with unit-norm columns times their
+    geometric mean, divided by the principal N-th root of det k (which stays
+    close to 1), so det g = 1 and g(0) = I."""
+    norms = np.linalg.norm(k, axis=0)
+    s = np.exp(np.log(norms).mean()) / complex(np.linalg.det(k)) ** (1.0 / len(k))
+    return k * (s / norms)[None, :], norms / s
+
+
 def _validate_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -55,8 +81,106 @@ def _validate_times(times):
     return times
 
 
-def solve(spec, pt0, times, *, family, provenance, factorization, setup):
-    """Exact flow of a `family` model through pt0 at the given output times.
+def transport(path, node, blocks, times, tol, log0, record):
+    """Kato transport of the eigenvector matrix of a block-diagonal path over
+    the output grid `times` (see the module docstring).
+
+    At each output time calls ``record(t, node(t)[1](k, l))``.  Returns
+    (diagnostics, error): the smallest eigen gap seen, f-evaluations and
+    rejected steps, and a BreakdownError (not raised) if the run ended before
+    times[-1], else None.
+    """
+    blocks = [list(b) for b in blocks]
+    M0, finish = node(times[0])
+    N = len(M0)
+    nk = N * N
+    group = log0 is not None
+    same = same_block(blocks, N)
+
+    def eigs(ell):
+        return np.exp(ell) if group else ell
+
+    W = np.zeros((N, N), dtype=complex)  # entries off `same` stay 0
+
+    def off_block(B, d):
+        """W_ij = B_ij / (d_j - d_i) for i != j in one block, else 0."""
+        return np.divide(B, d[None, :] - d[:, None], out=W, where=same)
+
+    def f(t, y):
+        z = y.view(complex)
+        k, ell = z[:nk].reshape(N, N), z[nk:]
+        d = eigs(ell)
+        # LAPACK's solver direct: numpy's wrapper costs twice the solve here
+        _, _, B, info = zgesv(k, path(t)[1] @ k)
+        if info:
+            raise DomainError("singular transported eigenvector matrix")
+        dl = B.diagonal() / d if group else B.diagonal()
+        return np.concatenate([(k @ off_block(B, d)).ravel(), dl]).view(float)
+
+    def polish(k, ell, M):
+        """One first-order eigen-correction of (k, l) against M itself, in the
+        transport's gauge: R = k^-1 M k = diag(d) + E gives k (I + W(R)) and
+        diag R, with errors O(E^2), so the trace of l is exact as well."""
+        d = eigs(ell)
+        R = np.linalg.solve(k, M @ k)
+        dr = R.diagonal()
+        return k + k @ off_block(R, d), ell + np.log(dr / d) if group else dr.copy()
+
+    vals = block_eigvals(M0, blocks)
+    run = {"M": M0, "finish": finish, "D": _discriminant(vals, blocks),
+           "gap": block_gap(vals, same), "collision": None, "done": 0}
+
+    def guard(t, y):
+        gap = block_gap(eigs(y.view(complex)[nk:]), same)
+        run["gap"] = min(run["gap"], gap)
+        return gap >= GAP_COLLIDE
+
+    def on_sample(i, y):
+        z = y.view(complex)
+        record(times[i], run["finish"](*polish(z[:nk].reshape(N, N), z[nk:], run["M"])))
+        run["done"] = i + 1
+        if i + 1 == len(times):
+            return False
+        run["M"], run["finish"] = node(times[i + 1])
+        vals = block_eigvals(run["M"], blocks)
+        run["gap"] = min(run["gap"], block_gap(vals, same))
+        D = _discriminant(vals, blocks)
+        if run["D"] != 0 and abs(np.angle(D / run["D"])) > 2.0:
+            run["collision"] = _collision(path, blocks, same, times[i], times[i + 1])
+        run["D"] = D
+        return run["collision"] is not None
+
+    y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
+                         np.diag(M0) if log0 is None else log0]).astype(complex)
+    t, stats, stopped = dp5(f, y0.view(float), times, tol, guard, on_sample)
+    diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
+             "nrejected": float(stats["nrejected"])}
+    if not stopped:
+        return diags, None
+    error = run["collision"]
+    if error is None:
+        i = run["done"]
+        error = _collision(path, blocks, same, times[i - 1], times[i]) or BreakdownError(
+            f"factorization breakdown: the transport stalled at t = {t:.9g} "
+            f"(eigen gap {run['gap']:.3e}) with no eigenvalue collision located",
+            time=t, gap=run["gap"])
+    return diags, error
+
+
+def _collision(path, blocks, same, t_lo, t_hi):
+    """BreakdownError at the eigenvalue collision in [t_lo, t_hi], if any."""
+    t_star, collided = locate_collision(path, blocks, t_lo, t_hi)
+    if not collided:
+        return None
+    gap = block_gap(block_eigvals(path(t_star)[0], blocks), same)
+    return BreakdownError(f"factorization breakdown: eigenvalue collision at "
+                          f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
+
+
+def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
+          setup):
+    """Exact flow of a `family` model through pt0 at the given output times,
+    with the transport integrated at error tolerance `tol`.
 
     Returns (Trajectory, factorization).  On an eigenvalue collision raises
     BreakdownError carrying the collision time and the partial results.
@@ -64,17 +188,17 @@ def solve(spec, pt0, times, *, family, provenance, factorization, setup):
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
                               f"ModelSpec")
+    check_tol(tol)
     _check_momentum_zero(pt0)
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
     path, log0, node = setup(spec, pt0)
-    walk = CartanWalk(path, spec.subset.partition, log0=log0)
     out_times, states, worst = [], [], {}
     columns = [[] for _ in fields(factorization)[1:-1]]
 
-    def emit(t):
-        state, residuals, factors = node(t, walk)
+    def record(t, result):
+        state, residuals, factors = result
         for key, val in residuals.items():
             worst[key] = max(worst.get(key, 0.0), val)
         out_times.append(t)
@@ -82,33 +206,26 @@ def solve(spec, pt0, times, *, family, provenance, factorization, setup):
         for col, fac in zip(columns, factors):
             col.append(fac)
 
-    def wrap_up():
-        diags = {"min_gap": float(walk.min_gap), **worst,
-                 "pivot_jumps": float(walk.pivot.pivot_jumps)}
-        ts = np.array(out_times)
-        traj = Trajectory(times=ts, states=states, provenance=provenance,
-                          stats=dict(diags))
-        return traj, factorization(ts, *columns, diagnostics=diags)
-
-    emit(0.0)
-    try:
-        for t_next in times[1:]:
-            walk.advance_interval(float(t_next))
-            emit(float(t_next))
-    except BreakdownError as exc:
-        traj, fact = wrap_up()
-        traj.breakdown_time = exc.time
-        exc.partial, exc.factors = traj, fact
-        raise
-    return wrap_up()
+    diags, error = transport(path, node, spec.subset.partition, times, tol,
+                             log0, record)
+    diags.update(worst)
+    ts = np.array(out_times)
+    traj = Trajectory(times=ts, states=states, provenance=provenance,
+                      stats=dict(diags))
+    fact = factorization(ts, *columns, diagnostics=diags)
+    if error is not None:
+        traj.breakdown_time = error.time
+        error.partial, error.factors = traj, fact
+        raise error
+    return traj, fact
 
 
-def solve_reduced(solve_full, spec, rpt0, times):
+def solve_reduced(solve_full, spec, rpt0, times, tol=1e-10):
     """Reduced exact flow: lift s0 to xi0 := s0 (g(s0) = identity), solve with
     `solve_full`, and push each state through the gauge reduction."""
     pt0 = PhasePoint(q=rpt0.q, p=rpt0.p, xi=rpt0.s)
     try:
-        traj, _fact = solve_full(spec, pt0, times)
+        traj, _fact = solve_full(spec, pt0, times, tol)
     except BreakdownError as exc:
         exc.factors = None  # full-space factors, not those of the reduced flow
         if exc.partial is not None:

@@ -2,6 +2,8 @@
 full or reduced equations of motion over complex phase space, with output at
 equally spaced sample times, singularity-margin abort, and invariant auditing.
 
+The step / accept / sample loop is one core, ``dp5``, over a packed real state
+and a callable f(t, y); the exact solvers run their transport ODE on it too.
 Complex states are integrated as stacked real/imaginary coordinates so the
 standard embedded error control applies unchanged.
 """
@@ -20,18 +22,19 @@ from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
 
 SINGULAR_MARGIN = 1e-6
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980); row i of _A holds the
+# stage weights of stage i
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_B5 = _A[6]
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -51,6 +54,92 @@ class Trajectory:
     @property
     def reduced(self):
         return bool(self.states) and isinstance(self.states[0], ReducedPoint)
+
+
+def check_tol(tol):
+    """The error tolerance accepted by the integrators: 1e-13 <= tol <= 1e-3."""
+    if not (1e-13 <= tol <= 1e-3):
+        raise ValidationError(f"tol={tol} outside [1e-13, 1e-3]")
+
+
+def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
+    """Adaptive Dormand-Prince 5(4) of y' = f(t, y) from y0 at sample_times[0]
+    to sample_times[-1], over a packed real state y.
+
+    Steps are clamped to land on every sample time, where
+    ``on_sample(i, y)`` is called (also for i = 0, with y0); a true return
+    value stops the run.  An accepted step must give a finite state that
+    passes ``guard(t, y)``; a stage raising DomainError shrinks the step.  The
+    run also stops early when a step fails the guard or the step size
+    collapses.  `fixed_step` disables the error control (used for order
+    verification).
+
+    Returns (t, stats, stopped): the time reached, {nsteps, nrejected, nfev}
+    and whether the run stopped before sample_times[-1].
+    """
+    t = float(sample_times[0])
+    t_end = float(sample_times[-1])
+    y = np.asarray(y0, dtype=float)
+    stopped = bool(on_sample(0, y))
+    nxt = 1
+    h = fixed_step if fixed_step else min(1e-3, (t_end - t) / 100)
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
+    nfev, nsteps, nrej = 1, 0, 0
+
+    while not stopped and t < t_end - 1e-14:
+        h_step = min(h, t_end - t)
+        clamped = h_step < h
+        if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14:
+            h_step = sample_times[nxt] - t
+            clamped = True
+        if h_step < 1e-15 * max(1.0, abs(t)):
+            stopped = True
+            break
+        try:
+            for i in range(1, 7):
+                K[i] = f(t + _C[i] * h_step, y + h_step * (_A[i, :i] @ K[:i]))
+        except DomainError:
+            # a trial stage left the domain (singular margin): shrink, then stop
+            nrej += 1
+            if h_step < 1e-12 * max(1.0, abs(t)):
+                stopped = True
+                break
+            h = h_step * 0.25
+            continue
+        nfev += 6
+        y1 = y + h_step * (_B5 @ K)
+        if fixed_step is None:
+            err = h_step * (_ERR @ K)
+            sc = tol + tol * np.maximum(np.abs(y), np.abs(y1))
+            enorm = float(np.sqrt(np.mean((err / sc) ** 2)))
+        else:
+            enorm = 0.0
+        accepted = enorm <= 1.0
+        if accepted:
+            if not np.all(np.isfinite(y1)) or not guard(t + h_step, y1):
+                stopped = True
+                break
+            t += h_step
+            y = y1
+            K[0] = K[6]  # FSAL
+            nsteps += 1
+            while not stopped and nxt < len(sample_times) and \
+                    t >= sample_times[nxt] - 1e-12:
+                stopped = bool(on_sample(nxt, y))
+                nxt += 1
+        else:
+            nrej += 1
+        if fixed_step is None:
+            fac = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+            if not accepted:
+                h = h_step * min(1.0, fac)
+            elif clamped:
+                h = max(h, h_step * fac)
+            else:
+                h = h_step * fac
+
+    return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, stopped
 
 
 def _pack(pt):
@@ -89,8 +178,7 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     within SINGULAR_MARGIN of the singular set.  `fixed_step` disables the
     error control (used for order verification).
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValidationError(f"tol={tol} outside [1e-13, 1e-3]")
+    check_tol(tol)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     if t_end <= 0:
@@ -98,80 +186,20 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     reduced = isinstance(pt0, ReducedPoint)
     check_regular(spec, pt0.q)
     N = spec.ctx.N
+    rhs = reduced_eom if reduced else eom
 
-    def f(y):
-        pt = _unpack(y, N, reduced)
-        qd, pd, md = reduced_eom(spec, pt) if reduced else eom(spec, pt)
+    def f(t, y):
+        qd, pd, md = rhs(spec, _unpack(y, N, reduced))
         return np.concatenate([qd, pd, md.ravel()]).view(float)
 
     sample_times = np.linspace(0.0, float(t_end), int(samples))
-    y = _pack(pt0)
-    t = 0.0
-    out_states = [_unpack(y, N, reduced)]
-    out_times = [0.0]
-    nxt = 1
-
-    h = fixed_step if fixed_step else min(1e-3, t_end / 100)
-    k1 = f(y)
-    nfev, nsteps, nrej = 1, 0, 0
-    blowup = False
-
-    while t < t_end - 1e-14:
-        h_step = min(h, t_end - t)
-        clamped = h_step < h
-        if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14:
-            h_step = sample_times[nxt] - t
-            clamped = True
-        if h_step < 1e-15 * max(1.0, abs(t)):
-            blowup = True
-            break
-        try:
-            ks = [k1]
-            for i in range(1, 7):
-                yi = y + h_step * sum(a * k for a, k in zip(_A[i], ks))
-                ks.append(f(yi))
-        except DomainError:
-            # a trial stage crossed into the singular margin: shrink, then abort
-            nrej += 1
-            if h_step < 1e-12 * max(1.0, abs(t)):
-                blowup = True
-                break
-            h = h_step * 0.25
-            continue
-        nfev += 6
-        y1 = y + h_step * sum(b * k for b, k in zip(_B5, ks) if b)
-        if fixed_step is None:
-            err = h_step * sum(e * k for e, k in zip(_ERR, ks) if e)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y1))
-            enorm = float(np.sqrt(np.mean((err / sc) ** 2)))
-        else:
-            enorm = 0.0
-        accepted = enorm <= 1.0
-        if accepted:
-            if not np.all(np.isfinite(y1)) or _margin(spec, y1, N) < SINGULAR_MARGIN:
-                blowup = True
-                break
-            t += h_step
-            y = y1
-            k1 = ks[6]  # FSAL
-            nsteps += 1
-            while nxt < len(sample_times) and t >= sample_times[nxt] - 1e-12:
-                out_times.append(sample_times[nxt])
-                out_states.append(_unpack(y, N, reduced))
-                nxt += 1
-        else:
-            nrej += 1
-        if fixed_step is None:
-            fac = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
-            if not accepted:
-                h = h_step * min(1.0, fac)
-            elif clamped:
-                h = max(h, h_step * fac)
-            else:
-                h = h_step * fac
-
-    stats = {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}
-    return Trajectory(times=np.array(out_times), states=out_states,
+    states = []
+    t, stats, blowup = dp5(
+        f, _pack(pt0), sample_times, tol,
+        guard=lambda t, y: _margin(spec, y, N) >= SINGULAR_MARGIN,
+        on_sample=lambda i, y: states.append(_unpack(y, N, reduced)),
+        fixed_step=fixed_step)
+    return Trajectory(times=sample_times[:len(states)], states=states,
                       provenance="oracle", stats=stats, blowup=blowup,
                       last_good_time=float(t) if blowup else None)
 
@@ -219,7 +247,13 @@ class InvariantReport:
 
 
 def audit(spec, traj, z_samples=None):
-    """Energy, momentum norm and Lax eigenvalues along a trajectory, with drifts."""
+    """Energy, momentum norm and Lax eigenvalues along a trajectory, with drifts.
+
+    None of these can see a constant torus conjugation xi -> h xi h^-1 (h
+    diagonal), which maps solutions on J^-1(0) to solutions; only a
+    comparison of xi with an independent solution (``compare``'s sup_xi)
+    checks that angle.
+    """
     if z_samples is None:
         z_samples = default_z_samples(spec)
     reduced = traj.reduced

@@ -1,8 +1,9 @@
 """Exact solution of the rational family on J^-1(0) by matrix factorization.
 
-The flow reduces to diagonalizing q0 + t*L(inf) inside the reductive subgroup
-attached to Delta' (blockwise, with eigenvector continuation), correcting by a
-Cartan quadrature h(t) so that Pi_h(k^-1 k') = 0 for k = g*h, and conjugating:
+The flow reduces to diagonalizing M(t) = q0 + t*L(inf) inside the reductive
+subgroup attached to Delta' (blockwise), by the eigenvector matrix k(t) with
+Pi_h(k^-1 k') = 0 that the shared Kato transport of ``exact`` carries, and
+conjugating:
 
     q(t)  = d(t)
     xi(t) = k(t)^-1 xi0 k(t)
@@ -21,7 +22,11 @@ from .models import PhasePoint, alpha_matrix, lax_limit
 
 @dataclass
 class RationalFactorization(exact.Factorization):
-    """Per-time factors g(t) (block, det 1, g(0)=I), d(t), h(t), k(t)=g(t)h(t)."""
+    """Per-time factors g(t) (block, det 1, g(0)=I), d(t), h(t), k(t)=g(t)h(t).
+
+    k is the transported eigenvector matrix; g is k with unit-norm columns
+    times their geometric mean, divided by the principal N-th root of det k
+    (``exact.present``), and h = k / g columnwise."""
 
     times: np.ndarray
     g: list
@@ -31,13 +36,14 @@ class RationalFactorization(exact.Factorization):
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_rational(spec, pt0, times):
-    """Exact rational flow through pt0 in J^-1(0) at the given output times.
+def solve_rational(spec, pt0, times, tol=1e-10):
+    """Exact rational flow through pt0 in J^-1(0) at the given output times,
+    transported at error tolerance `tol`.
 
     Returns (Trajectory, RationalFactorization).  On an eigenvalue collision
     raises BreakdownError carrying the collision time and the partial results.
     """
-    return exact.solve(spec, pt0, times, family="rational",
+    return exact.solve(spec, pt0, times, tol, family="rational",
                        provenance="exact-rational",
                        factorization=RationalFactorization, setup=_setup)
 
@@ -49,21 +55,23 @@ def _setup(spec, pt0):
     mask = spec.mask_active
     xi0 = pt0.xi
 
-    def node(t, walk):
-        g, d, h, k = walk.factors()
-        kinv = np.linalg.inv(k)
-        xi_t = kinv @ xi0 @ k
-        P = kinv @ Linf @ k
-        A = alpha_matrix(d)
-        P[mask] -= xi_t[mask] / A[mask]
-        off = P - np.diag(np.diag(P))
-        residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
-        return PhasePoint(q=d, p=np.diag(P), xi=xi_t), residuals, (g, d, h, k)
+    def node(t):
+        def finish(k, d):
+            g, h = exact.present(k)
+            kinv = np.linalg.inv(k)
+            xi_t = kinv @ xi0 @ k
+            P = kinv @ Linf @ k
+            A = alpha_matrix(d)
+            P[mask] -= xi_t[mask] / A[mask]
+            off = P - np.diag(np.diag(P))
+            residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
+            return PhasePoint(q=d, p=np.diag(P), xi=xi_t), residuals, (g, d, h, k)
+        return Q0 + t * Linf, finish
 
     return (lambda t: (Q0 + t * Linf, Linf)), None, node
 
 
-def solve_rational_reduced(spec, rpt0, times):
+def solve_rational_reduced(spec, rpt0, times, tol=1e-10):
     """Reduced exact flow: lift s0 to xi0 := s0 (g(s0) = identity), solve, and
     push each state through the gauge reduction."""
-    return exact.solve_reduced(solve_rational, spec, rpt0, times)
+    return exact.solve_reduced(solve_rational, spec, rpt0, times, tol)

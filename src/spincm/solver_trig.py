@@ -8,15 +8,17 @@ part Lam_{+/-}, and the Levi conjugation problem is in closed form:
     M(t) = g_-(t)^-1 e^{2i q0} g_+(t) = e^{it Lam_-} e^{2i q0} e^{it Lam_+}
          = x(t) d(t) x(t)^-1,            M'(t) = i (Lam_- M + M Lam_+).
 
-The shared continuation walk follows M and tracks the logarithm of d(t)
-continuously: q(t) = (1/2i) log d(t).  The walk's Cartan quadrature gives
-h(t) = exp(-int Pi_h(x^-1 x')), and conjugating by k(t) = x(t) h(t):
+The shared Kato transport of ``exact`` carries an eigenvector matrix k(t) of M
+with Pi_h(k^-1 k') = 0 and l(t) = log d(t), so q(t) = l(t) / 2i with no
+branch tracking; k(t) = x(t) h(t) is the factor k_+(0, t), and
+
 
     xi(t) = k(t)^-1 xi0 k(t)
     p(t)  = k(t)^-1 L0(+/-i inf) k(t) minus the time-t non-Cartan part of the
             limiting Lax value; both sign branches are computed and compared.
 
-``parabolic_factor`` runs only at the output times, for the recorded n, g.
+``parabolic_factor`` runs only at the output times, for the recorded n, g
+and the M(t) whose eigenvalues the transport checks for collisions.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ P_SIGN_TOL = 1e-8
 
 @dataclass
 class TrigFactorization(exact.Factorization):
-    """Per-time parabolic factors, Levi conjugation data and k_+(0,t)=x(t)h(t)."""
+    """Per-time parabolic factors, Levi conjugation data and k_+(0,t)=x(t)h(t).
+
+    k_plus is the transported eigenvector matrix; x is k_plus with unit-norm
+    columns times their geometric mean, divided by the principal N-th root of
+    det k_plus (``exact.present``), so det x = 1 and x(0) = I, and
+    h = k_plus / x columnwise."""
 
     times: np.ndarray
     n_plus: list
@@ -81,14 +88,15 @@ def parabolic_factor(ctx, subset, A, sign):
     return n, g
 
 
-def solve_trig(spec, pt0, times):
-    """Exact trigonometric flow through pt0 in J^-1(0) at the given times.
+def solve_trig(spec, pt0, times, tol=1e-10):
+    """Exact trigonometric flow through pt0 in J^-1(0) at the given times,
+    transported at error tolerance `tol`.
 
     Returns (Trajectory, TrigFactorization).  Raises BreakdownError on Levi
-    eigenvalue collision, GridError on unresolvable branch jumps, and flags an
-    internal error if the two sign branches of p(t) disagree beyond 1e-8.
+    eigenvalue collision, and flags an internal error if the two sign
+    branches of p(t) disagree beyond 1e-8.
     """
-    return exact.solve(spec, pt0, times, family="trigonometric",
+    return exact.solve(spec, pt0, times, tol, family="trigonometric",
                        provenance="exact-trig",
                        factorization=TrigFactorization, setup=_setup)
 
@@ -108,29 +116,32 @@ def _setup(spec, pt0):
         M = expm(1j * t * Lam_m) @ (e2iq0[:, None] * expm(1j * t * Lam_p))
         return M, 1j * (Lam_m @ M + M @ Lam_p)
 
-    def node(t, walk):
-        x, d, h, k = walk.factors()
-        q_t = walk.logd / 2j
-        kinv = np.linalg.inv(k)
-        xi_t = kinv @ xi0 @ k
-        p_plus, p_minus = (kinv @ L0 @ k - trig_limit_tail(spec, q_t, xi_t, sign)
-                           for sign, L0 in ((1.0, Lp), (-1.0, Lm)))
-        mism = float(np.abs(p_plus - p_minus).max())
-        if mism > P_SIGN_TOL:
-            raise RuntimeError(
-                f"internal error: the two sign branches of p(t) disagree by "
-                f"{mism:.3e} at t={t}")
-        off = p_plus - np.diag(np.diag(p_plus))
-        residuals = {"p_sign_mismatch": mism,
-                     "p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
+    def node(t):
         np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
         nm, gm = parabolic_factor(ctx, subset, expm(-1j * t * Lm), "-")
-        return (PhasePoint(q=q_t, p=np.diag(p_plus), xi=xi_t), residuals,
-                (np_, nm, gp, gm, x, d, h, k))
+
+        def finish(k, logd):
+            x, h = exact.present(k)
+            q_t = logd / 2j
+            kinv = np.linalg.inv(k)
+            xi_t = kinv @ xi0 @ k
+            p_plus, p_minus = (kinv @ L0 @ k - trig_limit_tail(spec, q_t, xi_t, sign)
+                               for sign, L0 in ((1.0, Lp), (-1.0, Lm)))
+            mism = float(np.abs(p_plus - p_minus).max())
+            if mism > P_SIGN_TOL:
+                raise RuntimeError(
+                    f"internal error: the two sign branches of p(t) disagree by "
+                    f"{mism:.3e} at t={t}")
+            off = p_plus - np.diag(np.diag(p_plus))
+            residuals = {"p_sign_mismatch": mism,
+                         "p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
+            return (PhasePoint(q=q_t, p=np.diag(p_plus), xi=xi_t), residuals,
+                    (np_, nm, gp, gm, x, np.exp(logd), h, k))
+        return np.linalg.solve(gm, e2iq0[:, None] * gp), finish
 
     return path, 2j * pt0.q, node
 
 
-def solve_trig_reduced(spec, rpt0, times):
+def solve_trig_reduced(spec, rpt0, times, tol=1e-10):
     """Reduced exact flow: lift s0 to xi0 := s0, solve, reduce each state."""
-    return exact.solve_reduced(solve_trig, spec, rpt0, times)
+    return exact.solve_reduced(solve_trig, spec, rpt0, times, tol)

@@ -39,7 +39,7 @@ from .models import (PhasePoint, alpha_matrix, lax, lax_batch,
 
 GA_GAP_TOL = 1e-8
 GA1_GRID = 20  # GA1 is sampled on a GA1_GRID x GA1_GRID grid of the cell
-MAX_REFINE = 6  # sampling doublings of a winding-number contour
+MAX_DOUBLINGS = 6  # sampling doublings of a winding-number contour
 # spectral parameters per stacked evaluation of the branch function (bounds
 # the memory of the theta series and the Lax stacks)
 Z_BLOCK = 128
@@ -219,7 +219,7 @@ def _winding(fun, points):
     only the new midpoints."""
     pts = np.asarray(points, dtype=complex)
     vals = fun(pts)
-    for refine in range(MAX_REFINE + 1):
+    for refine in range(MAX_DOUBLINGS + 1):
         if refine:
             mids = 0.5 * (pts + np.roll(pts, -1))
             pts = np.stack([pts, mids], axis=-1).ravel()

@@ -102,6 +102,21 @@ def test_exact_trig_breakdown(tmp_path):
                "--out", str(tmp_path / "tb.csv")) == 3
 
 
+def test_exact_honours_tol(tmp_path):
+    """exact integrates its transport at --tol: a looser tolerance takes fewer
+    f-evaluations, and one outside [1e-13, 1e-3] is a validation error."""
+    nfev = {}
+    for tol in ("1e-6", "1e-12"):
+        fac = tmp_path / f"f{tol}.json"
+        assert run(tmp_path, "exact", "--preset", "rational-sl3-full", "--tol", tol,
+                   "--samples", "3", "--out", str(tmp_path / "e.csv"),
+                   "--dump-factors", str(fac)) == 0
+        nfev[tol] = json.loads(read(fac))["diagnostics"]["nfev"]
+    assert nfev["1e-6"] < nfev["1e-12"]
+    assert run(tmp_path, "exact", "--preset", "rational-sl2", "--tol", "1e-2",
+               "--out", str(tmp_path / "x.csv")) == 2
+
+
 def test_compare(tmp_path):
     out = tmp_path / "cmp.json"
     assert run(tmp_path, "compare", "--preset", "rational-sl2",

@@ -85,6 +85,30 @@ def test_fifth_order_convergence(spec2):
     assert 16.0 <= ratio <= 64.0
 
 
+# (nfev, nsteps, nrejected) of `integrate` on each preset at its defaults, as
+# the oracle made them before its loop became the shared `rk.dp5` core
+ORACLE_COUNTS = {
+    "collision-sl2": (3733, 620, 3), "elliptic-sl2": (2419, 395, 8),
+    "elliptic-sl3": (1033, 170, 2), "free-flight": (613, 102, 0),
+    "nilpotent-xi-sl2": (313, 52, 0), "rational-sl2": (613, 102, 0),
+    "rational-sl3": (613, 102, 0), "rational-sl3-full": (613, 102, 0),
+    "reduced-rational-sl2": (613, 102, 0), "trig-sl2": (607, 101, 0),
+    "trig-sl2-breakdown": (3283, 542, 6), "trig-sl3": (367, 61, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COUNTS))
+def test_oracle_counts_pinned(name):
+    from spincm.presets import load_preset, preset_names
+    assert sorted(ORACLE_COUNTS) == preset_names()
+    data = load_preset(name)
+    d = data["defaults"]
+    tr = integrate(data["model"], data["init"], d["t_end"], samples=int(d["samples"]),
+                   tol=d.get("tol", 1e-10))
+    s = tr.stats
+    assert (s["nfev"], s["nsteps"], s["nrejected"]) == ORACLE_COUNTS[name]
+
+
 def test_audit_pure(spec2):
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
     tr = integrate(spec2, pt, 0.5, samples=21, tol=1e-10)

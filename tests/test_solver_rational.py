@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
-from spincm.continuation import CartanWalk, PivotPath
+from spincm.exact import present, transport
 from spincm.errors import BreakdownError, ContractError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
@@ -36,47 +36,91 @@ def sup_gap(ta, tb, attr):
                for a, b in zip(ta.states, tb.states))
 
 
-# -- blockwise diagonalization along a path (the walk under both solvers) -------
+# -- Kato transport along a block-diagonal path (under both solvers) ------------
+
+def run_transport(M, Mdot, blocks, times, tol=1e-12):
+    """(times, k, d) at the output times of the transport along M(t)."""
+    out = []
+
+    def node(t):
+        return M(t), lambda k, d: (k, d)
+
+    diags, error = transport(lambda t: (M(t), Mdot), node, blocks, times, tol,
+                             None, lambda t, kd: out.append((t,) + kd))
+    assert error is None and diags["nfev"] > 1
+    return out
+
 
 def test_diagonalize_diagonal_matrix():
+    """A constant diagonal path is already diagonal: k stays the identity and
+    d the diagonal."""
     M = np.diag([3.0, 1.0, -4.0]).astype(complex)
-    path = PivotPath(((0, 1, 2),), M)
-    path.advance(M)
-    assert np.allclose(path.g, np.eye(3))
-    assert np.allclose(path.d, [3, 1, -4])
+    zero = np.zeros((3, 3), dtype=complex)
+    for t, k, d in run_transport(lambda t: M, zero, ((0, 1, 2),),
+                                 np.linspace(0, 1, 3)):
+        assert np.allclose(k, np.eye(3))
+        assert np.allclose(d, [3, 1, -4])
 
 
 def test_diagonalize_sl2_example():
+    """M(t) = diag(3, -3) + t K has eigenvalues +/-sqrt(9 - t^2/4); the
+    transported d(t) follows that branch, k diagonalizes M with det k = 1,
+    and the presented g has det 1 and starts at the identity."""
     M0 = np.diag([3.0, -3.0]).astype(complex)
     K = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
-    walk = CartanWalk(lambda t: (M0 + t * K, K), ((0, 1),))
-    walk.advance_interval(1.0)
-    g, d, _, _ = walk.factors()
-    lam = np.sqrt(9 - 0.25)
-    assert abs(abs(d[0]) - lam) < 1e-12 and abs(d[0] + d[1]) < 1e-12
-    assert np.abs(g @ np.diag(d) @ np.linalg.inv(g) - (M0 + K)).max() < 1e-12
-    assert abs(np.linalg.det(g) - 1.0) < 1e-12
+    for t, k, d in run_transport(lambda t: M0 + t * K, K, ((0, 1),),
+                                 np.linspace(0, 1, 11)):
+        lam = np.sqrt(9 - 0.25 * t * t)
+        assert np.abs(d - [lam, -lam]).max() < 1e-12
+        assert np.abs(k @ np.diag(d) @ np.linalg.inv(k) - (M0 + t * K)).max() < 1e-12
+        assert abs(np.linalg.det(k) - 1.0) < 1e-10
+        g, h = present(k)
+        assert abs(np.linalg.det(g) - 1.0) < 1e-12
+        assert np.abs(g * h[None, :] - k).max() < 1e-12
+        if t == 0:
+            assert np.abs(g - np.eye(2)).max() < 1e-15
 
 
 def test_diagonalize_blockwise():
-    M = np.zeros((3, 3), dtype=complex)
-    M[:2, :2] = [[1.0, 0.5], [0.5, -1.0]]
-    path = PivotPath(((0, 1), (2,)), np.diag(np.diag(M)))
-    path.advance(M)
-    g, d = path.g, path.d
-    assert abs(d[2] - M[2, 2]) < 1e-14
-    assert abs(g[2, 2]) > 0 and np.abs(g[2, :2]).max() < 1e-14
-    assert np.abs(g @ np.diag(d) @ np.linalg.inv(g) - M).max() < 1e-12
+    """Blocks stay decoupled: k is block-diagonal and the singleton keeps its
+    diagonal entry."""
+    M1 = np.zeros((3, 3), dtype=complex)
+    M1[:2, :2] = [[1.0, 0.5], [0.5, -1.0]]
+    M1[2, 2] = 0.25
+    M0 = np.diag(np.diag(M1))
+    Mdot = M1 - M0
+    t, k, d = run_transport(lambda t: M0 + t * Mdot, Mdot, ((0, 1), (2,)),
+                            np.linspace(0, 1, 5))[-1]
+    assert abs(d[2] - 0.25) < 1e-14
+    assert np.abs(k[2, :2]).max() == 0 and np.abs(k[:2, 2]).max() == 0
+    assert np.abs(k @ np.diag(d) @ np.linalg.inv(k) - M1).max() < 1e-12
 
 
 def test_diagonalize_continuation():
+    """The transported eigenpairs move continuously: from diag(M0) to M0 on
+    [0, 1], then by 0.01 X on [1, 1.01], k and d move by little."""
     M0 = np.array([[1.0, 0.3], [-0.3, -1.0]], dtype=complex)
-    path = PivotPath(((0, 1),), np.diag(np.diag(M0)))
-    path.advance(M0)
-    g0, d0 = path.g.copy(), path.d.copy()
-    path.advance(M0 + 0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.abs(path.g - g0).max() < 0.05
-    assert np.abs(path.d - d0).max() < 0.05
+    D0 = np.diag(np.diag(M0))
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def path(t):
+        if np.real(t) <= 1.0:
+            return D0 + t * (M0 - D0), M0 - D0
+        return M0 + (t - 1.0) * X, X
+
+    out = []
+
+    def node(t):
+        return path(t)[0], lambda k, d: (k, d)
+
+    diags, error = transport(path, node, ((0, 1),), np.array([0.0, 0.5, 1.0, 1.01]),
+                             1e-12, None, lambda t, kd: out.append((t,) + kd))
+    assert error is None
+    (_, k0, d0), (_, k1, d1) = out[-2], out[-1]
+    for t, k, d in out:
+        assert np.abs(k @ np.diag(d) @ np.linalg.inv(k) - path(t)[0]).max() < 1e-12
+    assert np.abs(k1 - k0).max() < 0.05
+    assert np.abs(d1 - d0).max() < 0.05
 
 
 # -- solve_rational -------------------------------------------------------------
@@ -257,39 +301,48 @@ def test_solve_non_contiguous_partition():
         assert sup_gap(tre, tro, attr) <= 1e-6
 
 
-# -- known faults of the Cartan quadrature ----------------------------------------
-# Rational full Delta', N = 3, t in [0, 1]: on these points q and p agree with
-# the oracle, while xi(t) is off by a diagonal conjugation that energy, J and
-# the Lax spectrum cannot see.
+# -- former faults of the Cartan quadrature ---------------------------------------
+# The walk that the transport replaced was off in xi(t) by a diagonal
+# conjugation that energy, J and the Lax spectrum cannot see, at these points:
+# its pivot re-anchor gave sup_xi 3.3 (rational N = 3, seed 3) and 5.4
+# (N = 6, seed 3), its fixed-substep Simpson quadrature 1.2e-2 (N = 3, seed 5),
+# 8.8e-7 (N = 3, seed 7), 5.9e-4 (N = 4, seed 0) and 2.5e-6 (trigonometric
+# N = 4, pi' = {alpha_1, alpha_2}, seed 0).  Rational full Delta' on
+# t in [0, 1], trigonometric on [0, 0.3], 31 samples, oracle at tol 1e-12.
 
-FAULT_SEEDS = {
-    3: "PivotPath re-anchors a pivot (2 jumps here) without carrying the gauge "
-       "jump into the Cartan quadrature: sup_xi 3.3",
-    5: "fixed-substep Simpson quadrature of CartanWalk.advance_interval misses "
-       "the velocity spike (no pivot jump): sup_xi 1.2e-2",
-}
+FAULT_POINTS = [pytest.param("rational", 3, 3, id="3"),  # the former xfails
+                pytest.param("rational", 3, 5, id="5"),
+                pytest.param("rational", 3, 7, id="n3-7"),
+                pytest.param("rational", 4, 0, id="n4-0"),
+                pytest.param("rational", 6, 3, id="n6-3"),
+                pytest.param("trigonometric", 4, 0, id="trig-n4-0"),
+                pytest.param("trigonometric", 4, 3, id="trig-n4-3")]
 
 
-def _fault_case(seed):
-    from spincm.models import rational_model
-    spec = rational_model(build_sl_context(3), full_delta(3))
+def _fault_case(seed, family="rational", N=3):
+    from spincm.models import rational_model, trig_model
+    from spincm.liecore import pi_subset
+    from spincm.solver_trig import solve_trig
+    ctx = build_sl_context(N)
+    if family == "rational":
+        spec, solve, t_end = rational_model(ctx, full_delta(N)), solve_rational, 1.0
+    else:
+        spec, solve, t_end = trig_model(ctx, pi_subset([0, 1])), solve_trig, 0.3
     pt = random_point(spec, np.random.default_rng(seed), scale=0.4)
-    times = np.linspace(0, 1, 31)
-    tre, _ = solve_rational(spec, pt, times)
-    tro = integrate(spec, pt, 1.0, samples=31, tol=1e-12)
+    times = np.linspace(0, t_end, 31)
+    tre, _ = solve(spec, pt, times)
+    tro = integrate(spec, pt, t_end, samples=31, tol=1e-12)
     return tre, tro
 
 
-@pytest.mark.parametrize("seed", sorted(FAULT_SEEDS))
+@pytest.mark.parametrize("seed", [3, 5])
 def test_fault_points_q_p_match_oracle(seed):
     tre, tro = _fault_case(seed)
     assert sup_gap(tre, tro, "q") <= 1e-9
     assert sup_gap(tre, tro, "p") <= 1e-9
 
 
-@pytest.mark.parametrize("seed", [
-    pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
-    for seed, reason in sorted(FAULT_SEEDS.items())])
-def test_fault_points_xi_matches_oracle(seed):
-    tre, tro = _fault_case(seed)
+@pytest.mark.parametrize("family, N, seed", FAULT_POINTS)
+def test_fault_points_xi_matches_oracle(family, N, seed):
+    tre, tro = _fault_case(seed, family, N)
     assert sup_gap(tre, tro, "xi") <= 1e-6

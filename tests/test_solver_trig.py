@@ -7,8 +7,8 @@ from scipy.linalg import expm
 
 from sampling import random_point, random_reduced
 from spincm import solver_trig
-from spincm.continuation import MAX_HALVINGS, CartanWalk, PivotPath
-from spincm.errors import BreakdownError, GridError, ValidationError
+from spincm.errors import BreakdownError, ValidationError
+from spincm.exact import transport
 from spincm.liecore import build_sl_context, pi_subset, validate_root_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            reduce_point, trig_model)
@@ -83,43 +83,58 @@ def test_parabolic_sl3():
     assert np.abs(g[:2, 2]).max() == 0.0
 
 
-# -- the branch-tracked log of the walk ----------------------------------------
+# -- the transported log of a group-valued path -----------------------------------
 
 def test_cartan_log_unwraps_free_path():
+    """On a free path diag(e^{2i(q0 + t p)}) the transported log follows
+    2i(q0 + t p) past the branch cut of the principal log."""
     q0 = np.array([0.4, -0.4])
     p = np.array([3.0, -3.0])  # 2*q(t) leaves (-pi, pi] well before t=1
 
     def Mfun(t):
         return np.diag(np.exp(2j * (q0 + t * p)))
 
-    walk = CartanWalk(lambda t: (Mfun(t), Mfun(t) * 2j * p), ((0,), (1,)),
-                      log0=2j * q0)
-    for t in np.linspace(0, 1.0, 60)[1:]:
-        walk.advance_interval(t)
-        assert np.abs(walk.logd / 2j - (q0 + t * p)).max() < 1e-12
+    out = []
+
+    def node(t):
+        return Mfun(t), lambda k, logd: logd
+
+    times = np.linspace(0, 1.0, 60)
+    diags, error = transport(lambda t: (Mfun(t), Mfun(t) * 2j * p), node,
+                             ((0,), (1,)), times, 1e-10, 2j * q0,
+                             lambda t, logd: out.append((t, logd)))
+    assert error is None and len(out) == len(times)
+    for t, logd in out:
+        assert np.abs(logd / 2j - (q0 + t * p)).max() < 1e-12
 
 
 def test_cartan_log_constant_and_errors():
-    """A constant path keeps its log; a 3 rad phase jump at t = 0.5 stays a
-    jump however fine the substeps, and the walk gives up with GridError after
-    MAX_HALVINGS halvings."""
+    """A constant group-valued path keeps its log exactly.  A path whose
+    derivative turns NaN at t = 0.5 stalls the transport with no eigenvalue
+    collision to locate: the run ends in BreakdownError there, with the
+    states before it recorded and none past it."""
     q0 = np.array([0.2, -0.2])
-    d0 = np.exp(2j * q0)
-    jump = np.exp(3j * np.array([1.0, -1.0]))
+    M = np.diag(np.exp(2j * q0))
+    out = []
 
-    def Mfun(t):  # locate_collision also samples complex t
-        return np.diag(d0 * jump if np.real(t) >= 0.5 else d0)
+    def node(t):
+        return M, lambda k, logd: logd
 
-    walk = CartanWalk(lambda t: (Mfun(t), np.zeros((2, 2), dtype=complex)),
-                      ((0,), (1,)), log0=2j * q0)
-    walk.advance_interval(0.25)
-    assert np.abs(walk.logd / 2j - q0).max() < 1e-14
-    restores = []
-    restore = walk._restore
-    walk._restore = lambda s: (restores.append(1), restore(s))
-    with pytest.raises(GridError, match=f"after {MAX_HALVINGS} halvings"):
-        walk.advance_interval(1.0)
-    assert len(restores) == MAX_HALVINGS
+    def run(path):
+        out.clear()
+        return transport(path, node, ((0,), (1,)), np.linspace(0, 1, 5), 1e-10,
+                         2j * q0, lambda t, logd: out.append((t, logd)))
+
+    zero, nan = np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan + 0j)
+    diags, error = run(lambda t: (M, zero))
+    assert error is None and len(out) == 5
+    assert all(np.abs(logd / 2j - q0).max() == 0 for _, logd in out)
+    with np.errstate(invalid="ignore"):
+        diags, error = run(lambda t: (M, nan if np.real(t) > 0.5 else zero))
+    assert isinstance(error, BreakdownError) and "stalled" in str(error)
+    assert abs(error.time - 0.5) < 1e-6
+    assert [t for t, _ in out] == [0.0, 0.25, 0.5]
+    assert diags["nrejected"] > 0
 
 
 # -- the closed-form Levi path -------------------------------------------------------
@@ -146,26 +161,23 @@ def test_closed_form_levi_path(N, members):
 
 
 def test_expm_per_node_and_sample(monkeypatch):
-    """A trig-sl3 solve makes at most two expm per walk node (the path) plus
-    two per output sample (the recorded parabolic factors)."""
-    count = {"expm": 0, "nodes": 1}  # the walk starts on the node t = 0
-    expm0, advance0 = solver_trig.expm, PivotPath.advance
+    """A trig-sl3 solve makes at most two expm per transport f-evaluation (the
+    path) plus two per output sample (the parabolic factors, which also give
+    the M(t) checked for collisions)."""
+    count = {"expm": 0}
+    expm0 = solver_trig.expm
 
     def counted_expm(A):
         count["expm"] += 1
         return expm0(A)
 
-    def counted_advance(self, M):
-        count["nodes"] += 1
-        return advance0(self, M)
-
     monkeypatch.setattr(solver_trig, "expm", counted_expm)
-    monkeypatch.setattr(PivotPath, "advance", counted_advance)
     data = load_preset("trig-sl3")
     times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
-    solve_trig(data["model"], data["init"], times)
-    assert count["nodes"] > len(times)
-    assert count["expm"] <= 2 * count["nodes"] + 2 * len(times)
+    _, fact = solve_trig(data["model"], data["init"], times)
+    nfev = fact.diagnostics["nfev"]
+    assert nfev > len(times)
+    assert count["expm"] <= 2 * nfev + 2 * len(times)
 
 
 # -- the assembled flow ------------------------------------------------------------
