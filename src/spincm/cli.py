@@ -1,10 +1,11 @@
 """Batch front door: simulate / exact / compare / audit / curve commands.
 
 Exit codes: 0 success, 1 `compare` threshold failed (report still written,
-with "pass": false), 2 validation error, 3 factorization breakdown (partial
-CSV still written), 4 oracle blow-up (partial CSV still written), 5 requested
-exact mode unsupported for the family.  Outputs embed the config hash, the
-library version and the seed; identical configs produce identical bytes.
+with "pass": false), 2 validation error (malformed or out-of-domain input,
+found before any integration), 3 factorization breakdown (partial CSV still
+written), 4 oracle blow-up (partial CSV still written), 5 requested exact mode
+unsupported for the family.  Outputs embed the config hash, the library
+version and the seed; identical configs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BreakdownError, ValidationError, require_keys
-from .models import PhasePoint, ReducedPoint, model_from_json_dict
+from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
+                     _check_z_regular, check_regular, model_from_json_dict)
 from .presets import load_preset, preset_names
 from .rk import audit, default_z_samples, integrate, trajectory_csv_lines
 from .solver_rational import solve_rational, solve_rational_reduced
@@ -38,6 +40,17 @@ def _parse_z_samples(text):
     return [complex(tok.strip().replace(" ", "")) for tok in text.split(",") if tok.strip()]
 
 
+def _checked(what, fn, *args):
+    """fn(*args) on outside input: a TypeError or ValueError (DomainError and
+    ContractError among them) becomes a ValidationError naming `what`."""
+    try:
+        return fn(*args)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -52,15 +65,18 @@ def _point_from_json(d):
 
 
 def _resolve(args):
-    """(spec, pt, params, config_dict) from --preset or --model/--init."""
+    """(spec, pt, params, config_dict) from --preset or --model/--init, with
+    the input checked before any integration: the JSON records, the z-samples
+    against the Lax poles, q against the singular set and, for `exact` and
+    `compare` on a full point, J^-1(0)."""
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
     if args.preset:
         preset_dir = os.environ.get("SPINCM_PRESET_DIR")
         if preset_dir and os.path.exists(os.path.join(preset_dir, args.preset + ".json")):
             d = _load_json(os.path.join(preset_dir, args.preset + ".json"))
             require_keys(d, ("model", "init"), "preset")
-            spec = model_from_json_dict(d["model"])
-            pt = _point_from_json(d["init"])
+            spec = _checked("preset model", model_from_json_dict, d["model"])
+            pt = _checked("preset init", _point_from_json, d["init"])
             params.update(d.get("defaults", {}))
         else:
             data = load_preset(args.preset, seed=args.seed)
@@ -70,14 +86,20 @@ def _resolve(args):
     else:
         if not args.model or not args.init:
             raise ValidationError("need either --preset or both --model and --init")
-        spec = model_from_json_dict(_load_json(args.model))
-        pt = _point_from_json(_load_json(args.init))
+        spec = _checked("model JSON", model_from_json_dict, _load_json(args.model))
+        pt = _checked("init JSON", _point_from_json, _load_json(args.init))
     for name in ("t_end", "samples", "tol", "threshold"):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
     if args.z_samples:
-        params["z_samples"] = [[z.real, z.imag] for z in _parse_z_samples(args.z_samples)]
+        zs = _checked("--z-samples", _parse_z_samples, args.z_samples)
+        _checked("--z-samples", _check_z_regular, spec, zs)
+        params["z_samples"] = [[z.real, z.imag] for z in zs]
+    _checked("initial q", check_regular, spec, pt.q)
+    if args.command in ("exact", "compare") and spec.family != "elliptic" \
+            and isinstance(pt, PhasePoint):
+        _checked("initial point", _check_momentum_zero, pt)
     init_json = pt.to_json_dict()
     config = {"command": args.command, "model": spec.to_json_dict(),
               "init": init_json, "params": {k: v for k, v in params.items()
@@ -182,16 +204,10 @@ def cmd_compare(args):
         traj_e, _fact = _exact(spec, pt, params)
     except BreakdownError:
         return EXIT_BREAKDOWN
-    reduced = isinstance(pt, ReducedPoint)
-    sup = {"sup_q": 0.0, "sup_p": 0.0, "sup_xi": 0.0}
-    for a, b in zip(traj_e.states, traj_o.states):
-        sup["sup_q"] = max(sup["sup_q"], float(np.abs(a.q - b.q).max()))
-        sup["sup_p"] = max(sup["sup_p"], float(np.abs(a.p - b.p).max()))
-        ma, mb = (a.s, b.s) if reduced else (a.xi, b.xi)
-        sup["sup_xi"] = max(sup["sup_xi"], float(np.abs(ma - mb).max()))
+    report = {f"sup_{v}": float(np.abs(getattr(traj_e, v) - getattr(traj_o, v)).max())
+              for v in ("q", "p", "xi")}
     thr = params["threshold"]
-    ok = all(v <= thr for v in sup.values())
-    report = dict(sup)
+    ok = all(v <= thr for v in report.values())
     report.update({"threshold": thr, "pass": bool(ok)})
     report.update(_meta(config))
     _write_json(args.out, report)

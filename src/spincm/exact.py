@@ -17,19 +17,20 @@ turn of D over 2 rad hands the interval to ``continuation.locate_collision``.
 A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
 always ends in a BreakdownError, never in a silent state.
 
-``solve`` checks the input, runs the transport over the output grid, records
-a state and the factors at each output time, keeps the diagnostics and
-attaches the partial results to a ``BreakdownError``.  A family supplies
+``solve`` checks the input, runs the transport over the output grid, writes
+the state at each output time as a row of the trajectory's packed array,
+records the factors, keeps the diagnostics and attaches the partial results
+to a ``BreakdownError``.  A family supplies
 ``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and its
 exact derivative; log0 is None when l = d, else l(0) = log d(0); ``node(t)``
-returns M(t) and a map ``(k, l) -> (state, residuals, factors)`` to the state
-at t, a dict of residuals (their maxima become diagnostics) and one factor
-per field of its ``Factorization``.
+returns M(t) and a map ``(k, l) -> ((q, p, xi), residuals, factors)`` to the
+state arrays at t, a dict of residuals (their maxima become diagnostics) and
+one factor per field of its ``Factorization``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import zgesv
@@ -37,8 +38,9 @@ from scipy.linalg.lapack import zgesv
 from .continuation import (GAP_COLLIDE, _discriminant, block_eigvals,
                            block_gap, locate_collision, same_block)
 from .errors import BreakdownError, DomainError, ValidationError
+from .liecore import reduce_gauge
 from .models import (PhasePoint, _check_momentum_zero, check_regular,
-                     reduce_point)
+                     check_state)
 from .rk import Trajectory, check_tol, dp5
 
 
@@ -85,7 +87,7 @@ def transport(path, node, blocks, times, tol, log0, record):
     """Kato transport of the eigenvector matrix of a block-diagonal path over
     the output grid `times` (see the module docstring).
 
-    At each output time calls ``record(t, node(t)[1](k, l))``.  Returns
+    At output time i calls ``record(i, node(times[i])[1](k, l))``.  Returns
     (diagnostics, error): the smallest eigen gap seen, f-evaluations and
     rejected steps, and a BreakdownError (not raised) if the run ended before
     times[-1], else None.
@@ -128,7 +130,7 @@ def transport(path, node, blocks, times, tol, log0, record):
 
     vals = block_eigvals(M0, blocks)
     run = {"M": M0, "finish": finish, "D": _discriminant(vals, blocks),
-           "gap": block_gap(vals, same), "collision": None, "done": 0}
+           "gap": block_gap(vals, same), "collision": None}
 
     def guard(t, y):
         gap = block_gap(eigs(y.view(complex)[nk:]), same)
@@ -137,8 +139,7 @@ def transport(path, node, blocks, times, tol, log0, record):
 
     def on_sample(i, y):
         z = y.view(complex)
-        record(times[i], run["finish"](*polish(z[:nk].reshape(N, N), z[nk:], run["M"])))
-        run["done"] = i + 1
+        record(i, run["finish"](*polish(z[:nk].reshape(N, N), z[nk:], run["M"])))
         if i + 1 == len(times):
             return False
         run["M"], run["finish"] = node(times[i + 1])
@@ -152,15 +153,14 @@ def transport(path, node, blocks, times, tol, log0, record):
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(M0) if log0 is None else log0]).astype(complex)
-    t, stats, stopped = dp5(f, y0.view(float), times, tol, guard, on_sample)
+    t, stats, stopped, done = dp5(f, y0.view(float), times, tol, guard, on_sample)
     diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"])}
     if not stopped:
         return diags, None
     error = run["collision"]
     if error is None:
-        i = run["done"]
-        error = _collision(path, blocks, same, times[i - 1], times[i]) or BreakdownError(
+        error = _collision(path, blocks, same, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
             f"(eigen gap {run['gap']:.3e}) with no eigenvalue collision located",
             time=t, gap=run["gap"])
@@ -194,24 +194,25 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     times = _validate_times(times)
 
     path, log0, node = setup(spec, pt0)
-    out_times, states, worst = [], [], {}
+    N = spec.ctx.N
+    y = np.empty((times.size, 2 * N + N * N), dtype=complex)
+    worst = {}
     columns = [[] for _ in fields(factorization)[1:-1]]
 
-    def record(t, result):
+    def record(i, result):
         state, residuals, factors = result
         for key, val in residuals.items():
             worst[key] = max(worst.get(key, 0.0), val)
-        out_times.append(t)
-        states.append(state)
+        y[i] = np.concatenate([v.ravel() for v in check_state(*state)])
         for col, fac in zip(columns, factors):
             col.append(fac)
 
     diags, error = transport(path, node, spec.subset.partition, times, tol,
                              log0, record)
     diags.update(worst)
-    ts = np.array(out_times)
-    traj = Trajectory(times=ts, states=states, provenance=provenance,
-                      stats=dict(diags))
+    ts = times[:len(columns[0])]  # the rows recorded
+    traj = Trajectory(times=ts, y=y[:ts.size], reduced=False,
+                      provenance=provenance, stats=dict(diags))
     fact = factorization(ts, *columns, diagnostics=diags)
     if error is not None:
         traj.breakdown_time = error.time
@@ -235,7 +236,9 @@ def solve_reduced(solve_full, spec, rpt0, times, tol=1e-10):
 
 
 def _reduce_traj(ctx, traj):
-    states = [reduce_point(ctx, st) for st in traj.states]
-    return Trajectory(times=traj.times, states=states,
-                      provenance=traj.provenance, stats=dict(traj.stats),
-                      breakdown_time=traj.breakdown_time)
+    """traj with xi replaced by s = g(xi)^-1 xi g(xi) in every row, under the
+    checks of a reduced point."""
+    y = traj.y.copy()
+    for row, q, p, xi in zip(y, traj.q, traj.p, traj.xi):
+        row[2 * ctx.N:] = check_state(q, p, reduce_gauge(ctx, xi), reduced=True)[2].ravel()
+    return replace(traj, y=y, reduced=True, stats=dict(traj.stats))

@@ -54,26 +54,42 @@ def _vec(x, N, name):
     return v
 
 
+def check_state(q, p, m, reduced=False):
+    """(q, p, m) as complex arrays after the checks of a phase point: q and p
+    traceless vectors of one length N and m an N x N matrix, either a traceless
+    xi or, when `reduced`, an s with zero diagonal and s_{a_i} = 1 within 1e-8,
+    returned with those entries snapped to exactly 1 and 0."""
+    N = np.size(q)
+    q, p = _vec(q, N, "q"), _vec(p, N, "p")
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (N, N):
+        raise ValidationError(f"{'s' if reduced else 'xi'} must be {N}x{N}, got {m.shape}")
+    if not reduced:
+        if abs(np.trace(m)) > 1e-10 * max(1.0, np.abs(m).max(initial=0.0)) * N:
+            raise ValidationError("xi must be traceless")
+        return q, p, m
+    m = m.copy()
+    if np.abs(np.diag(m)).max(initial=0.0) > 1e-10:
+        raise ValidationError("s must have zero diagonal")
+    for k in range(N - 1):
+        if abs(m[k, k + 1] - 1.0) > 1e-8:
+            raise ValidationError(
+                f"s_(alpha_{k + 1}) = {m[k, k + 1]} != 1 on a reduced point")
+        m[k, k + 1] = 1.0
+    np.fill_diagonal(m, 0.0)
+    return q, p, m
+
+
 class _Point:
-    """Validation of q, p and the N x N matrix field, and the [[re, im]] JSON
-    codec, shared by PhasePoint and ReducedPoint; `_matrix` names the field."""
+    """``check_state`` on construction and the [[re, im]] JSON codec, shared by
+    PhasePoint and ReducedPoint; `_matrix` names the N x N field."""
 
     _matrix = None
 
-    def _validate(self):
-        """Normalize q and p in place; return the matrix field as an array."""
-        self.q = np.asarray(self.q, dtype=complex).reshape(-1)
-        N = self.q.size
-        self.q = _vec(self.q, N, "q")
-        self.p = _vec(self.p, N, "p")
-        m = np.asarray(getattr(self, self._matrix), dtype=complex)
-        if m.shape != (N, N):
-            raise ValidationError(f"{self._matrix} must be {N}x{N}, got {m.shape}")
-        return m
-
-    @property
-    def N(self):
-        return self.q.size
+    def __post_init__(self):
+        self.q, self.p, m = check_state(self.q, self.p, getattr(self, self._matrix),
+                                        reduced=self._matrix == "s")
+        setattr(self, self._matrix, m)
 
     def to_json_dict(self):
         return {key: [[z.real, z.imag] for z in getattr(self, key).ravel()]
@@ -100,12 +116,6 @@ class PhasePoint(_Point):
 
     _matrix = "xi"
 
-    def __post_init__(self):
-        xi = self._validate()
-        if abs(np.trace(xi)) > 1e-10 * max(1.0, np.abs(xi).max(initial=0.0)) * self.N:
-            raise ValidationError("xi must be traceless")
-        self.xi = xi
-
     def momentum(self):
         """J = -Pi_h(xi), as a diagonal vector."""
         return -np.diag(self.xi)
@@ -120,18 +130,6 @@ class ReducedPoint(_Point):
     s: np.ndarray
 
     _matrix = "s"
-
-    def __post_init__(self):
-        s = self._validate().copy()
-        if np.abs(np.diag(s)).max(initial=0.0) > 1e-10:
-            raise ValidationError("s must have zero diagonal")
-        for k in range(self.N - 1):
-            if abs(s[k, k + 1] - 1.0) > 1e-8:
-                raise ValidationError(
-                    f"s_(alpha_{k + 1}) = {s[k, k + 1]} != 1 on a reduced point")
-            s[k, k + 1] = 1.0
-        np.fill_diagonal(s, 0.0)
-        self.s = s
 
 
 def reduce_point(ctx, pt):

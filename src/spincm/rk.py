@@ -6,10 +6,15 @@ The step / accept / sample loop is one core, ``dp5``, over a packed real state
 and a callable f(t, y); the exact solvers run their transport ODE on it too.
 Complex states are integrated as stacked real/imaginary coordinates so the
 standard embedded error control applies unchanged.
+
+A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
+packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
+solvers write their samples straight into it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,19 +46,40 @@ _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with provenance and step statistics."""
+    """The packed states y (see the module docstring; read-only) at `times`,
+    with provenance and step statistics.  q, p and xi (s on a reduced
+    trajectory) are views of y of shapes (T, N), (T, N) and (T, N, N)."""
 
     times: np.ndarray
-    states: list
+    y: np.ndarray
+    reduced: bool
     provenance: str
     stats: dict = field(default_factory=dict)
     blowup: bool = False
     last_good_time: float = None
     breakdown_time: float = None
 
-    @property
-    def reduced(self):
-        return bool(self.states) and isinstance(self.states[0], ReducedPoint)
+    def __post_init__(self):
+        self.y.flags.writeable = False
+        self.N = N = math.isqrt(self.y.shape[1] + 1) - 1
+        self.q, self.p = self.y[:, :N], self.y[:, N:2 * N]
+        self.xi = self.y[:, 2 * N:].reshape(-1, N, N)
+
+    def point(self, i, cls=None):
+        """The state at row i as a `cls` on views of the row: by default a
+        ReducedPoint on a reduced trajectory, else a PhasePoint; a PhasePoint
+        of a reduced row is its lift xi := s."""
+        if cls is None:
+            cls = ReducedPoint if self.reduced else PhasePoint
+        return _on_row(cls.__new__(cls), self.y[i], self.N)
+
+
+def _on_row(pt, row, N):
+    """pt with its fields re-pointed at views of a packed row q | p | m,
+    unchecked."""
+    pt.q, pt.p = row[:N], row[N:2 * N]
+    setattr(pt, pt._matrix, row[2 * N:].reshape(N, N))
+    return pt
 
 
 def check_tol(tol):
@@ -74,8 +100,9 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
     collapses.  `fixed_step` disables the error control (used for order
     verification).
 
-    Returns (t, stats, stopped): the time reached, {nsteps, nrejected, nfev}
-    and whether the run stopped before sample_times[-1].
+    Returns (t, stats, stopped, n): the time reached, {nsteps, nrejected,
+    nfev}, whether the run stopped before sample_times[-1], and the number of
+    samples delivered.
     """
     t = float(sample_times[0])
     t_end = float(sample_times[-1])
@@ -139,27 +166,7 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
             else:
                 h = h_step * fac
 
-    return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, stopped
-
-
-def _pack(pt):
-    if isinstance(pt, ReducedPoint):
-        z = np.concatenate([pt.q, pt.p, pt.s.ravel()])
-    else:
-        z = np.concatenate([pt.q, pt.p, pt.xi.ravel()])
-    return z.view(float).copy()
-
-
-def _unpack(y, N, reduced):
-    z = y.view(complex)
-    q, p, m = z[:N], z[N:2 * N], z[2 * N:].reshape(N, N)
-    if reduced:
-        rp = ReducedPoint.__new__(ReducedPoint)
-        rp.q, rp.p, rp.s = q.copy(), p.copy(), m.copy()
-        return rp
-    pp = PhasePoint.__new__(PhasePoint)
-    pp.q, pp.p, pp.xi = q.copy(), p.copy(), m.copy()
-    return pp
+    return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, stopped, nxt
 
 
 def _margin(spec, y, N):
@@ -187,21 +194,22 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     check_regular(spec, pt0.q)
     N = spec.ctx.N
     rhs = reduced_eom if reduced else eom
+    pt = type(pt0).__new__(type(pt0))  # re-pointed at each stage's state
 
     def f(t, y):
-        qd, pd, md = rhs(spec, _unpack(y, N, reduced))
+        qd, pd, md = rhs(spec, _on_row(pt, y.view(complex), N))
         return np.concatenate([qd, pd, md.ravel()]).view(float)
 
     sample_times = np.linspace(0.0, float(t_end), int(samples))
-    states = []
-    t, stats, blowup = dp5(
-        f, _pack(pt0), sample_times, tol,
+    out = np.empty((sample_times.size, 2 * (2 * N + N * N)))  # real rows of y
+    y0 = np.concatenate([pt0.q, pt0.p, getattr(pt0, pt0._matrix).ravel()])
+    t, stats, blowup, n = dp5(
+        f, y0.view(float), sample_times, tol,
         guard=lambda t, y: _margin(spec, y, N) >= SINGULAR_MARGIN,
-        on_sample=lambda i, y: states.append(_unpack(y, N, reduced)),
-        fixed_step=fixed_step)
-    return Trajectory(times=sample_times[:len(states)], states=states,
-                      provenance="oracle", stats=stats, blowup=blowup,
-                      last_good_time=float(t) if blowup else None)
+        on_sample=out.__setitem__, fixed_step=fixed_step)
+    return Trajectory(times=sample_times[:n], y=out[:n].view(complex),
+                      reduced=reduced, provenance="oracle", stats=stats,
+                      blowup=blowup, last_good_time=float(t) if blowup else None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +264,18 @@ def audit(spec, traj, z_samples=None):
     """
     if z_samples is None:
         z_samples = default_z_samples(spec)
-    reduced = traj.reduced
-    T = len(traj.states)
-    K = len(z_samples)
-    N = spec.ctx.N
-    energy = np.empty(T, dtype=complex)
-    mom = np.empty(T)
-    eigs = np.empty((T, K, N), dtype=complex)
-    for it, st in enumerate(traj.states):
-        if reduced:
-            energy[it] = reduced_hamiltonian(spec, st)
-            mom[it] = 0.0
-            lift = PhasePoint(q=st.q, p=st.p, xi=st.s)
-        else:
-            energy[it] = hamiltonian(spec, st)
-            mom[it] = float(np.linalg.norm(np.diag(st.xi)))
-            lift = st
-        Ls = lax_batch(spec, lift, z_samples)
-        for k in range(K):
-            ev = np.linalg.eigvals(Ls[k])
-            if it == 0:
-                idx = np.lexsort((ev.imag, ev.real))
-                eigs[it, k] = ev[idx]
-            else:
-                eigs[it, k] = match_eigenvalues(eigs[it - 1, k], ev)
+    T = len(traj.y)
+    H = reduced_hamiltonian if traj.reduced else hamiltonian
+    energy = np.array([H(spec, traj.point(it)) for it in range(T)])
+    mom = np.zeros(T) if traj.reduced else np.array(
+        [np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
+    eigs = np.linalg.eigvals([lax_batch(spec, traj.point(it, PhasePoint), z_samples)
+                              for it in range(T)])
+    for k, ev in enumerate(eigs[0]):
+        eigs[0, k] = ev[np.lexsort((ev.imag, ev.real))]
+    for it in range(1, T):
+        for k in range(len(z_samples)):
+            eigs[it, k] = match_eigenvalues(eigs[it - 1, k], eigs[it, k])
     return InvariantReport(
         times=traj.times, z_samples=list(z_samples), energy=energy,
         momentum_norm=mom, eigenvalues=eigs,
@@ -295,13 +291,8 @@ def audit(spec, traj, z_samples=None):
 
 def trajectory_csv_lines(traj, meta=None):
     """CSV lines: '#' metadata, mandatory header row, one row per sample."""
-    lines = []
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}: {val}")
-    if not traj.states:
-        lines.append("t")
-        return lines
-    N = traj.states[0].N
+    lines = [f"# {key}: {val}" for key, val in (meta or {}).items()]
+    N = traj.N
     cols = ["t"]
     for name in ("q", "p"):
         for i in range(1, N + 1):
@@ -311,10 +302,6 @@ def trajectory_csv_lines(traj, meta=None):
         for j in range(1, N + 1):
             cols += [f"Re_{label}_{i}_{j}", f"Im_{label}_{i}_{j}"]
     lines.append(",".join(cols))
-    for t, st in zip(traj.times, traj.states):
-        m = st.s if traj.reduced else st.xi
-        vals = [repr(float(t))]
-        for v in np.concatenate([st.q, st.p, m.ravel()]):
-            vals += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(",".join(vals))
+    rows = np.column_stack([traj.times, traj.y.view(float)])
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     return lines

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact
-from .models import PhasePoint, alpha_matrix, lax_limit
+from .models import alpha_matrix, lax_limit
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _setup(spec, pt0):
             P[mask] -= xi_t[mask] / A[mask]
             off = P - np.diag(np.diag(P))
             residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
-            return PhasePoint(q=d, p=np.diag(P), xi=xi_t), residuals, (g, d, h, k)
+            return (d, np.diag(P), xi_t), residuals, (g, d, h, k)
         return Q0 + t * Linf, finish
 
     return (lambda t: (Q0 + t * Linf, Linf)), None, node

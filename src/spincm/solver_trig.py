@@ -30,7 +30,7 @@ from scipy.linalg import expm
 
 from . import exact
 from .errors import BreakdownError, ValidationError
-from .models import PhasePoint, lax_limit, trig_limit_tail
+from .models import lax_limit, trig_limit_tail
 
 P_SIGN_TOL = 1e-8
 
@@ -135,7 +135,7 @@ def _setup(spec, pt0):
             off = p_plus - np.diag(np.diag(p_plus))
             residuals = {"p_sign_mismatch": mism,
                          "p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
-            return (PhasePoint(q=q_t, p=np.diag(p_plus), xi=xi_t), residuals,
+            return ((q_t, np.diag(p_plus), xi_t), residuals,
                     (np_, nm, gp, gm, x, np.exp(logd), h, k))
         return np.linalg.solve(gm, e2iq0[:, None] * gp), finish
 

@@ -293,18 +293,6 @@ def _count_branch_points(spec, pt):
 
 def isospectral_drift(spec, traj, z_samples):
     """max over times and z of |a_k(z; t) - a_k(z; 0)| along a trajectory."""
-    drift = 0.0
-    ref = {}
-    for z in z_samples:
-        ref[z] = char_poly_coeffs(spec, _lift(traj.states[0]), z).a
-    for st in traj.states[1:]:
-        for z in z_samples:
-            a = char_poly_coeffs(spec, _lift(st), z).a
-            drift = max(drift, float(np.abs(a - ref[z]).max()))
-    return drift
-
-
-def _lift(st):
-    if isinstance(st, PhasePoint):
-        return st
-    return PhasePoint(q=st.q, p=st.p, xi=st.s)
+    a = np.array([[char_poly_coeffs(spec, traj.point(i, PhasePoint), z).a
+                   for z in z_samples] for i in range(len(traj.y))])
+    return float(np.abs(a - a[0]).max(initial=0.0))

@@ -188,7 +188,7 @@ def test_model_and_init_files(tmp_path):
     assert len(rows) == 11
 
 
-def test_validation_exit2(tmp_path):
+def test_validation_exit2(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--preset", "no-such-preset") == 2
     assert run(tmp_path, "simulate") == 2  # neither preset nor model/init
     assert run(tmp_path, "curve", "--preset", "rational-sl2") == 2
@@ -205,6 +205,38 @@ def test_validation_exit2(tmp_path):
                                 "xi": [[0, 0], [0, 0], [0, 0], [0, 0]]}))
     assert run(tmp_path, "simulate", "--model", str(model),
                "--init", str(no_q)) == 2
+    capsys.readouterr()
+    # malformed or out-of-domain outside input: exit 2 with one error line,
+    # before any integration runs
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"q": [1, -1], "p": [2, -2], "xi": [0, 0, 0, 0]}))
+    bad_n = tmp_path / "bad_n.json"
+    bad_n.write_text(json.dumps({
+        "N": "two", "family": "rational",
+        "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}}))
+    ok_init = tmp_path / "ok.json"
+    ok_init.write_text(json.dumps({"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
+                                   "xi": [[0, 0], [1, 0], [1, 0], [0, 0]]}))
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({"q": [[0, 0], [0, 0]], "p": [[2, 0], [-2, 0]],
+                                    "xi": [[0, 0], [1, 0], [1, 0], [0, 0]]}))
+    off_j = tmp_path / "off_j.json"
+    off_j.write_text(json.dumps({"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
+                                 "xi": [[1, 0], [1, 0], [1, 0], [-1, 0]]}))
+    out = tmp_path / "never.csv"
+    for argv in (
+            ("audit", "--preset", "rational-sl2", "--z-samples", "foo"),
+            ("simulate", "--preset", "rational-sl2", "--z-samples", "0",
+             "--out", str(out)),
+            ("simulate", "--model", str(model), "--init", str(bare)),
+            ("simulate", "--model", str(bad_n), "--init", str(ok_init)),
+            ("simulate", "--model", str(model), "--init", str(singular)),
+            ("exact", "--model", str(model), "--init", str(off_j)),
+            ("compare", "--model", str(model), "--init", str(off_j))):
+        assert run(tmp_path, *argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    assert not out.exists()
 
 
 def test_compare_threshold_failure_exit1(tmp_path):

@@ -31,7 +31,7 @@ def spec2():
 def test_free_flight_exact(spec2):
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=np.zeros((2, 2)))
     tr = integrate(spec2, pt, 1.0, samples=11, tol=1e-10)
-    assert np.allclose(tr.states[-1].q, [3, -3], atol=1e-12)
+    assert np.allclose(tr.q[-1], [3, -3], atol=1e-12)
     assert len(tr.times) == 11
     assert tr.provenance == "oracle"
     rep = audit(spec2, tr)
@@ -65,8 +65,7 @@ def test_blowup_flag_before_nan(spec2):
     assert tr.last_good_time is not None
     assert abs(tr.last_good_time - 2.0 / 3.0) < 1e-3
     assert tr.times[-1] <= tr.last_good_time + 1e-12
-    for st in tr.states:
-        assert np.all(np.isfinite(st.q)) and np.all(np.isfinite(st.xi))
+    assert np.all(np.isfinite(tr.y))
 
 
 def test_fifth_order_convergence(spec2):
@@ -74,13 +73,11 @@ def test_fifth_order_convergence(spec2):
     5th-order method (free flight is integrated exactly, so a nonlinear
     trajectory is used)."""
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
-    ref = integrate(spec2, pt, 1.0, samples=2, tol=1e-13).states[-1]
+    ref = integrate(spec2, pt, 1.0, samples=2, tol=1e-13).y[-1]
 
     def err(h):
-        end = integrate(spec2, pt, 1.0, samples=2, tol=1e-6,
-                        fixed_step=h).states[-1]
-        return max(np.abs(end.q - ref.q).max(), np.abs(end.p - ref.p).max(),
-                   np.abs(end.xi - ref.xi).max())
+        end = integrate(spec2, pt, 1.0, samples=2, tol=1e-6, fixed_step=h).y[-1]
+        return np.abs(end - ref).max()
     ratio = err(0.1) / err(0.05)
     assert 16.0 <= ratio <= 64.0
 
@@ -171,8 +168,7 @@ def test_reduced_trajectory_and_audit():
     assert tr.reduced
     rep = audit(spec, tr)
     assert rep.energy_drift < 1e-9
-    for st in tr.states:
-        assert abs(st.s[0, 1] - 1.0) < 1e-8
+    assert np.abs(tr.xi[:, 0, 1] - 1.0).max() < 1e-8
 
 
 def test_csv_lines(spec2):
@@ -189,6 +185,21 @@ def test_csv_lines(spec2):
     assert all(len(row.split(",")) == len(cols) for row in data)
     floats = [float(x) for x in data[-1].split(",")]
     assert abs(floats[0] - 0.2) < 1e-12
+
+
+def test_csv_round_trip(spec2):
+    """Every CSV cell parses back with float() to exactly the trajectory's
+    times and packed states, for a full and a reduced trajectory."""
+    spec3 = trig_model(build_sl_context(3), pi_subset([0]))
+    rpt = random_reduced(spec3, np.random.default_rng(5), scale=0.3)
+    pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
+    for tr in (integrate(spec2, pt, 0.2, samples=5, tol=1e-10),
+               integrate(spec3, rpt, 0.3, samples=7, tol=1e-10)):
+        rows = [l for l in trajectory_csv_lines(tr) if not l.startswith("#")][1:]
+        cells = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert np.array_equal(cells[:, 0], tr.times)
+        assert np.array_equal(cells[:, 1:], tr.y.view(float))
+    assert tr.reduced and "Re_s_1_2" in trajectory_csv_lines(tr)[0]
 
 
 def test_default_z_samples_inside_annulus():
