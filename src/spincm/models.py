@@ -151,6 +151,8 @@ class ModelSpec:
     lattice: EllipticLattice = None
 
     def __post_init__(self):
+        # regular_roots: (rows, cols), in row-major order, of the roots whose
+        # kernel depends on q; regularity is checked on their values
         if self.family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}")
         N = self.ctx.N
@@ -161,6 +163,7 @@ class ModelSpec:
             if self.subset.partition is None:
                 self.subset = validate_root_subset(self.ctx, self.subset)
             self.mask_active = _mask(N, self.subset.members)
+            self.regular_roots = np.nonzero(self.mask_active)
         elif self.family == "trigonometric":
             if self.subset is None or self.subset.kind != "pi":
                 raise ValidationError("trigonometric family needs a pi' subset")
@@ -170,17 +173,13 @@ class ModelSpec:
             self.mask_plus = _mask(N, self.subset.obar_plus)
             self.mask_minus = _mask(N, self.subset.obar_minus)
             self.mask_active = off
+            self.regular_roots = np.nonzero(self.mask_span)
         else:
             if self.lattice is None:
                 raise ValidationError("elliptic family needs a lattice")
             self.mask_active = off
-        # roots whose kernel depends on q (regularity is checked for these)
-        if self.family == "rational":
-            self.mask_regular = self.mask_active
-        elif self.family == "trigonometric":
-            self.mask_regular = self.mask_span
-        else:
-            self.mask_regular = off
+            # wp is even and wp' odd in a(q): the i < j roots stand for all
+            self.regular_roots = np.triu_indices(N, 1)
 
     def to_json_dict(self):
         d = {"N": self.ctx.N, "family": self.family}
@@ -247,41 +246,54 @@ def singular_distance(spec, w):
     return spec.lattice.lattice_distance(w)
 
 
+def _require_regular(w, dist, rows, cols):
+    """Raise DomainError naming the first root (rows[k], cols[k]) whose value
+    w[k] lies closer than REGULARITY_MARGIN (dist[k]) to the singular set."""
+    bad = dist < REGULARITY_MARGIN
+    if bad.any():
+        k = bad.argmax()
+        raise DomainError(
+            f"singular configuration: alpha(q) = {w[k]:.3e} for root "
+            f"eps_{rows[k] + 1}-eps_{cols[k] + 1} is within {REGULARITY_MARGIN} "
+            f"of the singular set")
+
+
 def check_regular(spec, q):
     """Raise DomainError naming the offending root if q is closer than
-    REGULARITY_MARGIN to the singular set along any kernel-relevant root."""
-    A = alpha_matrix(q)
-    dist = singular_distance(spec, A)
-    bad = spec.mask_regular & (dist < REGULARITY_MARGIN)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DomainError(
-            f"singular configuration: alpha(q) = {A[i, j]:.3e} for root "
-            f"eps_{i + 1}-eps_{j + 1} is within {REGULARITY_MARGIN} of the "
-            f"singular set")
+    REGULARITY_MARGIN to the singular set along any kernel-relevant root
+    (the first one in row-major order)."""
+    i, j = spec.regular_roots
+    q = np.asarray(q)
+    w = q[i] - q[j]
+    _require_regular(w, singular_distance(spec, w), i, j)
 
 
 def _kernel_matrices(spec, q):
-    """(K, Kp): kappa_a(q) and d kappa / d a(q) filled on the active mask."""
+    """(K, Kp): kappa_a(q) and d kappa / d a(q) filled on the active mask, after
+    the regularity check of ``check_regular`` (same error, same root), in one
+    pass.  Elliptic: one lattice reduction and one theta-series pass over the
+    i < j roots give wp and wp'; K is mirrored as even and Kp as odd."""
     N = spec.ctx.N
-    A = alpha_matrix(q)
     K = np.zeros((N, N), dtype=complex)
     Kp = np.zeros((N, N), dtype=complex)
+    i, j = spec.regular_roots
+    w = q[i] - q[j]
+    if spec.family == "elliptic":
+        z0, _, _ = spec.lattice.reduce(w)
+        _require_regular(w, np.abs(z0), i, j)
+        k, kp = spec.lattice._wp_pair(z0)
+        K[i, j] = K[j, i] = k
+        Kp[i, j], Kp[j, i] = kp, -kp
+        return K, Kp
+    _require_regular(w, singular_distance(spec, w), i, j)
     if spec.family == "rational":
-        m = spec.mask_active
-        K[m] = 1.0 / A[m] ** 2
-        Kp[m] = -2.0 / A[m] ** 3
-    elif spec.family == "trigonometric":
-        m = spec.mask_span
-        s = np.sin(A[m])
-        K[m] = 1.0 / s**2 - 1.0 / 3.0
-        Kp[m] = -2.0 * np.cos(A[m]) / s**3
-        comp = spec.mask_plus | spec.mask_minus
-        K[comp] = -1.0 / 3.0
+        K[i, j] = 1.0 / w**2
+        Kp[i, j] = -2.0 / w**3
     else:
-        m = spec.mask_active
-        K[m] = special.wp(spec.lattice, A[m])
-        Kp[m] = special.wp_prime(spec.lattice, A[m])
+        s = np.sin(w)
+        K[i, j] = 1.0 / s**2 - 1.0 / 3.0
+        Kp[i, j] = -2.0 * np.cos(w) / s**3
+        K[spec.mask_plus | spec.mask_minus] = -1.0 / 3.0
     return K, Kp
 
 
@@ -295,7 +307,6 @@ def _c0(spec):
 
 def hamiltonian(spec, pt):
     """Closed-form Hamiltonian of the family at a regular point."""
-    check_regular(spec, pt.q)
     K, _ = _kernel_matrices(spec, pt.q)
     xi = pt.xi
     h = 0.5 * np.sum(pt.p**2) - 0.5 * np.sum(K * xi * xi.T)
@@ -316,7 +327,6 @@ def _grad_xi(spec, K, xi):
 
 def eom(spec, pt):
     """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field."""
-    check_regular(spec, pt.q)
     K, Kp = _kernel_matrices(spec, pt.q)
     xi = pt.xi
     W = Kp * xi * xi.T
@@ -328,7 +338,6 @@ def eom(spec, pt):
 
 def reduced_hamiltonian(spec, rpt):
     """Hamiltonian of the reduced system on TU x g_red."""
-    check_regular(spec, rpt.q)
     K, _ = _kernel_matrices(spec, rpt.q)
     return complex(0.5 * np.sum(rpt.p**2) - 0.5 * np.sum(K * rpt.s * rpt.s.T))
 
@@ -351,7 +360,6 @@ def _cartan_correction(spec, K, s):
 def reduced_eom(spec, rpt):
     """(q_dot, p_dot, s_dot) with s_dot = [s, M]; M carries the Cartan
     correction that keeps s_{a_i} = 1 along the flow."""
-    check_regular(spec, rpt.q)
     K, Kp = _kernel_matrices(spec, rpt.q)
     s = rpt.s
     W = Kp * s * s.T

@@ -23,7 +23,7 @@ from .continuation import best_assignment
 from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
                      eom, hamiltonian, lax_batch, reduced_eom,
-                     reduced_hamiltonian, singular_distance, alpha_matrix)
+                     reduced_hamiltonian, singular_distance)
 
 SINGULAR_MARGIN = 1e-6
 
@@ -171,11 +171,8 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
 
 def _margin(spec, y, N):
     q = y.view(complex)[:N]
-    dist = singular_distance(spec, alpha_matrix(q))
-    rel = spec.mask_regular
-    if not rel.any():
-        return np.inf
-    return float(dist[rel].min())
+    i, j = spec.regular_roots
+    return float(singular_distance(spec, q[i] - q[j]).min(initial=np.inf))
 
 
 def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):

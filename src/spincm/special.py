@@ -3,8 +3,11 @@ and the Weierstrass functions wp, wp', zeta, sigma and l(w,z) of a period lattic
 
 Weierstrass evaluation goes through Jacobi theta_1 series in the nome (spectrally
 accurate); arguments are reduced to the centered fundamental cell and the exact
-quasi-periodicity factors are reapplied.  Points closer than POLE_TOL to a pole
-raise PoleError.
+quasi-periodicity factors are reapplied.  theta_1 and its first three
+derivatives come from one product of a fixed (4, 2*nmax) coefficient array with
+the stacked sines and cosines, so wp and wp' at the same reduced points cost one
+series pass (``EllipticLattice._wp_pair``).  Points closer than POLE_TOL to a
+pole raise PoleError.
 """
 
 from __future__ import annotations
@@ -98,6 +101,13 @@ class EllipticLattice:
         logq = cmath.log(self.nome)
         expo = (n + 0.5) ** 2 * logq
         self._coef = 2.0 * (-1.0) ** n * np.exp(expo)
+        # rows theta_1 and its first three derivatives, against [sin; cos](odd*v)
+        zero = np.zeros(nmax)
+        self._series = np.array([
+            np.concatenate([self._coef, zero]),
+            np.concatenate([zero, self._coef * self._odd]),
+            np.concatenate([-self._coef * self._odd**2, zero]),
+            np.concatenate([zero, -self._coef * self._odd**3])])
 
         th1p0 = np.sum(self._coef * self._odd)
         th1ppp0 = -np.sum(self._coef * self._odd**3)
@@ -116,9 +126,8 @@ class EllipticLattice:
             np.array([[p1.real, p2.real], [p1.imag, p2.imag]]))
         self._min_period = min(abs(p1), abs(p2), abs(p1 + p2), abs(p1 - p2))
 
-        e1 = complex(self._wp_noreduce(self.omega1))
-        e2 = complex(self._wp_noreduce(self.omega2))
-        e3 = complex(self._wp_noreduce(self.omega1 + self.omega2))
+        e1, e2, e3 = (complex(self._wp_pair(w)[0]) for w in
+                      (self.omega1, self.omega2, self.omega1 + self.omega2))
         self.e_values = (e1, e2, e3)
         self.g2 = 2.0 * (e1**2 + e2**2 + e3**2)
         self.g3 = 4.0 * e1 * e2 * e3
@@ -138,9 +147,10 @@ class EllipticLattice:
         """z0 in the centered fundamental cell and the integers (m, n) removed:
         z = z0 + 2m*w1 + 2n*w2."""
         arr, scalar = _as_array(z)
-        xy = self._basis_inv @ np.stack([arr.real.ravel(), arr.imag.ravel()])
-        m = np.round(xy[0]).astype(int).reshape(arr.shape)
-        n = np.round(xy[1]).astype(int).reshape(arr.shape)
+        # rows (Re z, Im z) as a float view, in the period basis
+        mn = np.rint(arr.reshape(-1, 1).view(float) @ self._basis_inv.T).astype(int)
+        m = mn[:, 0].reshape(arr.shape)
+        n = mn[:, 1].reshape(arr.shape)
         z0 = arr - 2 * self.omega1 * m - 2 * self.omega2 * n
         if scalar:
             return complex(z0), int(m), int(n)
@@ -159,20 +169,12 @@ class EllipticLattice:
 
     # -- theta core ---------------------------------------------------------
     def _theta_ratios(self, v):
-        """f = th1'/th1, f' and f'' at v (arrays)."""
+        """f = th1'/th1, f' and f'' at v (arrays), from one series product."""
         v = np.asarray(v, dtype=complex)
-        arg = np.multiply.outer(self._odd, v)
-        s, c = np.sin(arg), np.cos(arg)
-        coef = self._coef.reshape((-1,) + (1,) * v.ndim)
-        odd = self._odd.reshape((-1,) + (1,) * v.ndim)
-        th = np.sum(coef * s, axis=0)
-        thp = np.sum(coef * odd * c, axis=0)
-        thpp = -np.sum(coef * odd**2 * s, axis=0)
-        thppp = -np.sum(coef * odd**3 * c, axis=0)
-        f = thp / th
-        fp = thpp / th - f**2
-        fpp = thppp / th - 3.0 * (thpp / th) * f + 2.0 * f**3
-        return f, fp, fpp, th
+        arg = np.multiply.outer(self._odd, v.ravel())
+        th = self._series @ np.concatenate([np.sin(arg), np.cos(arg)])
+        f, r2, r3 = (th[1:] / th[0]).reshape((3,) + v.shape)  # th1^(k) / th1
+        return f, r2 - f**2, r3 - 3.0 * r2 * f + 2.0 * f**3
 
     def _theta1(self, v):
         """theta_1 alone (sigma needs no logarithmic derivatives)."""
@@ -184,14 +186,16 @@ class EllipticLattice:
     def _v(self, z):
         return math.pi * np.asarray(z, dtype=complex) / (2.0 * self.omega1)
 
-    # -- raw (no reduction) evaluators, used during construction -------------
+    # -- raw (no reduction) evaluators ---------------------------------------
     def _zeta_noreduce(self, z):
-        f, _, _, _ = self._theta_ratios(self._v(z))
+        f, _, _ = self._theta_ratios(self._v(z))
         return self.eta1 * z / self.omega1 + (math.pi / (2 * self.omega1)) * f
 
-    def _wp_noreduce(self, z):
-        _, fp, _, _ = self._theta_ratios(self._v(z))
-        return -self.eta1 / self.omega1 - (math.pi / (2 * self.omega1)) ** 2 * fp
+    def _wp_pair(self, z):
+        """(wp, wp') at z, taken as already reduced, from one theta pass."""
+        _, fp, fpp = self._theta_ratios(self._v(z))
+        c = math.pi / (2 * self.omega1)
+        return -self.eta1 / self.omega1 - c**2 * fp, -(c**3) * fpp
 
 
 def wp(lat, z):
@@ -199,7 +203,7 @@ def wp(lat, z):
     arr, scalar = _as_array(z)
     z0, _, _ = lat.reduce(arr)
     lat._check_pole(z0, "wp")
-    out = lat._wp_noreduce(z0)
+    out = lat._wp_pair(z0)[0]
     return complex(out) if scalar else out
 
 
@@ -208,8 +212,7 @@ def wp_prime(lat, z):
     arr, scalar = _as_array(z)
     z0, _, _ = lat.reduce(arr)
     lat._check_pole(z0, "wp'")
-    _, _, fpp, _ = lat._theta_ratios(lat._v(z0))
-    out = -((math.pi / (2 * lat.omega1)) ** 3) * fpp
+    out = lat._wp_pair(z0)[1]
     return complex(out) if scalar else out
 
 

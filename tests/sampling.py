@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from spincm.models import (PhasePoint, ReducedPoint, alpha_matrix,
-                           singular_distance)
+from spincm.models import PhasePoint, ReducedPoint, singular_distance
 
 
 def random_point(spec, rng, scale=0.4, momentum_zero=True, q_imag=0.0,
@@ -14,8 +13,8 @@ def random_point(spec, rng, scale=0.4, momentum_zero=True, q_imag=0.0,
         q = np.linspace(0.75, -0.75, N) * (0.8 + 0.4 * rng.uniform())
         q = q + 0.1 * rng.standard_normal(N) + 1j * q_imag * rng.standard_normal(N)
         q = q - q.mean()
-        dist = singular_distance(spec, alpha_matrix(q))
-        if spec.mask_regular.any() and dist[spec.mask_regular].min() < margin:
+        i, j = spec.regular_roots
+        if singular_distance(spec, q[i] - q[j]).min(initial=np.inf) < margin:
             continue
         break
     p = p_scale * (rng.standard_normal(N) + 1j * q_imag * rng.standard_normal(N))

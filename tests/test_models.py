@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import LatticeOracle
 from sampling import random_point, random_reduced
+from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, _cartan_correction,
-                           _kernel_matrices, contour_hamiltonian, elliptic_model,
+                           _kernel_matrices, alpha_matrix, check_regular,
+                           contour_hamiltonian, elliptic_model,
                            eom, hamiltonian, lax, lax_batch, lax_limit,
                            lax_residual,
                            r_action_on_M, rational_model, reduce_point,
                            reduced_eom, reduced_hamiltonian, trig_model)
-from spincm.special import EllipticLattice, cot_c, wp_prime
+from spincm.rk import integrate
+from spincm.special import EllipticLattice, cot_c, wp, wp_prime
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -383,3 +387,120 @@ def test_contour_equals_closed_form(families, family):
         a = contour_hamiltonian(spec, pt, 128)
         b = hamiltonian(spec, pt)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+
+# -- the kernel pass -------------------------------------------------------------
+
+def _in_cell_q(lat, N, rng, margin=0.05):
+    """Traceless q with entries spread over the fundamental cell, so that some
+    root values q_i - q_j leave it; every root value at least `margin` from
+    the lattice."""
+    while True:
+        x, y = rng.uniform(-0.45, 0.45, (2, N))
+        q = 2 * lat.omega1 * x + 2 * lat.omega2 * y
+        q = q - q.mean()
+        A = alpha_matrix(q)
+        off = ~np.eye(N, dtype=bool)
+        if lat.lattice_distance(A[off]).min() >= margin:
+            return q
+
+
+def test_elliptic_kernels_match_per_root_evaluators(lat):
+    """One reduction and one theta pass on the i < j roots, mirrored, give the
+    per-root wp and wp' of every off-diagonal entry; K is exactly even and Kp
+    exactly odd."""
+    rng = np.random.default_rng(11)
+    moved = 0
+    for N in range(2, 6):
+        spec = elliptic_model(ctx(N), lat)
+        off = ~np.eye(N, dtype=bool)
+        for _ in range(10):
+            q = _in_cell_q(lat, N, rng)
+            A = alpha_matrix(q)
+            K, Kp = _kernel_matrices(spec, q)
+            ref_k, ref_kp = wp(lat, A[off]), wp_prime(lat, A[off])
+            assert np.all(np.abs(K[off] - ref_k) <= 1e-13 * np.abs(ref_k))
+            assert np.all(np.abs(Kp[off] - ref_kp) <= 1e-13 * np.abs(ref_kp))
+            assert np.array_equal(K, K.T) and np.array_equal(Kp, -Kp.T)
+            assert not K.diagonal().any() and not Kp.diagonal().any()
+            _, m, n = lat.reduce(A[off])
+            moved += np.count_nonzero((m != 0) | (n != 0))
+    assert moved > 0  # the reduction moved root values across the cell
+
+
+def test_elliptic_kernels_match_lattice_sum_oracle(lat):
+    """Same tolerance as test_special.py::test_theta_vs_lattice_sum_oracle."""
+    oracle = LatticeOracle(lat, K=128)
+    q = np.array([0.9 + 0.1j, -0.15 - 0.05j, -0.75 - 0.05j])  # a_13 leaves the cell
+    spec = elliptic_model(ctx(3), lat)
+    A = alpha_matrix(q)
+    assert lat.reduce(A[0, 2])[1:] != (0, 0)
+    K, Kp = _kernel_matrices(spec, q)
+    for i, j in zip(*np.nonzero(~np.eye(3, dtype=bool))):
+        for mine, ref in ((K[i, j], oracle.wp(A[i, j])),
+                          (Kp[i, j], oracle.wp_prime(A[i, j]))):
+            assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("fn", [eom, reduced_eom, hamiltonian, reduced_hamiltonian])
+def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn):
+    """One elliptic RHS or Hamiltonian: 1 lattice reduction, 1 theta pass, and
+    no call to the per-root wp / wp'."""
+    spec = elliptic_model(ctx(3), lat)
+    rpt = random_reduced(spec, np.random.default_rng(12))
+    pt = rpt if fn in (reduced_eom, reduced_hamiltonian) else \
+        PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
+    counts = {"reduce": 0, "_theta_ratios": 0}
+    for name in counts:
+        orig = getattr(EllipticLattice, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(EllipticLattice, name, counted)
+
+    def forbidden(*args):
+        raise AssertionError("per-root evaluator called")
+    monkeypatch.setattr(special, "wp", forbidden)
+    monkeypatch.setattr(special, "wp_prime", forbidden)
+    fn(spec, pt)
+    assert counts == {"reduce": 1, "_theta_ratios": 1}
+
+
+_S3 = np.array([[0, 1, 0.3], [0.2, 0, 1], [0.5, -0.4, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("family, q, root", [
+    ("rational", [0.3 + 2.5e-8, -0.6, 0.3 - 2.5e-8], "eps_1-eps_3"),
+    ("trigonometric", [math.pi / 2 + 0.1 + 2.5e-8, -math.pi / 2 + 0.1 - 2.5e-8, -0.2],
+     "eps_1-eps_2"),
+    # q_1 - q_3 within 1e-7 of the lattice point 2 w1 = 2
+    ("elliptic", [1.1 + 2.5e-8, -0.2, -0.9 - 2.5e-8], "eps_1-eps_3"),
+])
+def test_kernel_pass_checks_regularity(families, family, q, root):
+    spec = families[family]
+    q = np.array(q, dtype=complex)
+    with pytest.raises(DomainError) as ref:
+        check_regular(spec, q)
+    assert root in str(ref.value)
+    p = np.array([0.1, -0.3, 0.2])
+    for fn, pt in ((eom, PhasePoint(q=q, p=p, xi=_S3)),
+                   (hamiltonian, PhasePoint(q=q, p=p, xi=_S3)),
+                   (reduced_eom, ReducedPoint(q=q, p=p, s=_S3)),
+                   (reduced_hamiltonian, ReducedPoint(q=q, p=p, s=_S3))):
+        with pytest.raises(DomainError) as err:
+            fn(spec, pt)
+        assert str(err.value) == str(ref.value)
+
+
+def test_elliptic_collision_course_blows_up():
+    """a(q) = q_1 - q_2 runs into the lattice point 2 w1 = 2: the oracle stops
+    with the blowup flag and a last good time instead of raising.  The lattice
+    is rectangular, so wp is real on the real line and the flow stays real."""
+    spec = elliptic_model(ctx(2), EllipticLattice(1.0, 0.8j))
+    pt = PhasePoint(q=[0.6, -0.6], p=[1.0, -1.0], xi=E12 + E21)
+    tr = integrate(spec, pt, 1.0, samples=101, tol=1e-10)
+    assert tr.blowup and tr.last_good_time is not None
+    assert tr.last_good_time < 0.4  # the free flight would reach a = 2 at t = 0.4
+    assert tr.times[-1] <= tr.last_good_time + 1e-12
+    assert np.all(np.isfinite(tr.y))
