@@ -403,6 +403,8 @@ def lax(spec, pt, z):
 def lax_batch(spec, pt, zs):
     """L(q,p,xi)(z) stacked over an array of spectral parameters: shape
     (len(zs), N, N)."""
+    if spec.family == "elliptic":
+        return lax_pair(spec, pt, zs)[0]
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
     N = spec.ctx.N
@@ -418,19 +420,36 @@ def lax_batch(spec, pt, zs):
         out += xi / zs[:, None, None]
         return out
 
-    if spec.family == "trigonometric":
-        ms = spec.mask_span
-        out[:, ms] += xi[ms] / np.tan(A[ms])
-        out[:, spec.mask_plus] += -1j * xi[spec.mask_plus]
-        out[:, spec.mask_minus] += 1j * xi[spec.mask_minus]
-        out += cot_c(zs)[:, None, None] * xi
-        return out
-
-    lat = spec.lattice
-    m = spec.mask_active
-    out[:, diag, diag] += special.zeta_w(lat, zs)[:, None] * np.diag(xi)
-    out[:, m] -= special.l_func(lat, A[m][None, :], zs[:, None]) * xi[m]
+    ms = spec.mask_span
+    out[:, ms] += xi[ms] / np.tan(A[ms])
+    out[:, spec.mask_plus] += -1j * xi[spec.mask_plus]
+    out[:, spec.mask_minus] += 1j * xi[spec.mask_minus]
+    out += cot_c(zs)[:, None, None] * xi
     return out
+
+
+def lax_pair(spec, pt, zs):
+    """(L(z), dL/dz) of the elliptic family stacked over an array of spectral
+    parameters, each of shape (len(zs), N, N), after the checks of every
+    Lax builder (``check_regular``, then the z poles): one
+    ``special.lame_parts`` call gives both."""
+    if spec.family != "elliptic":
+        raise ValidationError("lax_pair requires the elliptic family")
+    check_regular(spec, pt.q)
+    zs = _check_z_regular(spec, zs)
+    N = spec.ctx.N
+    xi = pt.xi
+    m = spec.mask_active
+    l, _, zz, zwz, wpz = special.lame_parts(
+        spec.lattice, alpha_matrix(pt.q)[m][None, :], zs[:, None])
+    L = np.zeros((zs.size, N, N), dtype=complex)
+    dL = np.zeros_like(L)
+    diag = np.arange(N)
+    L[:, diag, diag] = pt.p + zz * np.diag(xi)
+    L[:, m] -= l * xi[m]
+    dL[:, diag, diag] = -wpz * np.diag(xi)
+    dL[:, m] -= l * (zwz - zz) * xi[m]
+    return L, dL
 
 
 def lax_limit(spec, pt, which):
@@ -507,13 +526,10 @@ def r_action_on_M(spec, pt, z):
         out[ms] += phi[ms] * (caq + cz - 1.0 / np.tan(A[ms] + z)) * xi[ms]
         return out
 
-    lat = spec.lattice
-    zz = special.zeta_w(lat, z)
-    out = 0.5 * M - zz * np.diag(pt.p)
     m = spec.mask_active
-    out[m] += (special.l_func(lat, A[m], z)
-               * (special.zeta_w(lat, A[m]) + zz - special.zeta_w(lat, A[m] + z))
-               * xi[m])
+    l, zw, zz, zwz, _ = special.lame_parts(spec.lattice, A[m], z)
+    out = 0.5 * M - zz * np.diag(pt.p)
+    out[m] += l * (zw + zz - zwz) * xi[m]
     return out
 
 

@@ -6,8 +6,12 @@ accurate); arguments are reduced to the centered fundamental cell and the exact
 quasi-periodicity factors are reapplied.  theta_1 and its first three
 derivatives come from one product of a fixed (4, 2*nmax) coefficient array with
 the stacked sines and cosines, so wp and wp' at the same reduced points cost one
-series pass (``EllipticLattice._wp_pair``).  Points closer than POLE_TOL to a
-pole raise PoleError.
+series pass (``EllipticLattice._wp_pair``).  sigma, zeta = sigma'/sigma and,
+when asked, wp at one argument set cost one reduction and one pass over the
+leading rows (``EllipticLattice._sigma_zeta``); ``lame_parts`` gives l(w,z),
+zeta(w), zeta(z), zeta(w+z) and wp(z) -- all that the elliptic L(z), dL/dz and
+r-matrix action need -- from one such pass per argument set.  Points closer
+than POLE_TOL to a pole raise PoleError.
 """
 
 from __future__ import annotations
@@ -100,20 +104,22 @@ class EllipticLattice:
         # a_n = 2 (-1)^n q^{(n+1/2)^2}, computed in log form to avoid underflow order issues
         logq = cmath.log(self.nome)
         expo = (n + 0.5) ** 2 * logq
-        self._coef = 2.0 * (-1.0) ** n * np.exp(expo)
+        coef = 2.0 * (-1.0) ** n * np.exp(expo)
         # rows theta_1 and its first three derivatives, against [sin; cos](odd*v)
         zero = np.zeros(nmax)
         self._series = np.array([
-            np.concatenate([self._coef, zero]),
-            np.concatenate([zero, self._coef * self._odd]),
-            np.concatenate([-self._coef * self._odd**2, zero]),
-            np.concatenate([zero, -self._coef * self._odd**3])])
+            np.concatenate([coef, zero]),
+            np.concatenate([zero, coef * self._odd]),
+            np.concatenate([-coef * self._odd**2, zero]),
+            np.concatenate([zero, -coef * self._odd**3])])
 
-        th1p0 = np.sum(self._coef * self._odd)
-        th1ppp0 = -np.sum(self._coef * self._odd**3)
+        th1p0 = np.sum(coef * self._odd)
+        th1ppp0 = -np.sum(coef * self._odd**3)
         self._th1p0 = th1p0
         self.eta1 = -(math.pi**2) * th1ppp0 / (12.0 * self.omega1 * th1p0)
-        self.eta2 = self._zeta_noreduce(self.omega2)
+        # zeta(w2) at w2 itself, unreduced (the reduction would need eta2)
+        f = self._theta_ratios(self._v(self.omega2))[0]
+        self.eta2 = self.eta1 * self.omega2 / self.omega1 + (math.pi / (2 * self.omega1)) * f
 
         legendre = self.eta1 * self.omega2 - self.eta2 * self.omega1
         if abs(legendre - 1j * math.pi / 2) > 1e-10 * max(1.0, abs(legendre)):
@@ -168,28 +174,42 @@ class EllipticLattice:
                             nearest=complex(off))
 
     # -- theta core ---------------------------------------------------------
+    def _theta_rows(self, v, k):
+        """theta_1 and its first k - 1 derivatives at the array v: the leading
+        k rows of the series times [sin; cos], shape (k,) + v.shape."""
+        arg = np.multiply.outer(self._odd, v.ravel())
+        th = self._series[:k] @ np.concatenate([np.sin(arg), np.cos(arg)])
+        return th.reshape((k,) + v.shape)
+
     def _theta_ratios(self, v):
         """f = th1'/th1, f' and f'' at v (arrays), from one series product."""
-        v = np.asarray(v, dtype=complex)
-        arg = np.multiply.outer(self._odd, v.ravel())
-        th = self._series @ np.concatenate([np.sin(arg), np.cos(arg)])
-        f, r2, r3 = (th[1:] / th[0]).reshape((3,) + v.shape)  # th1^(k) / th1
+        th = self._theta_rows(np.asarray(v, dtype=complex), 4)
+        f, r2, r3 = th[1:] / th[0]  # th1^(k) / th1
         return f, r2 - f**2, r3 - 3.0 * r2 * f + 2.0 * f**3
-
-    def _theta1(self, v):
-        """theta_1 alone (sigma needs no logarithmic derivatives)."""
-        v = np.asarray(v, dtype=complex)
-        arg = np.multiply.outer(self._odd, v)
-        coef = self._coef.reshape((-1,) + (1,) * v.ndim)
-        return np.sum(coef * np.sin(arg), axis=0)
 
     def _v(self, z):
         return math.pi * np.asarray(z, dtype=complex) / (2.0 * self.omega1)
 
-    # -- raw (no reduction) evaluators ---------------------------------------
-    def _zeta_noreduce(self, z):
-        f, _, _ = self._theta_ratios(self._v(z))
-        return self.eta1 * z / self.omega1 + (math.pi / (2 * self.omega1)) * f
+    # -- evaluators -----------------------------------------------------------
+    def _sigma_zeta(self, z, wp=False):
+        """(z0, sigma, zeta) at the array z -- with wp appended when `wp` --
+        from one reduction and one product of the leading series rows; z0 is
+        the reduced z, for pole checks.  Unchecked: on a lattice point sigma
+        is exactly 0 and zeta, wp are not finite."""
+        z0, m, n = self.reduce(z)
+        th = self._theta_rows(self._v(z0), 3 if wp else 2)
+        eta = 2.0 * self.eta1 * m + 2.0 * self.eta2 * n
+        base = (2 * self.omega1 / math.pi) * np.exp(
+            self.eta1 * z0**2 / (2 * self.omega1)) * th[0] / self._th1p0
+        fac = (-1.0) ** (m + n + m * n) * np.exp(
+            eta * (z0 + m * self.omega1 + n * self.omega2))
+        c = math.pi / (2 * self.omega1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = th[1:] / th[0]  # th1' / th1 (and th1'' / th1)
+            out = (z0, base * fac, self.eta1 * z0 / self.omega1 + c * r[0] + eta)
+            if wp:
+                out += (-self.eta1 / self.omega1 - c**2 * (r[1] - r[0]**2),)
+        return out
 
     def _wp_pair(self, z):
         """(wp, wp') at z, taken as already reduced, from one theta pass."""
@@ -219,39 +239,43 @@ def wp_prime(lat, z):
 def zeta_w(lat, z):
     """Weierstrass zeta function (quasi-periodic: zeta(z+2w_i) = zeta(z) + 2 eta_i)."""
     arr, scalar = _as_array(z)
-    z0, m, n = lat.reduce(arr)
+    z0, _, out = lat._sigma_zeta(arr)
     lat._check_pole(z0, "zeta")
-    out = lat._zeta_noreduce(z0) + 2.0 * lat.eta1 * m + 2.0 * lat.eta2 * n
     return complex(out) if scalar else out
 
 
 def sigma_w(lat, z):
     """Weierstrass sigma function (entire; exact 0 on the lattice)."""
     arr, scalar = _as_array(z)
-    z0, m, n = lat.reduce(arr)
-    th = lat._theta1(lat._v(z0))
-    base = (2 * lat.omega1 / math.pi) * np.exp(
-        lat.eta1 * z0**2 / (2 * lat.omega1)) * th / lat._th1p0
-    eta = 2.0 * lat.eta1 * m + 2.0 * lat.eta2 * n
-    fac = (-1.0) ** (m + n + m * n) * np.exp(
-        eta * (z0 + m * lat.omega1 + n * lat.omega2))
-    out = base * fac
+    out = lat._sigma_zeta(arr)[1]
     return complex(out) if scalar else out
+
+
+def lame_parts(lat, w, z):
+    """(l(w,z), zeta(w), zeta(z), zeta(w+z), wp(z)) with w + z broadcast, from
+    one reduction and one theta pass per argument set (w, z, w+z).
+
+    l(w,z) = -sigma(w+z) / (sigma(w) sigma(z)); PoleError, as from l_func,
+    when w or z is within POLE_TOL of a lattice point.  zeta(w+z) is not
+    checked: where w + z is exactly a lattice point it is not finite, while
+    l vanishes there."""
+    warr = np.asarray(w, dtype=complex)
+    zarr = np.asarray(z, dtype=complex)
+    w0, sw, zw = lat._sigma_zeta(warr)
+    z0, sz, zz, wpz = lat._sigma_zeta(zarr, wp=True)
+    lat._check_pole(w0, "l(w,z) in w")
+    lat._check_pole(z0, "l(w,z) in z")
+    _, swz, zwz = lat._sigma_zeta(warr + zarr)
+    return -swz / (sw * sz), zw, zz, zwz, wpz
 
 
 def l_func(lat, w, z):
     """l(w,z) = -sigma(w+z) / (sigma(w) sigma(z))."""
-    warr, wscalar = _as_array(w)
-    zarr, zscalar = _as_array(z)
-    w0, _, _ = lat.reduce(warr)
-    z0, _, _ = lat.reduce(zarr)
-    lat._check_pole(w0, "l(w,z) in w")
-    lat._check_pole(z0, "l(w,z) in z")
-    out = -sigma_w(lat, warr + zarr) / (sigma_w(lat, warr) * sigma_w(lat, zarr))
-    return complex(out) if (wscalar and zscalar) else out
+    out = lame_parts(lat, w, z)[0]
+    return complex(out) if (np.ndim(w) == 0 and np.ndim(z) == 0) else out
 
 
 def l_func_dz(lat, w, z):
     """d/dz l(w,z) = l(w,z) (zeta(w+z) - zeta(z))."""
-    return l_func(lat, w, z) * (zeta_w(lat, np.asarray(w) + np.asarray(z))
-                                - zeta_w(lat, z))
+    l, _, zz, zwz, _ = lame_parts(lat, w, z)
+    return l * (zwz - zz)

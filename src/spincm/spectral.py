@@ -20,8 +20,9 @@ by an amount that the spectrum alone does not fix (at N = 3 the order is 9,
 not 12), so GA2 excludes it.
 
 The genericity grid and the contours are evaluated over whole arrays of z,
-in blocks of Z_BLOCK: one stacked Lax matrix and d/dz, one batched
-Faddeev-LeVerrier recursion and one stacked eigvals call per block.
+in blocks of Z_BLOCK: one ``models.lax_pair`` call for the stacked L(z) and
+dL/dz (one lattice reduction and one theta pass per argument set), one
+batched Faddeev-LeVerrier recursion and one stacked eigvals call per block.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, ValidationError
-from .models import (PhasePoint, alpha_matrix, lax, lax_batch,
+from .models import (PhasePoint, alpha_matrix, lax, lax_batch, lax_pair,
                      _check_momentum_zero)
 
 GA_GAP_TOL = 1e-8
@@ -77,19 +78,6 @@ def _charpoly(L, Ldz=None):
     return (c, cd) if Ldz is not None else c
 
 
-def _lax_dz(spec, pt, zs):
-    """d/dz of the elliptic Lax matrix, stacked over the array zs."""
-    lat = spec.lattice
-    A = alpha_matrix(pt.q)
-    m = spec.mask_active
-    N = spec.ctx.N
-    out = np.zeros((zs.size, N, N), dtype=complex)
-    diag = np.arange(N)
-    out[:, diag, diag] = -special.wp(lat, zs)[:, None] * np.diag(pt.xi)
-    out[:, m] -= special.l_func_dz(lat, A[m][None, :], zs[:, None]) * pt.xi[m]
-    return out
-
-
 def _horner(c, w):
     """sum_k c[..., k] w^k at the points w[..., j], for each leading index."""
     out = np.zeros(w.shape, dtype=complex)
@@ -109,8 +97,8 @@ def _sheet_partials(spec, pt, zs):
     slope = np.arange(1, N + 1)
     for s in range(0, zs.size, Z_BLOCK):
         blk = zs[s:s + Z_BLOCK]
-        L = lax_batch(spec, pt, blk)
-        c, cd = _charpoly(L, _lax_dz(spec, pt, blk))
+        L, Ldz = lax_pair(spec, pt, blk)
+        c, cd = _charpoly(L, Ldz)
         roots = np.linalg.eigvals(L)
         dw[s:s + Z_BLOCK] = _horner(c[:, 1:] * slope, roots)
         dz[s:s + Z_BLOCK] = _horner(cd, roots)
@@ -292,7 +280,9 @@ def _count_branch_points(spec, pt):
 
 
 def isospectral_drift(spec, traj, z_samples):
-    """max over times and z of |a_k(z; t) - a_k(z; 0)| along a trajectory."""
-    a = np.array([[char_poly_coeffs(spec, traj.point(i, PhasePoint), z).a
-                   for z in z_samples] for i in range(len(traj.y))])
-    return float(np.abs(a - a[0]).max(initial=0.0))
+    """max over times and z of |a_k(z; t) - a_k(z; 0)| along a trajectory, the
+    a_k of ``char_poly_coeffs`` being the charpoly coefficients up to sign;
+    from one stacked Lax matrix over z_samples and one charpoly per state."""
+    c = np.array([_charpoly(lax_batch(spec, traj.point(i, PhasePoint), z_samples))
+                  for i in range(len(traj.y))])
+    return float(np.abs(c - c[0]).max(initial=0.0))

@@ -14,11 +14,12 @@ from spincm.models import (PhasePoint, ReducedPoint, _cartan_correction,
                            _kernel_matrices, alpha_matrix, check_regular,
                            contour_hamiltonian, elliptic_model,
                            eom, hamiltonian, lax, lax_batch, lax_limit,
-                           lax_residual,
+                           lax_pair, lax_residual,
                            r_action_on_M, rational_model, reduce_point,
                            reduced_eom, reduced_hamiltonian, trig_model)
 from spincm.rk import integrate
 from spincm.special import EllipticLattice, cot_c, wp, wp_prime
+from spincm.spectral import _sheet_partials
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -125,9 +126,28 @@ def test_elliptic_lax_batch_pole(lat):
     spec = elliptic_model(ctx(3), lat)
     pt = random_point(spec, np.random.default_rng(0), scale=0.5)
     pole = 2 * lat.omega1 + 2 * lat.omega2
+    zs = [0.3 + 0.2j, pole + 1e-10, 0.5]
     with pytest.raises(PoleError) as exc:
-        lax_batch(spec, pt, [0.3 + 0.2j, pole + 1e-10, 0.5])
+        lax_batch(spec, pt, zs)
     assert abs(exc.value.nearest - pole) < 1e-9
+    with pytest.raises(PoleError) as pair:
+        lax_pair(spec, pt, zs)
+    assert str(pair.value) == str(exc.value)
+    assert pair.value.nearest == exc.value.nearest
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lax_pair_dz_matches_central_difference(lat, n):
+    """dL/dz of lax_pair against a central difference of lax_batch in z, whose
+    L it returns as its first output."""
+    spec = elliptic_model(ctx(n), lat)
+    pt = random_point(spec, np.random.default_rng(n), scale=0.5)
+    zs = np.array([0.31 + 0.17j, -0.42 + 0.05j, 0.9 + 0.7j, 2.3 - 1.1j, 0.2j])
+    L, dL = lax_pair(spec, pt, zs)
+    assert np.array_equal(L, lax_batch(spec, pt, zs))
+    h = 1e-5
+    fd = (lax_batch(spec, pt, zs + h) - lax_batch(spec, pt, zs - h)) / (2 * h)
+    assert np.abs(dL - fd).max() <= 1e-8 * np.abs(dL).max()
 
 
 def test_trig_lax_batch_matches_cot(spec_t2):
@@ -465,6 +485,38 @@ def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn):
     monkeypatch.setattr(special, "wp_prime", forbidden)
     fn(spec, pt)
     assert counts == {"reduce": 1, "_theta_ratios": 1}
+
+
+_ZS = np.array([0.31 + 0.17j, -0.42 + 0.05j, 0.9 + 0.7j])
+
+
+@pytest.mark.parametrize("call, reductions", [
+    (lambda spec, pt: lax_batch(spec, pt, _ZS), 5),
+    (lambda spec, pt: r_action_on_M(spec, pt, _ZS[0]), 10),
+    (lambda spec, pt: _sheet_partials(spec, pt, _ZS), 5),
+], ids=["lax_batch", "r_action_on_M", "sheet_partials_block"])
+def test_elliptic_lax_paths_reduce_once_per_argument_set(lat, monkeypatch, call,
+                                                         reductions):
+    """The elliptic Lax paths: one reduction for check_regular, one for the
+    z check and one per argument set (w, z, w+z) of each lame_parts call
+    (r_action_on_M: its own checks and lame_parts, plus one lax); none goes
+    through the public per-argument evaluators."""
+    spec = elliptic_model(ctx(3), lat)
+    pt = random_point(spec, np.random.default_rng(13), scale=0.5)
+    count = [0]
+    orig = EllipticLattice.reduce
+
+    def counted(*args):
+        count[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(EllipticLattice, "reduce", counted)
+
+    def forbidden(*args):
+        raise AssertionError("public per-argument evaluator called")
+    for name in ("sigma_w", "l_func", "l_func_dz", "zeta_w", "wp"):
+        monkeypatch.setattr(special, name, forbidden)
+    call(spec, pt)
+    assert count[0] == reductions
 
 
 _S3 = np.array([[0, 1, 0.3], [0.2, 0, 1], [0.5, -0.4, 0]], dtype=complex)

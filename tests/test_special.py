@@ -8,8 +8,8 @@ import pytest
 
 from oracles import LatticeOracle
 from spincm.errors import PoleError, ValidationError
-from spincm.special import (EllipticLattice, cot_c, l_func, phi_alpha,
-                            sigma_w, wp, wp_prime, zeta_w)
+from spincm.special import (EllipticLattice, cot_c, l_func, lame_parts,
+                            phi_alpha, sigma_w, wp, wp_prime, zeta_w)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,9 @@ def test_laurent_behaviour(lat):
 def test_sigma_exact_zero_on_lattice(lat):
     assert sigma_w(lat, 0.0) == 0.0
     assert sigma_w(lat, 2 * lat.omega1) == 0.0
+    # w + z exactly on the lattice: l vanishes, zeta(w+z) is left unchecked
+    l, _, _, zwz, _ = lame_parts(lat, 0.3 + 0.2j, 2 * lat.omega1 - 0.3 - 0.2j)
+    assert l == 0.0 and not np.isfinite(zwz)
 
 
 def test_pole_errors(lat):
@@ -136,6 +139,47 @@ def test_pole_errors(lat):
             fn(lat, 2 * lat.omega1 + 1e-12)
     with pytest.raises(PoleError):
         l_func(lat, 1e-12, 0.3)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_lame_parts_match_per_argument_evaluators(lat, N):
+    """lame_parts on the root values of a point (w) against a spread of z,
+    entry by entry: l against three separate sigma_w calls, the zetas
+    against zeta_w and wp(z) against wp; some w + z leave the cell."""
+    rng = np.random.default_rng(30 + N)
+    off = ~np.eye(N, dtype=bool)
+    while True:
+        x, y = rng.uniform(-0.45, 0.45, (2, N))
+        q = 2 * lat.omega1 * x + 2 * lat.omega2 * y
+        w = (q[:, None] - q[None, :])[off]
+        if lat.lattice_distance(w).min() >= 0.05:
+            break
+    W, Z = w[None, :], rand_z(lat, rng, 7)[:, None]
+    l, zw, zz, zwz, wpz = lame_parts(lat, W, Z)
+    assert l.shape == zwz.shape == (7, w.size)
+    refs = ((l, -sigma_w(lat, W + Z) / (sigma_w(lat, W) * sigma_w(lat, Z))),
+            (zw, zeta_w(lat, W)), (zz, zeta_w(lat, Z)),
+            (zwz, zeta_w(lat, W + Z)), (wpz, wp(lat, Z)))
+    for mine, ref in refs:
+        mine, ref = np.broadcast_arrays(mine, ref)
+        assert np.all(np.abs(mine - ref) <= 1e-13 * np.abs(ref))
+    _, m, n = lat.reduce(W + Z)
+    assert np.any((m != 0) | (n != 0))  # the reduction moved some w + z
+
+
+def test_lame_parts_vs_lattice_sum_oracle(lat, oracle):
+    """Same tolerance as test_theta_vs_lattice_sum_oracle."""
+    ws = np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.45 - 0.3j])
+    zs = np.array([0.2 - 0.35j, 0.35 + 0.15j])
+    l, zw, zz, zwz, wpz = lame_parts(lat, ws[None, :], zs[:, None])
+    for a, z in enumerate(zs):
+        for b, w in enumerate(ws):
+            lref = -oracle.sigma(w + z) / (oracle.sigma(w) * oracle.sigma(z))
+            for mine, ref in ((l[a, b], lref), (zw[0, b], oracle.zeta(w)),
+                              (zz[a, 0], oracle.zeta(z)),
+                              (zwz[a, b], oracle.zeta(w + z)),
+                              (wpz[a, 0], oracle.wp(z))):
+                assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_l_func_identities(lat):
