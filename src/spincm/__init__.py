@@ -12,11 +12,10 @@ from .liecore import (LieContext, RootSubset, build_sl_context, delta_subset,
                       pi_subset, validate_root_subset)
 from .models import (ModelSpec, PhasePoint, ReducedPoint, elliptic_model,
                      eom, hamiltonian, lax, lax_limit, rational_model,
-                     reduce_point, reduced_eom, reduced_hamiltonian,
-                     trig_model)
+                     reduce_point, reduced_eom, trig_model)
 from .rk import Trajectory, audit, integrate
-from .solver_rational import solve_rational, solve_rational_reduced
-from .solver_trig import solve_trig, solve_trig_reduced
+from .solver_rational import solve_rational
+from .solver_trig import solve_trig
 from .special import EllipticLattice
 from .spectral import branch_count_genus, char_poly_coeffs, gauge_lax, genericity_check
 
@@ -25,8 +24,7 @@ __all__ = [
     "pi_subset", "validate_root_subset", "ModelSpec", "PhasePoint",
     "ReducedPoint", "elliptic_model", "eom", "hamiltonian", "lax",
     "lax_limit", "rational_model", "reduce_point", "reduced_eom",
-    "reduced_hamiltonian", "trig_model", "Trajectory", "audit", "integrate",
-    "solve_rational", "solve_rational_reduced", "solve_trig",
-    "solve_trig_reduced", "EllipticLattice", "branch_count_genus",
+    "trig_model", "Trajectory", "audit", "integrate", "solve_rational",
+    "solve_trig", "EllipticLattice", "branch_count_genus",
     "char_poly_coeffs", "gauge_lax", "genericity_check",
 ]

@@ -24,8 +24,8 @@ from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
                      _check_z_regular, check_regular, model_from_json_dict)
 from .presets import load_preset, preset_names
 from .rk import audit, default_z_samples, integrate, trajectory_csv_lines
-from .solver_rational import solve_rational, solve_rational_reduced
-from .solver_trig import solve_trig, solve_trig_reduced
+from .solver_rational import solve_rational
+from .solver_trig import solve_trig
 from .spectral import _count_branch_points, genericity_check
 
 EXIT_OK = 0
@@ -160,11 +160,8 @@ def _exact(spec, pt, params):
     """(trajectory, factorization or None) of the family's exact solver at
     the error tolerance --tol; a reduced point gives no factorization."""
     times = np.linspace(0.0, params["t_end"], int(params["samples"]))
-    full, reduced = {"rational": (solve_rational, solve_rational_reduced),
-                     "trigonometric": (solve_trig, solve_trig_reduced)}[spec.family]
-    if isinstance(pt, ReducedPoint):
-        return reduced(spec, pt, times, params["tol"]), None
-    return full(spec, pt, times, params["tol"])
+    solve = {"rational": solve_rational, "trigonometric": solve_trig}[spec.family]
+    return solve(spec, pt, times, params["tol"])
 
 
 def cmd_exact(args):

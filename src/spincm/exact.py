@@ -20,7 +20,8 @@ always ends in a BreakdownError, never in a silent state.
 ``solve`` checks the input, runs the transport over the output grid, writes
 the state at each output time as a row of the trajectory's packed array,
 records the factors, keeps the diagnostics and attaches the partial results
-to a ``BreakdownError``.  A family supplies
+to a ``BreakdownError``; a ``ReducedPoint`` is solved from its lift xi0 := s0
+with each row written through the gauge reduction.  A family supplies
 ``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and its
 exact derivative; log0 is None when l = d, else l(0) = log d(0); ``node(t)``
 returns M(t) and a map ``(k, l) -> ((q, p, xi), residuals, factors)`` to the
@@ -30,7 +31,7 @@ one factor per field of its ``Factorization``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import zgesv
@@ -39,8 +40,8 @@ from .continuation import (GAP_COLLIDE, _discriminant, block_eigvals,
                            block_gap, locate_collision, same_block)
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
-from .models import (PhasePoint, _check_momentum_zero, check_regular,
-                     check_state)
+from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
+                     check_regular, check_state)
 from .rk import Trajectory, check_tol, dp5
 
 
@@ -182,13 +183,18 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     """Exact flow of a `family` model through pt0 at the given output times,
     with the transport integrated at error tolerance `tol`.
 
-    Returns (Trajectory, factorization).  On an eigenvalue collision raises
-    BreakdownError carrying the collision time and the partial results.
+    Returns (Trajectory, factorization); for a ReducedPoint pt0, the reduced
+    trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
+    On an eigenvalue collision raises BreakdownError carrying the collision
+    time and the partial results.
     """
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
                               f"ModelSpec")
     check_tol(tol)
+    reduced = isinstance(pt0, ReducedPoint)
+    if reduced:
+        pt0 = PhasePoint(q=pt0.q, p=pt0.p, xi=pt0.s)
     _check_momentum_zero(pt0)
     check_regular(spec, pt0.q)
     times = _validate_times(times)
@@ -200,10 +206,13 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     columns = [[] for _ in fields(factorization)[1:-1]]
 
     def record(i, result):
-        state, residuals, factors = result
+        (q, p, xi), residuals, factors = result
         for key, val in residuals.items():
             worst[key] = max(worst.get(key, 0.0), val)
-        y[i] = np.concatenate([v.ravel() for v in check_state(*state)])
+        # diag s = diag xi: the reduced check is at least as strict
+        state = (check_state(q, p, reduce_gauge(spec.ctx, xi), reduced=True)
+                 if reduced else check_state(q, p, xi))
+        y[i] = np.concatenate([v.ravel() for v in state])
         for col, fac in zip(columns, factors):
             col.append(fac)
 
@@ -211,34 +220,11 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
                              log0, record)
     diags.update(worst)
     ts = times[:len(columns[0])]  # the rows recorded
-    traj = Trajectory(times=ts, y=y[:ts.size], reduced=False,
+    traj = Trajectory(times=ts, y=y[:ts.size], reduced=reduced,
                       provenance=provenance, stats=dict(diags))
-    fact = factorization(ts, *columns, diagnostics=diags)
+    fact = None if reduced else factorization(ts, *columns, diagnostics=diags)
     if error is not None:
         traj.breakdown_time = error.time
         error.partial, error.factors = traj, fact
         raise error
     return traj, fact
-
-
-def solve_reduced(solve_full, spec, rpt0, times, tol=1e-10):
-    """Reduced exact flow: lift s0 to xi0 := s0 (g(s0) = identity), solve with
-    `solve_full`, and push each state through the gauge reduction."""
-    pt0 = PhasePoint(q=rpt0.q, p=rpt0.p, xi=rpt0.s)
-    try:
-        traj, _fact = solve_full(spec, pt0, times, tol)
-    except BreakdownError as exc:
-        exc.factors = None  # full-space factors, not those of the reduced flow
-        if exc.partial is not None:
-            exc.partial = _reduce_traj(spec.ctx, exc.partial)
-        raise
-    return _reduce_traj(spec.ctx, traj)
-
-
-def _reduce_traj(ctx, traj):
-    """traj with xi replaced by s = g(xi)^-1 xi g(xi) in every row, under the
-    checks of a reduced point."""
-    y = traj.y.copy()
-    for row, q, p, xi in zip(y, traj.q, traj.p, traj.xi):
-        row[2 * ctx.N:] = check_state(q, p, reduce_gauge(ctx, xi), reduced=True)[2].ravel()
-    return replace(traj, y=y, reduced=True, stats=dict(traj.stats))

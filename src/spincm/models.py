@@ -2,7 +2,8 @@
 
 Hamiltonians, Lax operators L(q,p,xi)(z), limiting Lax values, Hamiltonian
 vector fields on the full and reduced phase spaces, and the closed-form
-r-matrix actions (R(q)M)(z) entering the Lax equations.
+r-matrix actions (R(q)M)(z) entering the Lax equations.  The reduced field is
+the full field at the lift xi := s projected onto the gauge slice s_{a_i} = 1.
 
 All three families share the shape
 
@@ -306,7 +307,8 @@ def _c0(spec):
 # ---------------------------------------------------------------------------
 
 def hamiltonian(spec, pt):
-    """Closed-form Hamiltonian of the family at a regular point."""
+    """Closed-form Hamiltonian of the family at a regular point; also the
+    reduced one at the lift xi := s (diag s = 0 zeroes the c0 term)."""
     K, _ = _kernel_matrices(spec, pt.q)
     xi = pt.xi
     h = 0.5 * np.sum(pt.p**2) - 0.5 * np.sum(K * xi * xi.T)
@@ -325,48 +327,27 @@ def _grad_xi(spec, K, xi):
     return G
 
 
+def _field(spec, q, p, m):
+    """(q_dot, p_dot, m_dot) of the full vector field at (q, p, xi = m)."""
+    K, Kp = _kernel_matrices(spec, q)
+    W = Kp * m * m.T
+    pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
+    G = _grad_xi(spec, K, m)
+    return p.copy(), pdot, m @ G - G @ m
+
+
 def eom(spec, pt):
     """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field."""
-    K, Kp = _kernel_matrices(spec, pt.q)
-    xi = pt.xi
-    W = Kp * xi * xi.T
-    pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
-    G = _grad_xi(spec, K, xi)
-    xidot = xi @ G - G @ xi
-    return pt.p.copy(), pdot, xidot
-
-
-def reduced_hamiltonian(spec, rpt):
-    """Hamiltonian of the reduced system on TU x g_red."""
-    K, _ = _kernel_matrices(spec, rpt.q)
-    return complex(0.5 * np.sum(rpt.p**2) - 0.5 * np.sum(K * rpt.s * rpt.s.T))
-
-
-def _cartan_correction(spec, K, s):
-    """Diagonal of the Cartan correction sum_{i,j} C_ji X_j h_{a_i} in the
-    reduced vector field, where X_j = sum_{a in A, a_j - a in Delta}
-    N_{a, a_j - a} kappa_a s_a s_{a_j - a}."""
-    N = spec.ctx.N
-    X = np.zeros(N - 1, dtype=complex)
-    Ks = K * s
-    for j in range(N - 1):
-        for b in range(N):
-            if b != j and b != j + 1:
-                X[j] += Ks[j, b] * s[b, j + 1]  # alpha = (j, b), N = +1
-                X[j] -= Ks[b, j + 1] * s[j, b]  # alpha = (b, j+1), N = -1
-    return coroot_diagonal(spec.ctx, X)
+    return _field(spec, pt.q, pt.p, pt.xi)
 
 
 def reduced_eom(spec, rpt):
-    """(q_dot, p_dot, s_dot) with s_dot = [s, M]; M carries the Cartan
-    correction that keeps s_{a_i} = 1 along the flow."""
-    K, Kp = _kernel_matrices(spec, rpt.q)
-    s = rpt.s
-    W = Kp * s * s.T
-    pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
-    M = -(K * s) + np.diag(_cartan_correction(spec, K, s))
-    sdot = s @ M - M @ s
-    return rpt.p.copy(), pdot, sdot
+    """(q_dot, p_dot, s_dot) on TU x g_red: the full field at the lift xi := s,
+    projected onto the gauge slice by adding [s, D] with the diagonal
+    D = coroot_diagonal(s_dot_{a_i}), which makes s_dot_{a_i} = 0."""
+    qd, pd, sd = _field(spec, rpt.q, rpt.p, rpt.s)
+    d = coroot_diagonal(spec.ctx, np.diagonal(sd, 1))
+    return qd, pd, sd + rpt.s * (d[None, :] - d[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +421,7 @@ def lax_pair(spec, pt, zs):
     N = spec.ctx.N
     xi = pt.xi
     m = spec.mask_active
-    l, _, zz, zwz, wpz = special.lame_parts(
+    l, _, zz, ldz, wpz = special.lame_parts(
         spec.lattice, alpha_matrix(pt.q)[m][None, :], zs[:, None])
     L = np.zeros((zs.size, N, N), dtype=complex)
     dL = np.zeros_like(L)
@@ -448,7 +429,7 @@ def lax_pair(spec, pt, zs):
     L[:, diag, diag] = pt.p + zz * np.diag(xi)
     L[:, m] -= l * xi[m]
     dL[:, diag, diag] = -wpz * np.diag(xi)
-    dL[:, m] -= l * (zwz - zz) * xi[m]
+    dL[:, m] -= ldz * xi[m]
     return L, dL
 
 
@@ -527,9 +508,10 @@ def r_action_on_M(spec, pt, z):
         return out
 
     m = spec.mask_active
-    l, zw, zz, zwz, _ = special.lame_parts(spec.lattice, A[m], z)
+    l, zw, zz, ldz, _ = special.lame_parts(spec.lattice, A[m], z)
     out = 0.5 * M - zz * np.diag(pt.p)
-    out[m] += l * (zw + zz - zwz) * xi[m]
+    # l (zeta(w) + zeta(z) - zeta(w+z)), with l zeta(w+z) = dl/dz + l zeta(z)
+    out[m] += (l * zw - ldz) * xi[m]
     return out
 
 

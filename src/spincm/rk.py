@@ -23,7 +23,7 @@ from .continuation import best_assignment
 from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
                      eom, hamiltonian, lax_batch, reduced_eom,
-                     reduced_hamiltonian, singular_distance)
+                     singular_distance)
 
 SINGULAR_MARGIN = 1e-6
 
@@ -254,6 +254,9 @@ class InvariantReport:
 def audit(spec, traj, z_samples=None):
     """Energy, momentum norm and Lax eigenvalues along a trajectory, with drifts.
 
+    A reduced trajectory is audited at its lift xi := s; its momentum norm
+    is that of diag s, 0 on the slice.
+
     None of these can see a constant torus conjugation xi -> h xi h^-1 (h
     diagonal), which maps solutions on J^-1(0) to solutions; only a
     comparison of xi with an independent solution (``compare``'s sup_xi)
@@ -262,10 +265,9 @@ def audit(spec, traj, z_samples=None):
     if z_samples is None:
         z_samples = default_z_samples(spec)
     T = len(traj.y)
-    H = reduced_hamiltonian if traj.reduced else hamiltonian
-    energy = np.array([H(spec, traj.point(it)) for it in range(T)])
-    mom = np.zeros(T) if traj.reduced else np.array(
-        [np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
+    energy = np.array([hamiltonian(spec, traj.point(it, PhasePoint))
+                       for it in range(T)])
+    mom = np.array([np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
     eigs = np.linalg.eigvals([lax_batch(spec, traj.point(it, PhasePoint), z_samples)
                               for it in range(T)])
     for k, ev in enumerate(eigs[0]):

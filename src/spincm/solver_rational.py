@@ -40,7 +40,8 @@ def solve_rational(spec, pt0, times, tol=1e-10):
     """Exact rational flow through pt0 in J^-1(0) at the given output times,
     transported at error tolerance `tol`.
 
-    Returns (Trajectory, RationalFactorization).  On an eigenvalue collision
+    Returns (Trajectory, RationalFactorization), or for a ReducedPoint pt0 a
+    reduced Trajectory and None (``exact.solve``).  On an eigenvalue collision
     raises BreakdownError carrying the collision time and the partial results.
     """
     return exact.solve(spec, pt0, times, tol, family="rational",
@@ -69,9 +70,3 @@ def _setup(spec, pt0):
         return Q0 + t * Linf, finish
 
     return (lambda t: (Q0 + t * Linf, Linf)), None, node
-
-
-def solve_rational_reduced(spec, rpt0, times, tol=1e-10):
-    """Reduced exact flow: lift s0 to xi0 := s0 (g(s0) = identity), solve, and
-    push each state through the gauge reduction."""
-    return exact.solve_reduced(solve_rational, spec, rpt0, times, tol)

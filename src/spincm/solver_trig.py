@@ -92,8 +92,9 @@ def solve_trig(spec, pt0, times, tol=1e-10):
     """Exact trigonometric flow through pt0 in J^-1(0) at the given times,
     transported at error tolerance `tol`.
 
-    Returns (Trajectory, TrigFactorization).  Raises BreakdownError on Levi
-    eigenvalue collision, and flags an internal error if the two sign
+    Returns (Trajectory, TrigFactorization), or for a ReducedPoint pt0 a
+    reduced Trajectory and None (``exact.solve``).  Raises BreakdownError on
+    Levi eigenvalue collision, and flags an internal error if the two sign
     branches of p(t) disagree beyond 1e-8.
     """
     return exact.solve(spec, pt0, times, tol, family="trigonometric",
@@ -140,8 +141,3 @@ def _setup(spec, pt0):
         return np.linalg.solve(gm, e2iq0[:, None] * gp), finish
 
     return path, 2j * pt0.q, node
-
-
-def solve_trig_reduced(spec, rpt0, times, tol=1e-10):
-    """Reduced exact flow: lift s0 to xi0 := s0, solve, reduce each state."""
-    return exact.solve_reduced(solve_trig, spec, rpt0, times, tol)

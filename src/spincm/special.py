@@ -8,9 +8,10 @@ derivatives come from one product of a fixed (4, 2*nmax) coefficient array with
 the stacked sines and cosines, so wp and wp' at the same reduced points cost one
 series pass (``EllipticLattice._wp_pair``).  sigma, zeta = sigma'/sigma and,
 when asked, wp at one argument set cost one reduction and one pass over the
-leading rows (``EllipticLattice._sigma_zeta``); ``lame_parts`` gives l(w,z),
-zeta(w), zeta(z), zeta(w+z) and wp(z) -- all that the elliptic L(z), dL/dz and
-r-matrix action need -- from one such pass per argument set.  Points closer
+leading rows (``EllipticLattice._sigma_zeta``), which also gives sigma' with no
+division by theta_1; ``lame_parts`` gives l(w,z), zeta(w), zeta(z), d/dz l(w,z)
+and wp(z) -- all that the elliptic L(z), dL/dz and r-matrix action need -- from
+one such pass per argument set.  Points closer
 than POLE_TOL to a pole raise PoleError.
 """
 
@@ -192,21 +193,24 @@ class EllipticLattice:
 
     # -- evaluators -----------------------------------------------------------
     def _sigma_zeta(self, z, wp=False):
-        """(z0, sigma, zeta) at the array z -- with wp appended when `wp` --
-        from one reduction and one product of the leading series rows; z0 is
-        the reduced z, for pole checks.  Unchecked: on a lattice point sigma
-        is exactly 0 and zeta, wp are not finite."""
+        """(z0, sigma, sigma', zeta) at the array z -- with wp appended when
+        `wp` -- from one reduction and one product of the leading series rows;
+        z0 is the reduced z, for pole checks.  Unchecked: on a lattice point
+        sigma is exactly 0, sigma' finite and zeta, wp are not finite."""
         z0, m, n = self.reduce(z)
         th = self._theta_rows(self._v(z0), 3 if wp else 2)
         eta = 2.0 * self.eta1 * m + 2.0 * self.eta2 * n
-        base = (2 * self.omega1 / math.pi) * np.exp(
-            self.eta1 * z0**2 / (2 * self.omega1)) * th[0] / self._th1p0
+        gauss = np.exp(self.eta1 * z0**2 / (2 * self.omega1))
+        base = (2 * self.omega1 / math.pi) * gauss * th[0] / self._th1p0
         fac = (-1.0) ** (m + n + m * n) * np.exp(
             eta * (z0 + m * self.omega1 + n * self.omega2))
         c = math.pi / (2 * self.omega1)
+        lin = self.eta1 * z0 / self.omega1 + eta
+        # sigma' = sigma zeta, with no division by th1: base holds th1
+        dsigma = fac * (base * lin + gauss * th[1] / self._th1p0)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = th[1:] / th[0]  # th1' / th1 (and th1'' / th1)
-            out = (z0, base * fac, self.eta1 * z0 / self.omega1 + c * r[0] + eta)
+            out = (z0, base * fac, dsigma, self.eta1 * z0 / self.omega1 + c * r[0] + eta)
             if wp:
                 out += (-self.eta1 / self.omega1 - c**2 * (r[1] - r[0]**2),)
         return out
@@ -239,7 +243,7 @@ def wp_prime(lat, z):
 def zeta_w(lat, z):
     """Weierstrass zeta function (quasi-periodic: zeta(z+2w_i) = zeta(z) + 2 eta_i)."""
     arr, scalar = _as_array(z)
-    z0, _, out = lat._sigma_zeta(arr)
+    z0, _, _, out = lat._sigma_zeta(arr)
     lat._check_pole(z0, "zeta")
     return complex(out) if scalar else out
 
@@ -252,21 +256,22 @@ def sigma_w(lat, z):
 
 
 def lame_parts(lat, w, z):
-    """(l(w,z), zeta(w), zeta(z), zeta(w+z), wp(z)) with w + z broadcast, from
-    one reduction and one theta pass per argument set (w, z, w+z).
+    """(l(w,z), zeta(w), zeta(z), d/dz l(w,z), wp(z)) with w + z broadcast,
+    from one reduction and one theta pass per argument set (w, z, w+z).
 
-    l(w,z) = -sigma(w+z) / (sigma(w) sigma(z)); PoleError, as from l_func,
-    when w or z is within POLE_TOL of a lattice point.  zeta(w+z) is not
-    checked: where w + z is exactly a lattice point it is not finite, while
-    l vanishes there."""
+    l(w,z) = -sigma(w+z) / (sigma(w) sigma(z)) and
+    d/dz l = -sigma'(w+z) / (sigma(w) sigma(z)) - l zeta(z), both finite also
+    where w + z is a lattice point; PoleError, as from l_func, when w or z is
+    within POLE_TOL of a lattice point."""
     warr = np.asarray(w, dtype=complex)
     zarr = np.asarray(z, dtype=complex)
-    w0, sw, zw = lat._sigma_zeta(warr)
-    z0, sz, zz, wpz = lat._sigma_zeta(zarr, wp=True)
+    w0, sw, _, zw = lat._sigma_zeta(warr)
+    z0, sz, _, zz, wpz = lat._sigma_zeta(zarr, wp=True)
     lat._check_pole(w0, "l(w,z) in w")
     lat._check_pole(z0, "l(w,z) in z")
-    _, swz, zwz = lat._sigma_zeta(warr + zarr)
-    return -swz / (sw * sz), zw, zz, zwz, wpz
+    _, swz, dswz, _ = lat._sigma_zeta(warr + zarr)
+    l = -swz / (sw * sz)
+    return l, zw, zz, -dswz / (sw * sz) - l * zz, wpz
 
 
 def l_func(lat, w, z):
@@ -277,5 +282,4 @@ def l_func(lat, w, z):
 
 def l_func_dz(lat, w, z):
     """d/dz l(w,z) = l(w,z) (zeta(w+z) - zeta(z))."""
-    l, _, zz, zwz, _ = lame_parts(lat, w, z)
-    return l * (zwz - zz)
+    return lame_parts(lat, w, z)[3]

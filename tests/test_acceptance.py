@@ -19,8 +19,8 @@ from spincm.models import (PhasePoint, ReducedPoint, contour_hamiltonian,
                            lax_residual, rational_model, reduce_point,
                            trig_model, alpha_matrix)
 from spincm.rk import audit, default_z_samples, integrate
-from spincm.solver_rational import solve_rational, solve_rational_reduced
-from spincm.solver_trig import solve_trig, solve_trig_reduced
+from spincm.solver_rational import solve_rational
+from spincm.solver_trig import solve_trig
 from spincm.special import (EllipticLattice, l_func, sigma_w, wp, wp_prime,
                             zeta_w)
 from spincm.spectral import branch_count_genus, char_poly_coeffs, gauge_lax
@@ -178,13 +178,13 @@ def test_criterion_5_rational_exact():
     # reduced variant against the reduced-equations oracle
     spec2 = cases[0][0]
     rpt = ReducedPoint(q=[1, -1], p=[2, -2], s=E12 + 0.8 * E21)
-    trr = solve_rational_reduced(spec2, rpt, times)
+    trr = solve_rational(spec2, rpt, times)[0]
     tror = integrate(spec2, rpt, 1.0, samples=101, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(trr, tror, attr) <= 1e-6
     spec3 = cases[2][0]
     rpt3 = random_reduced(spec3, np.random.default_rng(507), scale=0.4)
-    trr3 = solve_rational_reduced(spec3, rpt3, np.linspace(0, 1, 51))
+    trr3 = solve_rational(spec3, rpt3, np.linspace(0, 1, 51))[0]
     tror3 = integrate(spec3, rpt3, 1.0, samples=51, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(trr3, tror3, attr) <= 1e-6
@@ -222,12 +222,12 @@ def test_criterion_6_trig_exact():
                 assert np.abs(dL - (Ls[m] @ G - G @ Ls[m])).max() <= 1e-5
     # reduced variants
     rpt2 = ReducedPoint(q=[np.pi / 8, -np.pi / 8], p=[1, -1], s=E12 + 0.8 * E21)
-    trr = solve_trig_reduced(spec2, rpt2, times)
+    trr = solve_trig(spec2, rpt2, times)[0]
     tror = integrate(spec2, rpt2, 0.5, samples=101, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(trr, tror, attr) <= 1e-5
     rpt3 = random_reduced(spec3, np.random.default_rng(607), scale=0.3)
-    trr3 = solve_trig_reduced(spec3, rpt3, np.linspace(0, 0.5, 51))
+    trr3 = solve_trig(spec3, rpt3, np.linspace(0, 0.5, 51))[0]
     tror3 = integrate(spec3, rpt3, 0.5, samples=51, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(trr3, tror3, attr) <= 1e-5
@@ -251,14 +251,14 @@ def test_criterion_7_reduction_compatibility():
     rpt = random_reduced(spec_r, np.random.default_rng(708), scale=0.35)
     tr_full, _ = solve_rational(spec_r, PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s),
                                 times)
-    tr_red = solve_rational_reduced(spec_r, rpt, times)
+    tr_red = solve_rational(spec_r, rpt, times)[0]
     for i in range(len(times)):
         assert np.abs(reduce_point(spec_r.ctx, tr_full.point(i)).s - tr_red.xi[i]).max() <= 1e-6
     spec_t = trig_model(build_sl_context(3), pi_subset([0]))
     rpt = random_reduced(spec_t, np.random.default_rng(709), scale=0.3)
     tr_full, _ = solve_trig(spec_t, PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s),
                             times)
-    tr_red = solve_trig_reduced(spec_t, rpt, times)
+    tr_red = solve_trig(spec_t, rpt, times)[0]
     for i in range(len(times)):
         assert np.abs(reduce_point(spec_t.ctx, tr_full.point(i)).s - tr_red.xi[i]).max() <= 1e-6
 

@@ -10,13 +10,13 @@ from sampling import random_point, random_reduced
 from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
-from spincm.models import (PhasePoint, ReducedPoint, _cartan_correction,
+from spincm.models import (PhasePoint, ReducedPoint,
                            _kernel_matrices, alpha_matrix, check_regular,
                            contour_hamiltonian, elliptic_model,
                            eom, hamiltonian, lax, lax_batch, lax_limit,
                            lax_pair, lax_residual,
                            r_action_on_M, rational_model, reduce_point,
-                           reduced_eom, reduced_hamiltonian, trig_model)
+                           reduced_eom, trig_model)
 from spincm.rk import integrate
 from spincm.special import EllipticLattice, cot_c, wp, wp_prime
 from spincm.spectral import _sheet_partials
@@ -280,10 +280,13 @@ def test_momentum_conserved_on_level_set(families, family):
 # -- reduced system -------------------------------------------------------------
 
 def test_reduced_cartan_correction_empty_for_sl2(spec_r2):
+    """At N = 2 the full field keeps s_(a_1) = 1, so the projection adds
+    nothing: reduced_eom is eom of the lift xi := s, bit for bit."""
     rng = np.random.default_rng(4)
     rpt = random_reduced(spec_r2, rng)
-    K, _ = _kernel_matrices(spec_r2, rpt.q)
-    assert np.abs(_cartan_correction(spec_r2, K, rpt.s)).max() == 0.0
+    lift = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
+    for mine, full in zip(reduced_eom(spec_r2, rpt), eom(spec_r2, lift)):
+        assert np.array_equal(mine, full)
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -299,34 +302,26 @@ def test_reduced_flow_stays_in_g_red(families, family):
 
 
 def test_reduced_eom_matches_reduction_of_full_flow(families):
-    """s_dot from reduced_eom == d/dt of g(xi)^-1 xi g(xi) along the full flow."""
-    spec = families["rational"]
+    """s_dot from reduced_eom == d/dt of g(xi)^-1 xi g(xi) along the full flow,
+    for every family (the trigonometric one has the c0 term)."""
     rng = np.random.default_rng(6)
     delta = 1e-5
-    for _ in range(5):
-        rpt = random_reduced(spec, rng)
-        pt = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)  # lift: g(s) = identity
-        # central difference along the straight lines x +/- delta f(x)
-        f = eom(spec, pt)
-        plus, minus = (reduce_point(spec.ctx, PhasePoint(
-            q=pt.q + h * f[0], p=pt.p + h * f[1], xi=pt.xi + h * f[2]))
-            for h in (delta, -delta))
-        fd_s = (plus.s - minus.s) / (2 * delta)
-        fd_q = (plus.q - minus.q) / (2 * delta)
-        fd_p = (plus.p - minus.p) / (2 * delta)
-        qd, pd, sd = reduced_eom(spec, rpt)
-        assert np.abs(sd - fd_s).max() < 1e-6
-        assert np.abs(qd - fd_q).max() < 1e-6
-        assert np.abs(pd - fd_p).max() < 1e-6
-
-
-def test_reduced_hamiltonian_matches_lift(families):
-    rng = np.random.default_rng(7)
     for spec in families.values():
-        rpt = random_reduced(spec, rng)
-        lift = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
-        assert abs(reduced_hamiltonian(spec, rpt)
-                   - hamiltonian(spec, lift)) < 1e-12
+        for _ in range(5):
+            rpt = random_reduced(spec, rng)
+            pt = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)  # lift: g(s) = identity
+            # central difference along the straight lines x +/- delta f(x)
+            f = eom(spec, pt)
+            plus, minus = (reduce_point(spec.ctx, PhasePoint(
+                q=pt.q + h * f[0], p=pt.p + h * f[1], xi=pt.xi + h * f[2]))
+                for h in (delta, -delta))
+            fd_s = (plus.s - minus.s) / (2 * delta)
+            fd_q = (plus.q - minus.q) / (2 * delta)
+            fd_p = (plus.p - minus.p) / (2 * delta)
+            qd, pd, sd = reduced_eom(spec, rpt)
+            assert np.abs(sd - fd_s).max() < 1e-6
+            assert np.abs(qd - fd_q).max() < 1e-6
+            assert np.abs(pd - fd_p).max() < 1e-6
 
 
 def test_reduce_point_requires_U(spec_r2):
@@ -462,14 +457,13 @@ def test_elliptic_kernels_match_lattice_sum_oracle(lat):
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("fn", [eom, reduced_eom, hamiltonian, reduced_hamiltonian])
+@pytest.mark.parametrize("fn", [eom, reduced_eom, hamiltonian])
 def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn):
     """One elliptic RHS or Hamiltonian: 1 lattice reduction, 1 theta pass, and
     no call to the per-root wp / wp'."""
     spec = elliptic_model(ctx(3), lat)
     rpt = random_reduced(spec, np.random.default_rng(12))
-    pt = rpt if fn in (reduced_eom, reduced_hamiltonian) else \
-        PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
+    pt = rpt if fn is reduced_eom else PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
     counts = {"reduce": 0, "_theta_ratios": 0}
     for name in counts:
         orig = getattr(EllipticLattice, name)
@@ -538,8 +532,7 @@ def test_kernel_pass_checks_regularity(families, family, q, root):
     p = np.array([0.1, -0.3, 0.2])
     for fn, pt in ((eom, PhasePoint(q=q, p=p, xi=_S3)),
                    (hamiltonian, PhasePoint(q=q, p=p, xi=_S3)),
-                   (reduced_eom, ReducedPoint(q=q, p=p, s=_S3)),
-                   (reduced_hamiltonian, ReducedPoint(q=q, p=p, s=_S3))):
+                   (reduced_eom, ReducedPoint(q=q, p=p, s=_S3))):
         with pytest.raises(DomainError) as err:
             fn(spec, pt)
         assert str(err.value) == str(ref.value)

@@ -7,11 +7,13 @@ import pytest
 from sampling import random_point, random_reduced
 from spincm.exact import present, transport
 from spincm.errors import BreakdownError, ContractError, ValidationError
-from spincm.liecore import build_sl_context, delta_subset
+from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
-                           r_action_on_M, reduce_point)
+                           r_action_on_M, rational_model, reduce_point,
+                           trig_model)
 from spincm.rk import integrate
-from spincm.solver_rational import solve_rational, solve_rational_reduced
+from spincm.solver_rational import solve_rational
+from spincm.solver_trig import solve_trig
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -236,7 +238,7 @@ def test_reduced_constraint_and_oracles(spec2):
     s0 = E12 + 0.8 * E21
     rpt = ReducedPoint(q=[1, -1], p=[2, -2], s=s0)
     times = np.linspace(0, 1, 51)
-    trr = solve_rational_reduced(spec2, rpt, times)
+    trr = solve_rational(spec2, rpt, times)[0]
     assert np.all(trr.xi[:, 0, 1] == 1.0)
     tro = integrate(spec2, rpt, 1.0, samples=51, tol=1e-12)
     assert sup_gap(trr, tro, "q") <= 1e-6
@@ -248,7 +250,7 @@ def test_reduced_equals_reduction_of_full(spec2):
     s0 = E12 + 0.8 * E21
     rpt = ReducedPoint(q=[1, -1], p=[2, -2], s=s0)
     times = np.linspace(0, 1, 26)
-    trr = solve_rational_reduced(spec2, rpt, times)
+    trr = solve_rational(spec2, rpt, times)[0]
     trf, _ = solve_rational(spec2, PhasePoint(q=rpt.q, p=rpt.p, xi=s0), times)
     for i in range(len(times)):
         red = reduce_point(spec2.ctx, trf.point(i))
@@ -261,10 +263,38 @@ def test_reduced_sl3_matches_reduced_eom():
     spec = rational_model(build_sl_context(3), delta_subset([(0, 1), (1, 0)]))
     rpt = random_reduced(spec, np.random.default_rng(5), scale=0.4)
     times = np.linspace(0, 0.5, 26)
-    trr = solve_rational_reduced(spec, rpt, times)
+    trr = solve_rational(spec, rpt, times)[0]
     tro = integrate(spec, rpt, 0.5, samples=26, tol=1e-12)
     assert sup_gap(trr, tro, "q") <= 1e-6
     assert sup_gap(trr, tro, "xi") <= 1e-6
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric"])
+def test_exact_solve_of_reduced_point_is_reduced_lift(family):
+    """solve_* on a ReducedPoint: each row is reduce_point of the same row of
+    the lift's full solve, bit for bit, and no factorization comes back."""
+    ctx = build_sl_context(3)
+    if family == "rational":
+        spec, solve, seed = rational_model(ctx, full_delta(3)), solve_rational, 708
+    else:
+        spec, solve, seed = trig_model(ctx, pi_subset([0])), solve_trig, 709
+    rpt = random_reduced(spec, np.random.default_rng(seed), scale=0.3)
+    times = np.linspace(0.0, 0.3, 7)
+    trr, fact = solve(spec, rpt, times)
+    trf, _ = solve(spec, PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s), times)
+    assert fact is None and trr.reduced
+    red = [reduce_point(spec.ctx, trf.point(i)) for i in range(len(times))]
+    assert np.array_equal(trr.y, [np.concatenate([r.q, r.p, r.s.ravel()]) for r in red])
+
+
+def test_exact_reduced_breakdown_is_reduced_with_no_factors(spec2):
+    """The reduced breakdown point of the CLI test: the partial trajectory is
+    reduced and the full flow's factors are not attached."""
+    rpt = ReducedPoint(q=[1, -1], p=[-1, 1], s=E12 + E21)
+    with pytest.raises(BreakdownError) as exc:
+        solve_rational(spec2, rpt, np.linspace(0.0, 1.0, 101))
+    assert exc.value.partial.reduced and exc.value.factors is None
+    assert np.all(exc.value.partial.xi[:, 0, 1] == 1.0)
 
 
 def test_reduced_depends_only_on_s0(spec2):
@@ -272,7 +302,7 @@ def test_reduced_depends_only_on_s0(spec2):
     s0 = E12 + 0.8 * E21
     rpt = ReducedPoint(q=[1, -1], p=[2, -2], s=s0)
     times = np.linspace(0, 1, 21)
-    trr = solve_rational_reduced(spec2, rpt, times)
+    trr = solve_rational(spec2, rpt, times)[0]
     h = np.array([np.exp(0.3 + 0.2j), np.exp(-0.3 - 0.2j)])
     xi_other = s0 * np.outer(h, 1.0 / h)
     tr_other, _ = solve_rational(

@@ -128,9 +128,12 @@ def test_laurent_behaviour(lat):
 def test_sigma_exact_zero_on_lattice(lat):
     assert sigma_w(lat, 0.0) == 0.0
     assert sigma_w(lat, 2 * lat.omega1) == 0.0
-    # w + z exactly on the lattice: l vanishes, zeta(w+z) is left unchecked
-    l, _, _, zwz, _ = lame_parts(lat, 0.3 + 0.2j, 2 * lat.omega1 - 0.3 - 0.2j)
-    assert l == 0.0 and not np.isfinite(zwz)
+    # w + z exactly on the lattice: l vanishes and dl/dz = -sigma'(w+z) /
+    # (sigma(w) sigma(z)) is finite, sigma'(2 w1) = -exp(2 eta1 w1)
+    w, z = 0.3 + 0.2j, 2 * lat.omega1 - 0.3 - 0.2j
+    l, _, _, ldz, _ = lame_parts(lat, w, z)
+    ref = np.exp(2 * lat.eta1 * lat.omega1) / (sigma_w(lat, w) * sigma_w(lat, z))
+    assert l == 0.0 and abs(ldz - ref) <= 1e-13 * abs(ref)
 
 
 def test_pole_errors(lat):
@@ -145,7 +148,8 @@ def test_pole_errors(lat):
 def test_lame_parts_match_per_argument_evaluators(lat, N):
     """lame_parts on the root values of a point (w) against a spread of z,
     entry by entry: l against three separate sigma_w calls, the zetas
-    against zeta_w and wp(z) against wp; some w + z leave the cell."""
+    against zeta_w, dl/dz against l (zeta(w+z) - zeta(z)) from zeta_w (to
+    1e-13 of its terms) and wp(z) against wp; some w + z leave the cell."""
     rng = np.random.default_rng(30 + N)
     off = ~np.eye(N, dtype=bool)
     while True:
@@ -155,14 +159,17 @@ def test_lame_parts_match_per_argument_evaluators(lat, N):
         if lat.lattice_distance(w).min() >= 0.05:
             break
     W, Z = w[None, :], rand_z(lat, rng, 7)[:, None]
-    l, zw, zz, zwz, wpz = lame_parts(lat, W, Z)
-    assert l.shape == zwz.shape == (7, w.size)
-    refs = ((l, -sigma_w(lat, W + Z) / (sigma_w(lat, W) * sigma_w(lat, Z))),
-            (zw, zeta_w(lat, W)), (zz, zeta_w(lat, Z)),
-            (zwz, zeta_w(lat, W + Z)), (wpz, wp(lat, Z)))
-    for mine, ref in refs:
-        mine, ref = np.broadcast_arrays(mine, ref)
-        assert np.all(np.abs(mine - ref) <= 1e-13 * np.abs(ref))
+    l, zw, zz, ldz, wpz = lame_parts(lat, W, Z)
+    assert l.shape == ldz.shape == (7, w.size)
+    lref = -sigma_w(lat, W + Z) / (sigma_w(lat, W) * sigma_w(lat, Z))
+    zwz_ref, zz_ref = zeta_w(lat, W + Z), zeta_w(lat, Z)
+    refs = ((l, lref, np.abs(lref)), (zw, zeta_w(lat, W), np.abs(zeta_w(lat, W))),
+            (zz, zz_ref, np.abs(zz_ref)),
+            (ldz, lref * (zwz_ref - zz_ref), np.abs(lref) * (np.abs(zwz_ref) + np.abs(zz_ref))),
+            (wpz, wp(lat, Z), np.abs(wp(lat, Z))))
+    for mine, ref, scale in refs:
+        mine, ref, scale = np.broadcast_arrays(mine, ref, scale)
+        assert np.all(np.abs(mine - ref) <= 1e-13 * scale)
     _, m, n = lat.reduce(W + Z)
     assert np.any((m != 0) | (n != 0))  # the reduction moved some w + z
 
@@ -171,13 +178,13 @@ def test_lame_parts_vs_lattice_sum_oracle(lat, oracle):
     """Same tolerance as test_theta_vs_lattice_sum_oracle."""
     ws = np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.45 - 0.3j])
     zs = np.array([0.2 - 0.35j, 0.35 + 0.15j])
-    l, zw, zz, zwz, wpz = lame_parts(lat, ws[None, :], zs[:, None])
+    l, zw, zz, ldz, wpz = lame_parts(lat, ws[None, :], zs[:, None])
     for a, z in enumerate(zs):
         for b, w in enumerate(ws):
             lref = -oracle.sigma(w + z) / (oracle.sigma(w) * oracle.sigma(z))
             for mine, ref in ((l[a, b], lref), (zw[0, b], oracle.zeta(w)),
                               (zz[a, 0], oracle.zeta(z)),
-                              (zwz[a, b], oracle.zeta(w + z)),
+                              (ldz[a, b], lref * (oracle.zeta(w + z) - oracle.zeta(z))),
                               (wpz[a, 0], oracle.wp(z))):
                 assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 

@@ -10,7 +10,7 @@ from spincm.liecore import build_sl_context
 from spincm.models import PhasePoint, elliptic_model, lax
 from spincm.rk import default_z_samples, integrate
 from spincm.special import EllipticLattice
-from spincm.spectral import (Z_BLOCK, _branch_function, _winding,
+from spincm.spectral import (GA1_GRID, Z_BLOCK, _branch_function, _winding,
                              branch_count_genus, char_poly_coeffs, gauge_lax,
                              genericity_check, isospectral_drift)
 
@@ -92,6 +92,18 @@ def test_genericity(spec2, pt2):
     assert not rep2.ga2_ok
     d = rep2.to_json_dict()
     assert d["ga2"] is False and d["grid"] == "20x20"
+
+
+def test_ga1_finite_where_root_plus_z_is_a_lattice_point(spec2, lat):
+    """q_1 - q_2 + z is exactly the lattice point 0 at the GA1 grid point
+    (7, 11): there l = 0 and zeta(w+z) is infinite, while dL/dz is finite."""
+    s = (np.arange(GA1_GRID) + 0.61803) / GA1_GRID
+    u = (np.arange(GA1_GRID) + 0.38196) / GA1_GRID
+    g = (2 * s[7] - 1) * lat.omega1 + (2 * u[11] - 1) * lat.omega2
+    pt = PhasePoint(q=[-g / 2, g / 2], p=[0.4, -0.4], xi=E12 + 2 * E21)
+    assert pt.q[0] - pt.q[1] + g == 0.0
+    rep = genericity_check(spec2, pt)
+    assert np.isfinite(rep.ga1_min) and rep.ga1_ok
 
 
 def test_branch_count_genus_sl2(spec2, pt2):
