@@ -112,15 +112,16 @@ GAP_COLLIDE = 1e-6
 
 
 def locate_collision(path, blocks, t_lo, t_hi):
-    """Root-find the within-block discriminant product D(t) by a complex secant
-    iteration.  D is analytic with a simple zero at an eigenvalue collision, so
-    this resolves sqrt-type collisions that pointwise gap thresholds cannot.
+    """Root-find the within-block discriminant product D(t) of the
+    block-diagonal path(t) = M(t) by a complex secant iteration.  D is
+    analytic with a simple zero at an eigenvalue collision, so this resolves
+    sqrt-type collisions that pointwise gap thresholds cannot.
 
     Returns (t_star, collided): the real collision-time estimate and whether
     the located zero is numerically on the real axis inside the bracket.
     """
     def disc(t):
-        return _discriminant(block_eigvals(path(t)[0], blocks), blocks)
+        return _discriminant(block_eigvals(path(t), blocks), blocks)
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)

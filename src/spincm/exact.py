@@ -5,7 +5,7 @@ Both solvers diagonalize a block-diagonal family matrix path
 M(t) = k(t) diag(d(t)) k(t)^-1 and conjugate by k(t).  ``transport``
 integrates Kato's adiabatic transport equation (Kato 1950) for the
 eigenvector matrix k and l = d (or l = log d for a group-valued path) on the
-oracle's Dormand-Prince core ``rk.dp5``.  With B = k^-1 M' k:
+oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
 
     k' = k W,   W_ij = B_ij / (d_j - d_i) for i != j in one block, W_ii = 0,
     l' = diag(B)   (l = d),     or     l' = diag(B) / d   (l = log d).
@@ -17,16 +17,25 @@ turn of D over 2 rad hands the interval to ``continuation.locate_collision``.
 A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
 always ends in a BreakdownError, never in a silent state.
 
+A family supplies ``setup(spec, pt0) -> (path, velocity, log0, node)``:
+``path(t)`` returns M(t), and runs only in collision location;
+``velocity(t, k, d)`` returns B from the transported state alone; log0 is
+None when l = d, else l(0) = log d(0); ``node(t)`` returns M(t) and a map
+``(k, l) -> ((q, p, xi), residuals, factors)`` to the state arrays at t, a
+dict of residuals (their maxima become diagnostics) and one factor per field
+of its ``Factorization``.  The velocity may use M k = k diag(d) in place of
+M(t): when M solves a linear ODE M' = A M + M C, the transported
+M~ = k diag(d) k^-1 solves the same ODE from the same start, so the state
+drifts off M k = k diag(d) only by the integration error.  The polish
+against M(t) at each output time removes that drift from the output, and
+its size before the polish, max |k^-1 M k - diag d| / max(1, |d|), is the
+diagnostic ``eig_residual``.
+
 ``solve`` checks the input, runs the transport over the output grid, writes
 the state at each output time as a row of the trajectory's packed array,
 records the factors, keeps the diagnostics and attaches the partial results
 to a ``BreakdownError``; a ``ReducedPoint`` is solved from its lift xi0 := s0
-with each row written through the gauge reduction.  A family supplies
-``setup(spec, pt0) -> (path, log0, node)``: ``path(t)`` returns M(t) and its
-exact derivative; log0 is None when l = d, else l(0) = log d(0); ``node(t)``
-returns M(t) and a map ``(k, l) -> ((q, p, xi), residuals, factors)`` to the
-state arrays at t, a dict of residuals (their maxima become diagnostics) and
-one factor per field of its ``Factorization``.
+with each row written through the gauge reduction.
 """
 
 from __future__ import annotations
@@ -84,14 +93,23 @@ def _validate_times(times):
     return times
 
 
-def transport(path, node, blocks, times, tol, log0, record):
+def left_divide(k, rhs):
+    """k^-1 rhs for the transported eigenvector matrix k, by LAPACK's solver
+    direct (numpy's wrapper costs twice the solve at these sizes)."""
+    _, _, X, info = zgesv(k, rhs)
+    if info:
+        raise DomainError("singular transported eigenvector matrix")
+    return X
+
+
+def transport(path, velocity, node, blocks, times, tol, log0, record):
     """Kato transport of the eigenvector matrix of a block-diagonal path over
     the output grid `times` (see the module docstring).
 
     At output time i calls ``record(i, node(times[i])[1](k, l))``.  Returns
-    (diagnostics, error): the smallest eigen gap seen, f-evaluations and
-    rejected steps, and a BreakdownError (not raised) if the run ended before
-    times[-1], else None.
+    (diagnostics, error): the smallest eigen gap seen, f-evaluations,
+    rejected steps and the largest eigen residual before the polish, and a
+    BreakdownError (not raised) if the run ended before times[-1], else None.
     """
     blocks = [list(b) for b in blocks]
     M0, finish = node(times[0])
@@ -113,10 +131,7 @@ def transport(path, node, blocks, times, tol, log0, record):
         z = y.view(complex)
         k, ell = z[:nk].reshape(N, N), z[nk:]
         d = eigs(ell)
-        # LAPACK's solver direct: numpy's wrapper costs twice the solve here
-        _, _, B, info = zgesv(k, path(t)[1] @ k)
-        if info:
-            raise DomainError("singular transported eigenvector matrix")
+        B = velocity(t, k, d)
         dl = B.diagonal() / d if group else B.diagonal()
         return np.concatenate([(k @ off_block(B, d)).ravel(), dl]).view(float)
 
@@ -127,11 +142,13 @@ def transport(path, node, blocks, times, tol, log0, record):
         d = eigs(ell)
         R = np.linalg.solve(k, M @ k)
         dr = R.diagonal()
+        run["eig_residual"] = max(run["eig_residual"], float(
+            np.abs(R - np.diag(d)).max() / max(1.0, np.abs(d).max())))
         return k + k @ off_block(R, d), ell + np.log(dr / d) if group else dr.copy()
 
     vals = block_eigvals(M0, blocks)
     run = {"M": M0, "finish": finish, "D": _discriminant(vals, blocks),
-           "gap": block_gap(vals, same), "collision": None}
+           "gap": block_gap(vals, same), "collision": None, "eig_residual": 0.0}
 
     def guard(t, y):
         gap = block_gap(eigs(y.view(complex)[nk:]), same)
@@ -156,7 +173,8 @@ def transport(path, node, blocks, times, tol, log0, record):
                          np.diag(M0) if log0 is None else log0]).astype(complex)
     t, stats, stopped, done = dp5(f, y0.view(float), times, tol, guard, on_sample)
     diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
-             "nrejected": float(stats["nrejected"])}
+             "nrejected": float(stats["nrejected"]),
+             "eig_residual": run["eig_residual"]}
     if not stopped:
         return diags, None
     error = run["collision"]
@@ -173,7 +191,7 @@ def _collision(path, blocks, same, t_lo, t_hi):
     t_star, collided = locate_collision(path, blocks, t_lo, t_hi)
     if not collided:
         return None
-    gap = block_gap(block_eigvals(path(t_star)[0], blocks), same)
+    gap = block_gap(block_eigvals(path(t_star), blocks), same)
     return BreakdownError(f"factorization breakdown: eigenvalue collision at "
                           f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
@@ -199,7 +217,7 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
-    path, log0, node = setup(spec, pt0)
+    path, velocity, log0, node = setup(spec, pt0)
     N = spec.ctx.N
     y = np.empty((times.size, 2 * N + N * N), dtype=complex)
     worst = {}
@@ -216,8 +234,8 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
         for col, fac in zip(columns, factors):
             col.append(fac)
 
-    diags, error = transport(path, node, spec.subset.partition, times, tol,
-                             log0, record)
+    diags, error = transport(path, velocity, node, spec.subset.partition,
+                             times, tol, log0, record)
     diags.update(worst)
     ts = times[:len(columns[0])]  # the rows recorded
     traj = Trajectory(times=ts, y=y[:ts.size], reduced=reduced,

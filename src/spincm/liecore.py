@@ -35,10 +35,6 @@ class LieContext:
     inv_cartan: np.ndarray  # (N-1, N-1)
     x_basis: np.ndarray = field(repr=False)  # (N-1, N, N) orthonormal Cartan basis
 
-    @property
-    def rank(self):
-        return self.N - 1
-
     def root_index(self, pair):
         try:
             return self.roots.index(tuple(pair))
@@ -64,12 +60,6 @@ class LieContext:
         if isinstance(alpha, (int, np.integer)):
             return self.roots[int(alpha)]
         return tuple(alpha)
-
-    def root_value(self, alpha, q):
-        """alpha(q) = q_i - q_j for q a Cartan element given by its diagonal."""
-        i, j = self._pair(alpha)
-        q = np.asarray(q)
-        return q[i] - q[j]
 
     def struct_const(self, alpha, beta):
         """N_{a,b} with [e_a, e_b] = N_{a,b} e_{a+b}; None when a+b is not a root."""

@@ -50,7 +50,8 @@ def solve_rational(spec, pt0, times, tol=1e-10):
 
 
 def _setup(spec, pt0):
-    """M(t) = q0 + t L(inf), and the state map of the module docstring."""
+    """M(t) = q0 + t L(inf), the velocity k^-1 L(inf) k, and the state map of
+    the module docstring."""
     Linf = lax_limit(spec, pt0, "rational_inf")
     Q0 = np.diag(pt0.q)
     mask = spec.mask_active
@@ -69,4 +70,5 @@ def _setup(spec, pt0):
             return (d, np.diag(P), xi_t), residuals, (g, d, h, k)
         return Q0 + t * Linf, finish
 
-    return (lambda t: (Q0 + t * Linf, Linf)), None, node
+    return (lambda t: Q0 + t * Linf,
+            lambda t, k, d: exact.left_divide(k, Linf @ k), None, node)

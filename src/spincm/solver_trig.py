@@ -10,15 +10,23 @@ part Lam_{+/-}, and the Levi conjugation problem is in closed form:
 
 The shared Kato transport of ``exact`` carries an eigenvector matrix k(t) of M
 with Pi_h(k^-1 k') = 0 and l(t) = log d(t), so q(t) = l(t) / 2i with no
-branch tracking; k(t) = x(t) h(t) is the factor k_+(0, t), and
+branch tracking; k(t) = x(t) h(t) is the factor k_+(0, t).  On M k = k d the
+transport velocity is autonomous,
 
+    B = k^-1 M' k = i (k^-1 Lam_- k d + d k^-1 Lam_+ k),
+
+one solve of k against [Lam_- k | Lam_+ k] with no M(t) and no expm; M solves
+a linear ODE, so the drift off M k = k d stays at the integration error (see
+``exact``).  Then
 
     xi(t) = k(t)^-1 xi0 k(t)
     p(t)  = k(t)^-1 L0(+/-i inf) k(t) minus the time-t non-Cartan part of the
             limiting Lax value; both sign branches are computed and compared.
 
 ``parabolic_factor`` runs only at the output times, for the recorded n, g
-and the M(t) whose eigenvalues the transport checks for collisions.
+and the M(t) that polishes the state and whose eigenvalues the transport
+checks for collisions; ``path(t)`` builds M(t) from two expm only for
+collision location.
 """
 
 from __future__ import annotations
@@ -103,7 +111,8 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 
 
 def _setup(spec, pt0):
-    """The closed-form M(t), M'(t) and the state map of the module docstring."""
+    """The closed-form M(t), the velocity B(k, d) and the state map of the
+    module docstring."""
     ctx = spec.ctx
     subset = spec.subset
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
@@ -112,10 +121,14 @@ def _setup(spec, pt0):
     Lam_p, Lam_m = np.where(levi, Lp, 0.0), np.where(levi, Lm, 0.0)
     e2iq0 = np.exp(2j * pt0.q)
     xi0 = pt0.xi
+    N = ctx.N
 
     def path(t):
-        M = expm(1j * t * Lam_m) @ (e2iq0[:, None] * expm(1j * t * Lam_p))
-        return M, 1j * (Lam_m @ M + M @ Lam_p)
+        return expm(1j * t * Lam_m) @ (e2iq0[:, None] * expm(1j * t * Lam_p))
+
+    def velocity(t, k, d):
+        X = exact.left_divide(k, np.concatenate((Lam_m @ k, Lam_p @ k), axis=1))
+        return 1j * (X[:, :N] * d + d[:, None] * X[:, N:])
 
     def node(t):
         np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
@@ -140,4 +153,4 @@ def _setup(spec, pt0):
                     (np_, nm, gp, gm, x, np.exp(logd), h, k))
         return np.linalg.solve(gm, e2iq0[:, None] * gp), finish
 
-    return path, 2j * pt0.q, node
+    return path, velocity, 2j * pt0.q, node

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
-from spincm.exact import present, transport
+from spincm.exact import left_divide, present, transport
 from spincm.errors import BreakdownError, ContractError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
@@ -46,8 +46,9 @@ def run_transport(M, Mdot, blocks, times, tol=1e-12):
     def node(t):
         return M(t), lambda k, d: (k, d)
 
-    diags, error = transport(lambda t: (M(t), Mdot), node, blocks, times, tol,
-                             None, lambda i, kd: out.append((times[i],) + kd))
+    diags, error = transport(M, lambda t, k, d: left_divide(k, Mdot @ k), node,
+                             blocks, times, tol, None,
+                             lambda i, kd: out.append((times[i],) + kd))
     assert error is None and diags["nfev"] > 1
     return out
 
@@ -115,7 +116,9 @@ def test_diagonalize_continuation():
         return path(t)[0], lambda k, d: (k, d)
 
     times = np.array([0.0, 0.5, 1.0, 1.01])
-    diags, error = transport(path, node, ((0, 1),), times, 1e-12, None,
+    diags, error = transport(lambda t: path(t)[0],
+                             lambda t, k, d: left_divide(k, path(t)[1] @ k),
+                             node, ((0, 1),), times, 1e-12, None,
                              lambda i, kd: out.append((times[i],) + kd))
     assert error is None
     (_, k0, d0), (_, k1, d1) = out[-2], out[-1]

@@ -6,9 +6,9 @@ import pytest
 from scipy.linalg import expm
 
 from sampling import random_point, random_reduced
-from spincm import solver_trig
+from spincm import exact, solver_trig
 from spincm.errors import BreakdownError, ValidationError
-from spincm.exact import transport
+from spincm.exact import left_divide, transport
 from spincm.liecore import build_sl_context, pi_subset, validate_root_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            reduce_point, trig_model)
@@ -99,8 +99,9 @@ def test_cartan_log_unwraps_free_path():
         return Mfun(t), lambda k, logd: logd
 
     times = np.linspace(0, 1.0, 60)
-    diags, error = transport(lambda t: (Mfun(t), Mfun(t) * 2j * p), node,
-                             ((0,), (1,)), times, 1e-10, 2j * q0,
+    diags, error = transport(Mfun,
+                             lambda t, k, d: left_divide(k, Mfun(t) * 2j * p @ k),
+                             node, ((0,), (1,)), times, 1e-10, 2j * q0,
                              lambda i, logd: out.append((times[i], logd)))
     assert error is None and len(out) == len(times)
     for t, logd in out:
@@ -119,18 +120,19 @@ def test_cartan_log_constant_and_errors():
     def node(t):
         return M, lambda k, logd: logd
 
-    def run(path):
+    def run(Mdot):
         out.clear()
         times = np.linspace(0, 1, 5)
-        return transport(path, node, ((0,), (1,)), times, 1e-10, 2j * q0,
+        return transport(lambda t: M, lambda t, k, d: left_divide(k, Mdot(t) @ k),
+                         node, ((0,), (1,)), times, 1e-10, 2j * q0,
                          lambda i, logd: out.append((times[i], logd)))
 
     zero, nan = np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan + 0j)
-    diags, error = run(lambda t: (M, zero))
+    diags, error = run(lambda t: zero)
     assert error is None and len(out) == 5
     assert all(np.abs(logd / 2j - q0).max() == 0 for _, logd in out)
     with np.errstate(invalid="ignore"):
-        diags, error = run(lambda t: (M, nan if np.real(t) > 0.5 else zero))
+        diags, error = run(lambda t: nan if np.real(t) > 0.5 else zero)
     assert isinstance(error, BreakdownError) and "stalled" in str(error)
     assert abs(error.time - 0.5) < 1e-6
     assert [t for t, _ in out] == [0.0, 0.25, 0.5]
@@ -142,42 +144,87 @@ def test_cartan_log_constant_and_errors():
 @pytest.mark.parametrize("N, members", [(3, [0]), (4, [0, 1])])
 def test_closed_form_levi_path(N, members):
     """M(t) = e^{it Lam_-} e^{2i q0} e^{it Lam_+} equals g_-^-1 e^{2i q0} g_+ of
-    the parabolic factors, and M'(t) = i (Lam_- M + M Lam_+) its derivative."""
+    the parabolic factors, and on blockwise eigenpairs M k = k d the velocity
+    equals k^-1 M'(t) k."""
     ctx = build_sl_context(N)
     spec = trig_model(ctx, pi_subset(members))
     pt = random_point(spec, np.random.default_rng(N), scale=0.4)
-    path, _, _ = solver_trig._setup(spec, pt)
+    path, velocity, _, _ = solver_trig._setup(spec, pt)
     Lp = lax_limit(spec, pt, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt, "trig_minus_i_inf")
     e2iq0 = np.diag(np.exp(2j * pt.q))
     dt = 1e-5
     for t in (0.05, 0.2):
-        M, Mdot = path(t)
+        M = path(t)
         _, gp = parabolic_factor(ctx, spec.subset, expm(1j * t * Lp), "+")
         _, gm = parabolic_factor(ctx, spec.subset, expm(-1j * t * Lm), "-")
         assert np.abs(M - np.linalg.solve(gm, e2iq0 @ gp)).max() <= 1e-12
-        central = (path(t + dt)[0] - path(t - dt)[0]) / (2 * dt)
-        assert np.abs(Mdot - central).max() <= 1e-7
+        k, d = np.zeros((N, N), dtype=complex), np.zeros(N, dtype=complex)
+        for blk in spec.subset.partition:
+            idx = np.ix_(blk, blk)
+            d[list(blk)], k[idx] = np.linalg.eig(M[idx])
+        central = (path(t + dt) - path(t - dt)) / (2 * dt)
+        assert np.abs(velocity(t, k, d) - np.linalg.solve(k, central @ k)).max() <= 1e-7
 
 
-def test_expm_per_node_and_sample(monkeypatch):
-    """A trig-sl3 solve makes at most two expm per transport f-evaluation (the
-    path) plus two per output sample (the parabolic factors, which also give
-    the M(t) checked for collisions)."""
-    count = {"expm": 0}
-    expm0 = solver_trig.expm
+def _count_expm(monkeypatch):
+    """Counts of solver_trig's expm calls: all, and those made while locating
+    a collision."""
+    count = {"expm": 0, "collision": 0, "in_collision": False}
+    expm0, collision0 = solver_trig.expm, exact._collision
 
     def counted_expm(A):
         count["expm"] += 1
+        count["collision"] += count["in_collision"]
         return expm0(A)
 
+    def counted_collision(*args):
+        count["in_collision"] = True
+        try:
+            return collision0(*args)
+        finally:
+            count["in_collision"] = False
+
     monkeypatch.setattr(solver_trig, "expm", counted_expm)
+    monkeypatch.setattr(exact, "_collision", counted_collision)
+    return count
+
+
+def test_expm_per_node_and_sample(monkeypatch):
+    """A trig-sl3 solve, which meets no collision, makes exactly two expm per
+    output sample (the parabolic factors, which also give the M(t) that
+    polishes the state and is checked for collisions) and none per transport
+    f-evaluation."""
+    count = _count_expm(monkeypatch)
     data = load_preset("trig-sl3")
     times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
     _, fact = solve_trig(data["model"], data["init"], times)
-    nfev = fact.diagnostics["nfev"]
-    assert nfev > len(times)
-    assert count["expm"] <= 2 * nfev + 2 * len(times)
+    assert fact.diagnostics["nfev"] > len(times)
+    assert count["expm"] == 2 * len(times) and count["collision"] == 0
+
+
+def test_expm_in_breakdown_solve(monkeypatch):
+    """A trig-sl2-breakdown solve makes at most two expm per output sample it
+    reaches (the recorded ones and the one whose M(t) shows the collision),
+    plus those of collision location, which builds M(t) from the path."""
+    count = _count_expm(monkeypatch)
+    data = load_preset("trig-sl2-breakdown")
+    times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
+    with pytest.raises(BreakdownError) as exc:
+        solve_trig(data["model"], data["init"], times)
+    reached = len(exc.value.partial.times) + 1
+    assert count["collision"] > 0
+    assert count["expm"] - count["collision"] <= 2 * reached
+
+
+def test_eig_residual_bounds_drift():
+    """The transport's drift off M k = k d, measured before the polish at the
+    output times, stays at the integration error on trig-sl3 at tol 1e-12."""
+    data = load_preset("trig-sl3")
+    times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
+    tr, fact = solve_trig(data["model"], data["init"], times, 1e-12)
+    assert 0 < fact.diagnostics["eig_residual"] <= 1e-9
+    assert tr.stats["eig_residual"] == fact.diagnostics["eig_residual"]
 
 
 # -- the assembled flow ------------------------------------------------------------
@@ -363,3 +410,25 @@ def test_solve_complex_q_datum():
     for attr in ("q", "p", "xi"):
         assert sup_gap(tre, tro, attr) <= 1e-6
     assert fact.diagnostics["p_sign_mismatch"] <= 1e-8
+
+
+# -- beyond N = 4: trigonometric N = 5, 6 against the oracle -------------------------
+
+@pytest.mark.parametrize("N, members", [pytest.param(5, [0, 2], id="n5-a1a3"),
+                                        pytest.param(6, [0, 2, 3], id="n6-a1a3a4")])
+def test_beyond_n4_matches_oracle(N, members):
+    """Seeded points on [0, 0.3], 31 samples: the solve agrees with the oracle
+    at tol 1e-12, or breaks down within 1e-6 of the oracle's blowup time."""
+    spec = trig_model(build_sl_context(N), pi_subset(members))
+    pt = random_point(spec, np.random.default_rng(0), scale=0.4)
+    times = np.linspace(0, 0.3, 31)
+    tro = integrate(spec, pt, 0.3, samples=31, tol=1e-12)
+    try:
+        tre, _ = solve_trig(spec, pt, times)
+    except BreakdownError as exc:
+        assert tro.blowup and abs(exc.time - tro.last_good_time) <= 1e-6
+        return
+    assert not tro.blowup
+    assert sup_gap(tre, tro, "xi") <= 1e-6
+    assert sup_gap(tre, tro, "q") <= 1e-9
+    assert sup_gap(tre, tro, "p") <= 1e-9
