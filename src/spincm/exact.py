@@ -12,9 +12,10 @@ oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
 
 From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
 log d needs no branch tracking.  Before each output interval the blockwise
-eigenvalues of M at its end give the within-block discriminant D; a phase
-turn of D over 2 rad hands the interval to ``continuation.locate_collision``.
-A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
+eigenvalues of M at its end give the within-block discriminant D (analytic in
+t, with a zero at each collision); a phase turn of D over 2 rad hands the
+interval to ``locate_collision``, which finds that zero by a complex secant
+iteration.  A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
 always ends in a BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, node)``:
@@ -45,13 +46,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import zgesv
 
-from .continuation import (GAP_COLLIDE, _discriminant, block_eigvals,
-                           block_gap, locate_collision, same_block)
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
 from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
                      check_regular, check_state)
 from .rk import Trajectory, check_tol, dp5
+
+GAP_COLLIDE = 1e-6
 
 
 @dataclass
@@ -100,6 +101,74 @@ def left_divide(k, rhs):
     if info:
         raise DomainError("singular transported eigenvector matrix")
     return X
+
+
+def same_block(blocks, N):
+    """(N, N) mask of the index pairs i != j inside one block."""
+    same = np.zeros((N, N), dtype=bool)
+    for blk in blocks:
+        same[np.ix_(blk, blk)] = True
+    np.fill_diagonal(same, False)
+    return same
+
+
+def block_gap(d, same):
+    """Minimal within-block eigenvalue distance (inf without such pairs)."""
+    return float(np.abs(d[:, None] - d[None, :])[same].min(initial=np.inf))
+
+
+def block_eigvals(M, blocks):
+    """Eigenvalues of a block-diagonal M, each at the indices of its block."""
+    vals = np.diag(M).astype(complex)
+    for blk in blocks:
+        if len(blk) > 1:
+            idx = list(blk)
+            vals[idx] = np.linalg.eigvals(M[np.ix_(idx, idx)])
+    return vals
+
+
+def _discriminant(vals, blocks):
+    """Product over the blocks of the squared within-block eigenvalue
+    differences: analytic in t, with a zero at each collision."""
+    D = 1.0 + 0.0j
+    for blk in blocks:
+        for i in range(len(blk)):
+            for j in range(i + 1, len(blk)):
+                D *= (vals[blk[i]] - vals[blk[j]]) ** 2
+    return D
+
+
+def locate_collision(path, blocks, t_lo, t_hi):
+    """Root-find the within-block discriminant product D(t) of the
+    block-diagonal path(t) = M(t) by a complex secant iteration.  D is
+    analytic with a simple zero at an eigenvalue collision, so this resolves
+    sqrt-type collisions that pointwise gap thresholds cannot.
+
+    Returns (t_star, collided): the real collision-time estimate and whether
+    the located zero is numerically on the real axis inside the bracket.
+    """
+    def disc(t):
+        return _discriminant(block_eigvals(path(t), blocks), blocks)
+
+    span = t_hi - t_lo
+    t0, t1 = complex(t_lo), complex(t_hi)
+    d0, d1 = disc(t0), disc(t1)
+    dscale = max(abs(d0), abs(d1), 1e-300)
+    for _ in range(80):
+        if d1 == d0:
+            break
+        t2 = t1 - d1 * (t1 - t0) / (d1 - d0)
+        if abs(t2 - 0.5 * (t_lo + t_hi)) > 2.0 * span:
+            break  # wandered out of the bracket: no root here
+        t0, d0 = t1, d1
+        t1 = t2
+        d1 = disc(t1)
+        if abs(t1 - t0) < 1e-13 * max(1.0, abs(t1)) or d1 == 0:
+            break
+    on_axis = abs(t1.imag) <= 1e-7 * max(span, abs(t1.real))
+    inside = (t_lo - 0.5 * span) <= t1.real <= (t_hi + 0.5 * span)
+    small = abs(d1) <= 1e-10 * dscale
+    return float(t1.real), bool(on_axis and inside and small)
 
 
 def transport(path, velocity, node, blocks, times, tol, log0, record):

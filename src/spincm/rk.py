@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import best_assignment
 from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
                      eom, hamiltonian, lax_batch, reduced_eom,
@@ -222,13 +221,6 @@ def default_z_samples(spec):
     return list(base * scale)
 
 
-def match_eigenvalues(prev, new):
-    """Permutation of `new` minimizing the total distance to `prev`, by
-    ``continuation.best_assignment`` on the cost |new[j] - prev[i]|."""
-    new = np.asarray(new)
-    return new[best_assignment(np.abs(new[None, :] - np.asarray(prev)[:, None]))]
-
-
 @dataclass
 class InvariantReport:
     """Per-time conserved quantities and their maximal drifts over a trajectory."""
@@ -237,7 +229,7 @@ class InvariantReport:
     z_samples: list
     energy: np.ndarray          # (T,)
     momentum_norm: np.ndarray   # (T,)
-    eigenvalues: np.ndarray     # (T, K, N), continuation-matched in t
+    eigenvalues: np.ndarray     # (T, K, N), in eigvals' order
     energy_drift: float
     momentum_drift: float
     eig_drift: float
@@ -251,11 +243,29 @@ class InvariantReport:
         }
 
 
+def conserved(spec, traj):
+    """(energy, momentum_norm) at each sample of a trajectory: the
+    Hamiltonian and the norm of diag xi.  A reduced trajectory is audited at
+    its lift xi := s; its momentum norm is that of diag s, 0 on the slice."""
+    energy = np.array([hamiltonian(spec, traj.point(it, PhasePoint))
+                       for it in range(len(traj.y))])
+    mom = np.array([np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
+    return energy, mom
+
+
+def drift(values):
+    """max over the samples of |values - values[0]|."""
+    return float(np.abs(values - values[0]).max())
+
+
 def audit(spec, traj, z_samples=None):
     """Energy, momentum norm and Lax eigenvalues along a trajectory, with drifts.
 
-    A reduced trajectory is audited at its lift xi := s; its momentum norm
-    is that of diag s, 0 on the slice.
+    eig_drift is the largest two-sided nearest-eigenvalue (Hausdorff)
+    distance between spec L(z; t) and spec L(z; 0) over the samples t and
+    z: max(max_i min_j, max_j min_i) of |E[t, z, i] - E[0, z, j]|.  While it
+    is below half the smallest eigen gap of L(z; 0) it equals the drift of
+    the eigenvalues matched one to one.
 
     None of these can see a constant torus conjugation xi -> h xi h^-1 (h
     diagonal), which maps solutions on J^-1(0) to solutions; only a
@@ -264,23 +274,15 @@ def audit(spec, traj, z_samples=None):
     """
     if z_samples is None:
         z_samples = default_z_samples(spec)
-    T = len(traj.y)
-    energy = np.array([hamiltonian(spec, traj.point(it, PhasePoint))
-                       for it in range(T)])
-    mom = np.array([np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
+    energy, mom = conserved(spec, traj)
     eigs = np.linalg.eigvals([lax_batch(spec, traj.point(it, PhasePoint), z_samples)
-                              for it in range(T)])
-    for k, ev in enumerate(eigs[0]):
-        eigs[0, k] = ev[np.lexsort((ev.imag, ev.real))]
-    for it in range(1, T):
-        for k in range(len(z_samples)):
-            eigs[it, k] = match_eigenvalues(eigs[it - 1, k], eigs[it, k])
+                              for it in range(len(traj.y))])
+    dist = np.abs(eigs[:, :, :, None] - eigs[0, :, None, :])  # (T, K, N, N)
     return InvariantReport(
         times=traj.times, z_samples=list(z_samples), energy=energy,
         momentum_norm=mom, eigenvalues=eigs,
-        energy_drift=float(np.abs(energy - energy[0]).max()),
-        momentum_drift=float(np.abs(mom - mom[0]).max()),
-        eig_drift=float(np.abs(eigs - eigs[0]).max()),
+        energy_drift=drift(energy), momentum_drift=drift(mom),
+        eig_drift=float(max(dist.min(axis=3).max(), dist.min(axis=2).max())),
     )
 
 

@@ -1,6 +1,6 @@
 """Elliptic spectral-curve apparatus: characteristic polynomial of the Lax
 matrix, the gauge-transformed doubly periodic Lax L^e, genericity checks,
-branch-point counting by the argument principle, and isospectral auditing.
+and branch-point counting by the argument principle.
 
 The spectral curve C: det(L(z) - wI) = 0 is an N-sheeted cover of the torus;
 projecting instead to the w-line gives a degree-N map to P^1 whose
@@ -35,8 +35,7 @@ import numpy as np
 
 from . import special
 from .errors import DomainError, ValidationError
-from .models import (PhasePoint, alpha_matrix, lax, lax_batch, lax_pair,
-                     _check_momentum_zero)
+from .models import alpha_matrix, lax, lax_pair, _check_momentum_zero
 
 GA_GAP_TOL = 1e-8
 GA1_GRID = 20  # GA1 is sampled on a GA1_GRID x GA1_GRID grid of the cell
@@ -278,11 +277,3 @@ def _count_branch_points(spec, pt):
     raise RuntimeError("branch counting failed: contour through a zero even "
                        "after jittering the fundamental domain")
 
-
-def isospectral_drift(spec, traj, z_samples):
-    """max over times and z of |a_k(z; t) - a_k(z; 0)| along a trajectory, the
-    a_k of ``char_poly_coeffs`` being the charpoly coefficients up to sign;
-    from one stacked Lax matrix over z_samples and one charpoly per state."""
-    c = np.array([_charpoly(lax_batch(spec, traj.point(i, PhasePoint), z_samples))
-                  for i in range(len(traj.y))])
-    return float(np.abs(c - c[0]).max(initial=0.0))

@@ -142,6 +142,16 @@ def test_audit_reports(tmp_path):
     assert d["eig_drift"] <= 1e-12
 
 
+def test_simulate_drifts_are_audits(tmp_path):
+    """simulate's drift footers are audit's energy and momentum drifts."""
+    csv, js = tmp_path / "s.csv", tmp_path / "a.json"
+    assert run(tmp_path, "simulate", "--preset", "trig-sl3", "--out", str(csv)) == 0
+    assert run(tmp_path, "audit", "--preset", "trig-sl3", "--out", str(js)) == 0
+    text, d = read(csv), json.loads(read(js))
+    for key in ("energy_drift", "momentum_drift"):
+        assert float(footer(text, key)) == d[key], key
+
+
 def test_curve_reports(tmp_path):
     out = tmp_path / "curve.json"
     assert run(tmp_path, "curve", "--preset", "elliptic-sl2",
@@ -255,7 +265,7 @@ def test_z_samples_flag(tmp_path):
     assert d["z_samples"] == [[0.5, 0.0], [0.0, 1.2], [0.3, 0.4]]
 
 
-def test_preset_dir_env(tmp_path, monkeypatch):
+def test_preset_dir_env(tmp_path, monkeypatch, capsys):
     preset = {
         "model": {"N": 2, "family": "rational",
                   "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}},
@@ -269,3 +279,16 @@ def test_preset_dir_env(tmp_path, monkeypatch):
     assert run(tmp_path, "simulate", "--preset", "custom", "--out", str(out)) == 0
     _, rows = csv_body(read(out))
     assert len(rows) == 6 and abs(float(rows[-1][0]) - 0.25) < 1e-12
+    # preset z-samples are checked like --z-samples, before any integration:
+    # a Lax pole, a malformed pair and an empty list give exit 2, one error
+    # line and no output
+    capsys.readouterr()
+    for zs in ([[0, 0]], [[0.5]], []):
+        preset["defaults"]["z_samples"] = zs
+        (tmp_path / "bad-z.json").write_text(json.dumps(preset))
+        for cmd in ("simulate", "audit"):
+            out = tmp_path / f"bad-z.{cmd}"
+            assert run(tmp_path, cmd, "--preset", "bad-z", "--out", str(out)) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (zs, cmd, err)
+            assert not out.exists()

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
-from spincm.continuation import best_assignment
 from spincm.errors import ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, elliptic_model, rational_model,
                            trig_model)
-from spincm.rk import (audit, default_z_samples, integrate, match_eigenvalues,
-                       trajectory_csv_lines)
+from spincm.rk import audit, default_z_samples, integrate, trajectory_csv_lines
 from spincm.special import EllipticLattice
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -124,31 +122,24 @@ def test_audit_pole_z_sample(spec2):
 
 
 def test_eigenvalue_matching():
-    prev = np.array([1.0 + 0j, -1.0 + 0j])
-    new = np.array([-1.01 + 0j, 1.02 + 0j])
-    assert np.allclose(match_eigenvalues(prev, new), [1.02, -1.01])
-    # against enumeration of all permutations, N = 6
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        prev, new = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-        best = min(itertools.permutations(range(6)),
-                   key=lambda perm: sum(abs(new[perm[i]] - prev[i]) for i in range(6)))
-        assert np.array_equal(match_eigenvalues(prev, new), new[list(best)])
-
-
-def test_best_assignment_follows_scipy():
-    """The assignment helper returns scipy's linear_sum_assignment permutation,
-    ties included (small integer costs tie often; a constant cost gives the
-    identity)."""
-    from scipy.optimize import linear_sum_assignment
-    rng = np.random.default_rng(1)
-    for n in range(1, 9):
-        assert np.array_equal(best_assignment(np.full((n, n), 0.5)), np.arange(n))
-        for _ in range(50):
-            for cost in (rng.uniform(size=(n, n)),
-                         rng.integers(0, 3, size=(n, n)).astype(float)):
-                assert np.array_equal(best_assignment(cost),
-                                      linear_sum_assignment(cost)[1])
+    """eig_drift is the drift of the eigenvalues of L(z; t) matched one to
+    one to those of L(z; 0), the matching found by enumerating all
+    permutations."""
+    from spincm.presets import load_preset
+    for name in ("rational-sl3", "trig-sl3", "elliptic-sl3"):
+        data = load_preset(name)
+        spec, d = data["model"], data["defaults"]
+        tr = integrate(spec, data["init"], d["t_end"], samples=int(d["samples"]),
+                       tol=d.get("tol", 1e-10))
+        rep = audit(spec, tr)
+        eigs = rep.eigenvalues
+        perms = [list(p) for p in itertools.permutations(range(spec.ctx.N))]
+        matched = 0.0
+        for it in range(len(eigs)):
+            for k in range(len(rep.z_samples)):
+                cost = np.abs(eigs[it, k][perms] - eigs[0, k])
+                matched = max(matched, cost[np.argmin(cost.sum(axis=1))].max())
+        assert rep.eig_drift == matched, name
 
 
 def test_conservation_sl3_rational():

@@ -8,11 +8,11 @@ from sampling import random_point
 from spincm.errors import DomainError, ValidationError
 from spincm.liecore import build_sl_context
 from spincm.models import PhasePoint, elliptic_model, lax
-from spincm.rk import default_z_samples, integrate
+from spincm.rk import audit, integrate
 from spincm.special import EllipticLattice
 from spincm.spectral import (GA1_GRID, Z_BLOCK, _branch_function, _winding,
                              branch_count_genus, char_poly_coeffs, gauge_lax,
-                             genericity_check, isospectral_drift)
+                             genericity_check)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -184,16 +184,16 @@ def test_winding_evaluates_each_point_once():
 def test_isospectral_drift_free(spec2):
     pt = PhasePoint(q=[0.31, -0.31], p=[2, -2], xi=np.zeros((2, 2)))
     tr = integrate(spec2, pt, 1.0, samples=11, tol=1e-10)
-    assert isospectral_drift(spec2, tr, default_z_samples(spec2)) <= 1e-12
+    assert audit(spec2, tr).eig_drift <= 1e-12
 
 
 def test_isospectral_drift_sl2(spec2, pt2):
     tr = integrate(spec2, pt2, 1.0, samples=21, tol=1e-10)
-    assert isospectral_drift(spec2, tr, default_z_samples(spec2)) <= 1e-7
+    assert audit(spec2, tr).eig_drift <= 1e-7
 
 
 def test_isospectral_drift_sl3(lat):
     spec = elliptic_model(build_sl_context(3), lat)
     pt = random_point(spec, np.random.default_rng(9), scale=0.5)
     tr = integrate(spec, pt, 1.0, samples=21, tol=1e-10)
-    assert isospectral_drift(spec, tr, default_z_samples(spec)) <= 1e-6
+    assert audit(spec, tr).eig_drift <= 1e-6
