@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 `compare` threshold failed (report still written,
 with "pass": false), 2 validation error (malformed or out-of-domain input,
 found before any integration), 3 factorization breakdown (partial CSV still
-written), 4 oracle blow-up (partial CSV still written), 5 requested exact mode
-unsupported for the family.  Outputs embed the config hash, the library
-version and the seed; identical configs produce identical bytes.
+written), 4 oracle blow-up (`simulate`: partial CSV still written; `audit`:
+JSON still written, with "blowup": true and drifts up to the last good time),
+5 requested exact mode unsupported for the family.  Outputs embed the config
+hash, the library version and the seed; identical configs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def cmd_audit(args):
     report["blowup"] = bool(traj.blowup)
     report.update(_meta(config))
     _write_json(args.out, report)
-    return EXIT_OK
+    return EXIT_BLOWUP if traj.blowup else EXIT_OK
 
 
 def cmd_curve(args):

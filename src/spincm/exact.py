@@ -11,7 +11,9 @@ oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
     l' = diag(B)   (l = d),     or     l' = diag(B) / d   (l = log d).
 
 From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
-log d needs no branch tracking.  Before each output interval the blockwise
+log d needs no branch tracking.  The transport's f writes k W and l' into one
+buffer that it reuses (``rk.dp5`` copies each stage value).  Before each
+output interval the blockwise
 eigenvalues of M at its end give the within-block discriminant D (analytic in
 t, with a zero at each collision); a phase turn of D over 2 rad hands the
 interval to ``locate_collision``, which finds that zero by a complex secant
@@ -196,13 +198,20 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
         """W_ij = B_ij / (d_j - d_i) for i != j in one block, else 0."""
         return np.divide(B, d[None, :] - d[:, None], out=W, where=same)
 
+    out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
+    kdot, ldot, out_real = out[:nk].reshape(N, N), out[nk:], out.view(float)
+
     def f(t, y):
         z = y.view(complex)
         k, ell = z[:nk].reshape(N, N), z[nk:]
         d = eigs(ell)
         B = velocity(t, k, d)
-        dl = B.diagonal() / d if group else B.diagonal()
-        return np.concatenate([(k @ off_block(B, d)).ravel(), dl]).view(float)
+        np.matmul(k, off_block(B, d), out=kdot)
+        if group:
+            np.divide(B.diagonal(), d, out=ldot)
+        else:
+            ldot[:] = B.diagonal()
+        return out_real
 
     def polish(k, ell, M):
         """One first-order eigen-correction of (k, l) against M itself, in the
@@ -240,7 +249,7 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(M0) if log0 is None else log0]).astype(complex)
-    t, stats, stopped, done = dp5(f, y0.view(float), times, tol, guard, on_sample)
+    t, stats, stopped, done = dp5(f, y0.view(float), times, tol, on_sample, guard)
     diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"]),
              "eig_residual": run["eig_residual"]}

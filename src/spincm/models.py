@@ -269,33 +269,54 @@ def check_regular(spec, q):
     _require_regular(w, singular_distance(spec, w), i, j)
 
 
-def _kernel_matrices(spec, q):
-    """(K, Kp): kappa_a(q) and d kappa / d a(q) filled on the active mask, after
-    the regularity check of ``check_regular`` (same error, same root), in one
-    pass.  Elliptic: one lattice reduction and one theta-series pass over the
-    i < j roots give wp and wp'; K is mirrored as even and Kp as odd."""
+def _kernels(spec):
+    """fill(q) -> (K, Kp): kappa_a(q) and d kappa / d a(q) on the active mask,
+    after the regularity check of ``check_regular`` (same error, same root), in
+    one pass.  K and Kp are two N x N buffers built here, and every call
+    writes the q-dependent entries in place; the rest are set once (0, and the
+    trigonometric -1/3 outside <pi'>).  Elliptic: one lattice reduction and one
+    theta-series pass over the i < j roots give wp and wp'; K is mirrored as
+    even and Kp as odd."""
     N = spec.ctx.N
     K = np.zeros((N, N), dtype=complex)
     Kp = np.zeros((N, N), dtype=complex)
+    Kf, Kpf = K.reshape(-1), Kp.reshape(-1)
     i, j = spec.regular_roots
-    w = q[i] - q[j]
+    ij = i * N + j  # row-major flat indices of the roots
     if spec.family == "elliptic":
-        z0, _, _ = spec.lattice.reduce(w)
-        _require_regular(w, np.abs(z0), i, j)
-        k, kp = spec.lattice._wp_pair(z0)
-        K[i, j] = K[j, i] = k
-        Kp[i, j], Kp[j, i] = kp, -kp
-        return K, Kp
-    _require_regular(w, singular_distance(spec, w), i, j)
-    if spec.family == "rational":
-        K[i, j] = 1.0 / w**2
-        Kp[i, j] = -2.0 / w**3
-    else:
-        s = np.sin(w)
-        K[i, j] = 1.0 / s**2 - 1.0 / 3.0
-        Kp[i, j] = -2.0 * np.cos(w) / s**3
+        ji = j * N + i
+        lattice = spec.lattice
+
+        def fill(q):
+            w = q[i] - q[j]
+            z0, _, _ = lattice.reduce(w)
+            _require_regular(w, np.abs(z0), i, j)
+            k, kp = lattice._wp_pair(z0)
+            Kf[ij] = Kf[ji] = k
+            Kpf[ij], Kpf[ji] = kp, -kp
+            return K, Kp
+        return fill
+    rational = spec.family == "rational"
+    if not rational:
         K[spec.mask_plus | spec.mask_minus] = -1.0 / 3.0
-    return K, Kp
+
+    def fill(q):
+        w = q[i] - q[j]
+        _require_regular(w, singular_distance(spec, w), i, j)
+        if rational:
+            Kf[ij] = 1.0 / w**2
+            Kpf[ij] = -2.0 / w**3
+        else:
+            s = np.sin(w)
+            Kf[ij] = 1.0 / s**2 - 1.0 / 3.0
+            Kpf[ij] = -2.0 * np.cos(w) / s**3
+        return K, Kp
+    return fill
+
+
+def _kernel_matrices(spec, q):
+    """(K, Kp) of ``_kernels`` at q, in fresh buffers."""
+    return _kernels(spec)(q)
 
 
 def _c0(spec):
@@ -318,36 +339,66 @@ def hamiltonian(spec, pt):
     return complex(h)
 
 
-def _grad_xi(spec, K, xi):
-    """Trace-form gradient of H in xi: -sum kappa_a xi_a e_a - 2 c0 Pi_h xi."""
-    G = -(K * xi)
-    c0 = _c0(spec)
-    if c0:
-        G = G - 2.0 * c0 * np.diag(np.diag(xi))
-    return G
+def packed_field(spec, reduced=False):
+    """The vector field as field(z) -> z_dot on the packed complex state
+    z = q | p | row-major m, with m = xi, or m = s when `reduced`; built once
+    per integration.
+
+    Full: q_dot = p, p_dot = 1/2 (row sums - column sums) of Kp * m * m^T and
+    m_dot = [m, G] with the trace-form gradient G = -K * m - 2 c0 Pi_h m.
+    Reduced: the full field at the lift xi := s, projected onto the gauge
+    slice by adding [s, D] with the diagonal D = coroot_diagonal(s_dot_{a_i}),
+    which makes s_dot_{a_i} = 0.
+
+    Every call writes q_dot | p_dot | m_dot into one buffer and returns it:
+    the same array each call, overwritten by the next one."""
+    ctx = spec.ctx
+    N = ctx.N
+    kernels = _kernels(spec)
+    c0_twice = 2.0 * _c0(spec)
+    out = np.empty(2 * N + N * N, dtype=complex)
+    qd, pd, md = out[:N], out[N:2 * N], out[2 * N:].reshape(N, N)
+    W, G, GM = (np.empty((N, N), dtype=complex) for _ in range(3))
+    G_diag = G.reshape(-1)[::N + 1]
+
+    def field(z):
+        q, p, m = z[:N], z[N:2 * N], z[2 * N:].reshape(N, N)
+        K, Kp = kernels(q)
+        np.multiply(Kp, m, out=W)
+        np.multiply(W, m.T, out=W)
+        np.add.reduce(W, axis=1, out=pd)
+        np.subtract(pd, np.add.reduce(W, axis=0), out=pd)
+        np.multiply(pd, 0.5, out=pd)
+        qd[:] = p
+        np.multiply(K, m, out=G)
+        np.negative(G, out=G)
+        if c0_twice:
+            np.subtract(G_diag, c0_twice * np.diagonal(m), out=G_diag)
+        np.matmul(m, G, out=md)
+        np.subtract(md, np.matmul(G, m, out=GM), out=md)
+        if reduced:
+            d = coroot_diagonal(ctx, np.diagonal(md, 1))
+            np.add(md, m * (d[None, :] - d[:, None]), out=md)
+        return out
+    return field
 
 
-def _field(spec, q, p, m):
-    """(q_dot, p_dot, m_dot) of the full vector field at (q, p, xi = m)."""
-    K, Kp = _kernel_matrices(spec, q)
-    W = Kp * m * m.T
-    pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
-    G = _grad_xi(spec, K, m)
-    return p.copy(), pdot, m @ G - G @ m
+def _unpacked_field(spec, q, p, m, reduced):
+    N = spec.ctx.N
+    zd = packed_field(spec, reduced)(np.concatenate([q, p, m.ravel()]))
+    return zd[:N], zd[N:2 * N], zd[2 * N:].reshape(N, N)
 
 
 def eom(spec, pt):
-    """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field."""
-    return _field(spec, pt.q, pt.p, pt.xi)
+    """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field
+    (``packed_field``)."""
+    return _unpacked_field(spec, pt.q, pt.p, pt.xi, False)
 
 
 def reduced_eom(spec, rpt):
     """(q_dot, p_dot, s_dot) on TU x g_red: the full field at the lift xi := s,
-    projected onto the gauge slice by adding [s, D] with the diagonal
-    D = coroot_diagonal(s_dot_{a_i}), which makes s_dot_{a_i} = 0."""
-    qd, pd, sd = _field(spec, rpt.q, rpt.p, rpt.s)
-    d = coroot_diagonal(spec.ctx, np.diagonal(sd, 1))
-    return qd, pd, sd + rpt.s * (d[None, :] - d[:, None])
+    projected onto the gauge slice (``packed_field``)."""
+    return _unpacked_field(spec, rpt.q, rpt.p, rpt.s, True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ equally spaced sample times, singularity-margin abort, and invariant auditing.
 The step / accept / sample loop is one core, ``dp5``, over a packed real state
 and a callable f(t, y); the exact solvers run their transport ODE on it too.
 Complex states are integrated as stacked real/imaginary coordinates so the
-standard embedded error control applies unchanged.
+standard embedded error control applies unchanged.  A step allocates no state
+array: the stage inputs, the error estimate and its scale live in buffers
+built before the step loop, and f may return one buffer that it reuses.  The
+oracle's f is ``models.packed_field``, built once per integration; its
+regularity check at every stage is the singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -21,13 +25,10 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
-                     eom, hamiltonian, lax_batch, reduced_eom,
-                     singular_distance)
-
-SINGULAR_MARGIN = 1e-6
+                     hamiltonian, lax_batch, packed_field)
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980); row i of _A holds the
-# stage weights of stage i
+# stage weights of stage i, and the 5th-order weights are its last row
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -38,7 +39,6 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-_B5 = _A[6]
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -65,20 +65,16 @@ class Trajectory:
         self.xi = self.y[:, 2 * N:].reshape(-1, N, N)
 
     def point(self, i, cls=None):
-        """The state at row i as a `cls` on views of the row: by default a
-        ReducedPoint on a reduced trajectory, else a PhasePoint; a PhasePoint
-        of a reduced row is its lift xi := s."""
+        """The state at row i as a `cls` on views of the row, unchecked: by
+        default a ReducedPoint on a reduced trajectory, else a PhasePoint; a
+        PhasePoint of a reduced row is its lift xi := s."""
         if cls is None:
             cls = ReducedPoint if self.reduced else PhasePoint
-        return _on_row(cls.__new__(cls), self.y[i], self.N)
-
-
-def _on_row(pt, row, N):
-    """pt with its fields re-pointed at views of a packed row q | p | m,
-    unchecked."""
-    pt.q, pt.p = row[:N], row[N:2 * N]
-    setattr(pt, pt._matrix, row[2 * N:].reshape(N, N))
-    return pt
+        N, row = self.N, self.y[i]
+        pt = cls.__new__(cls)
+        pt.q, pt.p = row[:N], row[N:2 * N]
+        setattr(pt, pt._matrix, row[2 * N:].reshape(N, N))
+        return pt
 
 
 def check_tol(tol):
@@ -87,17 +83,24 @@ def check_tol(tol):
         raise ValidationError(f"tol={tol} outside [1e-13, 1e-3]")
 
 
-def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
+def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
     """Adaptive Dormand-Prince 5(4) of y' = f(t, y) from y0 at sample_times[0]
     to sample_times[-1], over a packed real state y.
 
     Steps are clamped to land on every sample time, where
-    ``on_sample(i, y)`` is called (also for i = 0, with y0); a true return
-    value stops the run.  An accepted step must give a finite state that
-    passes ``guard(t, y)``; a stage raising DomainError shrinks the step.  The
-    run also stops early when a step fails the guard or the step size
-    collapses.  `fixed_step` disables the error control (used for order
-    verification).
+    ``on_sample(i, y)`` is called (also for i = 0, with a copy of y0); a true
+    return value stops the run.  An accepted step must give a finite state
+    that passes ``guard(t, y)``, if a guard is given; a stage raising
+    DomainError shrinks the step.  The run also stops early when a step fails
+    the guard or the step size collapses.  `fixed_step` disables the error
+    control (used for order verification).
+
+    Buffers: every stage value f(t, y) is copied into the stage array, so f
+    may return one buffer that it reuses; the y given to f, guard and
+    on_sample is one of the step's own buffers, valid only during the call.
+    The last stage is evaluated at y + h A[6] K, which is the 5th-order
+    solution (its weights are A[6] and c7 = 1): it becomes the new state when
+    the step is accepted.
 
     Returns (t, stats, stopped, n): the time reached, {nsteps, nrejected,
     nfev}, whether the run stopped before sample_times[-1], and the number of
@@ -105,13 +108,18 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
     """
     t = float(sample_times[0])
     t_end = float(sample_times[-1])
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)
+    n = y.size
     stopped = bool(on_sample(0, y))
     nxt = 1
     h = fixed_step if fixed_step else min(1e-3, (t_end - t) / 100)
-    K = np.empty((7, y.size))
+    K = np.empty((7, n))
     K[0] = f(t, y)
     nfev, nsteps, nrej = 1, 0, 0
+    # stage inputs (ys, and y1 for the last stage), the error and its scale
+    ys, y1, err, sc = (np.empty(n) for _ in range(4))
+    stages = [(float(_C[i]), _A[i, :i], K[:i], i, y1 if i == 6 else ys)
+              for i in range(1, 7)]
 
     while not stopped and t < t_end - 1e-14:
         h_step = min(h, t_end - t)
@@ -123,8 +131,11 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
             stopped = True
             break
         try:
-            for i in range(1, 7):
-                K[i] = f(t + _C[i] * h_step, y + h_step * (_A[i, :i] @ K[:i]))
+            for c, a, Ki, i, yi in stages:
+                np.matmul(a, Ki, out=yi)
+                yi *= h_step
+                yi += y
+                K[i] = f(t + c * h_step, yi)
         except DomainError:
             # a trial stage left the domain (singular margin): shrink, then stop
             nrej += 1
@@ -134,20 +145,26 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
             h = h_step * 0.25
             continue
         nfev += 6
-        y1 = y + h_step * (_B5 @ K)
         if fixed_step is None:
-            err = h_step * (_ERR @ K)
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y1))
-            enorm = float(np.sqrt(np.mean((err / sc) ** 2)))
+            np.matmul(_ERR, K, out=err)
+            err *= h_step
+            np.abs(y, out=sc)
+            np.maximum(sc, np.abs(y1, out=ys), out=sc)
+            sc *= tol
+            sc += tol
+            err /= sc
+            err *= err
+            enorm = math.sqrt(float(np.add.reduce(err)) / n)
         else:
             enorm = 0.0
         accepted = enorm <= 1.0
         if accepted:
-            if not np.all(np.isfinite(y1)) or not guard(t + h_step, y1):
+            if not np.isfinite(y1).all() or (guard is not None and
+                                             not guard(t + h_step, y1)):
                 stopped = True
                 break
             t += h_step
-            y = y1
+            y[:] = y1
             K[0] = K[6]  # FSAL
             nsteps += 1
             while not stopped and nxt < len(sample_times) and \
@@ -168,18 +185,15 @@ def dp5(f, y0, sample_times, tol, guard, on_sample, fixed_step=None):
     return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, stopped, nxt
 
 
-def _margin(spec, y, N):
-    q = y.view(complex)[:N]
-    i, j = spec.regular_roots
-    return float(singular_distance(spec, q[i] - q[j]).min(initial=np.inf))
-
-
 def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
-    """Adaptive RK5(4) trajectory of pt0 at `samples` equally spaced times.
+    """Adaptive RK5(4) trajectory of pt0 at `samples` equally spaced times,
+    with the vector field of ``models.packed_field`` built once.
 
     Aborts cleanly (blowup flag + last good time) when the configuration comes
-    within SINGULAR_MARGIN of the singular set.  `fixed_step` disables the
-    error control (used for order verification).
+    within the kernel pass's REGULARITY_MARGIN of the singular set: every
+    stage checks it, the last one at the new state, and a stage that fails
+    shrinks the step until the step size collapses.  `fixed_step` disables
+    the error control (used for order verification).
     """
     check_tol(tol)
     if samples < 2:
@@ -189,20 +203,16 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     reduced = isinstance(pt0, ReducedPoint)
     check_regular(spec, pt0.q)
     N = spec.ctx.N
-    rhs = reduced_eom if reduced else eom
-    pt = type(pt0).__new__(type(pt0))  # re-pointed at each stage's state
+    field = packed_field(spec, reduced)
 
     def f(t, y):
-        qd, pd, md = rhs(spec, _on_row(pt, y.view(complex), N))
-        return np.concatenate([qd, pd, md.ravel()]).view(float)
+        return field(y.view(complex)).view(float)
 
     sample_times = np.linspace(0.0, float(t_end), int(samples))
     out = np.empty((sample_times.size, 2 * (2 * N + N * N)))  # real rows of y
     y0 = np.concatenate([pt0.q, pt0.p, getattr(pt0, pt0._matrix).ravel()])
-    t, stats, blowup, n = dp5(
-        f, y0.view(float), sample_times, tol,
-        guard=lambda t, y: _margin(spec, y, N) >= SINGULAR_MARGIN,
-        on_sample=out.__setitem__, fixed_step=fixed_step)
+    t, stats, blowup, n = dp5(f, y0.view(float), sample_times, tol,
+                              on_sample=out.__setitem__, fixed_step=fixed_step)
     return Trajectory(times=sample_times[:n], y=out[:n].view(complex),
                       reduced=reduced, provenance="oracle", stats=stats,
                       blowup=blowup, last_good_time=float(t) if blowup else None)

@@ -6,11 +6,15 @@ from spincm.models import PhasePoint, ReducedPoint, singular_distance
 
 
 def random_point(spec, rng, scale=0.4, momentum_zero=True, q_imag=0.0,
-                 margin=0.3, p_scale=1.0):
-    """A random regular PhasePoint; momentum_zero puts it on J^-1(0)."""
+                 margin=0.3, p_scale=1.0, spread=1.5):
+    """A random regular PhasePoint; momentum_zero puts it on J^-1(0).
+
+    q starts from N equally spaced values over `spread`, scaled by a factor
+    in [0.8, 1.2]: the N - 1 gaps must exceed `margin` along the roots that
+    the regularity check reads, so a large N needs a wider spread."""
     N = spec.ctx.N
     while True:
-        q = np.linspace(0.75, -0.75, N) * (0.8 + 0.4 * rng.uniform())
+        q = np.linspace(spread / 2, -spread / 2, N) * (0.8 + 0.4 * rng.uniform())
         q = q + 0.1 * rng.standard_normal(N) + 1j * q_imag * rng.standard_normal(N)
         q = q - q.mean()
         i, j = spec.regular_roots

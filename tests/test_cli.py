@@ -62,6 +62,17 @@ def test_simulate_blowup_exit4(tmp_path):
     assert 0 < len(rows) < 101  # partial output
 
 
+def test_audit_blowup_exit4(tmp_path):
+    """audit exits 4 on an oracle blow-up, like simulate and compare, and
+    still writes its JSON, flagged, with drifts up to the last good time."""
+    for name in ("collision-sl2", "trig-sl2-breakdown"):
+        out = tmp_path / f"{name}.json"
+        assert run(tmp_path, "audit", "--preset", name, "--out", str(out)) == 4
+        d = json.loads(read(out))
+        assert d["blowup"] is True
+        assert {"energy_drift", "momentum_drift", "eig_drift"} <= d.keys()
+
+
 def test_exact_exit_codes(tmp_path):
     out = tmp_path / "e.csv"
     fac = tmp_path / "f.json"

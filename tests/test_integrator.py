@@ -10,7 +10,8 @@ from spincm.errors import ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, elliptic_model, rational_model,
                            trig_model)
-from spincm.rk import audit, default_z_samples, integrate, trajectory_csv_lines
+from spincm.rk import (audit, default_z_samples, dp5, integrate,
+                       trajectory_csv_lines)
 from spincm.special import EllipticLattice
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -102,6 +103,31 @@ def test_oracle_counts_pinned(name):
                    tol=d.get("tol", 1e-10))
     s = tr.stats
     assert (s["nfev"], s["nsteps"], s["nrejected"]) == ORACLE_COUNTS[name]
+
+
+def test_dp5_f_may_reuse_its_buffer():
+    """dp5 copies every stage value: an f that returns one buffer that it
+    overwrites gives the same samples and counts, bit for bit, as an f that
+    returns fresh arrays."""
+    A = np.random.default_rng(5).standard_normal((6, 6))
+
+    def fresh(t, y):
+        return A @ np.sin(y) - t * y
+
+    buf = np.empty(6)
+
+    def reused(t, y):
+        buf[:] = fresh(t, y)
+        return buf
+
+    runs = []
+    for f in (fresh, reused):
+        rows = []
+        _, stats, stopped, n = dp5(f, np.linspace(-1.0, 1.0, 6), np.linspace(0, 2, 11),
+                                   1e-9, on_sample=lambda i, y: rows.append(y.copy()))
+        assert not stopped and n == 11 and stats["nfev"] > 6 * 11
+        runs.append((np.array(rows).tobytes(), stats))
+    assert runs[0] == runs[1]
 
 
 def test_audit_pure(spec2):

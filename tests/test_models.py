@@ -9,12 +9,13 @@ from oracles import LatticeOracle
 from sampling import random_point, random_reduced
 from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
-from spincm.liecore import build_sl_context, delta_subset, pi_subset
+from spincm.liecore import (build_sl_context, coroot_diagonal, delta_subset,
+                            pi_subset)
 from spincm.models import (PhasePoint, ReducedPoint,
                            _kernel_matrices, alpha_matrix, check_regular,
                            contour_hamiltonian, elliptic_model,
                            eom, hamiltonian, lax, lax_batch, lax_limit,
-                           lax_pair, lax_residual,
+                           lax_pair, lax_residual, packed_field,
                            r_action_on_M, rational_model, reduce_point,
                            reduced_eom, trig_model)
 from spincm.rk import integrate
@@ -536,6 +537,10 @@ def test_kernel_pass_checks_regularity(families, family, q, root):
         with pytest.raises(DomainError) as err:
             fn(spec, pt)
         assert str(err.value) == str(ref.value)
+    for reduced in (False, True):
+        with pytest.raises(DomainError) as err:
+            packed_field(spec, reduced)(np.concatenate([q, p, _S3.ravel()]))
+        assert str(err.value) == str(ref.value)
 
 
 def test_elliptic_collision_course_blows_up():
@@ -549,3 +554,58 @@ def test_elliptic_collision_course_blows_up():
     assert tr.last_good_time < 0.4  # the free flight would reach a = 2 at t = 0.4
     assert tr.times[-1] <= tr.last_good_time + 1e-12
     assert np.all(np.isfinite(tr.y))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _fresh_field(spec, q, p, m, reduced):
+    """The packed field by fresh arrays, with the floating-point operations
+    of ``packed_field`` in the same order."""
+    K, Kp = _kernel_matrices(spec, q)
+    W = Kp * m * m.T
+    pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
+    G = -(K * m)
+    if spec.family == "trigonometric":
+        G = G - 2.0 * (1.0 / 3.0) * np.diag(np.diag(m))
+    mdot = m @ G - G @ m
+    if reduced:
+        d = coroot_diagonal(spec.ctx, np.diagonal(mdot, 1))
+        mdot = mdot + m * (d[None, :] - d[:, None])
+    return np.concatenate([p, pdot, mdot.ravel()])
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_packed_field_is_eom(lat, family):
+    """One field closure evaluated on a run of points gives, bit for bit,
+    eom / reduced_eom of each and the field of fresh arrays: its reused
+    buffers carry nothing from one call to the next."""
+    rng = np.random.default_rng(23)
+    for N in range(2, 6):
+        spec = {"rational": lambda: rational_model(ctx(N), full_delta(N)),
+                "trigonometric": lambda: trig_model(ctx(N), pi_subset([0])),
+                "elliptic": lambda: elliptic_model(ctx(N), lat)}[family]()
+        for reduced in (False, True):
+            field = packed_field(spec, reduced)
+            for _ in range(4):
+                if reduced:
+                    pt = random_reduced(spec, rng)
+                    m, rhs = pt.s, reduced_eom
+                else:
+                    pt = random_point(spec, rng, momentum_zero=False)
+                    m, rhs = pt.xi, eom
+                zdot = field(np.concatenate([pt.q, pt.p, m.ravel()]))
+                qd, pd, md = rhs(spec, pt)
+                assert _bits(zdot) == _bits(np.concatenate([qd, pd, md.ravel()]))
+                assert _bits(zdot) == _bits(_fresh_field(spec, pt.q, pt.p, m, reduced))
+
+
+def test_random_point_spread():
+    """Rational full Delta' at N = 8: the default spread leaves the 7 gaps
+    below the 0.3 margin, so only a wider spread gives a regular point."""
+    spec = rational_model(ctx(8), full_delta(8))
+    pt = random_point(spec, np.random.default_rng(1), spread=4.0)
+    check_regular(spec, pt.q)
+    i, j = spec.regular_roots
+    assert np.abs(pt.q[i] - pt.q[j]).min() >= 0.3
