@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -54,6 +55,14 @@ def _checked(what, fn, *args):
         raise ValidationError(f"{what}: {exc}") from exc
 
 
+def _finite(val):
+    """val if it is a finite real number; a bool or a string is not one."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not math.isfinite(val):
+        raise ValueError(f"{val!r} is not a finite number")
+    return val
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -69,9 +78,10 @@ def _point_from_json(d):
 
 def _resolve(args):
     """(spec, pt, params, config_dict) from --preset or --model/--init, with
-    the input checked before any integration: the JSON records, the z-samples
-    (of --z-samples or the preset) against the Lax poles, q against the
-    singular set and, for `exact` and `compare` on a full point, J^-1(0)."""
+    the input checked before any integration: the JSON records, the run
+    parameters (of the command line or the preset) as finite numbers, the
+    z-samples (of --z-samples or the preset) against the Lax poles, q against
+    the singular set and, for `exact` and `compare` on a full point, J^-1(0)."""
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
     if args.preset:
         preset_dir = os.environ.get("SPINCM_PRESET_DIR")
@@ -95,6 +105,7 @@ def _resolve(args):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
+        _checked(name, _finite, params[name])
     if args.z_samples:
         zs = _checked("--z-samples", _parse_z_samples, args.z_samples)
         params["z_samples"] = [[z.real, z.imag] for z in zs]

@@ -20,25 +20,27 @@ interval to ``locate_collision``, which finds that zero by a complex secant
 iteration.  A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
 always ends in a BreakdownError, never in a silent state.
 
-A family supplies ``setup(spec, pt0) -> (path, velocity, log0, node)``:
-``path(t)`` returns M(t), and runs only in collision location;
-``velocity(t, k, d)`` returns B from the transported state alone; log0 is
-None when l = d, else l(0) = log d(0); ``node(t)`` returns M(t) and a map
-``(k, l) -> ((q, p, xi), residuals, factors)`` to the state arrays at t, a
-dict of residuals (their maxima become diagnostics) and one factor per field
-of its ``Factorization``.  The velocity may use M k = k diag(d) in place of
-M(t): when M solves a linear ODE M' = A M + M C, the transported
-M~ = k diag(d) k^-1 solves the same ODE from the same start, so the state
-drifts off M k = k diag(d) only by the integration error.  The polish
-against M(t) at each output time removes that drift from the output, and
-its size before the polish, max |k^-1 M k - diag d| / max(1, |d|), is the
+A family supplies ``setup(spec, pt0) -> (path, velocity, log0, state)``:
+``path(t)`` returns M(t) and the family's factors at t (also at the complex
+t of collision location); ``velocity(t, k, d)`` returns B from the
+transported state alone; log0 is None when l = d, else l(0) = log d(0);
+``state(l, xi, conj)`` maps the stacked l and xi(t) = k^-1 xi0 k to q and
+the momentum matrices [P, ...] (p = diag P; two sign branches for the
+trigonometric family), with ``conj(L0) = k^-1 L0 k`` on the stack.  The
+velocity may use M k = k diag(d) in place of M(t): when M solves a linear
+ODE M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
+from the same start, so the state drifts off M k = k diag(d) only by the
+integration error.  One stacked polish against M(t) at the output times,
+after the integration, removes that drift from the output, and its size
+before the polish, max |k^-1 M k - diag d| / max(1, |d|), is the
 diagnostic ``eig_residual``.
 
-``solve`` checks the input, runs the transport over the output grid, writes
-the state at each output time as a row of the trajectory's packed array,
-records the factors, keeps the diagnostics and attaches the partial results
-to a ``BreakdownError``; a ``ReducedPoint`` is solved from its lift xi0 := s0
-with each row written through the gauge reduction.
+``solve`` checks the input, runs the transport, maps the stack to states,
+checks each row and writes it into the trajectory's packed array, stacks
+the factors (the path's, then g, d, h, k), keeps the diagnostics and
+attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
+solved from its lift xi0 := s0 with each row written through the gauge
+reduction.
 """
 
 from __future__ import annotations
@@ -55,12 +57,13 @@ from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
 from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
+P_SIGN_TOL = 1e-8
 
 
 @dataclass
 class Factorization:
     """Per-time factors of an exact solve.  Subclasses declare ``times``, one
-    list field per factor, and ``diagnostics``."""
+    field per factor (stacked over the times), and ``diagnostics``."""
 
     def to_json_dict(self):
         out = {}
@@ -77,18 +80,24 @@ class Factorization:
 
 
 def present(k):
-    """(g, h) with k = g diag(h): g is k with unit-norm columns times their
-    geometric mean, divided by the principal N-th root of det k (which stays
-    close to 1), so det g = 1 and g(0) = I."""
-    norms = np.linalg.norm(k, axis=0)
-    s = np.exp(np.log(norms).mean()) / complex(np.linalg.det(k)) ** (1.0 / len(k))
-    return k * (s / norms)[None, :], norms / s
+    """(g, h) with k = g diag(h) for each matrix of a stack k (..., N, N): g
+    is k with unit-norm columns times their geometric mean, divided by the
+    principal N-th root of det k (which stays close to 1), so det g = 1 and
+    g(0) = I."""
+    N = k.shape[-1]
+    norms = np.linalg.norm(k, axis=-2)
+    dets = np.linalg.det(k)
+    root = np.reshape([complex(z) ** (1.0 / N) for z in dets.ravel()], dets.shape)
+    s = np.exp(np.log(norms).mean(axis=-1)) / root
+    return k * (s[..., None] / norms)[..., None, :], norms / s[..., None]
 
 
 def _validate_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValidationError("times must be a 1-d grid with at least 2 nodes")
+    if not np.isfinite(times).all():
+        raise ValidationError("times must be finite")
     if abs(times[0]) > 1e-14:
         raise ValidationError("times must start at 0")
     if np.any(np.diff(times) <= 0):
@@ -142,7 +151,7 @@ def _discriminant(vals, blocks):
 
 def locate_collision(path, blocks, t_lo, t_hi):
     """Root-find the within-block discriminant product D(t) of the
-    block-diagonal path(t) = M(t) by a complex secant iteration.  D is
+    block-diagonal M(t) = path(t)[0] by a complex secant iteration.  D is
     analytic with a simple zero at an eigenvalue collision, so this resolves
     sqrt-type collisions that pointwise gap thresholds cannot.
 
@@ -150,7 +159,7 @@ def locate_collision(path, blocks, t_lo, t_hi):
     the located zero is numerically on the real axis inside the bracket.
     """
     def disc(t):
-        return _discriminant(block_eigvals(path(t), blocks), blocks)
+        return _discriminant(block_eigvals(path(t)[0], blocks), blocks)
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)
@@ -173,17 +182,17 @@ def locate_collision(path, blocks, t_lo, t_hi):
     return float(t1.real), bool(on_axis and inside and small)
 
 
-def transport(path, velocity, node, blocks, times, tol, log0, record):
+def transport(path, velocity, blocks, times, tol, log0):
     """Kato transport of the eigenvector matrix of a block-diagonal path over
     the output grid `times` (see the module docstring).
 
-    At output time i calls ``record(i, node(times[i])[1](k, l))``.  Returns
-    (diagnostics, error): the smallest eigen gap seen, f-evaluations,
-    rejected steps and the largest eigen residual before the polish, and a
-    BreakdownError (not raised) if the run ended before times[-1], else None.
+    Returns (k, l, path_factors, diagnostics, error): the polished k and l
+    at the output times reached, stacked; path(t)[1] at each of them; the
+    smallest eigen gap seen, f-evaluations, rejected steps and the largest
+    eigen residual before the polish; and a BreakdownError (not raised) if
+    the run ended before times[-1], else None.
     """
-    blocks = [list(b) for b in blocks]
-    M0, finish = node(times[0])
+    M0, factors0 = path(times[0])
     N = len(M0)
     nk = N * N
     group = log0 is not None
@@ -192,12 +201,12 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
     def eigs(ell):
         return np.exp(ell) if group else ell
 
-    W = np.zeros((N, N), dtype=complex)  # entries off `same` stay 0
+    def off_block(B, d, out):
+        """W_ij = B_ij / (d_j - d_i) for i != j in one block; `out` holds the
+        zeros elsewhere."""
+        return np.divide(B, d[..., None, :] - d[..., :, None], out=out, where=same)
 
-    def off_block(B, d):
-        """W_ij = B_ij / (d_j - d_i) for i != j in one block, else 0."""
-        return np.divide(B, d[None, :] - d[:, None], out=W, where=same)
-
+    W = np.zeros((N, N), dtype=complex)
     out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
     kdot, ldot, out_real = out[:nk].reshape(N, N), out[nk:], out.view(float)
 
@@ -206,27 +215,20 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
         k, ell = z[:nk].reshape(N, N), z[nk:]
         d = eigs(ell)
         B = velocity(t, k, d)
-        np.matmul(k, off_block(B, d), out=kdot)
+        np.matmul(k, off_block(B, d, W), out=kdot)
         if group:
             np.divide(B.diagonal(), d, out=ldot)
         else:
             ldot[:] = B.diagonal()
         return out_real
 
-    def polish(k, ell, M):
-        """One first-order eigen-correction of (k, l) against M itself, in the
-        transport's gauge: R = k^-1 M k = diag(d) + E gives k (I + W(R)) and
-        diag R, with errors O(E^2), so the trace of l is exact as well."""
-        d = eigs(ell)
-        R = np.linalg.solve(k, M @ k)
-        dr = R.diagonal()
-        run["eig_residual"] = max(run["eig_residual"], float(
-            np.abs(R - np.diag(d)).max() / max(1.0, np.abs(d).max())))
-        return k + k @ off_block(R, d), ell + np.log(dr / d) if group else dr.copy()
-
+    rows = np.empty((len(times), nk + N), dtype=complex)  # k | l, unpolished
+    Ms = np.empty((len(times), N, N), dtype=complex)
+    Ms[0] = M0
+    path_factors = [factors0]
     vals = block_eigvals(M0, blocks)
-    run = {"M": M0, "finish": finish, "D": _discriminant(vals, blocks),
-           "gap": block_gap(vals, same), "collision": None, "eig_residual": 0.0}
+    run = {"D": _discriminant(vals, blocks), "gap": block_gap(vals, same),
+           "collision": None}
 
     def guard(t, y):
         gap = block_gap(eigs(y.view(complex)[nk:]), same)
@@ -234,12 +236,12 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
         return gap >= GAP_COLLIDE
 
     def on_sample(i, y):
-        z = y.view(complex)
-        record(i, run["finish"](*polish(z[:nk].reshape(N, N), z[nk:], run["M"])))
+        rows[i] = y.view(complex)
         if i + 1 == len(times):
             return False
-        run["M"], run["finish"] = node(times[i + 1])
-        vals = block_eigvals(run["M"], blocks)
+        Ms[i + 1], factors = path(times[i + 1])
+        path_factors.append(factors)
+        vals = block_eigvals(Ms[i + 1], blocks)
         run["gap"] = min(run["gap"], block_gap(vals, same))
         D = _discriminant(vals, blocks)
         if run["D"] != 0 and abs(np.angle(D / run["D"])) > 2.0:
@@ -250,18 +252,30 @@ def transport(path, velocity, node, blocks, times, tol, log0, record):
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(M0) if log0 is None else log0]).astype(complex)
     t, stats, stopped, done = dp5(f, y0.view(float), times, tol, on_sample, guard)
+
+    # the polish: one first-order eigen-correction of each (k, l) against M
+    # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives
+    # k (I + W(R)) and diag R, with errors O(E^2), so the trace of l is exact
+    k, ell = rows[:done, :nk].reshape(done, N, N), rows[:done, nk:]
+    d = eigs(ell)
+    R = np.linalg.solve(k, Ms[:done] @ k)
+    dr = R.diagonal(axis1=1, axis2=2)
+    residual = (np.abs(R - d[:, :, None] * np.eye(N)).max(axis=(1, 2))
+                / np.maximum(1.0, np.abs(d).max(axis=1)))
+    k = k + k @ off_block(R, d, np.zeros_like(R))
+    ell = ell + np.log(dr / d) if group else dr.copy()
+
     diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"]),
-             "eig_residual": run["eig_residual"]}
-    if not stopped:
-        return diags, None
-    error = run["collision"]
-    if error is None:
-        error = _collision(path, blocks, same, times[done - 1], times[done]) or BreakdownError(
+             "eig_residual": float(residual.max())}
+    error = None
+    if stopped:
+        error = run["collision"] or _collision(
+            path, blocks, same, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
             f"(eigen gap {run['gap']:.3e}) with no eigenvalue collision located",
             time=t, gap=run["gap"])
-    return diags, error
+    return k, ell, path_factors[:done], diags, error
 
 
 def _collision(path, blocks, same, t_lo, t_hi):
@@ -269,7 +283,7 @@ def _collision(path, blocks, same, t_lo, t_hi):
     t_star, collided = locate_collision(path, blocks, t_lo, t_hi)
     if not collided:
         return None
-    gap = block_gap(block_eigvals(path(t_star), blocks), same)
+    gap = block_gap(block_eigvals(path(t_star)[0], blocks), same)
     return BreakdownError(f"factorization breakdown: eigenvalue collision at "
                           f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
@@ -282,7 +296,8 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     Returns (Trajectory, factorization); for a ReducedPoint pt0, the reduced
     trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
     On an eigenvalue collision raises BreakdownError carrying the collision
-    time and the partial results.
+    time and the partial results; if the two sign branches of p(t) disagree
+    beyond P_SIGN_TOL at some output time, raises RuntimeError at the first.
     """
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
@@ -295,30 +310,38 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
-    path, velocity, log0, node = setup(spec, pt0)
+    path, velocity, log0, state = setup(spec, pt0)
+    k, ell, path_factors, diags, error = transport(
+        path, velocity, spec.subset.partition, times, tol, log0)
+    ts = times[:len(k)]  # the output times reached
+    g, h = present(k)
+    kinv = np.linalg.inv(k)
+    xi = kinv @ pt0.xi @ k
+    q, P = state(ell, xi, lambda L0: kinv @ L0 @ k)
     N = spec.ctx.N
-    y = np.empty((times.size, 2 * N + N * N), dtype=complex)
-    worst = {}
-    columns = [[] for _ in fields(factorization)[1:-1]]
+    p = P[0][:, range(N), range(N)]
+    if len(P) == 2:
+        mism = np.abs(P[0] - P[1]).max(axis=(1, 2))
+        bad = np.flatnonzero(mism > P_SIGN_TOL)
+        if bad.size:
+            raise RuntimeError(
+                f"internal error: the two sign branches of p(t) disagree by "
+                f"{mism[bad[0]]:.3e} at t={ts[bad[0]]}")
+        diags["p_sign_mismatch"] = float(mism.max())
+    diags["p_offdiag_residual"] = float(
+        np.abs(P[0][:, ~np.eye(N, dtype=bool)]).max(initial=0.0))
 
-    def record(i, result):
-        (q, p, xi), residuals, factors = result
-        for key, val in residuals.items():
-            worst[key] = max(worst.get(key, 0.0), val)
+    y = np.empty((ts.size, 2 * N + N * N), dtype=complex)
+    for i in range(ts.size):
         # diag s = diag xi: the reduced check is at least as strict
-        state = (check_state(q, p, reduce_gauge(spec.ctx, xi), reduced=True)
-                 if reduced else check_state(q, p, xi))
-        y[i] = np.concatenate([v.ravel() for v in state])
-        for col, fac in zip(columns, factors):
-            col.append(fac)
-
-    diags, error = transport(path, velocity, node, spec.subset.partition,
-                             times, tol, log0, record)
-    diags.update(worst)
-    ts = times[:len(columns[0])]  # the rows recorded
-    traj = Trajectory(times=ts, y=y[:ts.size], reduced=reduced,
-                      provenance=provenance, stats=dict(diags))
-    fact = None if reduced else factorization(ts, *columns, diagnostics=diags)
+        row = (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]), reduced=True)
+               if reduced else check_state(q[i], p[i], xi[i]))
+        y[i] = np.concatenate([v.ravel() for v in row])
+    traj = Trajectory(times=ts, y=y, reduced=reduced, provenance=provenance,
+                      stats=dict(diags))
+    d = ell if log0 is None else np.exp(ell)
+    fact = None if reduced else factorization(
+        ts, *map(np.array, zip(*path_factors)), g, d, h, k, diagnostics=diags)
     if error is not None:
         traj.breakdown_time = error.time
         error.partial, error.factors = traj, fact

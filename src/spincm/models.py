@@ -232,9 +232,9 @@ def model_from_json_dict(d):
 # ---------------------------------------------------------------------------
 
 def alpha_matrix(q):
-    """Matrix of root values a(q): A[i, j] = q_i - q_j."""
+    """Matrix of root values a(q): A[..., i, j] = q_i - q_j over q's last axis."""
     q = np.asarray(q)
-    return q[:, None] - q[None, :]
+    return q[..., :, None] - q[..., None, :]
 
 
 def singular_distance(spec, w):
@@ -511,13 +511,14 @@ def lax_limit(spec, pt, which):
 
 
 def trig_limit_tail(spec, q, xi, sign):
-    """The root-space part of the trigonometric L(sign * i inf) at (q, xi)."""
+    """The root-space part of the trigonometric L(sign * i inf) at (q, xi),
+    for q of shape (..., N) and xi of shape (..., N, N)."""
     A = alpha_matrix(q)
     out = np.zeros_like(xi)
     ms = spec.mask_span
-    out[ms] += (1.0 / np.tan(A[ms]) - sign * 1j) * xi[ms]
+    out[..., ms] += (1.0 / np.tan(A[..., ms]) - sign * 1j) * xi[..., ms]
     mo = spec.mask_plus if sign > 0 else spec.mask_minus
-    out[mo] += -sign * 2j * xi[mo]
+    out[..., mo] += -sign * 2j * xi[..., mo]
     return out
 
 

@@ -198,6 +198,8 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     check_tol(tol)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"t_end={t_end} is not finite")
     if t_end <= 0:
         raise ValidationError("t_end must be positive")
     reduced = isinstance(pt0, ReducedPoint)

@@ -29,10 +29,10 @@ class RationalFactorization(exact.Factorization):
     (``exact.present``), and h = k / g columnwise."""
 
     times: np.ndarray
-    g: list
-    d: list  # diagonal vectors
-    h: list  # diagonal vectors
-    k: list
+    g: np.ndarray
+    d: np.ndarray  # diagonal vectors
+    h: np.ndarray  # diagonal vectors
+    k: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -50,25 +50,16 @@ def solve_rational(spec, pt0, times, tol=1e-10):
 
 
 def _setup(spec, pt0):
-    """M(t) = q0 + t L(inf), the velocity k^-1 L(inf) k, and the state map of
-    the module docstring."""
+    """M(t) = q0 + t L(inf) (no path factors), the velocity k^-1 L(inf) k,
+    and the state map of the module docstring."""
     Linf = lax_limit(spec, pt0, "rational_inf")
     Q0 = np.diag(pt0.q)
     mask = spec.mask_active
-    xi0 = pt0.xi
 
-    def node(t):
-        def finish(k, d):
-            g, h = exact.present(k)
-            kinv = np.linalg.inv(k)
-            xi_t = kinv @ xi0 @ k
-            P = kinv @ Linf @ k
-            A = alpha_matrix(d)
-            P[mask] -= xi_t[mask] / A[mask]
-            off = P - np.diag(np.diag(P))
-            residuals = {"p_offdiag_residual": float(np.abs(off).max(initial=0.0))}
-            return (d, np.diag(P), xi_t), residuals, (g, d, h, k)
-        return Q0 + t * Linf, finish
+    def state(d, xi, conj):
+        P = conj(Linf)
+        P[:, mask] -= xi[:, mask] / alpha_matrix(d)[:, mask]
+        return d, [P]
 
-    return (lambda t: Q0 + t * Linf,
-            lambda t, k, d: exact.left_divide(k, Linf @ k), None, node)
+    return (lambda t: (Q0 + t * Linf, ()),
+            lambda t, k, d: exact.left_divide(k, Linf @ k), None, state)

@@ -209,7 +209,7 @@ def test_model_and_init_files(tmp_path):
     assert len(rows) == 11
 
 
-def test_validation_exit2(tmp_path, capsys):
+def test_validation_exit2(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "simulate", "--preset", "no-such-preset") == 2
     assert run(tmp_path, "simulate") == 2  # neither preset nor model/init
     assert run(tmp_path, "curve", "--preset", "rational-sl2") == 2
@@ -244,9 +244,19 @@ def test_validation_exit2(tmp_path, capsys):
     off_j = tmp_path / "off_j.json"
     off_j.write_text(json.dumps({"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
                                  "xi": [[1, 0], [1, 0], [1, 0], [-1, 0]]}))
+    (tmp_path / "soon.json").write_text(json.dumps({
+        "model": json.loads(model.read_text()), "init": json.loads(ok_init.read_text()),
+        "defaults": {"t_end": "soon"}}))
+    monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
     out = tmp_path / "never.csv"
     for argv in (
             ("audit", "--preset", "rational-sl2", "--z-samples", "foo"),
+            *((cmd, "--preset", "rational-sl2", "--t-end", t_end, "--out", str(out))
+              for cmd in ("simulate", "exact", "compare", "audit")
+              for t_end in ("nan", "inf")),
+            ("compare", "--preset", "rational-sl2", "--threshold", "nan",
+             "--out", str(out)),
+            ("simulate", "--preset", "soon", "--out", str(out)),
             ("simulate", "--preset", "rational-sl2", "--z-samples", "0",
              "--out", str(out)),
             ("simulate", "--model", str(model), "--init", str(bare)),

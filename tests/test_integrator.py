@@ -44,8 +44,9 @@ def test_tol_and_argument_validation(spec2):
     for bad in (1e-14, 1e-2):
         with pytest.raises(ValidationError):
             integrate(spec2, pt, 1.0, tol=bad)
-    with pytest.raises(ValidationError):
-        integrate(spec2, pt, -1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            integrate(spec2, pt, bad)
     with pytest.raises(ValidationError):
         integrate(spec2, pt, 1.0, samples=1)
 

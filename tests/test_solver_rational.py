@@ -41,16 +41,11 @@ def sup_gap(ta, tb, attr):
 
 def run_transport(M, Mdot, blocks, times, tol=1e-12):
     """(times, k, d) at the output times of the transport along M(t)."""
-    out = []
-
-    def node(t):
-        return M(t), lambda k, d: (k, d)
-
-    diags, error = transport(M, lambda t, k, d: left_divide(k, Mdot @ k), node,
-                             blocks, times, tol, None,
-                             lambda i, kd: out.append((times[i],) + kd))
+    k, d, _, diags, error = transport(lambda t: (M(t), ()),
+                                      lambda t, k, d: left_divide(k, Mdot @ k),
+                                      blocks, times, tol, None)
     assert error is None and diags["nfev"] > 1
-    return out
+    return list(zip(times, k, d))
 
 
 def test_diagonalize_diagonal_matrix():
@@ -83,6 +78,24 @@ def test_diagonalize_sl2_example():
             assert np.abs(g - np.eye(2)).max() < 1e-15
 
 
+def test_present_stack_is_per_matrix():
+    """present on a stack of matrices is, bit for bit, the per-matrix
+    presentation: unit columns times their geometric mean over the
+    principal N-th root of det k (a Python complex power)."""
+    def reference(k):
+        norms = np.linalg.norm(k, axis=0)
+        s = np.exp(np.log(norms).mean()) / complex(np.linalg.det(k)) ** (1.0 / len(k))
+        return k * (s / norms)[None, :], norms / s
+
+    rng = np.random.default_rng(11)
+    for N in range(2, 8):
+        K = rng.standard_normal((6, N, N)) + 1j * rng.standard_normal((6, N, N))
+        g, h = present(K)
+        for i in range(len(K)):
+            for gi, hi in (present(K[i]), reference(K[i])):
+                assert np.array_equal(g[i], gi) and np.array_equal(h[i], hi)
+
+
 def test_diagonalize_blockwise():
     """Blocks stay decoupled: k is block-diagonal and the singleton keeps its
     diagonal entry."""
@@ -110,17 +123,12 @@ def test_diagonalize_continuation():
             return D0 + t * (M0 - D0), M0 - D0
         return M0 + (t - 1.0) * X, X
 
-    out = []
-
-    def node(t):
-        return path(t)[0], lambda k, d: (k, d)
-
     times = np.array([0.0, 0.5, 1.0, 1.01])
-    diags, error = transport(lambda t: path(t)[0],
-                             lambda t, k, d: left_divide(k, path(t)[1] @ k),
-                             node, ((0, 1),), times, 1e-12, None,
-                             lambda i, kd: out.append((times[i],) + kd))
+    k, d, _, diags, error = transport(lambda t: (path(t)[0], ()),
+                                      lambda t, k, d: left_divide(k, path(t)[1] @ k),
+                                      ((0, 1),), times, 1e-12, None)
     assert error is None
+    out = list(zip(times, k, d))
     (_, k0, d0), (_, k1, d1) = out[-2], out[-1]
     for t, k, d in out:
         assert np.abs(k @ np.diag(d) @ np.linalg.inv(k) - path(t)[0]).max() < 1e-12
@@ -228,6 +236,8 @@ def test_solver_validations(spec2):
                        np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
         solve_rational(spec2, pt, np.linspace(0.5, 1, 5))
+    with pytest.raises(ValidationError):
+        solve_rational(spec2, pt, [0.0, 0.5, np.inf])
     with pytest.raises(ValidationError):
         from spincm.models import trig_model
         from spincm.liecore import pi_subset

@@ -82,6 +82,26 @@ def test_parabolic_sl3():
     assert np.abs(g[:2, 2]).max() == 0.0
 
 
+@pytest.mark.parametrize("N, members", [(4, [0, 2]), (5, [1])])
+def test_parabolic_membership_masks(N, members):
+    """A block-triangular A for sign + (-) may carry entries at the span of
+    pi' but at no root outside it below (above) the blocks: one entry at
+    any such root raises ValidationError."""
+    ctx = build_sl_context(N)
+    sub = validate_root_subset(ctx, pi_subset(members))
+    for sign, outside in (("+", sub.obar_minus), ("-", sub.obar_plus)):
+        for i, j in sub.span:
+            A = np.eye(N, dtype=complex)
+            A[i, j] = 0.5
+            n, g = parabolic_factor(ctx, sub, A, sign)
+            assert np.abs(n @ g - A).max() < 1e-15 and g[i, j] == 0.5
+        for i, j in outside:
+            A = np.eye(N, dtype=complex)
+            A[i, j] = 0.5
+            with pytest.raises(ValidationError):
+                parabolic_factor(ctx, sub, A, sign)
+
+
 # -- the transported log of a group-valued path -----------------------------------
 
 def test_cartan_log_unwraps_free_path():
@@ -93,16 +113,12 @@ def test_cartan_log_unwraps_free_path():
     def Mfun(t):
         return np.diag(np.exp(2j * (q0 + t * p)))
 
-    out = []
-
-    def node(t):
-        return Mfun(t), lambda k, logd: logd
-
     times = np.linspace(0, 1.0, 60)
-    diags, error = transport(Mfun,
-                             lambda t, k, d: left_divide(k, Mfun(t) * 2j * p @ k),
-                             node, ((0,), (1,)), times, 1e-10, 2j * q0,
-                             lambda i, logd: out.append((times[i], logd)))
+    _, logds, _, diags, error = transport(
+        lambda t: (Mfun(t), ()),
+        lambda t, k, d: left_divide(k, Mfun(t) * 2j * p @ k),
+        ((0,), (1,)), times, 1e-10, 2j * q0)
+    out = list(zip(times, logds))
     assert error is None and len(out) == len(times)
     for t, logd in out:
         assert np.abs(logd / 2j - (q0 + t * p)).max() < 1e-12
@@ -117,15 +133,13 @@ def test_cartan_log_constant_and_errors():
     M = np.diag(np.exp(2j * q0))
     out = []
 
-    def node(t):
-        return M, lambda k, logd: logd
-
     def run(Mdot):
-        out.clear()
         times = np.linspace(0, 1, 5)
-        return transport(lambda t: M, lambda t, k, d: left_divide(k, Mdot(t) @ k),
-                         node, ((0,), (1,)), times, 1e-10, 2j * q0,
-                         lambda i, logd: out.append((times[i], logd)))
+        _, logds, _, diags, error = transport(
+            lambda t: (M, ()), lambda t, k, d: left_divide(k, Mdot(t) @ k),
+            ((0,), (1,)), times, 1e-10, 2j * q0)
+        out[:] = zip(times, logds)
+        return diags, error
 
     zero, nan = np.zeros((2, 2), dtype=complex), np.full((2, 2), np.nan + 0j)
     diags, error = run(lambda t: zero)
@@ -143,27 +157,37 @@ def test_cartan_log_constant_and_errors():
 
 @pytest.mark.parametrize("N, members", [(3, [0]), (4, [0, 1])])
 def test_closed_form_levi_path(N, members):
-    """M(t) = e^{it Lam_-} e^{2i q0} e^{it Lam_+} equals g_-^-1 e^{2i q0} g_+ of
-    the parabolic factors, and on blockwise eigenpairs M k = k d the velocity
-    equals k^-1 M'(t) k."""
+    """The path's M(t) = g_-^-1 e^{2i q0} g_+ of the parabolic factors equals
+    the closed form e^{it Lam_-} e^{2i q0} e^{it Lam_+} (Lam_+/- the Levi
+    parts of L(+/-i inf)), also at the complex t of collision location, and
+    on blockwise eigenpairs M k = k d the velocity equals k^-1 M'(t) k."""
     ctx = build_sl_context(N)
     spec = trig_model(ctx, pi_subset(members))
     pt = random_point(spec, np.random.default_rng(N), scale=0.4)
     path, velocity, _, _ = solver_trig._setup(spec, pt)
     Lp = lax_limit(spec, pt, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt, "trig_minus_i_inf")
+    levi = spec.mask_span | np.eye(N, dtype=bool)
+    Lam_p, Lam_m = np.where(levi, Lp, 0.0), np.where(levi, Lm, 0.0)
     e2iq0 = np.diag(np.exp(2j * pt.q))
+
+    def closed_form(t):
+        return expm(1j * t * Lam_m) @ e2iq0 @ expm(1j * t * Lam_p)
+
+    for t in (0.05, 0.2, 0.15 + 0.08j):
+        M, (n_plus, n_minus, g_plus, g_minus) = path(t)
+        assert np.abs(M - closed_form(t)).max() <= 1e-12
+        assert np.abs(M - np.linalg.solve(g_minus, e2iq0 @ g_plus)).max() <= 1e-14
+        assert np.abs(n_plus @ g_plus - expm(1j * t * Lp)).max() <= 1e-12
+        assert np.abs(n_minus @ g_minus - expm(-1j * t * Lm)).max() <= 1e-12
     dt = 1e-5
     for t in (0.05, 0.2):
-        M = path(t)
-        _, gp = parabolic_factor(ctx, spec.subset, expm(1j * t * Lp), "+")
-        _, gm = parabolic_factor(ctx, spec.subset, expm(-1j * t * Lm), "-")
-        assert np.abs(M - np.linalg.solve(gm, e2iq0 @ gp)).max() <= 1e-12
+        M = path(t)[0]
         k, d = np.zeros((N, N), dtype=complex), np.zeros(N, dtype=complex)
         for blk in spec.subset.partition:
             idx = np.ix_(blk, blk)
             d[list(blk)], k[idx] = np.linalg.eig(M[idx])
-        central = (path(t + dt) - path(t - dt)) / (2 * dt)
+        central = (path(t + dt)[0] - path(t - dt)[0]) / (2 * dt)
         assert np.abs(velocity(t, k, d) - np.linalg.solve(k, central @ k)).max() <= 1e-7
 
 
