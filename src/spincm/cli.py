@@ -63,6 +63,13 @@ def _finite(val):
     return val
 
 
+def _integral(val):
+    """A finite integral number as an int."""
+    if _finite(val) != int(val):
+        raise ValueError(f"{val!r} is not an integer")
+    return int(val)
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -79,7 +86,8 @@ def _point_from_json(d):
 def _resolve(args):
     """(spec, pt, params, config_dict) from --preset or --model/--init, with
     the input checked before any integration: the JSON records, the run
-    parameters (of the command line or the preset) as finite numbers, the
+    parameters (of the command line or the preset) as finite numbers, with
+    `samples` integral and stored as an int, the
     z-samples (of --z-samples or the preset) against the Lax poles, q against
     the singular set and, for `exact` and `compare` on a full point, J^-1(0)."""
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
@@ -105,7 +113,8 @@ def _resolve(args):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
-        _checked(name, _finite, params[name])
+        params[name] = _checked(
+            name, _integral if name == "samples" else _finite, params[name])
     if args.z_samples:
         zs = _checked("--z-samples", _parse_z_samples, args.z_samples)
         params["z_samples"] = [[z.real, z.imag] for z in zs]
@@ -165,7 +174,7 @@ def _z_list(spec, params):
 
 def cmd_simulate(args):
     spec, pt, params, config = _resolve(args)
-    traj = integrate(spec, pt, params["t_end"], samples=int(params["samples"]),
+    traj = integrate(spec, pt, params["t_end"], samples=params["samples"],
                      tol=params["tol"])
     energy, mom = conserved(spec, traj)
     lines = trajectory_csv_lines(traj, _meta(config))
@@ -180,7 +189,7 @@ def cmd_simulate(args):
 def _exact(spec, pt, params):
     """(trajectory, factorization or None) of the family's exact solver at
     the error tolerance --tol; a reduced point gives no factorization."""
-    times = np.linspace(0.0, params["t_end"], int(params["samples"]))
+    times = np.linspace(0.0, params["t_end"], params["samples"])
     solve = {"rational": solve_rational, "trigonometric": solve_trig}[spec.family]
     return solve(spec, pt, times, params["tol"])
 
@@ -214,7 +223,7 @@ def cmd_compare(args):
     if spec.family == "elliptic":
         sys.stderr.write("compare requires a family with an exact solver\n")
         return EXIT_UNSUPPORTED
-    traj_o = integrate(spec, pt, params["t_end"], samples=int(params["samples"]),
+    traj_o = integrate(spec, pt, params["t_end"], samples=params["samples"],
                        tol=params["tol"])
     if traj_o.blowup:
         return EXIT_BLOWUP
@@ -234,7 +243,7 @@ def cmd_compare(args):
 
 def cmd_audit(args):
     spec, pt, params, config = _resolve(args)
-    traj = integrate(spec, pt, params["t_end"], samples=int(params["samples"]),
+    traj = integrate(spec, pt, params["t_end"], samples=params["samples"],
                      tol=params["tol"])
     rep = audit(spec, traj, _z_list(spec, params))
     report = rep.to_json_dict()

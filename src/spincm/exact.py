@@ -20,13 +20,14 @@ interval to ``locate_collision``, which finds that zero by a complex secant
 iteration.  A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
 always ends in a BreakdownError, never in a silent state.
 
-A family supplies ``setup(spec, pt0) -> (path, velocity, log0, state)``:
-``path(t)`` returns M(t) and the family's factors at t (also at the complex
-t of collision location); ``velocity(t, k, d)`` returns B from the
-transported state alone; log0 is None when l = d, else l(0) = log d(0);
-``state(l, xi, conj)`` maps the stacked l and xi(t) = k^-1 xi0 k to q and
-the momentum matrices [P, ...] (p = diag P; two sign branches for the
-trigonometric family), with ``conj(L0) = k^-1 L0 k`` on the stack.  The
+A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
+limits)``: ``path(t)`` returns M(t) and the family's factors at t (also at
+the complex t of collision location); ``velocity(t, k, d)`` returns B from
+the transported state alone; log0 is None when l = d, else l(0) = log d(0);
+``position(l)`` maps the stacked l to q; ``limits`` maps names of
+``models.LAX_LIMITS`` to L0, that limit of L at pt0 (two sign branches for
+the trigonometric family).  Each gives P = k^-1 L0 k minus the off-diagonal
+part of the same limit at (q(t), xi(t) = k^-1 xi0 k), and p = diag P.  The
 velocity may use M k = k diag(d) in place of M(t): when M solves a linear
 ODE M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
 from the same start, so the state drifts off M k = k diag(d) only by the
@@ -52,8 +53,9 @@ from scipy.linalg.lapack import zgesv
 
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
-from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
-                     check_regular, check_state)
+from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
+                     _check_momentum_zero, _lax_matrix, check_regular,
+                     check_state)
 from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
@@ -310,15 +312,18 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
-    path, velocity, log0, state = setup(spec, pt0)
+    path, velocity, log0, position, limits = setup(spec, pt0)
     k, ell, path_factors, diags, error = transport(
         path, velocity, spec.subset.partition, times, tol, log0)
     ts = times[:len(k)]  # the output times reached
     g, h = present(k)
     kinv = np.linalg.inv(k)
     xi = kinv @ pt0.xi @ k
-    q, P = state(ell, xi, lambda L0: kinv @ L0 @ k)
+    q = position(ell)
     N = spec.ctx.N
+    off = ~np.eye(N, dtype=bool)
+    P = [kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
+         for which, L0 in limits.items()]
     p = P[0][:, range(N), range(N)]
     if len(P) == 2:
         mism = np.abs(P[0] - P[1]).max(axis=(1, 2))
@@ -328,8 +333,7 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
                 f"internal error: the two sign branches of p(t) disagree by "
                 f"{mism[bad[0]]:.3e} at t={ts[bad[0]]}")
         diags["p_sign_mismatch"] = float(mism.max())
-    diags["p_offdiag_residual"] = float(
-        np.abs(P[0][:, ~np.eye(N, dtype=bool)]).max(initial=0.0))
+    diags["p_offdiag_residual"] = float(np.abs(P[0][:, off]).max(initial=0.0))
 
     y = np.empty((ts.size, 2 * N + N * N), dtype=complex)
     for i in range(ts.size):

@@ -30,7 +30,6 @@ class LieContext:
 
     N: int
     roots: tuple  # ordered (i, j) pairs, lexicographic
-    simple: tuple  # indices into `roots` for eps_i - eps_{i+1}
     cartan_matrix: np.ndarray  # (N-1, N-1)
     inv_cartan: np.ndarray  # (N-1, N-1)
     x_basis: np.ndarray = field(repr=False)  # (N-1, N, N) orthonormal Cartan basis
@@ -90,7 +89,6 @@ def build_sl_context(N):
         raise ValidationError(f"N must be an integer >= 2, got {N!r}")
     N = int(N)
     roots = tuple((i, j) for i in range(N) for j in range(N) if i != j)
-    simple = tuple(roots.index((i, i + 1)) for i in range(N - 1))
 
     # Cartan matrix A_ij = a_j(h_{a_i}) = tr(H_i H_j) for sl(N).
     A = np.zeros((N - 1, N - 1))
@@ -110,7 +108,7 @@ def build_sl_context(N):
         d[k] = -k
         xs[k - 1] = np.diag(d / np.sqrt(k * (k + 1)))
 
-    return LieContext(N=N, roots=roots, simple=simple, cartan_matrix=A,
+    return LieContext(N=N, roots=roots, cartan_matrix=A,
                       inv_cartan=C, x_basis=xs)
 
 

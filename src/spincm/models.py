@@ -5,6 +5,10 @@ vector fields on the full and reduced phase spaces, and the closed-form
 r-matrix actions (R(q)M)(z) entering the Lax equations.  The reduced field is
 the full field at the lift xi := s projected onto the gauge slice s_{a_i} = 1.
 
+The rational and trigonometric L(z), its limits at z -> inf and
+z -> +/- i inf, the exact solvers' momentum maps and the trigonometric
+r-matrix kernel all read one formula, ``_lax_matrix``.
+
 All three families share the shape
 
     H = 1/2 tr p^2 - 1/2 sum_{a in A} kappa_a(q) xi_a xi_{-a} - c0 * sum_i xi_i^2
@@ -173,6 +177,8 @@ class ModelSpec:
             self.mask_span = _mask(N, self.subset.span)
             self.mask_plus = _mask(N, self.subset.obar_plus)
             self.mask_minus = _mask(N, self.subset.obar_minus)
+            # the constant root kernel of L(z): -i on Obar_+, +i on Obar_-
+            self.obar_kernel = 1j * (self.mask_minus.astype(float) - self.mask_plus)
             self.mask_active = off
             self.regular_roots = np.nonzero(self.mask_span)
         else:
@@ -237,14 +243,22 @@ def alpha_matrix(q):
     return q[..., :, None] - q[..., None, :]
 
 
-def singular_distance(spec, w):
-    """Distance of root values w to the family's singular set ({0}, pi*Z, Lambda)."""
+def _nearest_singular(spec, w):
+    """(nearest point, distance) of the values w to the family's singular set
+    ({0}, pi*Z, Lambda): that of the root values a(q) and of the z-poles of L(z)."""
     w = np.asarray(w, dtype=complex)
     if spec.family == "rational":
-        return np.abs(w)
+        return np.zeros(w.shape), np.abs(w)
     if spec.family == "trigonometric":
-        return np.abs(w - math.pi * np.round(w.real / math.pi))
-    return spec.lattice.lattice_distance(w)
+        near = math.pi * np.round(w.real / math.pi)
+        return near, np.abs(w - near)
+    z0, _, _ = spec.lattice.reduce(w)
+    return w - z0, np.abs(z0)
+
+
+def singular_distance(spec, w):
+    """Distance of root values w to the family's singular set ({0}, pi*Z, Lambda)."""
+    return _nearest_singular(spec, w)[1]
 
 
 def _require_regular(w, dist, rows, cols):
@@ -409,22 +423,37 @@ def _check_z_regular(spec, zs):
     """The spectral parameters as a complex array; PoleError for the first one
     within POLE_TOL of a z-pole of L(z)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    if spec.family == "rational":
-        near = np.zeros(zs.shape)
-        dist = np.abs(zs)
-    elif spec.family == "trigonometric":
-        near = math.pi * np.round(zs.real / math.pi)
-        dist = np.abs(zs - near)
-    else:
-        z0, _, _ = spec.lattice.reduce(zs)
-        near = zs - z0
-        dist = np.abs(z0)
+    near, dist = _nearest_singular(spec, zs)
     bad = np.flatnonzero(dist < special.POLE_TOL)
     if bad.size:
         k = bad[0]
         raise PoleError(f"{spec.family} Lax pole at z={zs[k]}",
                         nearest=near[k].item())
     return zs
+
+
+def _lax_matrix(spec, q, p, xi, c):
+    """diag(p) + (R(q) + c) o xi, the rational or trigonometric Lax matrix,
+    broadcast over the leading axes of q (..., N), p (..., N), xi (..., N, N)
+    and c (...), with no checks.  R is the family's root kernel, zero on the
+    diagonal,
+
+        rational:       R = 1/a(q) on Delta', 0 on the other roots
+        trigonometric:  R = cot a(q) on <pi'>, -i on Obar_+, +i on Obar_-
+
+    and c the z-part: 1/z or cot z at a finite z, with the limits 0 at
+    z -> inf and -/+ i at z -> +/- i inf."""
+    xi = np.asarray(xi, dtype=complex)
+    A = alpha_matrix(q)
+    # the q-dependent part of R o xi, then c plus the constant part of R
+    root = np.zeros(np.broadcast_shapes(xi.shape, A.shape), dtype=complex)
+    c = np.asarray(c)[..., None, None]
+    if spec.family == "rational":
+        np.divide(xi, A, out=root, where=spec.mask_active)
+    else:
+        np.divide(xi, np.tan(A), out=root, where=spec.mask_span)
+        c = c + spec.obar_kernel
+    return c * xi + root + np.asarray(p)[..., None] * np.eye(xi.shape[-1])
 
 
 def lax(spec, pt, z):
@@ -439,25 +468,8 @@ def lax_batch(spec, pt, zs):
         return lax_pair(spec, pt, zs)[0]
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
-    N = spec.ctx.N
-    xi = pt.xi
-    A = alpha_matrix(pt.q)
-    out = np.zeros((zs.size, N, N), dtype=complex)
-    diag = np.arange(N)
-    out[:, diag, diag] = pt.p
-
-    if spec.family == "rational":
-        m = spec.mask_active
-        out[:, m] += xi[m] / A[m]
-        out += xi / zs[:, None, None]
-        return out
-
-    ms = spec.mask_span
-    out[:, ms] += xi[ms] / np.tan(A[ms])
-    out[:, spec.mask_plus] += -1j * xi[spec.mask_plus]
-    out[:, spec.mask_minus] += 1j * xi[spec.mask_minus]
-    out += cot_c(zs)[:, None, None] * xi
-    return out
+    c = 1.0 / zs if spec.family == "rational" else cot_c(zs)
+    return _lax_matrix(spec, pt.q, pt.p, pt.xi, c)
 
 
 def lax_pair(spec, pt, zs):
@@ -484,6 +496,12 @@ def lax_pair(spec, pt, zs):
     return L, dL
 
 
+# the limits of lax_limit: which -> (family, the limit of the z-part c)
+LAX_LIMITS = {"rational_inf": ("rational", 0.0),
+              "trig_plus_i_inf": ("trigonometric", -1j),
+              "trig_minus_i_inf": ("trigonometric", 1j)}
+
+
 def lax_limit(spec, pt, which):
     """Limiting Lax values: z -> infinity (rational) or z -> +/- i*infinity (trig).
 
@@ -491,35 +509,12 @@ def lax_limit(spec, pt, which):
     limits land in the parabolic subalgebras p^{+/-}_{pi'} by construction.
     """
     check_regular(spec, pt.q)
-    xi = pt.xi
-    A = alpha_matrix(pt.q)
-    P = np.diag(pt.p)
-    if which == "rational_inf":
-        if spec.family != "rational":
-            raise ValidationError("rational_inf limit requires the rational family")
-        m = spec.mask_active
-        out = P.copy()
-        out[m] += xi[m] / A[m]
-        return out
-    if which in ("trig_plus_i_inf", "trig_minus_i_inf"):
-        if spec.family != "trigonometric":
-            raise ValidationError(f"{which} limit requires the trigonometric family")
-        sign = 1.0 if which == "trig_plus_i_inf" else -1.0
-        return (P - sign * 1j * np.diag(np.diag(xi))
-                + trig_limit_tail(spec, pt.q, xi, sign))
-    raise ValidationError(f"unknown limit {which!r}")
-
-
-def trig_limit_tail(spec, q, xi, sign):
-    """The root-space part of the trigonometric L(sign * i inf) at (q, xi),
-    for q of shape (..., N) and xi of shape (..., N, N)."""
-    A = alpha_matrix(q)
-    out = np.zeros_like(xi)
-    ms = spec.mask_span
-    out[..., ms] += (1.0 / np.tan(A[..., ms]) - sign * 1j) * xi[..., ms]
-    mo = spec.mask_plus if sign > 0 else spec.mask_minus
-    out[..., mo] += -sign * 2j * xi[..., mo]
-    return out
+    if which not in LAX_LIMITS:
+        raise ValidationError(f"unknown limit {which!r}")
+    family, c = LAX_LIMITS[which]
+    if spec.family != family:
+        raise ValidationError(f"{which} limit requires the {family} family")
+    return _lax_matrix(spec, pt.q, pt.p, pt.xi, c)
 
 
 def _check_momentum_zero(pt):
@@ -547,16 +542,12 @@ def r_action_on_M(spec, pt, z):
     if spec.family == "trigonometric":
         cz = cot_c(z)
         out = 0.5 * M - cz * np.diag(pt.p)
-        # phi_a(q, z) per root class
-        phi = np.zeros((N, N), dtype=complex)
-        ms = spec.mask_span
-        phi[ms] = -(1.0 / np.tan(A[ms]) + cz)
-        phi[spec.mask_plus] = -(cz - 1j)
-        phi[spec.mask_minus] = -(cz + 1j)
+        # phi_a(q, z) = -(R(q) + cot z): the kernel of L(z), read at xi = 1
+        phi = -_lax_matrix(spec, pt.q, 0.0, np.ones((N, N)), cz)
         comp = spec.mask_plus | spec.mask_minus
         out[comp] += phi[comp] * cz * xi[comp]
-        caq = 1.0 / np.tan(A[ms])
-        out[ms] += phi[ms] * (caq + cz - 1.0 / np.tan(A[ms] + z)) * xi[ms]
+        ms = spec.mask_span
+        out[ms] -= phi[ms] * (phi[ms] + 1.0 / np.tan(A[ms] + z)) * xi[ms]
         return out
 
     m = spec.mask_active

@@ -7,7 +7,7 @@ conjugating:
 
     q(t)  = d(t)
     xi(t) = k(t)^-1 xi0 k(t)
-    p(t)  = diag( k(t)^-1 L(inf) k(t) - sum_{Delta'} (xi_a(t)/a(q(t))) e_a )
+    p(t)  = diag P,  P = k(t)^-1 L(inf) k(t) - off-diagonal L(inf)(q(t), xi(t))
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact
-from .models import alpha_matrix, lax_limit
+from .models import lax_limit
 
 
 @dataclass
@@ -51,15 +51,9 @@ def solve_rational(spec, pt0, times, tol=1e-10):
 
 def _setup(spec, pt0):
     """M(t) = q0 + t L(inf) (no path factors), the velocity k^-1 L(inf) k,
-    and the state map of the module docstring."""
+    q = d and the one limit L(inf)."""
     Linf = lax_limit(spec, pt0, "rational_inf")
     Q0 = np.diag(pt0.q)
-    mask = spec.mask_active
-
-    def state(d, xi, conj):
-        P = conj(Linf)
-        P[:, mask] -= xi[:, mask] / alpha_matrix(d)[:, mask]
-        return d, [P]
-
     return (lambda t: (Q0 + t * Linf, ()),
-            lambda t, k, d: exact.left_divide(k, Linf @ k), None, state)
+            lambda t, k, d: exact.left_divide(k, Linf @ k), None,
+            lambda d: d, {"rational_inf": Linf})

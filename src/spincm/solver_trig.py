@@ -22,8 +22,9 @@ a linear ODE, so the drift off M k = k d stays at the integration error (see
 ``exact``).  Then, on the stack of output times,
 
     xi(t) = k(t)^-1 xi0 k(t)
-    p(t)  = diag of k(t)^-1 L0(+/-i inf) k(t) minus the time-t non-Cartan
-            part of the limiting Lax value; ``exact`` compares both branches.
+    p(t)  = diag P,  P = k(t)^-1 L(+/-i inf) k(t)
+                         - off-diagonal L(+/-i inf)(q(t), xi(t));
+            ``exact`` compares both sign branches.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.linalg import expm
 
 from . import exact
 from .errors import BreakdownError, ValidationError
-from .models import _mask, lax_limit, trig_limit_tail
+from .models import _mask, lax_limit
 
 
 @dataclass
@@ -99,8 +100,8 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 
 
 def _setup(spec, pt0):
-    """M(t) from the parabolic factors, the velocity B(k, d) and the state
-    map of the module docstring."""
+    """M(t) from the parabolic factors, the velocity B(k, d), q = l/2i and
+    the two limits L(+/-i inf)."""
     ctx = spec.ctx
     subset = spec.subset
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
@@ -119,9 +120,5 @@ def _setup(spec, pt0):
         X = exact.left_divide(k, np.concatenate((Lam_m @ k, Lam_p @ k), axis=1))
         return 1j * (X[:, :N] * d + d[:, None] * X[:, N:])
 
-    def state(logd, xi, conj):
-        q = logd / 2j
-        return q, [conj(L0) - trig_limit_tail(spec, q, xi, sign)
-                   for sign, L0 in ((1.0, Lp), (-1.0, Lm))]
-
-    return path, velocity, 2j * pt0.q, state
+    return (path, velocity, 2j * pt0.q, lambda logd: logd / 2j,
+            {"trig_plus_i_inf": Lp, "trig_minus_i_inf": Lm})

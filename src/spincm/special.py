@@ -1,5 +1,7 @@
-"""Scalar kernels of the Lax operators: cot, the three-case trigonometric kernel,
-and the Weierstrass functions wp, wp', zeta, sigma and l(w,z) of a period lattice.
+"""Scalar kernels of the Lax operators: cot (the z-part of the trigonometric
+L(z); the rational and trigonometric root kernels are built in ``models``)
+and the Weierstrass functions wp, wp', zeta, sigma and l(w,z) of a period
+lattice.
 
 Weierstrass evaluation goes through Jacobi theta_1 series in the nome (spectrally
 accurate); arguments are reduced to the centered fundamental cell and the exact
@@ -26,12 +28,6 @@ from .errors import PoleError, ValidationError, require_keys
 
 POLE_TOL = 1e-8
 
-_ROOT_CLASSES = ("span", "plusbar", "minusbar")
-
-
-def _nearest_pi_multiple(z):
-    return math.pi * round(z.real / math.pi)
-
 
 def _as_array(z):
     arr = np.asarray(z, dtype=complex)
@@ -51,33 +47,6 @@ def cot_c(z):
     w = np.exp(np.where(up, 2j, -2j) * arr)
     out = np.where(up, 1j * (w + 1.0) / (w - 1.0), 1j * (1.0 + w) / (1.0 - w))
     return complex(out) if scalar else out
-
-
-def phi_alpha(w, z, root_class):
-    """Three-case trigonometric kernel.
-
-    span:     -sin(w+z)/(sin w sin z) = -(cot w + cot z)
-    plusbar:  -e^{-iz}/sin z
-    minusbar: -e^{+iz}/sin z
-    """
-    if root_class not in _ROOT_CLASSES:
-        raise ValidationError(f"root_class must be one of {_ROOT_CLASSES}")
-    z = complex(z)
-    near = _nearest_pi_multiple(z)
-    if abs(z - near) < POLE_TOL:
-        raise PoleError(f"kernel pole at z={z}", nearest=near)
-    if root_class == "span":
-        return -(cot_c(w) + cot_c(z))
-    # stable one-sided exponential forms of -e^{-/+iz}/sin z
-    if root_class == "plusbar":
-        if z.imag >= 0.0:
-            return -2j / (cmath.exp(2j * z) - 1.0)
-        e = cmath.exp(-2j * z)
-        return -2j * e / (1.0 - e)
-    if z.imag >= 0.0:
-        e = cmath.exp(2j * z)
-        return -2j * e / (e - 1.0)
-    return -2j / (1.0 - cmath.exp(-2j * z))
 
 
 class EllipticLattice:

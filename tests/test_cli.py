@@ -247,6 +247,9 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
     (tmp_path / "soon.json").write_text(json.dumps({
         "model": json.loads(model.read_text()), "init": json.loads(ok_init.read_text()),
         "defaults": {"t_end": "soon"}}))
+    (tmp_path / "frac.json").write_text(json.dumps({
+        "model": json.loads(model.read_text()), "init": json.loads(ok_init.read_text()),
+        "defaults": {"samples": 2.5}}))
     monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
     out = tmp_path / "never.csv"
     for argv in (
@@ -257,6 +260,7 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
             ("compare", "--preset", "rational-sl2", "--threshold", "nan",
              "--out", str(out)),
             ("simulate", "--preset", "soon", "--out", str(out)),
+            ("simulate", "--preset", "frac", "--out", str(out)),
             ("simulate", "--preset", "rational-sl2", "--z-samples", "0",
              "--out", str(out)),
             ("simulate", "--model", str(model), "--init", str(bare)),

@@ -185,6 +185,58 @@ def test_trig_limit_is_actual_limit(spec_t2):
     assert np.abs(lax_limit(spec_t2, pt, "trig_plus_i_inf") - far).max() < 1e-14
     far = lax(spec_t2, pt, 0.4 - 40j)
     assert np.abs(lax_limit(spec_t2, pt, "trig_minus_i_inf") - far).max() < 1e-14
+    # N = 3: pi' = {alpha_1} and pi' = {} have roots outside the span, whose
+    # entries the limits read from Obar_+/-
+    rng = np.random.default_rng(7)
+    for members in ([0], []):
+        spec = trig_model(ctx(3), pi_subset(members))
+        pt = random_point(spec, rng, scale=0.5, momentum_zero=False)
+        for which, z in (("trig_plus_i_inf", 0.4 + 40j),
+                         ("trig_minus_i_inf", 0.4 - 40j)):
+            assert np.abs(lax_limit(spec, pt, which) - lax(spec, pt, z)).max() < 1e-14
+    # rational, Delta' one block of sl(3): L(z) - L(inf) = xi / z
+    spec = rational_model(ctx(3), delta_subset([(0, 1), (1, 0)]))
+    pt = random_point(spec, rng, scale=0.5, momentum_zero=False)
+    far = lax(spec, pt, 1e10)
+    assert np.abs(lax_limit(spec, pt, "rational_inf") - far).max() < 1e-9
+
+
+# the trigonometric kernel at N = 3, pi' = {alpha_1}: with q = (w/2, -w/2, 0)
+# the span roots +/-alpha_1 take the values +/-w, and the entries of L(z) at
+# eps_1 - eps_3, eps_2 - eps_3 (Obar_+) and their negatives (Obar_-) have no
+# root term; xi has unit-modulus entries off the diagonal
+_XI3 = np.array([[0, 1, 1j], [-1, 0, (1 + 1j) / math.sqrt(2)],
+                 [-1j, (1 - 1j) / math.sqrt(2), 0]])
+_OBAR_PLUS, _OBAR_MINUS = ((0, 2), (1, 2)), ((2, 0), (2, 1))
+
+
+def _trig_lax3(w, z):
+    spec = trig_model(ctx(3), pi_subset([0]))
+    pt = PhasePoint(q=[w / 2, -w / 2, 0], p=[0, 0, 0], xi=_XI3)
+    return lax_batch(spec, pt, [z])[0]
+
+
+def test_trig_lax_kernel_examples():
+    L = _trig_lax3(math.pi / 4, math.pi / 2)
+    assert abs(L[0, 1] - 1.0 * _XI3[0, 1]) < 1e-14
+    for ij in _OBAR_PLUS:
+        assert abs(L[ij] + 1j * _XI3[ij]) < 1e-14
+    for ij in _OBAR_MINUS:
+        assert abs(L[ij] - 1j * _XI3[ij]) < 1e-14
+
+
+def test_trig_lax_kernel_matches_sine_forms():
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        w = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
+        z = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
+        L = _trig_lax3(w, z)
+        for ij, a in (((0, 1), w), ((1, 0), -w)):
+            assert abs(L[ij] - np.sin(a + z) / (np.sin(a) * np.sin(z)) * _XI3[ij]) < 1e-12
+        for ij in _OBAR_PLUS:
+            assert abs(L[ij] - np.exp(-1j * z) / np.sin(z) * _XI3[ij]) < 1e-12
+        for ij in _OBAR_MINUS:
+            assert abs(L[ij] - np.exp(1j * z) / np.sin(z) * _XI3[ij]) < 1e-12
 
 
 # -- equations of motion --------------------------------------------------------

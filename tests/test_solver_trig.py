@@ -164,7 +164,7 @@ def test_closed_form_levi_path(N, members):
     ctx = build_sl_context(N)
     spec = trig_model(ctx, pi_subset(members))
     pt = random_point(spec, np.random.default_rng(N), scale=0.4)
-    path, velocity, _, _ = solver_trig._setup(spec, pt)
+    path, velocity, *_ = solver_trig._setup(spec, pt)
     Lp = lax_limit(spec, pt, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt, "trig_minus_i_inf")
     levi = spec.mask_span | np.eye(N, dtype=bool)

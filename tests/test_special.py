@@ -1,4 +1,4 @@
-"""Trig kernels and Weierstrass functions, cross-validated against the
+"""cot and the Weierstrass functions, cross-validated against the
 independent lattice-sum oracle."""
 
 import math
@@ -9,7 +9,7 @@ import pytest
 from oracles import LatticeOracle
 from spincm.errors import PoleError, ValidationError
 from spincm.special import (EllipticLattice, cot_c, l_func, lame_parts,
-                            phi_alpha, sigma_w, wp, wp_prime, zeta_w)
+                            sigma_w, wp, wp_prime, zeta_w)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def rand_z(lat, rng, n, margin=0.15):
     return np.array(out)
 
 
-# -- cot and the three-case kernel -----------------------------------------
+# -- cot ---------------------------------------------------------------------
 
 def test_cot_examples():
     assert abs(cot_c(math.pi / 4) - 1.0) < 1e-14
@@ -58,25 +58,6 @@ def test_cot_array_matches_scalar():
         assert c == cot_c(z)
         if abs(z.imag) < 5:
             assert abs(c - np.cos(z) / np.sin(z)) < 1e-14
-
-
-def test_phi_alpha_examples():
-    assert abs(phi_alpha(math.pi / 4, math.pi / 2, "span") + 1.0) < 1e-14
-    assert abs(phi_alpha(0.0, math.pi / 2, "plusbar") - 1j) < 1e-14
-    assert abs(phi_alpha(0.0, math.pi / 2, "minusbar") + 1j) < 1e-14
-    with pytest.raises(ValidationError):
-        phi_alpha(0.1, 0.2, "nope")
-
-
-def test_phi_alpha_matches_sine_forms():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        w = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
-        z = complex(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
-        assert abs(phi_alpha(w, z, "span")
-                   + np.sin(w + z) / (np.sin(w) * np.sin(z))) < 1e-12
-        assert abs(phi_alpha(w, z, "plusbar") + np.exp(-1j * z) / np.sin(z)) < 1e-12
-        assert abs(phi_alpha(w, z, "minusbar") + np.exp(1j * z) / np.sin(z)) < 1e-12
 
 
 # -- lattice construction ----------------------------------------------------
