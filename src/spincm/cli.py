@@ -87,7 +87,7 @@ def _resolve(args):
     """(spec, pt, params, config_dict) from --preset or --model/--init, with
     the input checked before any integration: the JSON records, the run
     parameters (of the command line or the preset) as finite numbers, with
-    `samples` integral and stored as an int, the
+    `samples` an integer >= 2 and stored as an int, the
     z-samples (of --z-samples or the preset) against the Lax poles, q against
     the singular set and, for `exact` and `compare` on a full point, J^-1(0)."""
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
@@ -115,6 +115,8 @@ def _resolve(args):
             params[name] = val
         params[name] = _checked(
             name, _integral if name == "samples" else _finite, params[name])
+    if params["samples"] < 2:
+        raise ValidationError("samples must be >= 2")
     if args.z_samples:
         zs = _checked("--z-samples", _parse_z_samples, args.z_samples)
         params["z_samples"] = [[z.real, z.imag] for z in zs]

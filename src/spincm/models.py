@@ -38,7 +38,7 @@ from .errors import (ContractError, DomainError, PoleError, ValidationError,
                      require_keys)
 from .liecore import (LieContext, RootSubset, coroot_diagonal, reduce_gauge,
                       validate_root_subset)
-from .special import EllipticLattice, cot_c
+from .special import EllipticLattice
 
 REGULARITY_MARGIN = 1e-6
 MOMENTUM_TOL = 1e-10
@@ -263,46 +263,55 @@ def singular_distance(spec, w):
 
 def _require_regular(w, dist, rows, cols):
     """Raise DomainError naming the first root (rows[k], cols[k]) whose value
-    w[k] lies closer than REGULARITY_MARGIN (dist[k]) to the singular set."""
+    lies closer than REGULARITY_MARGIN to the singular set.  w and dist hold
+    the root values and their distances over (..., roots) and are searched in
+    row-major order, so on a stack of configurations the error is that of its
+    first offending one."""
     bad = dist < REGULARITY_MARGIN
     if bad.any():
         k = bad.argmax()
+        r = k % len(rows)
         raise DomainError(
-            f"singular configuration: alpha(q) = {w[k]:.3e} for root "
-            f"eps_{rows[k] + 1}-eps_{cols[k] + 1} is within {REGULARITY_MARGIN} "
+            f"singular configuration: alpha(q) = {w.flat[k]:.3e} for root "
+            f"eps_{rows[r] + 1}-eps_{cols[r] + 1} is within {REGULARITY_MARGIN} "
             f"of the singular set")
 
 
 def check_regular(spec, q):
     """Raise DomainError naming the offending root if q is closer than
     REGULARITY_MARGIN to the singular set along any kernel-relevant root
-    (the first one in row-major order)."""
+    (the first one in row-major order).  q may be a stack (..., N) of
+    configurations: the error is then that of the first offending one."""
     i, j = spec.regular_roots
     q = np.asarray(q)
-    w = q[i] - q[j]
+    w = q[..., i] - q[..., j]
     _require_regular(w, singular_distance(spec, w), i, j)
 
 
-def _kernels(spec):
-    """fill(q) -> (K, Kp): kappa_a(q) and d kappa / d a(q) on the active mask,
-    after the regularity check of ``check_regular`` (same error, same root), in
-    one pass.  K and Kp are two N x N buffers built here, and every call
-    writes the q-dependent entries in place; the rest are set once (0, and the
-    trigonometric -1/3 outside <pi'>).  Elliptic: one lattice reduction and one
-    theta-series pass over the i < j roots give wp and wp'; K is mirrored as
-    even and Kp as odd."""
+def _kernels(spec, lead=()):
+    """fill(q) -> (K, Kp): kappa_a(q) and d kappa / d a(q) on the active mask
+    at the configurations q of shape lead + (N,), after the regularity check
+    of ``check_regular`` (same error, same root), in one pass over the stack.
+    K and Kp are two lead + (N, N) buffers built here, and every call writes
+    the q-dependent entries in place; the rest are set once (0, and the
+    trigonometric -1/3 outside <pi'>).  Elliptic: one lattice reduction and
+    one theta-series pass over the i < j roots give wp and wp'; K is mirrored
+    as even and Kp as odd."""
     N = spec.ctx.N
-    K = np.zeros((N, N), dtype=complex)
-    Kp = np.zeros((N, N), dtype=complex)
-    Kf, Kpf = K.reshape(-1), Kp.reshape(-1)
+    K = np.zeros(lead + (N, N), dtype=complex)
+    Kp = np.zeros_like(K)
+    Kf, Kpf = K.reshape(lead + (N * N,)), Kp.reshape(lead + (N * N,))
     i, j = spec.regular_roots
-    ij = i * N + j  # row-major flat indices of the roots
+    # the last-axis indices of the roots in q and (row-major) in K; on one
+    # configuration plain index arrays, which index several times faster
+    # than (..., index)
+    at = (lambda a: (Ellipsis, a)) if lead else (lambda a: a)
+    qi, qj, ij, ji = at(i), at(j), at(i * N + j), at(j * N + i)
     if spec.family == "elliptic":
-        ji = j * N + i
         lattice = spec.lattice
 
         def fill(q):
-            w = q[i] - q[j]
+            w = q[qi] - q[qj]
             z0, _, _ = lattice.reduce(w)
             _require_regular(w, np.abs(z0), i, j)
             k, kp = lattice._wp_pair(z0)
@@ -312,10 +321,10 @@ def _kernels(spec):
         return fill
     rational = spec.family == "rational"
     if not rational:
-        K[spec.mask_plus | spec.mask_minus] = -1.0 / 3.0
+        K[..., spec.mask_plus | spec.mask_minus] = -1.0 / 3.0
 
     def fill(q):
-        w = q[i] - q[j]
+        w = q[qi] - q[qj]
         _require_regular(w, singular_distance(spec, w), i, j)
         if rational:
             Kf[ij] = 1.0 / w**2
@@ -329,8 +338,9 @@ def _kernels(spec):
 
 
 def _kernel_matrices(spec, q):
-    """(K, Kp) of ``_kernels`` at q, in fresh buffers."""
-    return _kernels(spec)(q)
+    """(K, Kp) of ``_kernels`` at q (..., N), in fresh buffers."""
+    q = np.asarray(q)
+    return _kernels(spec, q.shape[:-1])(q)
 
 
 def _c0(spec):
@@ -343,14 +353,20 @@ def _c0(spec):
 
 def hamiltonian(spec, pt):
     """Closed-form Hamiltonian of the family at a regular point; also the
-    reduced one at the lift xi := s (diag s = 0 zeroes the c0 term)."""
+    reduced one at the lift xi := s (diag s = 0 zeroes the c0 term).
+
+    On a stacked point -- q and p of shape (..., N), xi (..., N, N), as
+    ``rk.Trajectory.point`` gives for a slice -- it is the array (...) of the
+    Hamiltonians, from one regularity check and one kernel pass over the
+    stack; a single point is the case of no leading axes."""
     K, _ = _kernel_matrices(spec, pt.q)
     xi = pt.xi
-    h = 0.5 * np.sum(pt.p**2) - 0.5 * np.sum(K * xi * xi.T)
+    h = 0.5 * np.sum(pt.p**2, axis=-1) \
+        - 0.5 * np.sum(K * xi * np.swapaxes(xi, -1, -2), axis=(-2, -1))
     c0 = _c0(spec)
     if c0:
-        h -= c0 * np.sum(np.diag(xi) ** 2)
-    return complex(h)
+        h -= c0 * np.sum(np.diagonal(xi, axis1=-2, axis2=-1) ** 2, axis=-1)
+    return complex(h) if np.ndim(h) == 0 else h
 
 
 def packed_field(spec, reduced=False):
@@ -463,36 +479,41 @@ def lax(spec, pt, z):
 
 def lax_batch(spec, pt, zs):
     """L(q,p,xi)(z) stacked over an array of spectral parameters: shape
-    (len(zs), N, N)."""
+    (len(zs), N, N).  On a stacked point (see ``hamiltonian``) the shape is
+    (..., len(zs), N, N), from one regularity check over the stack, one
+    z-pole check and one root kernel per configuration."""
     if spec.family == "elliptic":
         return lax_pair(spec, pt, zs)[0]
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
-    c = 1.0 / zs if spec.family == "rational" else cot_c(zs)
-    return _lax_matrix(spec, pt.q, pt.p, pt.xi, c)
+    c = 1.0 / zs if spec.family == "rational" else special._cot(zs)
+    return _lax_matrix(spec, pt.q[..., None, :], pt.p[..., None, :],
+                       pt.xi[..., None, :, :], c)
 
 
 def lax_pair(spec, pt, zs):
     """(L(z), dL/dz) of the elliptic family stacked over an array of spectral
-    parameters, each of shape (len(zs), N, N), after the checks of every
-    Lax builder (``check_regular``, then the z poles): one
-    ``special.lame_parts`` call gives both."""
+    parameters, each of shape (len(zs), N, N) -- (..., len(zs), N, N) on a
+    stacked point -- after the checks of every Lax builder
+    (``check_regular``, then the z poles): one ``special.lame_parts`` call
+    over (..., z, root) gives both."""
     if spec.family != "elliptic":
         raise ValidationError("lax_pair requires the elliptic family")
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
     N = spec.ctx.N
-    xi = pt.xi
+    p, xi = pt.p[..., None, :], pt.xi[..., None, :, :]
     m = spec.mask_active
     l, _, zz, ldz, wpz = special.lame_parts(
-        spec.lattice, alpha_matrix(pt.q)[m][None, :], zs[:, None])
-    L = np.zeros((zs.size, N, N), dtype=complex)
+        spec.lattice, alpha_matrix(pt.q)[..., None, m], zs[:, None])
+    L = np.zeros(np.shape(l)[:-1] + (N, N), dtype=complex)
     dL = np.zeros_like(L)
     diag = np.arange(N)
-    L[:, diag, diag] = pt.p + zz * np.diag(xi)
-    L[:, m] -= l * xi[m]
-    dL[:, diag, diag] = -wpz * np.diag(xi)
-    dL[:, m] -= ldz * xi[m]
+    xi_diag = np.diagonal(xi, axis1=-2, axis2=-1)
+    L[..., diag, diag] = p + zz * xi_diag
+    L[..., m] -= l * xi[..., m]
+    dL[..., diag, diag] = -wpz * xi_diag
+    dL[..., m] -= ldz * xi[..., m]
     return L, dL
 
 
@@ -526,7 +547,8 @@ def _check_momentum_zero(pt):
 def r_action_on_M(spec, pt, z):
     """Closed-form (R(q) M)(z) on J^-1(0), M(z) = L(z)/z."""
     _check_momentum_zero(pt)
-    z = complex(_check_z_regular(spec, z)[0])
+    zs = _check_z_regular(spec, z)
+    z = complex(zs[0])
     check_regular(spec, pt.q)
     N = spec.ctx.N
     xi = pt.xi
@@ -540,7 +562,7 @@ def r_action_on_M(spec, pt, z):
         return out
 
     if spec.family == "trigonometric":
-        cz = cot_c(z)
+        cz = complex(special._cot(zs)[0])
         out = 0.5 * M - cz * np.diag(pt.p)
         # phi_a(q, z) = -(R(q) + cot z): the kernel of L(z), read at xi = 1
         phi = -_lax_matrix(spec, pt.q, 0.0, np.ones((N, N)), cz)

@@ -14,6 +14,14 @@ regularity check at every stage is the singularity-margin abort.
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
 solvers write their samples straight into it.
+
+Invariant auditing reads the whole trajectory at once, through the stacked
+point ``Trajectory.point(slice(None))``: ``conserved`` makes one
+``models.hamiltonian`` call (one regularity check and one kernel pass over
+(T, roots); elliptic: one lattice reduction and one theta pass) and one
+stacked momentum norm, and ``audit`` adds one ``models.lax_batch`` call for
+the (T, K, N, N) Lax matrices and one ``eigvals`` over them.  A singular
+row raises the DomainError of the first one, as a check row by row would.
 """
 
 from __future__ import annotations
@@ -67,13 +75,15 @@ class Trajectory:
     def point(self, i, cls=None):
         """The state at row i as a `cls` on views of the row, unchecked: by
         default a ReducedPoint on a reduced trajectory, else a PhasePoint; a
-        PhasePoint of a reduced row is its lift xi := s."""
+        PhasePoint of a reduced row is its lift xi := s.  For a slice i it is
+        the stacked point of those rows: q and p of shape (T, N), the matrix
+        (T, N, N)."""
         if cls is None:
             cls = ReducedPoint if self.reduced else PhasePoint
         N, row = self.N, self.y[i]
         pt = cls.__new__(cls)
-        pt.q, pt.p = row[:N], row[N:2 * N]
-        setattr(pt, pt._matrix, row[2 * N:].reshape(N, N))
+        pt.q, pt.p = row[..., :N], row[..., N:2 * N]
+        setattr(pt, pt._matrix, row[..., 2 * N:].reshape(row.shape[:-1] + (N, N)))
         return pt
 
 
@@ -257,12 +267,15 @@ class InvariantReport:
 
 def conserved(spec, traj):
     """(energy, momentum_norm) at each sample of a trajectory: the
-    Hamiltonian and the norm of diag xi.  A reduced trajectory is audited at
-    its lift xi := s; its momentum norm is that of diag s, 0 on the slice."""
-    energy = np.array([hamiltonian(spec, traj.point(it, PhasePoint))
-                       for it in range(len(traj.y))])
-    mom = np.array([np.linalg.norm(d) for d in np.diagonal(traj.xi, axis1=1, axis2=2)])
-    return energy, mom
+    Hamiltonian and the norm of diag xi, each over all rows at once.  A
+    reduced trajectory is audited at its lift xi := s; its momentum norm is
+    that of diag s, 0 on the slice."""
+    energy = hamiltonian(spec, traj.point(slice(None), PhasePoint))
+    d = np.diagonal(traj.xi, axis1=1, axis2=2).copy()
+    # the two dot products of np.linalg.norm per row, as stacked 1 x N @ N x 1
+    re, im = d.real[:, None, :], d.imag[:, None, :]
+    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    return energy, np.sqrt(sq[:, 0, 0])
 
 
 def drift(values):
@@ -287,8 +300,8 @@ def audit(spec, traj, z_samples=None):
     if z_samples is None:
         z_samples = default_z_samples(spec)
     energy, mom = conserved(spec, traj)
-    eigs = np.linalg.eigvals([lax_batch(spec, traj.point(it, PhasePoint), z_samples)
-                              for it in range(len(traj.y))])
+    eigs = np.linalg.eigvals(lax_batch(spec, traj.point(slice(None), PhasePoint),
+                                       z_samples))
     dist = np.abs(eigs[:, :, :, None] - eigs[0, :, None, :])  # (T, K, N, N)
     return InvariantReport(
         times=traj.times, z_samples=list(z_samples), energy=energy,

@@ -43,10 +43,16 @@ def cot_c(z):
     if bad.size:
         raise PoleError(f"cot pole at z={arr.flat[bad[0]]}",
                         nearest=near.flat[bad[0]].item())
-    up = arr.imag >= 0.0
-    w = np.exp(np.where(up, 2j, -2j) * arr)
-    out = np.where(up, 1j * (w + 1.0) / (w - 1.0), 1j * (1.0 + w) / (1.0 - w))
+    out = _cot(arr)
     return complex(out) if scalar else out
+
+
+def _cot(z):
+    """cot z of the array z by the forms of ``cot_c``, unchecked: for callers
+    that have checked the poles themselves."""
+    up = z.imag >= 0.0
+    w = np.exp(np.where(up, 2j, -2j) * z)
+    return np.where(up, 1j * (w + 1.0) / (w - 1.0), 1j * (1.0 + w) / (1.0 - w))
 
 
 class EllipticLattice:

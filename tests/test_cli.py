@@ -267,10 +267,14 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
             ("simulate", "--model", str(bad_n), "--init", str(ok_init)),
             ("simulate", "--model", str(model), "--init", str(singular)),
             ("exact", "--model", str(model), "--init", str(off_j)),
-            ("compare", "--model", str(model), "--init", str(off_j))):
+            ("compare", "--model", str(model), "--init", str(off_j)),
+            *(("exact", "--preset", "rational-sl2", f"--samples={n}",
+               "--out", str(out)) for n in (-3, 1))):
         assert run(tmp_path, *argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        if any(a.startswith("--samples=") for a in argv):
+            assert err == ["error: samples must be >= 2"], (argv, err)
     assert not out.exists()
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
-from spincm.errors import ValidationError
+from spincm.errors import DomainError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
-from spincm.models import (PhasePoint, elliptic_model, rational_model,
+from spincm.models import (PhasePoint, check_regular, elliptic_model,
+                           hamiltonian, lax_batch, lax_pair, rational_model,
                            trig_model)
-from spincm.rk import (audit, default_z_samples, dp5, integrate,
-                       trajectory_csv_lines)
+from spincm.rk import (Trajectory, audit, conserved, default_z_samples, dp5,
+                       integrate, trajectory_csv_lines)
 from spincm.special import EllipticLattice
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -146,6 +147,65 @@ def test_audit_pole_z_sample(spec2):
     from spincm.errors import PoleError
     with pytest.raises(PoleError):
         audit(spec2, tr, z_samples=[0.0])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COUNTS))
+def test_stacked_audit_matches_rows(name):
+    """conserved and audit work on the whole stacked trajectory at once; the
+    per-row reference is hamiltonian, np.linalg.norm and the Lax builders at
+    each row.  Rational sums in the same order (equal bits); the other
+    families' theta or sine products over a longer stack may round
+    differently in the last digits."""
+    from spincm.presets import load_preset
+    data = load_preset(name)
+    spec, d = data["model"], data["defaults"]
+    tr = integrate(spec, data["init"], d["t_end"], samples=int(d["samples"]),
+                   tol=d.get("tol", 1e-10))
+    rows = [tr.point(k, PhasePoint) for k in range(len(tr.times))]
+    energy, mom = conserved(spec, tr)
+    ref = np.array([hamiltonian(spec, pt) for pt in rows])
+    if spec.family == "rational":
+        assert np.array_equal(energy, ref)
+    else:
+        assert np.abs(energy - ref).max() <= 1e-13
+    # the same two dot products per row
+    assert np.array_equal(mom, [np.linalg.norm(np.diag(pt.xi)) for pt in rows])
+    zs = default_z_samples(spec)
+    eigs = audit(spec, tr, zs).eigenvalues
+    if spec.family == "elliptic":
+        ref = np.linalg.eigvals([lax_pair(spec, pt, zs)[0] for pt in rows])
+        assert np.abs(eigs - ref).max() <= 1e-13
+    else:
+        ref = np.linalg.eigvals([lax_batch(spec, pt, zs) for pt in rows])
+        assert np.array_equal(eigs, ref)
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_stacked_checks_name_first_singular_row(family):
+    """A trajectory whose rows 2 and 3 are singular (on different roots):
+    conserved and audit raise the DomainError of the first one, as the
+    per-row loop did."""
+    ctx = build_sl_context(3)
+    spec = {"rational": lambda: rational_model(ctx, full_delta(3)),
+            "trigonometric": lambda: trig_model(ctx, pi_subset([0, 1])),
+            "elliptic": lambda: elliptic_model(
+                ctx, EllipticLattice(1.0, 0.35 + 0.8j))}[family]()
+    qs = np.array([[0.9, -0.2, -0.7], [1.0, -0.3, -0.7],
+                   [1.0, -0.5 + 1e-8, -0.5 - 1e-8],
+                   [0.3 + 1e-8, 0.3 - 1e-8, -0.6]], dtype=complex)
+    xi = np.ones((3, 3)) - np.eye(3)
+    y = np.column_stack([qs, np.tile([0.2, 0.1, -0.3], (4, 1)),
+                         np.tile(xi.ravel(), (4, 1))]).astype(complex)
+    tr = Trajectory(times=np.arange(4.0), y=y, reduced=False, provenance="test")
+    with pytest.raises(DomainError) as want:
+        check_regular(spec, tr.q[2])
+    with pytest.raises(DomainError) as later:
+        check_regular(spec, tr.q[3])
+    assert str(later.value) != str(want.value)
+    for fn in (conserved, audit):
+        with pytest.raises(DomainError) as got:
+            fn(spec, tr)
+        assert str(got.value) == str(want.value), fn.__name__
 
 
 def test_eigenvalue_matching():
