@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 `compare` threshold failed (report still written,
 with "pass": false), 2 validation error (malformed or out-of-domain input,
-found before any integration), 3 factorization breakdown (partial CSV still
-written), 4 oracle blow-up (`simulate`: partial CSV still written; `audit`:
-JSON still written, with "blowup": true and drifts up to the last good time),
-5 requested exact mode unsupported for the family.  Outputs embed the config
+found before any integration), 3 factorization breakdown (`exact`: partial
+CSV still written), 4 oracle blow-up (`simulate`: partial CSV still written;
+`audit`: JSON still written, with "blowup": true and drifts up to the last
+good time), 5 requested exact mode unsupported for the family.  `compare`
+writes no report on 3 or 4: one stderr line names the exact solver's
+breakdown_at or the oracle's blowup_at.  Outputs embed the config
 hash, the library version and the seed; identical configs produce identical
 bytes.
 """
@@ -228,10 +230,14 @@ def cmd_compare(args):
     traj_o = integrate(spec, pt, params["t_end"], samples=params["samples"],
                        tol=params["tol"])
     if traj_o.blowup:
+        sys.stderr.write(f"compare: oracle blow-up, blowup_at: "
+                         f"{float(traj_o.last_good_time)!r}; no report written\n")
         return EXIT_BLOWUP
     try:
         traj_e, _fact = _exact(spec, pt, params)
-    except BreakdownError:
+    except BreakdownError as exc:
+        sys.stderr.write(f"compare: factorization breakdown, breakdown_at: "
+                         f"{float(exc.time)!r}; no report written\n")
         return EXIT_BREAKDOWN
     report = {f"sup_{v}": float(np.abs(getattr(traj_e, v) - getattr(traj_o, v)).max())
               for v in ("q", "p", "xi")}

@@ -12,18 +12,24 @@ oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
 
 From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
 log d needs no branch tracking.  The transport's f writes k W and l' into one
-buffer that it reuses (``rk.dp5`` copies each stage value).  Before each
-output interval the blockwise
-eigenvalues of M at its end give the within-block discriminant D (analytic in
-t, with a zero at each collision); a phase turn of D over 2 rad hands the
-interval to ``locate_collision``, which finds that zero by a complex secant
-iteration.  A run that stops early (eigen gap below GAP_COLLIDE, or a collapsed step)
-always ends in a BreakdownError, never in a silent state.
+buffer that it reuses (``rk.dp5`` copies each stage value).
+
+Before the integration, one ``path`` call gives M and the family's factors
+over the whole output grid, and stacked blockwise eigenvalues of M give the
+within-block gaps and discriminants D (analytic in t, with a zero at each
+collision).  The intervals are scanned in order: a phase turn of D over 2 rad
+hands the interval to ``locate_collision``, which finds that zero by a
+complex secant iteration on M at complex t, until one collides.  The
+transport's per-sample callback only stores the row, and stops the run at
+the start of that interval, so the transport never steps into the
+collision.  A run that stops early anyway (eigen gap below GAP_COLLIDE, or a
+collapsed step) always ends in a BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
-limits)``: ``path(t)`` returns M(t) and the family's factors at t (also at
-the complex t of collision location); ``velocity(t, k, d)`` returns B from
-the transported state alone; log0 is None when l = d, else l(0) = log d(0);
+limits)``: ``path(t)`` returns M(t) and the family's factors, stacked over
+an array of times t (shapes (..., N, N)), or at one complex t for collision
+location; ``velocity(t, k, d)`` returns B from the transported state alone;
+log0 is None when l = d, else l(0) = log d(0);
 ``position(l)`` maps the stacked l to q; ``limits`` maps names of
 ``models.LAX_LIMITS`` to L0, that limit of L at pt0 (two sign branches for
 the trigonometric family).  Each gives P = k^-1 L0 k minus the off-diagonal
@@ -31,10 +37,10 @@ part of the same limit at (q(t), xi(t) = k^-1 xi0 k), and p = diag P.  The
 velocity may use M k = k diag(d) in place of M(t): when M solves a linear
 ODE M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
 from the same start, so the state drifts off M k = k diag(d) only by the
-integration error.  One stacked polish against M(t) at the output times,
-after the integration, removes that drift from the output, and its size
-before the polish, max |k^-1 M k - diag d| / max(1, |d|), is the
-diagnostic ``eig_residual``.
+integration error.  One stacked polish against the path's M at the output
+times reached, after the integration, removes that drift from the output,
+and its size before the polish, max |k^-1 M k - diag d| / max(1, |d|), is
+the diagnostic ``eig_residual``.
 
 ``solve`` checks the input, runs the transport, maps the stack to states,
 checks each row and writes it into the trajectory's packed array, stacks
@@ -47,6 +53,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg.lapack import zgesv
@@ -126,28 +133,31 @@ def same_block(blocks, N):
 
 
 def block_gap(d, same):
-    """Minimal within-block eigenvalue distance (inf without such pairs)."""
-    return float(np.abs(d[:, None] - d[None, :])[same].min(initial=np.inf))
+    """Minimal within-block eigenvalue distance of each row of d (..., N)
+    (inf without such pairs)."""
+    return np.abs(d[..., :, None] - d[..., None, :])[..., same].min(
+        axis=-1, initial=np.inf)
 
 
 def block_eigvals(M, blocks):
-    """Eigenvalues of a block-diagonal M, each at the indices of its block."""
-    vals = np.diag(M).astype(complex)
+    """Eigenvalues of a block-diagonal M (..., N, N), each at the indices of
+    its block."""
+    vals = M.diagonal(axis1=-2, axis2=-1).astype(complex)
     for blk in blocks:
         if len(blk) > 1:
             idx = list(blk)
-            vals[idx] = np.linalg.eigvals(M[np.ix_(idx, idx)])
+            vals[..., idx] = np.linalg.eigvals(M[..., idx, :][..., idx])
     return vals
 
 
 def _discriminant(vals, blocks):
     """Product over the blocks of the squared within-block eigenvalue
-    differences: analytic in t, with a zero at each collision."""
-    D = 1.0 + 0.0j
+    differences of each row of vals (..., N): analytic in t, with a zero at
+    each collision."""
+    D = np.ones(vals.shape[:-1], dtype=complex)
     for blk in blocks:
-        for i in range(len(blk)):
-            for j in range(i + 1, len(blk)):
-                D *= (vals[blk[i]] - vals[blk[j]]) ** 2
+        for i, j in combinations(blk, 2):
+            D *= (vals[..., i] - vals[..., j]) ** 2
     return D
 
 
@@ -161,7 +171,7 @@ def locate_collision(path, blocks, t_lo, t_hi):
     the located zero is numerically on the real axis inside the bracket.
     """
     def disc(t):
-        return _discriminant(block_eigvals(path(t)[0], blocks), blocks)
+        return _discriminant(block_eigvals(path(t)[0], blocks), blocks)[()]
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)
@@ -184,21 +194,38 @@ def locate_collision(path, blocks, t_lo, t_hi):
     return float(t1.real), bool(on_axis and inside and small)
 
 
+def _scan(path, blocks, same, times, D):
+    """(c, error): the first output interval [times[c], times[c+1]] over
+    which the discriminants D at the output times turn by more than 2 rad
+    and a collision is located there, and its BreakdownError; else
+    (len(times), None)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = (D[:-1] != 0) & (np.abs(np.angle(D[1:] / D[:-1])) > 2.0)
+    for c in np.flatnonzero(turns):
+        error = _collision(path, blocks, same, times[c], times[c + 1])
+        if error is not None:
+            return c, error
+    return len(times), None
+
+
 def transport(path, velocity, blocks, times, tol, log0):
     """Kato transport of the eigenvector matrix of a block-diagonal path over
     the output grid `times` (see the module docstring).
 
     Returns (k, l, path_factors, diagnostics, error): the polished k and l
-    at the output times reached, stacked; path(t)[1] at each of them; the
-    smallest eigen gap seen, f-evaluations, rejected steps and the largest
-    eigen residual before the polish; and a BreakdownError (not raised) if
-    the run ended before times[-1], else None.
+    at the output times reached, stacked; the path's stacked factors at
+    them; the smallest eigen gap seen, f-evaluations, rejected steps and the
+    largest eigen residual before the polish; and a BreakdownError (not
+    raised) if the run ended before times[-1], else None.
     """
-    M0, factors0 = path(times[0])
-    N = len(M0)
+    Ms, factors = path(times)
+    N = Ms.shape[-1]
     nk = N * N
     group = log0 is not None
     same = same_block(blocks, N)
+    vals = block_eigvals(Ms, blocks)
+    path_gaps = block_gap(vals, same)
+    c, collision = _scan(path, blocks, same, times, _discriminant(vals, blocks))
 
     def eigs(ell):
         return np.exp(ell) if group else ell
@@ -225,34 +252,19 @@ def transport(path, velocity, blocks, times, tol, log0):
         return out_real
 
     rows = np.empty((len(times), nk + N), dtype=complex)  # k | l, unpolished
-    Ms = np.empty((len(times), N, N), dtype=complex)
-    Ms[0] = M0
-    path_factors = [factors0]
-    vals = block_eigvals(M0, blocks)
-    run = {"D": _discriminant(vals, blocks), "gap": block_gap(vals, same),
-           "collision": None}
+    guard_gap = [np.inf]
 
     def guard(t, y):
         gap = block_gap(eigs(y.view(complex)[nk:]), same)
-        run["gap"] = min(run["gap"], gap)
+        guard_gap[0] = min(guard_gap[0], gap)
         return gap >= GAP_COLLIDE
 
     def on_sample(i, y):
         rows[i] = y.view(complex)
-        if i + 1 == len(times):
-            return False
-        Ms[i + 1], factors = path(times[i + 1])
-        path_factors.append(factors)
-        vals = block_eigvals(Ms[i + 1], blocks)
-        run["gap"] = min(run["gap"], block_gap(vals, same))
-        D = _discriminant(vals, blocks)
-        if run["D"] != 0 and abs(np.angle(D / run["D"])) > 2.0:
-            run["collision"] = _collision(path, blocks, same, times[i], times[i + 1])
-        run["D"] = D
-        return run["collision"] is not None
+        return i == c
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
-                         np.diag(M0) if log0 is None else log0]).astype(complex)
+                         np.diag(Ms[0]) if log0 is None else log0]).astype(complex)
     t, stats, stopped, done = dp5(f, y0.view(float), times, tol, on_sample, guard)
 
     # the polish: one first-order eigen-correction of each (k, l) against M
@@ -267,17 +279,19 @@ def transport(path, velocity, blocks, times, tol, log0):
     k = k + k @ off_block(R, d, np.zeros_like(R))
     ell = ell + np.log(dr / d) if group else dr.copy()
 
-    diags = {"min_gap": float(run["gap"]), "nfev": float(stats["nfev"]),
+    # the path gaps at the output times up to the first one not reached
+    min_gap = float(min(guard_gap[0], path_gaps[:done + 1].min()))
+    diags = {"min_gap": min_gap, "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"]),
              "eig_residual": float(residual.max())}
     error = None
     if stopped:
-        error = run["collision"] or _collision(
+        error = (collision if done > c else None) or _collision(
             path, blocks, same, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
-            f"(eigen gap {run['gap']:.3e}) with no eigenvalue collision located",
-            time=t, gap=run["gap"])
-    return k, ell, path_factors[:done], diags, error
+            f"(eigen gap {min_gap:.3e}) with no eigenvalue collision located",
+            time=t, gap=min_gap)
+    return k, ell, tuple(fac[:done] for fac in factors), diags, error
 
 
 def _collision(path, blocks, same, t_lo, t_hi):
@@ -285,7 +299,7 @@ def _collision(path, blocks, same, t_lo, t_hi):
     t_star, collided = locate_collision(path, blocks, t_lo, t_hi)
     if not collided:
         return None
-    gap = block_gap(block_eigvals(path(t_star)[0], blocks), same)
+    gap = float(block_gap(block_eigvals(path(t_star)[0], blocks), same))
     return BreakdownError(f"factorization breakdown: eigenvalue collision at "
                           f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
@@ -345,7 +359,7 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
                       stats=dict(diags))
     d = ell if log0 is None else np.exp(ell)
     fact = None if reduced else factorization(
-        ts, *map(np.array, zip(*path_factors)), g, d, h, k, diagnostics=diags)
+        ts, *path_factors, g, d, h, k, diagnostics=diags)
     if error is not None:
         traj.breakdown_time = error.time
         error.partial, error.factors = traj, fact

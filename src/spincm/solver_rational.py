@@ -50,10 +50,10 @@ def solve_rational(spec, pt0, times, tol=1e-10):
 
 
 def _setup(spec, pt0):
-    """M(t) = q0 + t L(inf) (no path factors), the velocity k^-1 L(inf) k,
-    q = d and the one limit L(inf)."""
+    """M(t) = q0 + t L(inf) broadcast over t (no path factors), the velocity
+    k^-1 L(inf) k, q = d and the one limit L(inf)."""
     Linf = lax_limit(spec, pt0, "rational_inf")
     Q0 = np.diag(pt0.q)
-    return (lambda t: (Q0 + t * Linf, ()),
+    return (lambda t: (Q0 + np.asarray(t)[..., None, None] * Linf, ()),
             lambda t, k, d: exact.left_divide(k, Linf @ k), None,
             lambda d: d, {"rational_inf": Linf})

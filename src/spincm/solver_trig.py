@@ -6,10 +6,12 @@ conjugation problem is
 
     M(t) = g_-(t)^-1 e^{2i q0} g_+(t) = x(t) d(t) x(t)^-1.
 
-``path(t)`` builds M(t) so from two ``parabolic_factor`` calls (two expm),
-at each output time and at the complex t of collision location, with
-(n_+, n_-, g_+, g_-) as its factors.  L(+/-i inf) is block triangular with
-block-diagonal part Lam_{+/-}, so M'(t) = i (Lam_- M + M Lam_+).  The shared
+``path(t)`` builds M(t) so, stacked over the whole output grid in one call
+before the transport (or at one complex t of collision location): one
+``expm`` per sign over the stack and one ``parabolic_factor`` on each
+stack, with (n_+, n_-, g_+, g_-) as its stacked factors.  L(+/-i inf) is
+block triangular with block-diagonal part Lam_{+/-}, so
+M'(t) = i (Lam_- M + M Lam_+).  The shared
 Kato transport of ``exact`` carries an eigenvector matrix k(t) of M with
 Pi_h(k^-1 k') = 0 and l(t) = log d(t), so q(t) = l(t) / 2i with no branch
 tracking; k(t) = x(t) h(t) is the factor k_+(0, t).  On M k = k d the
@@ -62,23 +64,26 @@ class TrigFactorization(exact.Factorization):
 
 def parabolic_factor(ctx, subset, A, sign):
     """Unique factorization A = n g of a block-triangular invertible matrix,
-    with n block-unipotent in N^{sign}_{pi'} and g in the Levi G_{pi'}."""
+    or of each matrix of a stack A (..., N, N), with n block-unipotent in
+    N^{sign}_{pi'} and g in the Levi G_{pi'}."""
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
     A = np.asarray(A, dtype=complex)
-    N = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
+    N = A.shape[-1]
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     # membership: the entries at the negative (sign +) / positive (sign -)
     # roots outside the span of pi' must vanish
     below, above = _mask(N, subset.obar_minus), _mask(N, subset.obar_plus)
-    if np.abs(A[below if sign == "+" else above]).max(initial=0.0) > 1e-9 * scale:
+    outside = A[..., below if sign == "+" else above]
+    if np.any(np.abs(outside).max(axis=-1, initial=0.0) > 1e-9 * scale):
         raise ValidationError(
             f"matrix is not block {'upper' if sign == '+' else 'lower'} "
             f"triangular for the given pi'")
     for blk in subset.partition:
-        pivot = (A[blk[0], blk[0]] if len(blk) == 1
-                 else np.linalg.det(A[np.ix_(blk, blk)]))
-        if abs(pivot) < 1e-12 * max(1.0, scale ** len(blk)):
+        idx = list(blk)
+        pivot = (A[..., idx[0], idx[0]] if len(blk) == 1
+                 else np.linalg.det(A[..., idx, :][..., idx]))
+        if np.any(np.abs(pivot) < 1e-12 * scale ** len(blk)):
             raise BreakdownError("singular diagonal block in parabolic factorization")
     g = np.where(below | above, 0.0, A)
     n = A @ np.linalg.inv(g)
@@ -112,6 +117,7 @@ def _setup(spec, pt0):
     N = ctx.N
 
     def path(t):
+        t = np.asarray(t)[..., None, None]
         np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
         nm, gm = parabolic_factor(ctx, subset, expm(-1j * t * Lm), "-")
         return np.linalg.solve(gm, e2iq0[:, None] * gp), (np_, nm, gp, gm)

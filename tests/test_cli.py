@@ -143,6 +143,35 @@ def test_compare(tmp_path):
                "--threshold", "1e-12", "--out", str(tmp_path / "c4.json")) == 0
 
 
+def test_compare_blowup_exit4_names_blowup_at(tmp_path, capsys):
+    """compare on an oracle blow-up exits 4, writes no report and names the
+    oracle's blowup_at, the one of simulate, on one stderr line."""
+    sim = tmp_path / "sim.csv"
+    assert run(tmp_path, "simulate", "--preset", "collision-sl2", "--out", str(sim)) == 4
+    capsys.readouterr()
+    out = tmp_path / "cmp.json"
+    assert run(tmp_path, "compare", "--preset", "collision-sl2", "--out", str(out)) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no report written" in err
+    assert f"blowup_at: {footer(read(sim), 'blowup_at')};" in err
+
+
+def test_compare_breakdown_exit3_names_breakdown_at(tmp_path, capsys, monkeypatch):
+    """compare on a breakdown of the exact solver where the oracle runs
+    through exits 3, writes no report and names the breakdown_at on one
+    stderr line.  An eigen-gap floor above every gap of rational-sl2 stalls
+    its transport at t = 0."""
+    from spincm import exact
+    monkeypatch.setattr(exact, "GAP_COLLIDE", 1e3)
+    out = tmp_path / "cmp.json"
+    assert run(tmp_path, "compare", "--preset", "rational-sl2", "--out", str(out)) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no report written" in err
+    assert "breakdown_at: 0.0;" in err
+
+
 def test_audit_reports(tmp_path):
     out = tmp_path / "a.json"
     assert run(tmp_path, "audit", "--preset", "free-flight",

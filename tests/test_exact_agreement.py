@@ -1,0 +1,119 @@
+"""The exact solvers against the oracle at every N they accept: a seeded sweep
+over N = 2..8 and five root-subset shapes, at the bounds of the fault-point
+tests, or a breakdown where the oracle blows up."""
+
+import numpy as np
+import pytest
+
+from sampling import random_point
+from spincm.errors import BreakdownError
+from spincm.liecore import build_sl_context, delta_subset, pi_subset
+from spincm.models import PhasePoint, rational_model, trig_model
+from spincm.presets import load_preset
+from spincm.rk import integrate
+from spincm.solver_rational import solve_rational
+from spincm.solver_trig import solve_trig
+
+
+def _pairs(blocks):
+    return [(i, j) for blk in blocks for i in blk for j in blk if i != j]
+
+
+def _shape(name, N):
+    """(spec, solve) of one sweep shape at rank N - 1."""
+    ctx = build_sl_context(N)
+    if name == "rational-full":
+        return rational_model(ctx, delta_subset(_pairs([range(N)]))), solve_rational
+    if name == "rational-2blocks":
+        half = (N + 1) // 2
+        blocks = [range(half), range(half, N)]
+        return rational_model(ctx, delta_subset(_pairs(blocks))), solve_rational
+    members = {"trig-all": range(N - 1), "trig-a1": [0], "trig-none": []}[name]
+    return trig_model(ctx, pi_subset(members)), solve_trig
+
+
+SHAPES = ("rational-full", "rational-2blocks", "trig-all", "trig-a1", "trig-none")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exact_agrees_with_oracle(shape, N, seed):
+    """random_point at spread max(1.5, (N - 1)/2) on [0, 0.3], 31 samples,
+    tol 1e-12: xi within 1e-6 and q, p within 1e-9 of the oracle, or a
+    BreakdownError within 1e-6 of the oracle's blowup time."""
+    spec, solve = _shape(shape, N)
+    pt = random_point(spec, np.random.default_rng(seed), scale=0.4,
+                      spread=max(1.5, 0.5 * (N - 1)))
+    times = np.linspace(0, 0.3, 31)
+    tro = integrate(spec, pt, 0.3, samples=31, tol=1e-12)
+    try:
+        tre, _ = solve(spec, pt, times, 1e-12)
+    except BreakdownError as exc:
+        assert tro.blowup and abs(exc.time - tro.last_good_time) <= 1e-6
+        return
+    assert not tro.blowup
+    for attr, bound in (("xi", 1e-6), ("q", 1e-9), ("p", 1e-9)):
+        assert np.abs(getattr(tre, attr) - getattr(tro, attr)).max() <= bound, attr
+
+
+# -- breakdown at N = 4: real symmetric positive xi, converging p -------------
+
+def _collision_course(N, xi_scale, q_step, p_step):
+    """q = q_step * (N - 1, N - 3, ..., 1 - N) and p = -p_step times the same
+    ladder (the particles converge), xi real symmetric with entries in
+    [0.5, 1] * xi_scale off the diagonal, as collision-sl2 is at N = 2."""
+    S = np.random.default_rng(0).uniform(0.5, 1.0, (N, N))
+    S = xi_scale * (S + S.T) / 2
+    np.fill_diagonal(S, 0.0)
+    ladder = np.linspace(N - 1, 1 - N, N)
+    return PhasePoint(q=q_step * ladder, p=-p_step * ladder, xi=S.astype(complex))
+
+
+@pytest.mark.parametrize("family, t_end, samples", [
+    # the last row before the collision at t = 0.4421 is t = 0.425: within
+    # 0.002 of the collision the oracle at tol 1e-12 is off by 2e-9 in p,
+    # where the exact solves at tol 1e-12 and 1e-13 agree to 4e-14
+    pytest.param("rational", 1.0, 41, id="rational-n4"),
+    pytest.param("trigonometric", 1.5, 151, id="trig-n4")])
+def test_breakdown_n4_matches_oracle(family, t_end, samples):
+    """An N = 4 point on a collision course (full Delta', pi' = Pi) breaks
+    down within 1e-6 of the oracle's blowup time, with the partial rows
+    within the bounds of the agreement sweep."""
+    N = 4
+    if family == "rational":
+        spec, solve = _shape("rational-full", N)
+        pt = _collision_course(N, 1.0, 0.5, 0.5)
+    else:
+        spec, solve = _shape("trig-all", N)
+        pt = _collision_course(N, 0.2, np.pi / 16, 0.25)
+    times = np.linspace(0, t_end, samples)
+    tro = integrate(spec, pt, t_end, samples=samples, tol=1e-12)
+    with pytest.raises(BreakdownError) as exc:
+        solve(spec, pt, times, 1e-12)
+    e = exc.value
+    assert tro.blowup and abs(e.time - tro.last_good_time) <= 1e-6
+    part = e.partial
+    rows = len(part.times)
+    assert rows > 1 and part.times[-1] < e.time
+    for attr, bound in (("xi", 1e-6), ("q", 1e-9), ("p", 1e-9)):
+        assert np.abs(getattr(part, attr) - getattr(tro, attr)[:rows]).max() <= bound, attr
+
+
+@pytest.mark.parametrize("preset, solve, pinned", [
+    ("trig-sl2-breakdown", solve_trig,
+     (439, 9, 0.10060477321862651, 0.31312015211944494)),
+    ("collision-sl2", solve_rational,
+     (613, 8, 0.11532562594670874, 0.6666666666666666))])
+def test_breakdown_diagnostics_pinned(preset, solve, pinned):
+    """The breakdown presets' transport work, smallest eigen gap and
+    collision time, to the last digit: the collision scan stops the
+    transport before it steps into the collision."""
+    data = load_preset(preset)
+    d = data["defaults"]
+    with pytest.raises(BreakdownError) as exc:
+        solve(data["model"], data["init"], np.linspace(0, d["t_end"], d["samples"]),
+              d["tol"])
+    diags = exc.value.factors.diagnostics
+    assert (diags["nfev"], diags["nrejected"], diags["min_gap"],
+            exc.value.time) == pinned

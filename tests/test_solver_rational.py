@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from sampling import random_point, random_reduced
+from spincm import exact, solver_rational, solver_trig
 from spincm.exact import left_divide, present, transport
 from spincm.errors import BreakdownError, ContractError, ValidationError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            r_action_on_M, rational_model, reduce_point,
                            trig_model)
+from spincm.presets import load_preset
 from spincm.rk import integrate
 from spincm.solver_rational import solve_rational
 from spincm.solver_trig import solve_trig
@@ -39,8 +41,15 @@ def sup_gap(ta, tb, attr):
 
 # -- Kato transport along a block-diagonal path (under both solvers) ------------
 
+def col(t):
+    """t, scalar or an array of times, as a (..., 1, 1) array to scale an
+    (N, N) matrix by, once per time."""
+    return np.asarray(t)[..., None, None]
+
+
 def run_transport(M, Mdot, blocks, times, tol=1e-12):
-    """(times, k, d) at the output times of the transport along M(t)."""
+    """(times, k, d) at the output times of the transport along M(t), M
+    stacked over an array of times."""
     k, d, _, diags, error = transport(lambda t: (M(t), ()),
                                       lambda t, k, d: left_divide(k, Mdot @ k),
                                       blocks, times, tol, None)
@@ -53,7 +62,8 @@ def test_diagonalize_diagonal_matrix():
     d the diagonal."""
     M = np.diag([3.0, 1.0, -4.0]).astype(complex)
     zero = np.zeros((3, 3), dtype=complex)
-    for t, k, d in run_transport(lambda t: M, zero, ((0, 1, 2),),
+    for t, k, d in run_transport(lambda t: np.broadcast_to(M, np.shape(t) + M.shape),
+                                 zero, ((0, 1, 2),),
                                  np.linspace(0, 1, 3)):
         assert np.allclose(k, np.eye(3))
         assert np.allclose(d, [3, 1, -4])
@@ -65,7 +75,7 @@ def test_diagonalize_sl2_example():
     and the presented g has det 1 and starts at the identity."""
     M0 = np.diag([3.0, -3.0]).astype(complex)
     K = np.array([[0.0, 0.5], [-0.5, 0.0]], dtype=complex)
-    for t, k, d in run_transport(lambda t: M0 + t * K, K, ((0, 1),),
+    for t, k, d in run_transport(lambda t: M0 + col(t) * K, K, ((0, 1),),
                                  np.linspace(0, 1, 11)):
         lam = np.sqrt(9 - 0.25 * t * t)
         assert np.abs(d - [lam, -lam]).max() < 1e-12
@@ -104,7 +114,7 @@ def test_diagonalize_blockwise():
     M1[2, 2] = 0.25
     M0 = np.diag(np.diag(M1))
     Mdot = M1 - M0
-    t, k, d = run_transport(lambda t: M0 + t * Mdot, Mdot, ((0, 1), (2,)),
+    t, k, d = run_transport(lambda t: M0 + col(t) * Mdot, Mdot, ((0, 1), (2,)),
                             np.linspace(0, 1, 5))[-1]
     assert abs(d[2] - 0.25) < 1e-14
     assert np.abs(k[2, :2]).max() == 0 and np.abs(k[:2, 2]).max() == 0
@@ -119,9 +129,10 @@ def test_diagonalize_continuation():
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
     def path(t):
-        if np.real(t) <= 1.0:
-            return D0 + t * (M0 - D0), M0 - D0
-        return M0 + (t - 1.0) * X, X
+        """(M(t), M'(t)), stacked over an array of times."""
+        first = col(np.real(t) <= 1.0)
+        return (np.where(first, D0 + col(t) * (M0 - D0), M0 + (col(t) - 1.0) * X),
+                np.where(first, M0 - D0, X))
 
     times = np.array([0.0, 0.5, 1.0, 1.01])
     k, d, _, diags, error = transport(lambda t: (path(t)[0], ()),
@@ -134,6 +145,88 @@ def test_diagonalize_continuation():
         assert np.abs(k @ np.diag(d) @ np.linalg.inv(k) - path(t)[0]).max() < 1e-12
     assert np.abs(k1 - k0).max() < 0.05
     assert np.abs(d1 - d0).max() < 0.05
+
+
+# -- the stacked path of both exact solvers ----------------------------------------
+
+@pytest.mark.parametrize("family, members", [("rational", None),
+                                             ("trigonometric", [0, 1])])
+def test_stacked_path_is_per_time_path(family, members):
+    """path(times) stacks M and the factors of path(t) at each time: bit for
+    bit for the rational family, to 1e-15 for the trigonometric one."""
+    ctx = build_sl_context(4)
+    if family == "rational":
+        spec, setup = rational_model(ctx, full_delta(4)), solver_rational._setup
+    else:
+        spec, setup = trig_model(ctx, pi_subset(members)), solver_trig._setup
+    pt = random_point(spec, np.random.default_rng(5), scale=0.4)
+    path = setup(spec, pt)[0]
+    times = np.linspace(0, 0.3, 31)
+    Ms, factors = path(times)
+    assert Ms.shape == (31, 4, 4) and len(factors) == (0 if family == "rational" else 4)
+    for i, t in enumerate(times):
+        M, fac = path(t)
+        for stacked, single in zip((Ms,) + factors, (M,) + fac):
+            if family == "rational":
+                assert np.array_equal(stacked[i], single)
+            else:
+                assert np.abs(stacked[i] - single).max() <= 1e-15
+
+
+def _count_path_and_eigvals(monkeypatch, module):
+    """Counts of the path calls of `module`'s solver and of eigvals calls,
+    made outside collision location."""
+    count = {"path": 0, "eigvals": 0, "in_collision": False}
+    setup0, collision0, eigvals0 = module._setup, exact._collision, np.linalg.eigvals
+
+    def setup(spec, pt0):
+        path, *rest = setup0(spec, pt0)
+
+        def counted_path(t):
+            count["path"] += not count["in_collision"]
+            return path(t)
+        return (counted_path, *rest)
+
+    def counted_collision(*args):
+        count["in_collision"] = True
+        try:
+            return collision0(*args)
+        finally:
+            count["in_collision"] = False
+
+    def counted_eigvals(a):
+        count["eigvals"] += not count["in_collision"]
+        return eigvals0(a)
+
+    monkeypatch.setattr(module, "_setup", setup)
+    monkeypatch.setattr(exact, "_collision", counted_collision)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    return count
+
+
+@pytest.mark.parametrize("preset, module, breaks", [
+    ("rational-sl3-full", solver_rational, False),
+    ("trig-sl3", solver_trig, False),
+    ("collision-sl2", solver_rational, True),
+    ("trig-sl2-breakdown", solver_trig, True)])
+def test_one_path_call_per_solve(monkeypatch, preset, module, breaks):
+    """Outside collision location a solve makes one path call, over the
+    whole output grid, and one eigvals call per block of two or more: the
+    transport's per-sample callback only stores its row."""
+    count = _count_path_and_eigvals(monkeypatch, module)
+    data = load_preset(preset)
+    d = data["defaults"]
+    solve = solve_rational if module is solver_rational else solve_trig
+    times = np.linspace(0, d["t_end"], d["samples"])
+    try:
+        _, fact = solve(data["model"], data["init"], times, d["tol"])
+        assert not breaks
+    except BreakdownError as exc:
+        assert breaks
+        fact = exc.factors
+    blocks = sum(len(b) > 1 for b in data["model"].subset.partition)
+    assert fact.diagnostics["nfev"] > len(times)
+    assert count["path"] == 1 and count["eigvals"] == blocks
 
 
 # -- solve_rational -------------------------------------------------------------

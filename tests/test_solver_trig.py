@@ -65,6 +65,17 @@ def test_parabolic_rejects_wrong_shape(ctx2):
     assert np.allclose(n @ g, A)
     with pytest.raises(BreakdownError):
         parabolic_factor(ctx2, sub, np.array([[0, 1], [0, 1]], dtype=complex), "+")
+    # a stack is factorized and checked matrix by matrix, each against its
+    # own scale: a 1e-6 entry outside the blocks fails next to a 1e6 I
+    good = np.array([[1, 1], [0, 1]], dtype=complex)
+    n, g = parabolic_factor(ctx2, sub, np.stack([good, 2 * good]), "+")
+    assert np.array_equal(n[1], parabolic_factor(ctx2, sub, 2 * good, "+")[0])
+    assert np.allclose(n @ g, np.stack([good, 2 * good]))
+    tiny = np.array([[1, 0], [1e-6, 1]], dtype=complex)
+    with pytest.raises(ValidationError):
+        parabolic_factor(ctx2, sub, np.stack([1e6 * np.eye(2), tiny]), "+")
+    with pytest.raises(BreakdownError):
+        parabolic_factor(ctx2, sub, np.stack([good, [[0, 1], [0, 1]]]), "+")
 
 
 def test_parabolic_sl3():
@@ -111,7 +122,8 @@ def test_cartan_log_unwraps_free_path():
     p = np.array([3.0, -3.0])  # 2*q(t) leaves (-pi, pi] well before t=1
 
     def Mfun(t):
-        return np.diag(np.exp(2j * (q0 + t * p)))
+        """M(t), stacked over an array of times."""
+        return np.exp(2j * (q0 + np.asarray(t)[..., None] * p))[..., None] * np.eye(2)
 
     times = np.linspace(0, 1.0, 60)
     _, logds, _, diags, error = transport(
@@ -136,7 +148,8 @@ def test_cartan_log_constant_and_errors():
     def run(Mdot):
         times = np.linspace(0, 1, 5)
         _, logds, _, diags, error = transport(
-            lambda t: (M, ()), lambda t, k, d: left_divide(k, Mdot(t) @ k),
+            lambda t: (np.broadcast_to(M, np.shape(t) + M.shape), ()),
+            lambda t, k, d: left_divide(k, Mdot(t) @ k),
             ((0,), (1,)), times, 1e-10, 2j * q0)
         out[:] = zip(times, logds)
         return diags, error
@@ -192,14 +205,19 @@ def test_closed_form_levi_path(N, members):
 
 
 def _count_expm(monkeypatch):
-    """Counts of solver_trig's expm calls: all, and those made while locating
-    a collision."""
-    count = {"expm": 0, "collision": 0, "in_collision": False}
+    """Counts of solver_trig's expm calls and of the matrices they
+    exponentiate: all, and those made while locating a collision."""
+    count = {"expm": 0, "matrices": 0, "collision": 0, "collision_matrices": 0,
+             "in_collision": False}
     expm0, collision0 = solver_trig.expm, exact._collision
 
     def counted_expm(A):
+        matrices = int(np.prod(np.shape(A)[:-2]))
         count["expm"] += 1
-        count["collision"] += count["in_collision"]
+        count["matrices"] += matrices
+        if count["in_collision"]:
+            count["collision"] += 1
+            count["collision_matrices"] += matrices
         return expm0(A)
 
     def counted_collision(*args):
@@ -215,30 +233,34 @@ def _count_expm(monkeypatch):
 
 
 def test_expm_per_node_and_sample(monkeypatch):
-    """A trig-sl3 solve, which meets no collision, makes exactly two expm per
-    output sample (the parabolic factors, which also give the M(t) that
-    polishes the state and is checked for collisions) and none per transport
-    f-evaluation."""
+    """A trig-sl3 solve, which meets no collision, makes exactly two expm
+    calls, one per sign over the stack of all output times (the parabolic
+    factors, which also give the M(t) that polishes the state and is scanned
+    for collisions), so two matrices per output time, and none per
+    transport f-evaluation."""
     count = _count_expm(monkeypatch)
     data = load_preset("trig-sl3")
     times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
     _, fact = solve_trig(data["model"], data["init"], times)
     assert fact.diagnostics["nfev"] > len(times)
-    assert count["expm"] == 2 * len(times) and count["collision"] == 0
+    assert count["expm"] == 2 and count["matrices"] == 2 * len(times)
+    assert count["collision"] == 0
 
 
 def test_expm_in_breakdown_solve(monkeypatch):
-    """A trig-sl2-breakdown solve makes at most two expm per output sample it
-    reaches (the recorded ones and the one whose M(t) shows the collision),
-    plus those of collision location, which builds M(t) from the path."""
+    """A trig-sl2-breakdown solve builds the path of the whole output grid
+    once, before the transport: two expm calls on two matrices per output
+    time, plus those of collision location, which builds M(t) from the path
+    at one complex t per call."""
     count = _count_expm(monkeypatch)
     data = load_preset("trig-sl2-breakdown")
     times = np.linspace(0, data["defaults"]["t_end"], data["defaults"]["samples"])
-    with pytest.raises(BreakdownError) as exc:
+    with pytest.raises(BreakdownError):
         solve_trig(data["model"], data["init"], times)
-    reached = len(exc.value.partial.times) + 1
     assert count["collision"] > 0
-    assert count["expm"] - count["collision"] <= 2 * reached
+    assert count["collision_matrices"] == count["collision"]
+    assert count["expm"] - count["collision"] == 2
+    assert count["matrices"] - count["collision_matrices"] == 2 * len(times)
 
 
 def test_eig_residual_bounds_drift():
