@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import BreakdownError, ValidationError, require_keys
+from .errors import (BreakdownError, ValidationError, _finite, _integral,
+                     require_keys)
 from .models import (PhasePoint, ReducedPoint, _check_momentum_zero,
                      _check_z_regular, check_regular, model_from_json_dict)
 from .presets import load_preset, preset_names
@@ -57,21 +57,6 @@ def _checked(what, fn, *args):
         raise ValidationError(f"{what}: {exc}") from exc
 
 
-def _finite(val):
-    """val if it is a finite real number; a bool or a string is not one."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not math.isfinite(val):
-        raise ValueError(f"{val!r} is not a finite number")
-    return val
-
-
-def _integral(val):
-    """A finite integral number as an int."""
-    if _finite(val) != int(val):
-        raise ValueError(f"{val!r} is not an integer")
-    return int(val)
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -87,11 +72,14 @@ def _point_from_json(d):
 
 def _resolve(args):
     """(spec, pt, params, config_dict) from --preset or --model/--init, with
-    the input checked before any integration: the JSON records, the run
-    parameters (of the command line or the preset) as finite numbers, with
-    `samples` an integer >= 2 and stored as an int, the
-    z-samples (of --z-samples or the preset) against the Lax poles, q against
-    the singular set and, for `exact` and `compare` on a full point, J^-1(0)."""
+    the input checked before any integration: the seed against [0, 2^64),
+    the JSON records, the run parameters (of the command line or the preset)
+    as finite numbers, with `samples` an integer >= 2 and stored as an int,
+    the z-samples (of --z-samples or the preset) against the Lax poles, q
+    against the singular set and, for `exact` and `compare` on a full point,
+    J^-1(0)."""
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValidationError(f"--seed must be in [0, 2^64), got {args.seed}")
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
     if args.preset:
         preset_dir = os.environ.get("SPINCM_PRESET_DIR")

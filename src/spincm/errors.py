@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks of outside input."""
+
+import math
 
 
 class ValidationError(ValueError):
@@ -46,3 +48,18 @@ def require_keys(d, keys, what):
     for key in keys:
         if key not in d:
             raise ValidationError(f"{what} JSON lacks the key {key!r}")
+
+
+def _finite(val):
+    """val if it is a finite real number; a bool or a string is not one."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not math.isfinite(val):
+        raise ValueError(f"{val!r} is not a finite number")
+    return val
+
+
+def _integral(val):
+    """A finite integral number as an int."""
+    if _finite(val) != int(val):
+        raise ValueError(f"{val!r} is not an integer")
+    return int(val)

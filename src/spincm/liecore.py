@@ -1,86 +1,28 @@
-"""Root-system and Chevalley-basis machinery for sl(N,C) in the defining representation.
+"""Root data of sl(N,C) in the defining representation: the roots, the root
+subsets Delta' and pi', and the diagonal gauge reduction s = g(xi)^-1 xi g(xi).
 
-Conventions: the invariant pairing is the trace form (X,Y) = tr(XY), under which
-(e_a, e_-a) = 1, [e_a, e_-a] = H_a and h_{a_i} = H_{a_i}.  Roots a = eps_i - eps_j
-are encoded as ordered index pairs (i, j), i != j, enumerated lexicographically;
-positive roots have i < j.
+Roots a = eps_i - eps_j are encoded as ordered index pairs (i, j), i != j,
+enumerated lexicographically; positive roots have i < j.  Under the trace
+form (X,Y) = tr(XY) the coroot h_a is H_a = E_ii - E_jj.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_keys
-
-TRACELESS_TOL = 1e-12
-
-
-def _check_traceless(X, name="matrix"):
-    scale = max(1.0, float(np.abs(X).max(initial=0.0)))
-    if abs(np.trace(X)) > TRACELESS_TOL * scale * X.shape[0]:
-        raise ValidationError(f"{name} is not traceless (trace={np.trace(X):.3e})")
+from .errors import DomainError, ValidationError, _integral, require_keys
 
 
 @dataclass(frozen=True)
 class LieContext:
-    """Root data for sl(N,C): roots, Chevalley basis, pairings and projections."""
+    """Root data for sl(N,C): the roots and the inverse Cartan matrix."""
 
     N: int
     roots: tuple  # ordered (i, j) pairs, lexicographic
-    cartan_matrix: np.ndarray  # (N-1, N-1)
     inv_cartan: np.ndarray  # (N-1, N-1)
-    x_basis: np.ndarray = field(repr=False)  # (N-1, N, N) orthonormal Cartan basis
-
-    def root_index(self, pair):
-        try:
-            return self.roots.index(tuple(pair))
-        except ValueError:
-            raise ValidationError(f"{pair} is not a root index pair for N={self.N}")
-
-    def e(self, alpha):
-        """Root vector e_alpha = E_ij as an N x N matrix."""
-        i, j = self._pair(alpha)
-        m = np.zeros((self.N, self.N), dtype=complex)
-        m[i, j] = 1.0
-        return m
-
-    def coroot(self, alpha):
-        """H_alpha = E_ii - E_jj (equals h_alpha under the trace form)."""
-        i, j = self._pair(alpha)
-        m = np.zeros((self.N, self.N), dtype=complex)
-        m[i, i] = 1.0
-        m[j, j] = -1.0
-        return m
-
-    def _pair(self, alpha):
-        if isinstance(alpha, (int, np.integer)):
-            return self.roots[int(alpha)]
-        return tuple(alpha)
-
-    def struct_const(self, alpha, beta):
-        """N_{a,b} with [e_a, e_b] = N_{a,b} e_{a+b}; None when a+b is not a root."""
-        i, j = self._pair(alpha)
-        k, l = self._pair(beta)
-        if j == k and l == i:
-            return None  # beta == -alpha
-        if j == k and i != l:
-            return 1
-        if l == i and j != k:
-            return -1
-        return None
-
-    def add_roots(self, alpha, beta):
-        """Index of a+b when it is a root, else None."""
-        i, j = self._pair(alpha)
-        k, l = self._pair(beta)
-        if j == k and i != l:
-            return self.root_index((i, l))
-        if l == i and j != k:
-            return self.root_index((k, j))
-        return None
 
 
 def build_sl_context(N):
@@ -97,39 +39,7 @@ def build_sl_context(N):
         if i + 1 < N - 1:
             A[i, i + 1] = -1.0
             A[i + 1, i] = -1.0
-    C = np.linalg.inv(A)
-
-    # Orthonormal traceless diagonal basis under tr(XY):
-    # x_k ~ diag(1,...,1,-k,0,...,0)/sqrt(k(k+1)).
-    xs = np.zeros((N - 1, N, N), dtype=complex)
-    for k in range(1, N):
-        d = np.zeros(N)
-        d[:k] = 1.0
-        d[k] = -k
-        xs[k - 1] = np.diag(d / np.sqrt(k * (k + 1)))
-
-    return LieContext(N=N, roots=roots, cartan_matrix=A,
-                      inv_cartan=C, x_basis=xs)
-
-
-def project_cartan(X):
-    """Projection Pi_h onto the Cartan subalgebra: the diagonal part."""
-    X = np.asarray(X, dtype=complex)
-    _check_traceless(X, "project_cartan input")
-    return np.diag(np.diag(X))
-
-
-def root_coefficient(X, alpha, ctx=None):
-    """xi_alpha = (X, e_{-alpha}) = X_ij for alpha = eps_i - eps_j."""
-    X = np.asarray(X)
-    if ctx is not None:
-        i, j = ctx._pair(alpha)
-    else:
-        i, j = tuple(alpha)
-    n = X.shape[0]
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValidationError(f"invalid root index pair ({i},{j}) for size {n}")
-    return X[i, j]
+    return LieContext(N=N, roots=roots, inv_cartan=np.linalg.inv(A))
 
 
 @dataclass
@@ -161,9 +71,10 @@ class RootSubset:
         require_keys(d, ("kind", "members"), "root subset")
         kind = d["kind"]
         if kind == "delta":
-            members = tuple((int(i) - 1, int(j) - 1) for i, j in d["members"])
+            members = tuple((_integral(i) - 1, _integral(j) - 1)
+                            for i, j in d["members"])
         elif kind == "pi":
-            members = tuple(int(k) - 1 for k in d["members"])
+            members = tuple(_integral(k) - 1 for k in d["members"])
         else:
             raise ValidationError(f"unknown root-subset kind {kind!r}")
         return RootSubset(kind=kind, members=members)

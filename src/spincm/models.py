@@ -35,7 +35,7 @@ import numpy as np
 
 from . import special
 from .errors import (ContractError, DomainError, PoleError, ValidationError,
-                     require_keys)
+                     _integral, require_keys)
 from .liecore import (LieContext, RootSubset, coroot_diagonal, reduce_gauge,
                       validate_root_subset)
 from .special import EllipticLattice
@@ -225,7 +225,7 @@ def model_from_json_dict(d):
     if fam not in FAMILIES:
         raise ValidationError(f"unknown family {fam!r}")
     require_keys(d, ("lattice",) if fam == "elliptic" else ("root_subset",), "model")
-    ctx = build_sl_context(int(d["N"]))
+    ctx = build_sl_context(_integral(d["N"]))
     if fam == "rational":
         return rational_model(ctx, RootSubset.from_json_dict(d["root_subset"]))
     if fam == "trigonometric":

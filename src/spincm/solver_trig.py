@@ -38,7 +38,7 @@ from scipy.linalg import expm
 
 from . import exact
 from .errors import BreakdownError, ValidationError
-from .models import _mask, lax_limit
+from .models import lax_limit
 
 
 @dataclass
@@ -62,24 +62,24 @@ class TrigFactorization(exact.Factorization):
     diagnostics: dict = field(default_factory=dict)
 
 
-def parabolic_factor(ctx, subset, A, sign):
+def parabolic_factor(spec, A, sign):
     """Unique factorization A = n g of a block-triangular invertible matrix,
     or of each matrix of a stack A (..., N, N), with n block-unipotent in
-    N^{sign}_{pi'} and g in the Levi G_{pi'}."""
+    N^{sign}_{pi'} and g in the Levi G_{pi'} of the trigonometric model
+    `spec`."""
     if sign not in ("+", "-"):
         raise ValidationError("sign must be '+' or '-'")
     A = np.asarray(A, dtype=complex)
-    N = A.shape[-1]
     scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
     # membership: the entries at the negative (sign +) / positive (sign -)
     # roots outside the span of pi' must vanish
-    below, above = _mask(N, subset.obar_minus), _mask(N, subset.obar_plus)
+    below, above = spec.mask_minus, spec.mask_plus
     outside = A[..., below if sign == "+" else above]
     if np.any(np.abs(outside).max(axis=-1, initial=0.0) > 1e-9 * scale):
         raise ValidationError(
             f"matrix is not block {'upper' if sign == '+' else 'lower'} "
             f"triangular for the given pi'")
-    for blk in subset.partition:
+    for blk in spec.subset.partition:
         idx = list(blk)
         pivot = (A[..., idx[0], idx[0]] if len(blk) == 1
                  else np.linalg.det(A[..., idx, :][..., idx]))
@@ -107,19 +107,17 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 def _setup(spec, pt0):
     """M(t) from the parabolic factors, the velocity B(k, d), q = l/2i and
     the two limits L(+/-i inf)."""
-    ctx = spec.ctx
-    subset = spec.subset
+    N = spec.ctx.N
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt0, "trig_minus_i_inf")
-    levi = spec.mask_span | np.eye(ctx.N, dtype=bool)
+    levi = spec.mask_span | np.eye(N, dtype=bool)
     Lam_p, Lam_m = np.where(levi, Lp, 0.0), np.where(levi, Lm, 0.0)
     e2iq0 = np.exp(2j * pt0.q)
-    N = ctx.N
 
     def path(t):
         t = np.asarray(t)[..., None, None]
-        np_, gp = parabolic_factor(ctx, subset, expm(1j * t * Lp), "+")
-        nm, gm = parabolic_factor(ctx, subset, expm(-1j * t * Lm), "-")
+        np_, gp = parabolic_factor(spec, expm(1j * t * Lp), "+")
+        nm, gm = parabolic_factor(spec, expm(-1j * t * Lm), "-")
         return np.linalg.solve(gm, e2iq0[:, None] * gp), (np_, nm, gp, gm)
 
     def velocity(t, k, d):

@@ -279,6 +279,16 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
     (tmp_path / "frac.json").write_text(json.dumps({
         "model": json.loads(model.read_text()), "init": json.loads(ok_init.read_text()),
         "defaults": {"samples": 2.5}}))
+    # fractional or boolean numbers in a model are not truncated to integers
+    frac_models = []
+    for name, d in (("n_frac", {"N": 2.7, "family": "rational", "root_subset": {
+                        "kind": "delta", "members": [[1, 2], [2, 1]]}}),
+                    ("delta_frac", {"N": 2, "family": "rational", "root_subset": {
+                        "kind": "delta", "members": [[1.5, 2], [2, 1.9]]}}),
+                    ("pi_bool", {"N": 2, "family": "trigonometric", "root_subset": {
+                        "kind": "pi", "members": [True]}})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        frac_models.append(str(tmp_path / f"{name}.json"))
     monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
     out = tmp_path / "never.csv"
     for argv in (
@@ -297,6 +307,9 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
             ("simulate", "--model", str(model), "--init", str(singular)),
             ("exact", "--model", str(model), "--init", str(off_j)),
             ("compare", "--model", str(model), "--init", str(off_j)),
+            *(("compare", "--model", m, "--init", str(ok_init), "--out", str(out))
+              for m in frac_models),
+            ("simulate", "--preset", "rational-sl3", "--seed", "-1", "--out", str(out)),
             *(("exact", "--preset", "rational-sl2", f"--samples={n}",
                "--out", str(out)) for n in (-3, 1))):
         assert run(tmp_path, *argv) == 2, argv

@@ -1,4 +1,4 @@
-"""Root data, pairings, subsets, and the gauge reduction map."""
+"""Root data, subsets, and the gauge reduction map."""
 
 import itertools
 
@@ -8,85 +8,31 @@ import pytest
 from spincm.errors import DomainError, ValidationError
 from spincm.liecore import (RootSubset, build_sl_context, delta_subset,
                             gauge_group_element, partition_from_pairs,
-                            pi_subset, project_cartan, reduce_gauge,
-                            root_coefficient, validate_root_subset)
+                            pi_subset, reduce_gauge, validate_root_subset)
 
 
-def pairing(X, Y):
-    return np.trace(X @ Y)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_chevalley_invariants(N):
-    ctx = build_sl_context(N)
-    assert len(ctx.roots) == N * (N - 1)
-    for a in range(len(ctx.roots)):
-        i, j = ctx.roots[a]
-        neg = ctx.root_index((j, i))
-        e, em, H = ctx.e(a), ctx.e(neg), ctx.coroot(a)
-        assert abs(pairing(e, em) - 1.0) < 1e-15
-        assert np.abs((e @ em - em @ e) - H).max() < 1e-15
-    # orthonormal Cartan basis, traceless
-    for i in range(N - 1):
-        assert abs(np.trace(ctx.x_basis[i])) < 1e-14
-        for j in range(N - 1):
-            assert abs(pairing(ctx.x_basis[i], ctx.x_basis[j]) - (i == j)) < 1e-13
-    # inverse Cartan matrix
-    assert np.abs(ctx.inv_cartan @ ctx.cartan_matrix - np.eye(N - 1)).max() < 1e-12
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_structure_constants_match_commutators(N):
-    ctx = build_sl_context(N)
-    for a in range(len(ctx.roots)):
-        for b in range(len(ctx.roots)):
-            s = ctx.add_roots(a, b)
-            n = ctx.struct_const(a, b)
-            comm = ctx.e(a) @ ctx.e(b) - ctx.e(b) @ ctx.e(a)
-            if s is not None:
-                assert n in (1, -1)
-                assert np.abs(comm - n * ctx.e(s)).max() < 1e-15
-            elif ctx.roots[b] != (ctx.roots[a][1], ctx.roots[a][0]):
-                assert n is None
-                assert np.abs(comm).max() < 1e-15
+def root_sum(a, b):
+    """a + b as an (i, j) pair when it is a root of sl(N), else None."""
+    (i, j), (k, l) = a, b
+    if j == k and i != l:
+        return (i, l)
+    if l == i and j != k:
+        return (k, j)
+    return None
 
 
 def test_a1_a2_root_data():
     ctx2 = build_sl_context(2)
     assert set(ctx2.roots) == {(0, 1), (1, 0)}
-    assert np.allclose(ctx2.coroot((0, 1)), np.diag([1.0, -1.0]))
     assert np.allclose(ctx2.inv_cartan, [[0.5]])
     ctx3 = build_sl_context(3)
     assert len(ctx3.roots) == 6
     assert np.allclose(ctx3.inv_cartan, np.array([[2, 1], [1, 2]]) / 3.0)
-    # N_{a1, a2} = +1 with [E12, E23] = E13
-    a, b = ctx3.root_index((0, 1)), ctx3.root_index((1, 2))
-    assert ctx3.struct_const(a, b) == 1
 
 
 def test_build_context_rejects_small_n():
     with pytest.raises(ValidationError):
         build_sl_context(1)
-
-
-def test_project_cartan():
-    assert np.allclose(project_cartan(np.diag([1.0, -1.0])), np.diag([1.0, -1.0]))
-    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert np.abs(project_cartan(E12)).max() == 0
-    X = np.array([[1, 2], [3, -1]], dtype=complex)
-    assert np.allclose(project_cartan(X), np.diag([1.0, -1.0]))
-    with pytest.raises(ValidationError):
-        project_cartan(np.eye(2))
-
-
-def test_root_coefficient():
-    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert root_coefficient(E12, (0, 1)) == 1
-    assert root_coefficient(E12, (1, 0)) == 0
-    X = np.array([[0, 4], [9, 0]], dtype=complex)
-    assert root_coefficient(X, (1, 0)) == 9
-    with pytest.raises(ValidationError):
-        root_coefficient(X, (0, 2))
 
 
 def test_validate_delta_subset():
@@ -127,8 +73,8 @@ def test_closed_symmetric_iff_partition_n3():
         mset = set(members)
         for a in mset:
             for b in mset:
-                s = ctx.add_roots(a, b)
-                if s is not None and ctx.roots[s] not in mset:
+                s = root_sum(a, b)
+                if s is not None and s not in mset:
                     closed = False
         # transitivity: the partition regenerates exactly the member set
         part = partition_from_pairs(3, mset)
@@ -176,6 +122,9 @@ def test_reduce_examples():
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_reduction_normalizes_simple_roots(N):
     ctx = build_sl_context(N)
+    assert len(ctx.roots) == N * (N - 1)
+    A = 2 * np.eye(N - 1) - np.eye(N - 1, k=1) - np.eye(N - 1, k=-1)
+    assert np.abs(ctx.inv_cartan @ A - np.eye(N - 1)).max() < 1e-12
     rng = np.random.default_rng(100 + N)
     for _ in range(100):
         xi = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))

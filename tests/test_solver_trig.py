@@ -9,7 +9,7 @@ from sampling import random_point, random_reduced
 from spincm import exact, solver_trig
 from spincm.errors import BreakdownError, ValidationError
 from spincm.exact import left_divide, transport
-from spincm.liecore import build_sl_context, pi_subset, validate_root_subset
+from spincm.liecore import build_sl_context, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
                            reduce_point, trig_model)
 from spincm.presets import load_preset
@@ -37,57 +37,55 @@ def sup_gap(ta, tb, attr):
 # -- parabolic factorization -----------------------------------------------------
 
 def test_parabolic_empty_levi(ctx2):
-    sub = validate_root_subset(ctx2, pi_subset([]))
+    spec = trig_model(ctx2, pi_subset([]))
     A = np.array([[1, 1], [0, 1]], dtype=complex)
-    n, g = parabolic_factor(ctx2, sub, A, "+")
+    n, g = parabolic_factor(spec, A, "+")
     assert np.allclose(n, A) and np.allclose(g, np.eye(2))
     A2 = np.array([[2, 1], [0, 0.5]], dtype=complex)
-    n2, g2 = parabolic_factor(ctx2, sub, A2, "+")
+    n2, g2 = parabolic_factor(spec, A2, "+")
     assert np.allclose(g2, np.diag([2.0, 0.5]))
     assert np.allclose(n2, [[1, 2], [0, 1]])
     assert np.abs(n2 @ g2 - A2).max() < 1e-15
 
 
-def test_parabolic_full_levi(ctx2):
-    sub = validate_root_subset(ctx2, pi_subset([0]))
+def test_parabolic_full_levi(spec2):
     A = np.array([[1.1, 0.4], [0.2, (1 + 0.4 * 0.2 / 1.1) / 1.1]], dtype=complex)
-    n, g = parabolic_factor(ctx2, sub, A, "+")
+    n, g = parabolic_factor(spec2, A, "+")
     assert np.allclose(n, np.eye(2))
     assert np.allclose(g, A)
 
 
 def test_parabolic_rejects_wrong_shape(ctx2):
-    sub = validate_root_subset(ctx2, pi_subset([]))
+    spec = trig_model(ctx2, pi_subset([]))
     A = np.array([[1, 0], [1, 1]], dtype=complex)
     with pytest.raises(ValidationError):
-        parabolic_factor(ctx2, sub, A, "+")
-    n, g = parabolic_factor(ctx2, sub, A, "-")  # lower is fine for sign -
+        parabolic_factor(spec, A, "+")
+    n, g = parabolic_factor(spec, A, "-")  # lower is fine for sign -
     assert np.allclose(n @ g, A)
     with pytest.raises(BreakdownError):
-        parabolic_factor(ctx2, sub, np.array([[0, 1], [0, 1]], dtype=complex), "+")
+        parabolic_factor(spec, np.array([[0, 1], [0, 1]], dtype=complex), "+")
     # a stack is factorized and checked matrix by matrix, each against its
     # own scale: a 1e-6 entry outside the blocks fails next to a 1e6 I
     good = np.array([[1, 1], [0, 1]], dtype=complex)
-    n, g = parabolic_factor(ctx2, sub, np.stack([good, 2 * good]), "+")
-    assert np.array_equal(n[1], parabolic_factor(ctx2, sub, 2 * good, "+")[0])
+    n, g = parabolic_factor(spec, np.stack([good, 2 * good]), "+")
+    assert np.array_equal(n[1], parabolic_factor(spec, 2 * good, "+")[0])
     assert np.allclose(n @ g, np.stack([good, 2 * good]))
     tiny = np.array([[1, 0], [1e-6, 1]], dtype=complex)
     with pytest.raises(ValidationError):
-        parabolic_factor(ctx2, sub, np.stack([1e6 * np.eye(2), tiny]), "+")
+        parabolic_factor(spec, np.stack([1e6 * np.eye(2), tiny]), "+")
     with pytest.raises(BreakdownError):
-        parabolic_factor(ctx2, sub, np.stack([good, [[0, 1], [0, 1]]]), "+")
+        parabolic_factor(spec, np.stack([good, [[0, 1], [0, 1]]]), "+")
 
 
 def test_parabolic_sl3():
-    ctx = build_sl_context(3)
-    sub = validate_root_subset(ctx, pi_subset([0]))
+    spec = trig_model(build_sl_context(3), pi_subset([0]))
     rng = np.random.default_rng(2)
     L = np.zeros((3, 3), dtype=complex)
     L[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     L[2, 2] = -np.trace(L)
     L[0, 2], L[1, 2] = 0.3 + 0.1j, -0.2j
     A = expm(1j * 0.3 * L)
-    n, g = parabolic_factor(ctx, sub, A, "+")
+    n, g = parabolic_factor(spec, A, "+")
     assert np.abs(n @ g - A).max() < 1e-12
     assert np.abs(n[2, :2]).max() < 1e-14 and abs(n[2, 2] - 1) < 1e-14
     assert np.abs(g[:2, 2]).max() == 0.0
@@ -98,19 +96,19 @@ def test_parabolic_membership_masks(N, members):
     """A block-triangular A for sign + (-) may carry entries at the span of
     pi' but at no root outside it below (above) the blocks: one entry at
     any such root raises ValidationError."""
-    ctx = build_sl_context(N)
-    sub = validate_root_subset(ctx, pi_subset(members))
+    spec = trig_model(build_sl_context(N), pi_subset(members))
+    sub = spec.subset
     for sign, outside in (("+", sub.obar_minus), ("-", sub.obar_plus)):
         for i, j in sub.span:
             A = np.eye(N, dtype=complex)
             A[i, j] = 0.5
-            n, g = parabolic_factor(ctx, sub, A, sign)
+            n, g = parabolic_factor(spec, A, sign)
             assert np.abs(n @ g - A).max() < 1e-15 and g[i, j] == 0.5
         for i, j in outside:
             A = np.eye(N, dtype=complex)
             A[i, j] = 0.5
             with pytest.raises(ValidationError):
-                parabolic_factor(ctx, sub, A, sign)
+                parabolic_factor(spec, A, sign)
 
 
 # -- the transported log of a group-valued path -----------------------------------
