@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 `compare` threshold failed (report still written,
 with "pass": false), 2 validation error (malformed or out-of-domain input,
-found before any integration), 3 factorization breakdown (`exact`: partial
+found before any integration), 3 factorization breakdown: an eigenvalue
+collision, or the exact solver's own output failing a check (`exact`: partial
 CSV still written), 4 oracle blow-up (`simulate`: partial CSV still written;
 `audit`: JSON still written, with "blowup": true and drifts up to the last
 good time), 5 requested exact mode unsupported for the family.  `compare`

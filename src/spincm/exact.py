@@ -47,7 +47,11 @@ checks each row and writes it into the trajectory's packed array, stacks
 the factors (the path's, then g, d, h, k), keeps the diagnostics and
 attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
 solved from its lift xi0 := s0 with each row written through the gauge
-reduction.
+reduction.  A row that fails its check (``check_state``, or the two sign
+branches of p disagreeing) ends the solve in a BreakdownError at its time.
+
+The LAPACK ``zgesv`` of ``left_divide`` comes from scipy, which the first
+``transport`` call imports: importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.lapack import zgesv
 
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
@@ -67,6 +70,8 @@ from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
 P_SIGN_TOL = 1e-8
+
+_zgesv = None  # LAPACK's zgesv, bound from scipy by the first ``transport``
 
 
 @dataclass
@@ -116,8 +121,9 @@ def _validate_times(times):
 
 def left_divide(k, rhs):
     """k^-1 rhs for the transported eigenvector matrix k, by LAPACK's solver
-    direct (numpy's wrapper costs twice the solve at these sizes)."""
-    _, _, X, info = zgesv(k, rhs)
+    direct (numpy's wrapper costs twice the solve at these sizes); for the
+    velocities that ``transport`` calls, once it has bound ``_zgesv``."""
+    _, _, X, info = _zgesv(k, rhs)
     if info:
         raise DomainError("singular transported eigenvector matrix")
     return X
@@ -218,6 +224,9 @@ def transport(path, velocity, blocks, times, tol, log0):
     largest eigen residual before the polish; and a BreakdownError (not
     raised) if the run ended before times[-1], else None.
     """
+    global _zgesv
+    if _zgesv is None:
+        from scipy.linalg.lapack import zgesv as _zgesv
     Ms, factors = path(times)
     N = Ms.shape[-1]
     nk = N * N
@@ -312,8 +321,10 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     Returns (Trajectory, factorization); for a ReducedPoint pt0, the reduced
     trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
     On an eigenvalue collision raises BreakdownError carrying the collision
-    time and the partial results; if the two sign branches of p(t) disagree
-    beyond P_SIGN_TOL at some output time, raises RuntimeError at the first.
+    time and the partial results.  So does the first output time at which the
+    solver's own output fails a check -- the two sign branches of p(t)
+    disagreeing beyond P_SIGN_TOL, or the state failing ``check_state`` --
+    with that time and the rows before it.
     """
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
@@ -330,7 +341,6 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     k, ell, path_factors, diags, error = transport(
         path, velocity, spec.subset.partition, times, tol, log0)
     ts = times[:len(k)]  # the output times reached
-    g, h = present(k)
     kinv = np.linalg.inv(k)
     xi = kinv @ pt0.xi @ k
     q = position(ell)
@@ -339,24 +349,39 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     P = [kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
          for which, L0 in limits.items()]
     p = P[0][:, range(N), range(N)]
+
+    # the rows up to the first output time whose state fails a check
+    n, failed = ts.size, None
     if len(P) == 2:
         mism = np.abs(P[0] - P[1]).max(axis=(1, 2))
         bad = np.flatnonzero(mism > P_SIGN_TOL)
         if bad.size:
-            raise RuntimeError(
-                f"internal error: the two sign branches of p(t) disagree by "
-                f"{mism[bad[0]]:.3e} at t={ts[bad[0]]}")
-        diags["p_sign_mismatch"] = float(mism.max())
-    diags["p_offdiag_residual"] = float(np.abs(P[0][:, off]).max(initial=0.0))
-
-    y = np.empty((ts.size, 2 * N + N * N), dtype=complex)
-    for i in range(ts.size):
-        # diag s = diag xi: the reduced check is at least as strict
-        row = (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]), reduced=True)
-               if reduced else check_state(q[i], p[i], xi[i]))
+            n = bad[0]
+            failed = (f"the two sign branches of p(t) disagree by "
+                      f"{mism[n]:.3e} > P_SIGN_TOL")
+    y = np.empty((n, 2 * N + N * N), dtype=complex)
+    for i in range(n):
+        try:
+            # diag s = diag xi: the reduced check is at least as strict
+            row = (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]),
+                               reduced=True)
+                   if reduced else check_state(q[i], p[i], xi[i]))
+        except ValidationError as exc:
+            n, failed = i, f"the state fails its check: {exc}"
+            break
         y[i] = np.concatenate([v.ravel() for v in row])
+    if failed is not None:
+        error = BreakdownError(f"factorization breakdown at t = {ts[n]:.9g}: "
+                               f"{failed}", time=float(ts[n]), gap=diags["min_gap"])
+        ts, y, k, ell = ts[:n], y[:n], k[:n], ell[:n]
+        path_factors = tuple(fac[:n] for fac in path_factors)
+    if len(P) == 2:
+        diags["p_sign_mismatch"] = float(mism[:n].max(initial=0.0))
+    diags["p_offdiag_residual"] = float(np.abs(P[0][:n, off]).max(initial=0.0))
+
     traj = Trajectory(times=ts, y=y, reduced=reduced, provenance=provenance,
                       stats=dict(diags))
+    g, h = present(k)
     d = ell if log0 is None else np.exp(ell)
     fact = None if reduced else factorization(
         ts, *path_factors, g, d, h, k, diagnostics=diags)

@@ -483,7 +483,7 @@ def lax_batch(spec, pt, zs):
     (..., len(zs), N, N), from one regularity check over the stack, one
     z-pole check and one root kernel per configuration."""
     if spec.family == "elliptic":
-        return lax_pair(spec, pt, zs)[0]
+        return _elliptic_lax(spec, pt, zs, dz=False)
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
     c = 1.0 / zs if spec.family == "rational" else special._cot(zs)
@@ -499,19 +499,27 @@ def lax_pair(spec, pt, zs):
     over (..., z, root) gives both."""
     if spec.family != "elliptic":
         raise ValidationError("lax_pair requires the elliptic family")
+    return _elliptic_lax(spec, pt, zs, dz=True)
+
+
+def _elliptic_lax(spec, pt, zs, dz):
+    """The elliptic L(z) of ``lax_batch``, or with `dz` the pair of
+    ``lax_pair``; without `dz`, ``lame_parts`` builds no d/dz parts."""
     check_regular(spec, pt.q)
     zs = _check_z_regular(spec, zs)
     N = spec.ctx.N
     p, xi = pt.p[..., None, :], pt.xi[..., None, :, :]
     m = spec.mask_active
     l, _, zz, ldz, wpz = special.lame_parts(
-        spec.lattice, alpha_matrix(pt.q)[..., None, m], zs[:, None])
+        spec.lattice, alpha_matrix(pt.q)[..., None, m], zs[:, None], dz)
     L = np.zeros(np.shape(l)[:-1] + (N, N), dtype=complex)
-    dL = np.zeros_like(L)
     diag = np.arange(N)
     xi_diag = np.diagonal(xi, axis1=-2, axis2=-1)
     L[..., diag, diag] = p + zz * xi_diag
     L[..., m] -= l * xi[..., m]
+    if not dz:
+        return L
+    dL = np.zeros_like(L)
     dL[..., diag, diag] = -wpz * xi_diag
     dL[..., m] -= ldz * xi[..., m]
     return L, dL

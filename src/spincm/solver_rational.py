@@ -42,7 +42,8 @@ def solve_rational(spec, pt0, times, tol=1e-10):
 
     Returns (Trajectory, RationalFactorization), or for a ReducedPoint pt0 a
     reduced Trajectory and None (``exact.solve``).  On an eigenvalue collision
-    raises BreakdownError carrying the collision time and the partial results.
+    raises BreakdownError carrying the collision time and the partial results,
+    as at the first output time where the state fails its check.
     """
     return exact.solve(spec, pt0, times, tol, family="rational",
                        provenance="exact-rational",

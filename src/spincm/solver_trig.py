@@ -27,6 +27,9 @@ a linear ODE, so the drift off M k = k d stays at the integration error (see
     p(t)  = diag P,  P = k(t)^-1 L(+/-i inf) k(t)
                          - off-diagonal L(+/-i inf)(q(t), xi(t));
             ``exact`` compares both sign branches.
+
+``expm`` imports scipy's at its first call, so importing this module loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import exact
 from .errors import BreakdownError, ValidationError
 from .models import lax_limit
+
+_scipy_expm = None  # scipy.linalg.expm, bound by the first ``expm`` call
 
 
 @dataclass
@@ -60,6 +64,15 @@ class TrigFactorization(exact.Factorization):
     h: np.ndarray  # diagonal vectors
     k_plus: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+
+def expm(A):
+    """The matrix exponential of A, or of each matrix of a stack A (..., N, N),
+    by scipy's ``expm``, which the first call imports."""
+    global _scipy_expm
+    if _scipy_expm is None:
+        from scipy.linalg import expm as _scipy_expm
+    return _scipy_expm(A)
 
 
 def parabolic_factor(spec, A, sign):
@@ -96,8 +109,9 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 
     Returns (Trajectory, TrigFactorization), or for a ReducedPoint pt0 a
     reduced Trajectory and None (``exact.solve``).  Raises BreakdownError on
-    Levi eigenvalue collision, and flags an internal error if the two sign
-    branches of p(t) disagree beyond ``exact.P_SIGN_TOL``.
+    Levi eigenvalue collision, and at the first output time where the two
+    sign branches of p(t) disagree beyond ``exact.P_SIGN_TOL`` or the state
+    fails its check.
     """
     return exact.solve(spec, pt0, times, tol, family="trigonometric",
                        provenance="exact-trig",

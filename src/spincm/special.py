@@ -230,9 +230,10 @@ def sigma_w(lat, z):
     return complex(out) if scalar else out
 
 
-def lame_parts(lat, w, z):
+def lame_parts(lat, w, z, dz=True):
     """(l(w,z), zeta(w), zeta(z), d/dz l(w,z), wp(z)) with w + z broadcast,
-    from one reduction and one theta pass per argument set (w, z, w+z).
+    from one reduction and one theta pass per argument set (w, z, w+z); with
+    `dz` false, the last two are None and the z pass has no wp row.
 
     l(w,z) = -sigma(w+z) / (sigma(w) sigma(z)) and
     d/dz l = -sigma'(w+z) / (sigma(w) sigma(z)) - l zeta(z), both finite also
@@ -241,12 +242,14 @@ def lame_parts(lat, w, z):
     warr = np.asarray(w, dtype=complex)
     zarr = np.asarray(z, dtype=complex)
     w0, sw, _, zw = lat._sigma_zeta(warr)
-    z0, sz, _, zz, wpz = lat._sigma_zeta(zarr, wp=True)
+    z0, sz, _, zz, *wpz = lat._sigma_zeta(zarr, wp=dz)
     lat._check_pole(w0, "l(w,z) in w")
     lat._check_pole(z0, "l(w,z) in z")
     _, swz, dswz, _ = lat._sigma_zeta(warr + zarr)
     l = -swz / (sw * sz)
-    return l, zw, zz, -dswz / (sw * sz) - l * zz, wpz
+    if not dz:
+        return l, zw, zz, None, None
+    return l, zw, zz, -dswz / (sw * sz) - l * zz, wpz[0]
 
 
 def l_func(lat, w, z):

@@ -1,8 +1,14 @@
 """CLI exit codes, artifact schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spincm.cli import main
 
@@ -111,6 +117,52 @@ def test_exact_reduced_breakdown_dumps_no_factors(tmp_path):
 def test_exact_trig_breakdown(tmp_path):
     assert run(tmp_path, "exact", "--preset", "trig-sl2-breakdown",
                "--out", str(tmp_path / "tb.csv")) == 3
+
+
+@pytest.mark.parametrize("t_end", ["4", "6"])
+def test_exact_own_check_failure_is_breakdown(tmp_path, capsys, t_end):
+    """trig-sl2 run to t = 4 or 6: at some output time the solver's own
+    output fails a check (q no longer traceless, or the two sign branches of
+    p(t) apart by more than P_SIGN_TOL).  exact exits 3 with the rows before
+    that output time and one breakdown_at naming it; compare exits 3 with its
+    one stderr line."""
+    out = tmp_path / "e.csv"
+    assert run(tmp_path, "exact", "--preset", "trig-sl2", "--t-end", t_end,
+               "--out", str(out)) == 3
+    text = read(out)
+    assert sum(l.startswith("# breakdown_at:") for l in text.splitlines()) == 1
+    at = footer(text, "breakdown_at")
+    ts = [float(r[0]) for r in csv_body(text)[1]]
+    assert float(at) in np.linspace(0.0, float(t_end), 101)
+    assert ts and max(ts) < float(at)
+    capsys.readouterr()
+    assert run(tmp_path, "compare", "--preset", "trig-sl2", "--t-end", t_end,
+               "--out", str(tmp_path / "cmp.json")) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"breakdown_at: {at};" in err
+
+
+def test_scipy_is_imported_by_the_exact_solvers_only(tmp_path):
+    """A fresh process that imports spincm and runs simulate, audit and curve
+    loads no scipy module; its first exact solve loads scipy.linalg."""
+    script = textwrap.dedent("""
+        import sys
+        import spincm, spincm.cli
+        for cmd in ("simulate", "audit", "curve"):
+            assert spincm.cli.main([cmd, "--preset", "elliptic-sl2", "--out",
+                                    f"{sys.argv[1]}/{cmd}.out"]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        assert spincm.cli.main(["exact", "--preset", "rational-sl2", "--out",
+                                f"{sys.argv[1]}/exact.csv"]) == 0
+        print("scipy.linalg" in sys.modules)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 def test_exact_honours_tol(tmp_path):

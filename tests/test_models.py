@@ -566,6 +566,24 @@ def test_elliptic_lax_paths_reduce_once_per_argument_set(lat, monkeypatch, call,
     assert count[0] == reductions
 
 
+def test_elliptic_lax_batch_builds_no_dz_parts(lat, monkeypatch):
+    """lax_batch builds L alone: none of its sigma/zeta passes asks for the wp
+    row, which lax_pair's z pass adds for dL/dz."""
+    spec = elliptic_model(ctx(3), lat)
+    pt = random_point(spec, np.random.default_rng(13), scale=0.5)
+    asked = []
+    orig = EllipticLattice._sigma_zeta
+
+    def spy(self, z, wp=False):
+        asked.append(wp)
+        return orig(self, z, wp)
+    monkeypatch.setattr(EllipticLattice, "_sigma_zeta", spy)
+    lax_batch(spec, pt, _ZS)
+    assert asked == [False, False, False]
+    lax_pair(spec, pt, _ZS)
+    assert asked[3:] == [False, True, False]
+
+
 _S3 = np.array([[0, 1, 0.3], [0.2, 0, 1], [0.5, -0.4, 0]], dtype=complex)
 
 
