@@ -156,10 +156,10 @@ def _write_json(path, obj):
 
 
 def _z_list(spec, params):
-    """The z-samples of params (at least one), else the family's defaults."""
+    """The finite z-samples of params (at least one), else the family's defaults."""
     if "z_samples" not in params:
         return default_z_samples(spec)
-    zs = [complex(a, b) for a, b in params["z_samples"]]
+    zs = [complex(_finite(a), _finite(b)) for a, b in params["z_samples"]]
     if not zs:
         raise ValueError("no z-sample given")
     return zs

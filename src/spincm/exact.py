@@ -62,7 +62,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BreakdownError, DomainError, ValidationError
-from .liecore import reduce_gauge
+from .liecore import block_mask, reduce_gauge
 from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                      _check_momentum_zero, _lax_matrix, check_regular,
                      check_state)
@@ -127,15 +127,6 @@ def left_divide(k, rhs):
     if info:
         raise DomainError("singular transported eigenvector matrix")
     return X
-
-
-def same_block(blocks, N):
-    """(N, N) mask of the index pairs i != j inside one block."""
-    same = np.zeros((N, N), dtype=bool)
-    for blk in blocks:
-        same[np.ix_(blk, blk)] = True
-    np.fill_diagonal(same, False)
-    return same
 
 
 def block_gap(d, same):
@@ -231,7 +222,7 @@ def transport(path, velocity, blocks, times, tol, log0):
     N = Ms.shape[-1]
     nk = N * N
     group = log0 is not None
-    same = same_block(blocks, N)
+    same = block_mask(N, blocks)
     vals = block_eigvals(Ms, blocks)
     path_gaps = block_gap(vals, same)
     c, collision = _scan(path, blocks, same, times, _discriminant(vals, blocks))

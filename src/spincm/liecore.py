@@ -46,18 +46,14 @@ def build_sl_context(N):
 class RootSubset:
     """A closed symmetric root subset Delta' ('delta') or a simple subset pi' ('pi').
 
-    Derived data is attached by ``validate_root_subset``: for 'delta' the induced
-    partition of {0..N-1}; for 'pi' the root span and the positive/negative
-    complements of the span.
+    ``validate_root_subset`` attaches the partition of {0..N-1} both stand for:
+    Delta' and <pi'> are the roots inside its blocks (for pi', the runs of
+    consecutive chosen simple roots), as ``block_mask`` gives them.
     """
 
     kind: str  # "delta" | "pi"
     members: tuple
-    # derived (filled by validate_root_subset):
-    partition: tuple = None          # delta: tuple of sorted index tuples
-    span: tuple = None               # pi: root indices of <pi'>
-    obar_plus: tuple = None          # pi: positive roots outside the span
-    obar_minus: tuple = None
+    partition: tuple = None  # derived: tuple of sorted index tuples
 
     def to_json_dict(self):
         if self.kind == "delta":
@@ -110,19 +106,17 @@ def partition_from_pairs(N, pairs):
     return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
 
 
-def roots_of_partition(partition):
-    """All (i, j), i != j with i, j in a common block."""
-    out = []
+def block_mask(N, partition):
+    """(N, N) mask of the index pairs i != j inside one block of partition."""
+    mask = np.zeros((N, N), dtype=bool)
     for block in partition:
-        for i in block:
-            for j in block:
-                if i != j:
-                    out.append((i, j))
-    return sorted(out)
+        mask[np.ix_(block, block)] = True
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def validate_root_subset(ctx, subset):
-    """Validate and attach derived data; raises ValidationError naming violations."""
+    """Validate and attach the partition; ValidationError names violations."""
     N = ctx.N
     if subset.kind == "delta":
         members = set()
@@ -137,11 +131,10 @@ def validate_root_subset(ctx, subset):
                     f"Delta' not symmetric: ({i},{j}) present but ({j},{i}) missing")
         partition = partition_from_pairs(N, members)
         # a symmetric Delta' is closed iff it is all roots of its partition
-        full = set(roots_of_partition(partition))
+        full = set(map(tuple, np.argwhere(block_mask(N, partition)).tolist()))
         if members != full:
-            missing = sorted(full - members)
-            raise ValidationError(
-                f"Delta' not closed: partition {partition} requires {missing[0]}")
+            raise ValidationError(f"Delta' not closed: partition {partition} "
+                                  f"requires {min(full - members)}")
         return RootSubset(kind="delta", members=tuple(sorted(members)),
                           partition=partition)
 
@@ -151,15 +144,8 @@ def validate_root_subset(ctx, subset):
                 raise ValidationError(f"simple-root index {k} out of range for N={N}")
         members = tuple(sorted(set(subset.members)))
         # <pi'> = roots inside the interval blocks generated by the chosen simples
-        pairs = [(k, k + 1) for k in members]
-        partition = partition_from_pairs(N, pairs)
-        span = tuple(sorted(roots_of_partition(partition)))
-        span_set = set(span)
-        obar_plus = tuple((i, j) for (i, j) in ctx.roots
-                          if i < j and (i, j) not in span_set)
-        obar_minus = tuple((j, i) for (i, j) in obar_plus)
-        return RootSubset(kind="pi", members=members, partition=partition,
-                          span=span, obar_plus=obar_plus, obar_minus=obar_minus)
+        partition = partition_from_pairs(N, [(k, k + 1) for k in members])
+        return RootSubset(kind="pi", members=members, partition=partition)
 
     raise ValidationError(f"unknown root-subset kind {subset.kind!r}")
 

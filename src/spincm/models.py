@@ -36,8 +36,8 @@ import numpy as np
 from . import special
 from .errors import (ContractError, DomainError, PoleError, ValidationError,
                      _integral, require_keys)
-from .liecore import (LieContext, RootSubset, coroot_diagonal, reduce_gauge,
-                      validate_root_subset)
+from .liecore import (LieContext, RootSubset, block_mask, coroot_diagonal,
+                      reduce_gauge, validate_root_subset)
 from .special import EllipticLattice
 
 REGULARITY_MARGIN = 1e-6
@@ -148,7 +148,13 @@ def reduce_point(ctx, pt):
 
 @dataclass
 class ModelSpec:
-    """One of the three families together with its root-subset / lattice data."""
+    """One of the three families together with its root-subset / lattice data.
+
+    The (N, N) root masks come from ``block_mask`` of the subset's partition:
+    ``mask_active``, the roots with a kernel (Delta', else all roots), and
+    for pi' ``mask_span`` (<pi'>, inside the blocks) and ``mask_plus`` /
+    ``mask_minus`` (Obar_+ / Obar_-, the positive / negative roots outside).
+    """
 
     ctx: LieContext
     family: str
@@ -161,32 +167,29 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}")
         N = self.ctx.N
-        off = ~np.eye(N, dtype=bool)
-        if self.family == "rational":
-            if self.subset is None or self.subset.kind != "delta":
-                raise ValidationError("rational family needs a Delta' subset")
-            if self.subset.partition is None:
-                self.subset = validate_root_subset(self.ctx, self.subset)
-            self.mask_active = _mask(N, self.subset.members)
-            self.regular_roots = np.nonzero(self.mask_active)
-        elif self.family == "trigonometric":
-            if self.subset is None or self.subset.kind != "pi":
-                raise ValidationError("trigonometric family needs a pi' subset")
-            if self.subset.span is None:
-                self.subset = validate_root_subset(self.ctx, self.subset)
-            self.mask_span = _mask(N, self.subset.span)
-            self.mask_plus = _mask(N, self.subset.obar_plus)
-            self.mask_minus = _mask(N, self.subset.obar_minus)
-            # the constant root kernel of L(z): -i on Obar_+, +i on Obar_-
-            self.obar_kernel = 1j * (self.mask_minus.astype(float) - self.mask_plus)
-            self.mask_active = off
-            self.regular_roots = np.nonzero(self.mask_span)
-        else:
+        self.mask_active = ~np.eye(N, dtype=bool)
+        if self.family == "elliptic":
             if self.lattice is None:
                 raise ValidationError("elliptic family needs a lattice")
-            self.mask_active = off
             # wp is even and wp' odd in a(q): the i < j roots stand for all
             self.regular_roots = np.triu_indices(N, 1)
+            return
+        kind, name = {"rational": ("delta", "a Delta'"),
+                      "trigonometric": ("pi", "a pi'")}[self.family]
+        if self.subset is None or self.subset.kind != kind:
+            raise ValidationError(f"{self.family} family needs {name} subset")
+        if self.subset.partition is None:
+            self.subset = validate_root_subset(self.ctx, self.subset)
+        block = block_mask(N, self.subset.partition)
+        self.regular_roots = np.nonzero(block)
+        if self.family == "rational":
+            self.mask_active = block
+            return
+        self.mask_span = block
+        self.mask_plus = np.triu(~block, 1)
+        self.mask_minus = np.tril(~block, -1)
+        # the constant root kernel of L(z): -i on Obar_+, +i on Obar_-
+        self.obar_kernel = 1j * (self.mask_minus.astype(float) - self.mask_plus)
 
     def to_json_dict(self):
         d = {"N": self.ctx.N, "family": self.family}
@@ -195,13 +198,6 @@ class ModelSpec:
         if self.lattice is not None:
             d["lattice"] = self.lattice.to_json_dict()
         return d
-
-
-def _mask(N, pairs):
-    m = np.zeros((N, N), dtype=bool)
-    for i, j in pairs:
-        m[i, j] = True
-    return m
 
 
 def rational_model(ctx, subset):

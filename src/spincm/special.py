@@ -142,12 +142,13 @@ class EllipticLattice:
         z0, _, _ = self.reduce(z)
         return np.abs(z0)
 
-    def _check_pole(self, z0, what):
+    def _check_pole(self, z, z0, what):
+        """PoleError naming the lattice point z - z0 of the first |z0| < POLE_TOL."""
         bad = np.abs(z0) < POLE_TOL
         if np.any(bad):
-            off = np.asarray(z0).ravel()[np.flatnonzero(np.ravel(bad))[0]]
+            k = np.flatnonzero(np.ravel(bad))[0]
             raise PoleError(f"{what} pole within {POLE_TOL} of a lattice point",
-                            nearest=complex(off))
+                            nearest=complex(np.ravel(z)[k] - np.ravel(z0)[k]))
 
     # -- theta core ---------------------------------------------------------
     def _theta_rows(self, v, k):
@@ -201,7 +202,7 @@ def wp(lat, z):
     """Weierstrass P function."""
     arr, scalar = _as_array(z)
     z0, _, _ = lat.reduce(arr)
-    lat._check_pole(z0, "wp")
+    lat._check_pole(arr, z0, "wp")
     out = lat._wp_pair(z0)[0]
     return complex(out) if scalar else out
 
@@ -210,7 +211,7 @@ def wp_prime(lat, z):
     """Derivative of the Weierstrass P function."""
     arr, scalar = _as_array(z)
     z0, _, _ = lat.reduce(arr)
-    lat._check_pole(z0, "wp'")
+    lat._check_pole(arr, z0, "wp'")
     out = lat._wp_pair(z0)[1]
     return complex(out) if scalar else out
 
@@ -219,7 +220,7 @@ def zeta_w(lat, z):
     """Weierstrass zeta function (quasi-periodic: zeta(z+2w_i) = zeta(z) + 2 eta_i)."""
     arr, scalar = _as_array(z)
     z0, _, _, out = lat._sigma_zeta(arr)
-    lat._check_pole(z0, "zeta")
+    lat._check_pole(arr, z0, "zeta")
     return complex(out) if scalar else out
 
 
@@ -243,8 +244,8 @@ def lame_parts(lat, w, z, dz=True):
     zarr = np.asarray(z, dtype=complex)
     w0, sw, _, zw = lat._sigma_zeta(warr)
     z0, sz, _, zz, *wpz = lat._sigma_zeta(zarr, wp=dz)
-    lat._check_pole(w0, "l(w,z) in w")
-    lat._check_pole(z0, "l(w,z) in z")
+    lat._check_pole(warr, w0, "l(w,z) in w")
+    lat._check_pole(zarr, z0, "l(w,z) in z")
     _, swz, dswz, _ = lat._sigma_zeta(warr + zarr)
     l = -swz / (sw * sz)
     if not dz:

@@ -7,9 +7,46 @@ S6 = sum' lambda^-6, and those two scalars are themselves computed by
 Richardson extrapolation of square truncations across K, 2K, 4K, 8K
 (tail exponents 2, 3, 4 for the symmetric square).  Entirely independent of
 the theta-series evaluators in spincm.special.
+
+The root sets of Delta' and pi' straight from their definitions, with no
+partition or mask of spincm.liecore.
 """
 
 import numpy as np
+
+
+def pi_root_sets(N, members):
+    """(<pi'>, Obar_+, Obar_-) for pi' = {alpha_(k+1) : k in members}: the
+    roots (i, j) whose i and j lie in one run of consecutive chosen simple
+    roots (every alpha_(k+1) with min(i, j) <= k < max(i, j) chosen), and the
+    positive / negative roots outside them, as sets of 0-based pairs."""
+    roots = [(i, j) for i in range(N) for j in range(N) if i != j]
+    span = {(i, j) for i, j in roots
+            if all(k in members for k in range(min(i, j), max(i, j)))}
+    plus = {(i, j) for i, j in roots if i < j and (i, j) not in span}
+    return span, plus, {(j, i) for i, j in plus}
+
+
+def partitions(items):
+    """Every partition of the list items, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in partitions(rest):
+        yield [[first]] + part
+        for b in range(len(part)):
+            yield part[:b] + [[first] + part[b]] + part[b + 1:]
+
+
+def delta_of_partition(blocks):
+    """Delta' of a partition: the roots (i, j), i != j, in one block."""
+    return {(i, j) for blk in blocks for i in blk for j in blk if i != j}
+
+
+def mask_roots(mask):
+    """The roots (i, j) an (N, N) mask holds, to compare with the sets above."""
+    return set(map(tuple, np.argwhere(mask).tolist()))
 
 
 def _square_points(lat, K):

@@ -354,6 +354,10 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
             ("simulate", "--preset", "frac", "--out", str(out)),
             ("simulate", "--preset", "rational-sl2", "--z-samples", "0",
              "--out", str(out)),
+            # non-finite z-samples, refused before the integration
+            *(("audit", "--preset", name, "--z-samples", z, "--out", str(out))
+              for name, z in (("rational-sl2", "nan"), ("rational-sl2", "inf"),
+                              ("trig-sl3", "1+infj"), ("elliptic-sl2", "nan"))),
             ("simulate", "--model", str(model), "--init", str(bare)),
             ("simulate", "--model", str(bad_n), "--init", str(ok_init)),
             ("simulate", "--model", str(model), "--init", str(singular)),
@@ -403,10 +407,10 @@ def test_preset_dir_env(tmp_path, monkeypatch, capsys):
     _, rows = csv_body(read(out))
     assert len(rows) == 6 and abs(float(rows[-1][0]) - 0.25) < 1e-12
     # preset z-samples are checked like --z-samples, before any integration:
-    # a Lax pole, a malformed pair and an empty list give exit 2, one error
-    # line and no output
+    # a Lax pole, a malformed pair, an empty list and a non-finite sample
+    # give exit 2, one error line and no output
     capsys.readouterr()
-    for zs in ([[0, 0]], [[0.5]], []):
+    for zs in ([[0, 0]], [[0.5]], [], [[float("nan"), 0]], [[float("inf"), 0]]):
         preset["defaults"]["z_samples"] = zs
         (tmp_path / "bad-z.json").write_text(json.dumps(preset))
         for cmd in ("simulate", "audit"):

@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import mask_roots
 from spincm.errors import DomainError, ValidationError
 from spincm.liecore import (RootSubset, build_sl_context, delta_subset,
                             gauge_group_element, partition_from_pairs,
                             pi_subset, reduce_gauge, validate_root_subset)
+from spincm.models import trig_model
 
 
 def root_sum(a, b):
@@ -48,13 +50,16 @@ def test_validate_delta_subset():
 
 def test_validate_pi_subset():
     ctx = build_sl_context(3)
-    sub = validate_root_subset(ctx, pi_subset([0]))
-    assert set(sub.span) == {(0, 1), (1, 0)}
-    assert set(sub.obar_plus) == {(0, 2), (1, 2)}
-    assert set(sub.obar_minus) == {(2, 0), (2, 1)}
+    spec = trig_model(ctx, pi_subset([0]))
+    assert spec.subset.partition == ((0, 1), (2,))
+    span, plus, minus = (mask_roots(m) for m in
+                         (spec.mask_span, spec.mask_plus, spec.mask_minus))
+    assert span == {(0, 1), (1, 0)}
+    assert plus == {(0, 2), (1, 2)}
+    assert minus == {(2, 0), (2, 1)}
     # disjoint union is the whole root system
-    assert (set(sub.span) | set(sub.obar_plus) | set(sub.obar_minus)
-            == set(ctx.roots))
+    assert span | plus | minus == set(ctx.roots)
+    assert len(span) + len(plus) + len(minus) == len(ctx.roots)
     with pytest.raises(ValidationError):
         validate_root_subset(ctx, pi_subset([5]))
 

@@ -1,11 +1,13 @@
 """Hamiltonians, Lax operators, equations of motion, r-matrix actions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import LatticeOracle
+from oracles import (LatticeOracle, delta_of_partition, mask_roots,
+                     partitions, pi_root_sets)
 from sampling import random_point, random_reduced
 from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
@@ -56,6 +58,37 @@ def spec_r2():
 @pytest.fixture(scope="module")
 def spec_t2():
     return trig_model(ctx(2), pi_subset([0]))
+
+
+# -- root masks ------------------------------------------------------------------
+
+def _row_major(roots):
+    return tuple(np.array(sorted(roots), dtype=int).reshape(-1, 2).T)
+
+
+def test_root_masks_match_definitions():
+    """The ModelSpec masks and regular roots against the root sets of the
+    definitions: every pi' of sl(N), N = 2..6, and every Delta' (one per
+    partition of {1..N}) of sl(N), N = 2..5."""
+    for n in range(2, 7):
+        off = {(i, j) for i in range(n) for j in range(n) if i != j}
+        for keep in itertools.product([False, True], repeat=n - 1):
+            members = [k for k in range(n - 1) if keep[k]]
+            spec = trig_model(ctx(n), pi_subset(members))
+            span, plus, minus = pi_root_sets(n, members)
+            assert mask_roots(spec.mask_span) == span, (n, members)
+            assert mask_roots(spec.mask_plus) == plus, (n, members)
+            assert mask_roots(spec.mask_minus) == minus, (n, members)
+            assert mask_roots(spec.mask_active) == off
+            assert np.array_equal(spec.regular_roots, _row_major(span))
+        if n > 5:
+            continue
+        for blocks in partitions(list(range(n))):
+            delta = delta_of_partition(blocks)
+            spec = rational_model(ctx(n), delta_subset(sorted(delta)))
+            assert spec.subset.partition == tuple(sorted(map(tuple, blocks)))
+            assert mask_roots(spec.mask_active) == delta, (n, blocks)
+            assert np.array_equal(spec.regular_roots, _row_major(delta))
 
 
 # -- phase point validation ---------------------------------------------------

@@ -125,6 +125,20 @@ def test_pole_errors(lat):
         l_func(lat, 1e-12, 0.3)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_pole_errors_name_the_lattice_point(lat, k):
+    """PoleError.nearest is the lattice point 2 w_k near z = 2 w_k + 1e-10,
+    not the offset of z from it."""
+    pole = 2 * (lat.omega1 if k == 1 else lat.omega2)
+    z = pole + 1e-10
+    for fn in (lambda: wp(lat, z), lambda: wp_prime(lat, z),
+               lambda: zeta_w(lat, z), lambda: l_func(lat, z, 0.3),
+               lambda: l_func(lat, 0.3, z)):
+        with pytest.raises(PoleError) as exc:
+            fn()
+        assert abs(exc.value.nearest - pole) < 1e-9
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_lame_parts_match_per_argument_evaluators(lat, N):
     """lame_parts on the root values of a point (w) against a spread of z,
