@@ -147,12 +147,7 @@ def _write_lines(path, lines):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=1)])
 
 
 def _z_list(spec, params):
@@ -294,6 +289,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # `--z-samples VALUE` as `--z-samples=VALUE`, so that VALUE may be -0.5+1j
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--z-samples":
+            argv[i:i + 2] = [f"--z-samples={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     handler = {"simulate": cmd_simulate, "exact": cmd_exact,
                "compare": cmd_compare, "audit": cmd_audit,

@@ -19,11 +19,11 @@ over the whole output grid, and stacked blockwise eigenvalues of M give the
 within-block gaps and discriminants D (analytic in t, with a zero at each
 collision).  The intervals are scanned in order: a phase turn of D over 2 rad
 hands the interval to ``locate_collision``, which finds that zero by a
-complex secant iteration on M at complex t, until one collides.  The
-transport's per-sample callback only stores the row, and stops the run at
-the start of that interval, so the transport never steps into the
-collision.  A run that stops early anyway (eigen gap below GAP_COLLIDE, or a
-collapsed step) always ends in a BreakdownError, never in a silent state.
+complex secant iteration on M at complex t, until one collides.  The start
+of that interval is the transport's last output time, fixed before the
+transport starts, so it never steps into the collision.  A run that ends
+early anyway (a step whose eigen gap falls below GAP_COLLIDE, or a collapsed
+step) always ends in a BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
 limits)``: ``path(t)`` returns M(t) and the family's factors, stacked over
@@ -158,15 +158,13 @@ def _discriminant(vals, blocks):
     return D
 
 
-def locate_collision(path, blocks, t_lo, t_hi):
-    """Root-find the within-block discriminant product D(t) of the
-    block-diagonal M(t) = path(t)[0] by a complex secant iteration.  D is
+def locate_collision(path, blocks, same, t_lo, t_hi):
+    """The BreakdownError at the eigenvalue collision in [t_lo, t_hi], or
+    None.  It root-finds the within-block discriminant product D(t) of the
+    block-diagonal M(t) = path(t)[0] by a complex secant iteration: D is
     analytic with a simple zero at an eigenvalue collision, so this resolves
-    sqrt-type collisions that pointwise gap thresholds cannot.
-
-    Returns (t_star, collided): the real collision-time estimate and whether
-    the located zero is numerically on the real axis inside the bracket.
-    """
+    sqrt-type collisions that pointwise gap thresholds cannot.  A collision
+    is a located zero numerically on the real axis inside the bracket."""
     def disc(t):
         return _discriminant(block_eigvals(path(t)[0], blocks), blocks)[()]
 
@@ -187,22 +185,12 @@ def locate_collision(path, blocks, t_lo, t_hi):
             break
     on_axis = abs(t1.imag) <= 1e-7 * max(span, abs(t1.real))
     inside = (t_lo - 0.5 * span) <= t1.real <= (t_hi + 0.5 * span)
-    small = abs(d1) <= 1e-10 * dscale
-    return float(t1.real), bool(on_axis and inside and small)
-
-
-def _scan(path, blocks, same, times, D):
-    """(c, error): the first output interval [times[c], times[c+1]] over
-    which the discriminants D at the output times turn by more than 2 rad
-    and a collision is located there, and its BreakdownError; else
-    (len(times), None)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turns = (D[:-1] != 0) & (np.abs(np.angle(D[1:] / D[:-1])) > 2.0)
-    for c in np.flatnonzero(turns):
-        error = _collision(path, blocks, same, times[c], times[c + 1])
-        if error is not None:
-            return c, error
-    return len(times), None
+    if not (on_axis and inside and abs(d1) <= 1e-10 * dscale):
+        return None
+    t_star = float(t1.real)
+    gap = float(block_gap(block_eigvals(path(t_star)[0], blocks), same))
+    return BreakdownError(f"factorization breakdown: eigenvalue collision at "
+                          f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
 
 def transport(path, velocity, blocks, times, tol, log0):
@@ -225,7 +213,17 @@ def transport(path, velocity, blocks, times, tol, log0):
     same = block_mask(N, blocks)
     vals = block_eigvals(Ms, blocks)
     path_gaps = block_gap(vals, same)
-    c, collision = _scan(path, blocks, same, times, _discriminant(vals, blocks))
+    # the last output time: the start of the first interval over which the
+    # discriminants turn by more than 2 rad and a collision is located there
+    D = _discriminant(vals, blocks)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = (D[:-1] != 0) & (np.abs(np.angle(D[1:] / D[:-1])) > 2.0)
+    end, collision = len(times) - 1, None
+    for c in np.flatnonzero(turns):
+        collision = locate_collision(path, blocks, same, times[c], times[c + 1])
+        if collision is not None:
+            end = c
+            break
 
     def eigs(ell):
         return np.exp(ell) if group else ell
@@ -259,13 +257,10 @@ def transport(path, velocity, blocks, times, tol, log0):
         guard_gap[0] = min(guard_gap[0], gap)
         return gap >= GAP_COLLIDE
 
-    def on_sample(i, y):
-        rows[i] = y.view(complex)
-        return i == c
-
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(Ms[0]) if log0 is None else log0]).astype(complex)
-    t, stats, stopped, done = dp5(f, y0.view(float), times, tol, on_sample, guard)
+    t, stats, done = dp5(f, y0.view(float), times[:end + 1], tol,
+                         rows.view(float).__setitem__, guard)
 
     # the polish: one first-order eigen-correction of each (k, l) against M
     # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives
@@ -284,24 +279,14 @@ def transport(path, velocity, blocks, times, tol, log0):
     diags = {"min_gap": min_gap, "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"]),
              "eig_residual": float(residual.max())}
-    error = None
-    if stopped:
-        error = (collision if done > c else None) or _collision(
+    error = collision
+    if done <= end:
+        error = locate_collision(
             path, blocks, same, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
             f"(eigen gap {min_gap:.3e}) with no eigenvalue collision located",
             time=t, gap=min_gap)
     return k, ell, tuple(fac[:done] for fac in factors), diags, error
-
-
-def _collision(path, blocks, same, t_lo, t_hi):
-    """BreakdownError at the eigenvalue collision in [t_lo, t_hi], if any."""
-    t_star, collided = locate_collision(path, blocks, t_lo, t_hi)
-    if not collided:
-        return None
-    gap = float(block_gap(block_eigvals(path(t_star)[0], blocks), same))
-    return BreakdownError(f"factorization breakdown: eigenvalue collision at "
-                          f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
 
 def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,

@@ -7,9 +7,11 @@ and a callable f(t, y); the exact solvers run their transport ODE on it too.
 Complex states are integrated as stacked real/imaginary coordinates so the
 standard embedded error control applies unchanged.  A step allocates no state
 array: the stage inputs, the error estimate and its scale live in buffers
-built before the step loop, and f may return one buffer that it reuses.  The
-oracle's f is ``models.packed_field``, built once per integration; its
-regularity check at every stage is the singularity-margin abort.
+built before the step loop, and f may return one buffer that it reuses.
+Each sample goes to a plain row store; a run ends early only on a failed
+step, with fewer samples.  The oracle's f is ``models.packed_field``, built
+once per integration; its regularity check, at y0 and at every stage, is
+the singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .models import (PhasePoint, ReducedPoint, check_regular, contour_radius,
-                     hamiltonian, lax_batch, packed_field)
+from .models import (PhasePoint, ReducedPoint, contour_radius, hamiltonian,
+                     lax_batch, packed_field)
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980); row i of _A holds the
 # stage weights of stage i, and the 5th-order weights are its last row
@@ -98,12 +100,12 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
     to sample_times[-1], over a packed real state y.
 
     Steps are clamped to land on every sample time, where
-    ``on_sample(i, y)`` is called (also for i = 0, with a copy of y0); a true
-    return value stops the run.  An accepted step must give a finite state
-    that passes ``guard(t, y)``, if a guard is given; a stage raising
-    DomainError shrinks the step.  The run also stops early when a step fails
-    the guard or the step size collapses.  `fixed_step` disables the error
-    control (used for order verification).
+    ``on_sample(i, y)`` stores the sample (also for i = 0, with a copy of
+    y0); its return value is ignored.  An accepted step must give a finite
+    state that passes ``guard(t, y)``, if a guard is given; a stage raising
+    DomainError shrinks the step.  The one way a run ends early is a failed
+    step: one that fails the guard, or a step size that collapses.
+    `fixed_step` disables the error control (used for order verification).
 
     Buffers: every stage value f(t, y) is copied into the stage array, so f
     may return one buffer that it reuses; the y given to f, guard and
@@ -112,15 +114,15 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
     solution (its weights are A[6] and c7 = 1): it becomes the new state when
     the step is accepted.
 
-    Returns (t, stats, stopped, n): the time reached, {nsteps, nrejected,
-    nfev}, whether the run stopped before sample_times[-1], and the number of
-    samples delivered.
+    Returns (t, stats, n): the time reached, {nsteps, nrejected, nfev}, and
+    the number of samples delivered; a run that ended early delivered fewer
+    than len(sample_times).
     """
     t = float(sample_times[0])
     t_end = float(sample_times[-1])
     y = np.array(y0, dtype=float)
     n = y.size
-    stopped = bool(on_sample(0, y))
+    on_sample(0, y)
     nxt = 1
     h = fixed_step if fixed_step else min(1e-3, (t_end - t) / 100)
     K = np.empty((7, n))
@@ -131,14 +133,13 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
     stages = [(float(_C[i]), _A[i, :i], K[:i], i, y1 if i == 6 else ys)
               for i in range(1, 7)]
 
-    while not stopped and t < t_end - 1e-14:
+    while t < t_end - 1e-14:
         h_step = min(h, t_end - t)
         clamped = h_step < h
         if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14:
             h_step = sample_times[nxt] - t
             clamped = True
         if h_step < 1e-15 * max(1.0, abs(t)):
-            stopped = True
             break
         try:
             for c, a, Ki, i, yi in stages:
@@ -150,7 +151,6 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
             # a trial stage left the domain (singular margin): shrink, then stop
             nrej += 1
             if h_step < 1e-12 * max(1.0, abs(t)):
-                stopped = True
                 break
             h = h_step * 0.25
             continue
@@ -171,15 +171,13 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
         if accepted:
             if not np.isfinite(y1).all() or (guard is not None and
                                              not guard(t + h_step, y1)):
-                stopped = True
                 break
             t += h_step
             y[:] = y1
             K[0] = K[6]  # FSAL
             nsteps += 1
-            while not stopped and nxt < len(sample_times) and \
-                    t >= sample_times[nxt] - 1e-12:
-                stopped = bool(on_sample(nxt, y))
+            while nxt < len(sample_times) and t >= sample_times[nxt] - 1e-12:
+                on_sample(nxt, y)
                 nxt += 1
         else:
             nrej += 1
@@ -192,7 +190,7 @@ def dp5(f, y0, sample_times, tol, on_sample, guard=None, fixed_step=None):
             else:
                 h = h_step * fac
 
-    return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, stopped, nxt
+    return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, nxt
 
 
 def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
@@ -202,8 +200,9 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     Aborts cleanly (blowup flag + last good time) when the configuration comes
     within the kernel pass's REGULARITY_MARGIN of the singular set: every
     stage checks it, the last one at the new state, and a stage that fails
-    shrinks the step until the step size collapses.  `fixed_step` disables
-    the error control (used for order verification).
+    shrinks the step until the step size collapses.  A pt0 within that
+    margin raises the DomainError of the field's first evaluation.
+    `fixed_step` disables the error control (used for order verification).
     """
     check_tol(tol)
     if samples < 2:
@@ -213,7 +212,6 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     if t_end <= 0:
         raise ValidationError("t_end must be positive")
     reduced = isinstance(pt0, ReducedPoint)
-    check_regular(spec, pt0.q)
     N = spec.ctx.N
     field = packed_field(spec, reduced)
 
@@ -223,8 +221,9 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10, fixed_step=None):
     sample_times = np.linspace(0.0, float(t_end), int(samples))
     out = np.empty((sample_times.size, 2 * (2 * N + N * N)))  # real rows of y
     y0 = np.concatenate([pt0.q, pt0.p, getattr(pt0, pt0._matrix).ravel()])
-    t, stats, blowup, n = dp5(f, y0.view(float), sample_times, tol,
-                              on_sample=out.__setitem__, fixed_step=fixed_step)
+    t, stats, n = dp5(f, y0.view(float), sample_times, tol,
+                      on_sample=out.__setitem__, fixed_step=fixed_step)
+    blowup = n < sample_times.size
     return Trajectory(times=sample_times[:n], y=out[:n].view(complex),
                       reduced=reduced, provenance="oracle", stats=stats,
                       blowup=blowup, last_good_time=float(t) if blowup else None)

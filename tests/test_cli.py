@@ -392,6 +392,22 @@ def test_z_samples_flag(tmp_path):
     assert d["z_samples"] == [[0.5, 0.0], [0.0, 1.2], [0.3, 0.4]]
 
 
+def test_z_samples_value_may_start_with_minus(tmp_path, capsys):
+    """`--z-samples VALUE` parses as `--z-samples=VALUE`, also for a value
+    that argparse would otherwise read as an option."""
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run(tmp_path, "audit", "--preset", "trig-sl3", "--z-samples", "-0.5+1j",
+               "--out", str(spaced)) == 0
+    assert run(tmp_path, "audit", "--preset", "trig-sl3", "--z-samples=-0.5+1j",
+               "--out", str(joined)) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert json.loads(read(joined))["z_samples"] == [[-0.5, 1.0]]
+    capsys.readouterr()
+    assert run(tmp_path, "audit", "--preset", "trig-sl3", "--z-samples", "-inf") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_preset_dir_env(tmp_path, monkeypatch, capsys):
     preset = {
         "model": {"N": 2, "family": "rational",

@@ -2,17 +2,21 @@
 over N = 2..8 and five root-subset shapes, at the bounds of the fault-point
 tests, or a breakdown where the oracle blows up."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sampling import random_point
 from spincm.errors import BreakdownError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
-from spincm.models import PhasePoint, rational_model, trig_model
+from spincm.models import (PhasePoint, elliptic_model, rational_model,
+                           trig_model)
 from spincm.presets import load_preset
 from spincm.rk import integrate
 from spincm.solver_rational import solve_rational
 from spincm.solver_trig import solve_trig
+from spincm.special import EllipticLattice
 
 
 def _pairs(blocks):
@@ -117,3 +121,30 @@ def test_breakdown_diagnostics_pinned(preset, solve, pinned):
     diags = exc.value.factors.diagnostics
     assert (diags["nfev"], diags["nrejected"], diags["min_gap"],
             exc.value.time) == pinned
+
+
+# -- the elliptic oracle through the trigonometric degeneration ---------------
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_elliptic_oracle_tends_to_exact_trig(N):
+    """With omega1 = pi/2 and omega2 = iT, wp(w) = csc^2 w - 1/3 + O(|nome|^2)
+    with |nome| = e^-2T, and on J^-1(0) the trigonometric c0 term has zero
+    gradient: the elliptic oracle tends to the exact trigonometric flow with
+    pi' = Pi.  On [0, 0.5], 26 samples, both at tol 1e-12, the sup gap over
+    q, p and xi is <= 1e-10 at T = 8, and gap(4i) / gap(6i) lies within a
+    factor 3 of the |nome|^2 ratio e^8."""
+    ctx = build_sl_context(N)
+    trig = trig_model(ctx, pi_subset(range(N - 1)))
+    times = np.linspace(0, 0.5, 26)
+    for seed in (0, 1):
+        pt = random_point(trig, np.random.default_rng(seed), spread=0.3 * (N - 1) + 0.6)
+        tre, _ = solve_trig(trig, pt, times, 1e-12)
+        gap = {}
+        for T in (4, 6, 8):
+            spec = elliptic_model(ctx, EllipticLattice(math.pi / 2, T * 1j))
+            tro = integrate(spec, pt, 0.5, samples=26, tol=1e-12)
+            assert not tro.blowup
+            gap[T] = max(np.abs(getattr(tre, a) - getattr(tro, a)).max()
+                         for a in ("q", "p", "xi"))
+        assert gap[8] <= 1e-10, (seed, gap)
+        assert math.exp(8) / 3 <= gap[4] / gap[6] <= 3 * math.exp(8), (seed, gap)

@@ -125,12 +125,35 @@ def test_dp5_f_may_reuse_its_buffer():
     runs = []
     for f in (fresh, reused):
         rows = []
-        _, stats, stopped, n = dp5(f, np.linspace(-1.0, 1.0, 6), np.linspace(0, 2, 11),
-                                   1e-9, on_sample=lambda i, y: rows.append(y.copy()))
-        assert not stopped and n == 11 and stats["nfev"] > 6 * 11
+        _, stats, n = dp5(f, np.linspace(-1.0, 1.0, 6), np.linspace(0, 2, 11),
+                          1e-9, on_sample=lambda i, y: rows.append(y.copy()))
+        assert n == 11 and stats["nfev"] > 6 * 11
         runs.append((np.array(rows).tobytes(), stats))
     assert runs[0] == runs[1]
 
+
+
+@pytest.mark.parametrize("case", ["guard", "domain", "on_sample"])
+def test_dp5_ends_early_only_on_a_failed_step(case):
+    """dp5 on f = -y over 11 nodes of [0, 1]: a guard that fails past
+    t = 0.55, or an f that raises DomainError there, ends the run with 6
+    samples, delivered as 0..5 in order; on_sample's return value is
+    ignored, so one that returns True gets all 11."""
+    seen = []
+
+    def f(t, y):
+        if case == "domain" and t > 0.55:
+            raise DomainError("past 0.55")
+        return -y
+
+    def on_sample(i, y):
+        seen.append(i)
+        return case == "on_sample"
+
+    guard = (lambda t, y: t <= 0.55) if case == "guard" else None
+    _, _, n = dp5(f, np.ones(2), np.linspace(0.0, 1.0, 11), 1e-9, on_sample, guard)
+    expected = 11 if case == "on_sample" else 6
+    assert n == expected and seen == list(range(expected))
 
 def test_audit_pure(spec2):
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)

@@ -177,7 +177,8 @@ def _count_path_and_eigvals(monkeypatch, module):
     """Counts of the path calls of `module`'s solver and of eigvals calls,
     made outside collision location."""
     count = {"path": 0, "eigvals": 0, "in_collision": False}
-    setup0, collision0, eigvals0 = module._setup, exact._collision, np.linalg.eigvals
+    setup0, collision0, eigvals0 = (module._setup, exact.locate_collision,
+                                    np.linalg.eigvals)
 
     def setup(spec, pt0):
         path, *rest = setup0(spec, pt0)
@@ -199,7 +200,7 @@ def _count_path_and_eigvals(monkeypatch, module):
         return eigvals0(a)
 
     monkeypatch.setattr(module, "_setup", setup)
-    monkeypatch.setattr(exact, "_collision", counted_collision)
+    monkeypatch.setattr(exact, "locate_collision", counted_collision)
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     return count
 

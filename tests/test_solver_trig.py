@@ -208,7 +208,7 @@ def _count_expm(monkeypatch):
     exponentiate: all, and those made while locating a collision."""
     count = {"expm": 0, "matrices": 0, "collision": 0, "collision_matrices": 0,
              "in_collision": False}
-    expm0, collision0 = solver_trig.expm, exact._collision
+    expm0, collision0 = solver_trig.expm, exact.locate_collision
 
     def counted_expm(A):
         matrices = int(np.prod(np.shape(A)[:-2]))
@@ -227,7 +227,7 @@ def _count_expm(monkeypatch):
             count["in_collision"] = False
 
     monkeypatch.setattr(solver_trig, "expm", counted_expm)
-    monkeypatch.setattr(exact, "_collision", counted_collision)
+    monkeypatch.setattr(exact, "locate_collision", counted_collision)
     return count
 
 
