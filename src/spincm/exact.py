@@ -50,16 +50,18 @@ solved from its lift xi0 := s0 with each row written through the gauge
 reduction.  A row that fails its check (``check_state``, or the two sign
 branches of p disagreeing) ends the solve in a BreakdownError at its time.
 
-The LAPACK ``zgesv`` of ``left_divide`` comes from scipy, which the first
-``transport`` call imports: importing the package loads no scipy.
+``left_divide`` calls numpy's own LAPACK ``zgesv`` gufunc, so a rational
+solve loads no scipy; only the trigonometric path's ``expm`` does.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve
 
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import block_mask, reduce_gauge
@@ -70,8 +72,6 @@ from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
 P_SIGN_TOL = 1e-8
-
-_zgesv = None  # LAPACK's zgesv, bound from scipy by the first ``transport``
 
 
 @dataclass
@@ -120,11 +120,16 @@ def _validate_times(times):
 
 
 def left_divide(k, rhs):
-    """k^-1 rhs for the transported eigenvector matrix k, by LAPACK's solver
-    direct (numpy's wrapper costs twice the solve at these sizes); for the
-    velocities that ``transport`` calls, once it has bound ``_zgesv``."""
-    _, _, X, info = _zgesv(k, rhs)
-    if info:
+    """k^-1 rhs for the transported eigenvector matrix k (N, N) and a complex
+    rhs (N, M), by numpy's private gufunc ``numpy.linalg._umath_linalg.solve``:
+    the LAPACK ``zgesv`` behind ``np.linalg.solve``, called without that
+    wrapper's per-call type and error-state set-up, which costs several times
+    the solve at these sizes.  On an exactly singular k the gufunc fills the
+    result with NaN and raises the floating-point invalid flag; the velocities
+    run inside ``transport``, which ignores that flag over the whole run, so
+    they see only the DomainError."""
+    X = _solve(k, rhs)
+    if cmath.isnan(X.item(0)):
         raise DomainError("singular transported eigenvector matrix")
     return X
 
@@ -203,9 +208,6 @@ def transport(path, velocity, blocks, times, tol, log0):
     largest eigen residual before the polish; and a BreakdownError (not
     raised) if the run ended before times[-1], else None.
     """
-    global _zgesv
-    if _zgesv is None:
-        from scipy.linalg.lapack import zgesv as _zgesv
     Ms, factors = path(times)
     N = Ms.shape[-1]
     nk = N * N
@@ -259,8 +261,9 @@ def transport(path, velocity, blocks, times, tol, log0):
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(Ms[0]) if log0 is None else log0]).astype(complex)
-    t, stats, done = dp5(f, y0.view(float), times[:end + 1], tol,
-                         rows.view(float).__setitem__, guard)
+    with np.errstate(invalid="ignore"):  # left_divide's flag on a singular k
+        t, stats, done = dp5(f, y0.view(float), times[:end + 1], tol,
+                             rows.view(float).__setitem__, guard)
 
     # the polish: one first-order eigen-correction of each (k, l) against M
     # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives

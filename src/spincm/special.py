@@ -12,8 +12,8 @@ series pass (``EllipticLattice._wp_pair``).  sigma, zeta = sigma'/sigma and,
 when asked, wp at one argument set cost one reduction and one pass over the
 leading rows (``EllipticLattice._sigma_zeta``), which also gives sigma' with no
 division by theta_1; ``lame_parts`` gives l(w,z), zeta(w), zeta(z), d/dz l(w,z)
-and wp(z) -- all that the elliptic L(z), dL/dz and r-matrix action need -- from
-one such pass per argument set.  Points closer
+and wp(z) -- all that the elliptic L(z) and dL/dz, and the r-matrix action of
+the test oracles, need -- from one such pass per argument set.  Points closer
 than POLE_TOL to a pole raise PoleError.
 """
 

@@ -10,9 +10,22 @@ the theta-series evaluators in spincm.special.
 
 The root sets of Delta' and pi' straight from their definitions, with no
 partition or mask of spincm.liecore.
+
+The paper's Lax-equation and invariant-function checks, on the kernels of
+spincm.models: the closed-form r-matrix action (R(q)M)(z), the residual of
+L' = [L, R(q)M] along the flow, and the Hamiltonian as the contour average
+of (L(z), L(z)).
 """
 
+import math
+
 import numpy as np
+
+from spincm import special
+from spincm.errors import ValidationError
+from spincm.models import (PhasePoint, _check_momentum_zero, _check_z_regular,
+                           _lax_matrix, alpha_matrix, check_regular,
+                           contour_radius, eom, lax, lax_batch)
 
 
 def pi_root_sets(N, members):
@@ -106,3 +119,66 @@ class LatticeOracle:
         u = z / lam
         logs = np.log1p(-u) + u + u**2 / 2 + u**3 / 3 + u**4 / 4 + u**5 / 5
         return z * np.exp(logs.sum() - (z**4 / 4) * self.S4)
+
+
+def r_action_on_M(spec, pt, z):
+    """Closed-form (R(q) M)(z) on J^-1(0), M(z) = L(z)/z."""
+    _check_momentum_zero(pt)
+    zs = _check_z_regular(spec, z)
+    z = complex(zs[0])
+    check_regular(spec, pt.q)
+    N = spec.ctx.N
+    xi = pt.xi
+    A = alpha_matrix(pt.q)
+    M = lax(spec, pt, z) / z
+
+    if spec.family == "rational":
+        out = -0.5 * M
+        m = spec.mask_active
+        out[m] -= xi[m] / A[m] ** 2
+        return out
+
+    if spec.family == "trigonometric":
+        cz = complex(special._cot(zs)[0])
+        out = 0.5 * M - cz * np.diag(pt.p)
+        # phi_a(q, z) = -(R(q) + cot z): the kernel of L(z), read at xi = 1
+        phi = -_lax_matrix(spec, pt.q, 0.0, np.ones((N, N)), cz)
+        comp = spec.mask_plus | spec.mask_minus
+        out[comp] += phi[comp] * cz * xi[comp]
+        ms = spec.mask_span
+        out[ms] -= phi[ms] * (phi[ms] + 1.0 / np.tan(A[ms] + z)) * xi[ms]
+        return out
+
+    m = spec.mask_active
+    l, zw, zz, ldz, _ = special.lame_parts(spec.lattice, A[m], z)
+    out = 0.5 * M - zz * np.diag(pt.p)
+    # l (zeta(w) + zeta(z) - zeta(w+z)), with l zeta(w+z) = dl/dz + l zeta(z)
+    out[m] += (l * zw - ldz) * xi[m]
+    return out
+
+
+def lax_residual(spec, pt, z, delta=1e-4):
+    """|| d/dt L(z) - [L(z), (R(q)M)(z)] || with the time derivative taken by a
+    central difference of step `delta` along the straight line x +/- delta f(x),
+    f the vector field of ``eom``: the same O(delta^2) approximation of
+    d/dt L(x(t)) as a difference along the flow."""
+    _check_momentum_zero(pt)
+    RM = r_action_on_M(spec, pt, z)
+    L0 = lax(spec, pt, z)
+    f = eom(spec, pt)
+    plus, minus = (PhasePoint(q=pt.q + h * f[0], p=pt.p + h * f[1],
+                              xi=pt.xi + h * f[2]) for h in (delta, -delta))
+    dL = (lax(spec, plus, z) - lax(spec, minus, z)) / (2.0 * delta)
+    return float(np.linalg.norm(dL - (L0 @ RM - RM @ L0)))
+
+
+def contour_hamiltonian(spec, pt, n_samples=64):
+    """(1/2) contour-average of (L(z), L(z)) on |z| = r: the invariant-function
+    definition of the Hamiltonian, by trapezoidal quadrature."""
+    if n_samples < 16:
+        raise ValidationError("n_samples must be >= 16")
+    r = contour_radius(spec)
+    zs = r * np.exp(2j * math.pi * np.arange(n_samples) / n_samples)
+    Ls = lax_batch(spec, pt, zs)
+    vals = np.einsum("kij,kji->k", Ls, Ls)
+    return complex(0.5 * vals.mean())

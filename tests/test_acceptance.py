@@ -9,14 +9,13 @@ import functools
 import numpy as np
 import pytest
 
-from oracles import LatticeOracle
+from oracles import LatticeOracle, contour_hamiltonian, lax_residual
 from sampling import random_point, random_reduced
 from spincm.cli import main as cli_main
 from spincm.errors import BreakdownError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
-from spincm.models import (PhasePoint, ReducedPoint, contour_hamiltonian,
-                           elliptic_model, hamiltonian, lax_limit,
-                           lax_residual, rational_model, reduce_point,
+from spincm.models import (PhasePoint, ReducedPoint, elliptic_model,
+                           hamiltonian, lax_limit, rational_model, reduce_point,
                            trig_model, alpha_matrix)
 from spincm.rk import audit, default_z_samples, integrate
 from spincm.solver_rational import solve_rational

@@ -142,18 +142,21 @@ def test_exact_own_check_failure_is_breakdown(tmp_path, capsys, t_end):
     assert err.count("\n") == 1 and f"breakdown_at: {at};" in err
 
 
-def test_scipy_is_imported_by_the_exact_solvers_only(tmp_path):
-    """A fresh process that imports spincm and runs simulate, audit and curve
-    loads no scipy module; its first exact solve loads scipy.linalg."""
+def test_scipy_is_imported_by_the_trigonometric_expm_only(tmp_path):
+    """A fresh process that imports spincm, runs simulate, audit and curve,
+    then a rational exact and compare, loads no scipy module; its first
+    trigonometric exact solve loads scipy.linalg (for ``expm``)."""
     script = textwrap.dedent("""
         import sys
         import spincm, spincm.cli
-        for cmd in ("simulate", "audit", "curve"):
-            assert spincm.cli.main([cmd, "--preset", "elliptic-sl2", "--out",
+        runs = [(cmd, "elliptic-sl2") for cmd in ("simulate", "audit", "curve")]
+        runs += [(cmd, "rational-sl2") for cmd in ("exact", "compare")]
+        for cmd, preset in runs:
+            assert spincm.cli.main([cmd, "--preset", preset, "--out",
                                     f"{sys.argv[1]}/{cmd}.out"]) == 0
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
-        assert spincm.cli.main(["exact", "--preset", "rational-sl2", "--out",
-                                f"{sys.argv[1]}/exact.csv"]) == 0
+        assert spincm.cli.main(["exact", "--preset", "trig-sl2", "--out",
+                                f"{sys.argv[1]}/trig.csv"]) == 0
         print("scipy.linalg" in sys.modules)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (LatticeOracle, delta_of_partition, mask_roots,
-                     partitions, pi_root_sets)
+from oracles import (LatticeOracle, contour_hamiltonian, delta_of_partition,
+                     lax_residual, mask_roots, partitions, pi_root_sets,
+                     r_action_on_M)
 from sampling import random_point, random_reduced
 from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
@@ -15,11 +16,9 @@ from spincm.liecore import (build_sl_context, coroot_diagonal, delta_subset,
                             pi_subset)
 from spincm.models import (PhasePoint, ReducedPoint,
                            _kernel_matrices, alpha_matrix, check_regular,
-                           contour_hamiltonian, elliptic_model,
-                           eom, hamiltonian, lax, lax_batch, lax_limit,
-                           lax_pair, lax_residual, packed_field,
-                           r_action_on_M, rational_model, reduce_point,
-                           reduced_eom, trig_model)
+                           elliptic_model, eom, hamiltonian, lax, lax_batch,
+                           lax_limit, lax_pair, packed_field, rational_model,
+                           reduce_point, reduced_eom, trig_model)
 from spincm.rk import integrate
 from spincm.special import EllipticLattice, cot_c, wp, wp_prime
 from spincm.spectral import _sheet_partials

@@ -1,17 +1,20 @@
 """Exact rational factorization solver against the RK oracle and its own
 structural identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import r_action_on_M
 from sampling import random_point, random_reduced
 from spincm import exact, solver_rational, solver_trig
 from spincm.exact import left_divide, present, transport
-from spincm.errors import BreakdownError, ContractError, ValidationError
+from spincm.errors import (BreakdownError, ContractError, DomainError,
+                           ValidationError)
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, ReducedPoint, lax, lax_limit,
-                           r_action_on_M, rational_model, reduce_point,
-                           trig_model)
+                           rational_model, reduce_point, trig_model)
 from spincm.presets import load_preset
 from spincm.rk import integrate
 from spincm.solver_rational import solve_rational
@@ -55,6 +58,48 @@ def run_transport(M, Mdot, blocks, times, tol=1e-12):
                                       blocks, times, tol, None)
     assert error is None and diags["nfev"] > 1
     return list(zip(times, k, d))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_left_divide_is_numpy_solve(N):
+    """left_divide gives the bits of np.linalg.solve on random complex k, with
+    right-hand sides N x N and N x 2N."""
+    rng = np.random.default_rng(N)
+    k = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    for m in (N, 2 * N):
+        rhs = rng.standard_normal((N, m)) + 1j * rng.standard_normal((N, m))
+        assert np.array_equal(left_divide(k, rhs), np.linalg.solve(k, rhs))
+
+
+SINGULAR_K = [np.zeros((3, 3), dtype=complex),
+              np.array([[1, 2, 3], [2, 4, 6], [1, 1, 1]], dtype=complex),
+              np.diag([1.0, 0.0]).astype(complex)]
+
+
+@pytest.mark.parametrize("k", SINGULAR_K, ids=["zero", "rank-2", "diag"])
+def test_left_divide_singular_k_raises_without_warning(k):
+    """An exactly singular k raises the DomainError and emits no warning:
+    called directly under the error state that ``transport`` holds, and from
+    a velocity inside ``transport`` (at its first f-evaluation, and past
+    t = 0.4, where the failed stages end the run in a stall)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DomainError, match="singular transported eigenvector matrix"):
+            left_divide(k, np.eye(len(k), dtype=complex))
+        N = len(k)
+        E = np.eye(N, k=1, dtype=complex)
+        M, block = np.diag(np.arange(N)).astype(complex), (tuple(range(N)),)
+        path = lambda t: (M + col(t) * E, ())
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(DomainError, match="singular transported"):
+            transport(path, lambda t, kk, d: left_divide(k, E @ kk),
+                      block, times, 1e-10, None)
+        kt, *_, error = transport(
+            path, lambda t, kk, d: left_divide(kk if t < 0.4 else k, E @ kk),
+            block, times, 1e-10, None)
+    assert len(kt) == 2 and isinstance(error, BreakdownError)
+    assert "stalled" in str(error) and 0.4 - 1e-9 <= error.time <= 0.4
 
 
 def test_diagonalize_diagonal_matrix():
