@@ -15,21 +15,25 @@ log d needs no branch tracking.  The transport's f writes k W and l' into one
 buffer that it reuses (``rk.dp5`` copies each stage value).
 
 Before the integration, one ``path`` call gives M and the family's factors
-over the whole output grid, and stacked blockwise eigenvalues of M give the
+over the output grid, up to the first output time at which the family's
+factorization breaks down, and stacked blockwise eigenvalues of M give the
 within-block gaps and discriminants D (analytic in t, with a zero at each
 collision).  The intervals are scanned in order: a phase turn of D over 2 rad
 hands the interval to ``locate_collision``, which finds that zero by a
 complex secant iteration on M at complex t, until one collides.  The start
-of that interval is the transport's last output time, fixed before the
-transport starts, so it never steps into the collision.  A run that ends
-early anyway (a step whose eigen gap falls below GAP_COLLIDE, or a collapsed
-step) always ends in a BreakdownError, never in a silent state.
+of that interval, else the output time before the path's breakdown, is the
+transport's last output time, fixed before the transport starts, so it never
+steps into the collision.  A run that ends early anyway (a step whose eigen
+gap falls below GAP_COLLIDE, an output interval that takes more than
+STALL_STEPS accepted steps, or a collapsed step) always ends in a
+BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
 limits)``: ``path(t)`` returns M(t) and the family's factors, stacked over
-an array of times t (shapes (..., N, N)), or at one complex t for collision
-location; ``velocity(t, k, d)`` returns B from the transported state alone;
-log0 is None when l = d, else l(0) = log d(0);
+a grid of times t (shapes (T, N, N)) up to the first time at which the
+factorization breaks down (a shorter stack), or at one complex t for
+collision location; ``velocity(t, k, d)`` returns B from the transported
+state alone; log0 is None when l = d, else l(0) = log d(0);
 ``position(l)`` maps the stacked l to q; ``limits`` maps names of
 ``models.LAX_LIMITS`` to L0, that limit of L at pt0 (two sign branches for
 the trigonometric family).  Each gives P = k^-1 L0 k minus the off-diagonal
@@ -72,6 +76,10 @@ from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
 P_SIGN_TOL = 1e-8
+# accepted transport steps within one output interval beyond which a run has
+# stalled: the presets, the agreement sweep and the benchmark's exact jobs
+# take at most 141, and a one-interval [0, 3] trig-sl3 grid at tol 1e-13 772
+STALL_STEPS = 5000
 
 
 @dataclass
@@ -209,18 +217,19 @@ def transport(path, velocity, blocks, times, tol, log0):
     raised) if the run ended before times[-1], else None.
     """
     Ms, factors = path(times)
-    N = Ms.shape[-1]
+    defined, N = Ms.shape[0], Ms.shape[-1]  # M at times[:defined]
     nk = N * N
     group = log0 is not None
     same = block_mask(N, blocks)
     vals = block_eigvals(Ms, blocks)
     path_gaps = block_gap(vals, same)
     # the last output time: the start of the first interval over which the
-    # discriminants turn by more than 2 rad and a collision is located there
+    # discriminants turn by more than 2 rad and a collision is located there,
+    # else the last one with an M
     D = _discriminant(vals, blocks)
     with np.errstate(divide="ignore", invalid="ignore"):
         turns = (D[:-1] != 0) & (np.abs(np.angle(D[1:] / D[:-1])) > 2.0)
-    end, collision = len(times) - 1, None
+    end, collision = defined - 1, None
     for c in np.flatnonzero(turns):
         collision = locate_collision(path, blocks, same, times[c], times[c + 1])
         if collision is not None:
@@ -253,10 +262,17 @@ def transport(path, velocity, blocks, times, tol, log0):
 
     rows = np.empty((len(times), nk + N), dtype=complex)  # k | l, unpolished
     guard_gap = [np.inf]
+    interval = [1, 0]  # the next output time's index, accepted steps toward it
 
     def guard(t, y):
         gap = block_gap(eigs(y.view(complex)[nk:]), same)
         guard_gap[0] = min(guard_gap[0], gap)
+        interval[1] += 1
+        if interval[1] > STALL_STEPS:
+            return False
+        # past an output time, as ``dp5`` delivers a sample
+        if interval[0] <= end and t >= times[interval[0]] - 1e-12:
+            interval[:] = interval[0] + 1, 0
         return gap >= GAP_COLLIDE
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
@@ -289,6 +305,11 @@ def transport(path, velocity, blocks, times, tol, log0):
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
             f"(eigen gap {min_gap:.3e}) with no eigenvalue collision located",
             time=t, gap=min_gap)
+    elif error is None and defined < len(times):
+        error = BreakdownError(
+            f"factorization breakdown at t = {times[defined]:.9g}: the "
+            f"family's path has no factorization there",
+            time=float(times[defined]), gap=min_gap)
     return k, ell, tuple(fac[:done] for fac in factors), diags, error
 
 

@@ -290,9 +290,12 @@ def _kernels(spec, lead=()):
     of ``check_regular`` (same error, same root), in one pass over the stack.
     K and Kp are two lead + (N, N) buffers built here, and every call writes
     the q-dependent entries in place; the rest are set once (0, and the
-    trigonometric -1/3 outside <pi'>).  Elliptic: one lattice reduction and
-    one theta-series pass over the i < j roots give wp and wp'; K is mirrored
-    as even and Kp as odd."""
+    trigonometric -1/3 outside <pi'>).  Rational and trigonometric: the
+    distance to the singular set is computed here, and ``_require_regular``
+    runs only when a value is under the margin.  Elliptic: one call of the
+    lattice's buffered wp/wp' evaluator, built here for the stack, reduces
+    the i < j roots, checks their distance and makes one theta-series pass;
+    K is mirrored as even and Kp as odd."""
     N = spec.ctx.N
     K = np.zeros(lead + (N, N), dtype=complex)
     Kp = np.zeros_like(K)
@@ -304,13 +307,13 @@ def _kernels(spec, lead=()):
     at = (lambda a: (Ellipsis, a)) if lead else (lambda a: a)
     qi, qj, ij, ji = at(i), at(j), at(i * N + j), at(j * N + i)
     if spec.family == "elliptic":
-        lattice = spec.lattice
+        w = np.empty(lead + (len(i),), dtype=complex)  # the root values
+        evaluate = spec.lattice._wp_evaluator(
+            w.shape, REGULARITY_MARGIN,
+            lambda w, z0, dist: _require_regular(w, dist, i, j))
 
         def fill(q):
-            w = q[qi] - q[qj]
-            z0, _, _ = lattice.reduce(w)
-            _require_regular(w, np.abs(z0), i, j)
-            k, kp = lattice._wp_pair(z0)
+            _, _, k, kp = evaluate(np.subtract(q[qi], q[qj], out=w))
             Kf[ij] = Kf[ji] = k
             Kpf[ij], Kpf[ji] = kp, -kp
             return K, Kp
@@ -321,7 +324,10 @@ def _kernels(spec, lead=()):
 
     def fill(q):
         w = q[qi] - q[qj]
-        _require_regular(w, singular_distance(spec, w), i, j)
+        # the distance to the singular set of ``_nearest_singular``: {0}, pi*Z
+        dist = np.abs(w if rational else w - math.pi * np.round(w.real / math.pi))
+        if dist.min(initial=np.inf) < REGULARITY_MARGIN:
+            _require_regular(w, dist, i, j)
         if rational:
             Kf[ij] = 1.0 / w**2
             Kpf[ij] = -2.0 / w**3
@@ -435,13 +441,18 @@ def _check_z_regular(spec, zs):
     """The spectral parameters as a complex array; PoleError for the first one
     within POLE_TOL of a z-pole of L(z)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    near, dist = _nearest_singular(spec, zs)
+    _require_z_regular(spec, zs, *_nearest_singular(spec, zs))
+    return zs
+
+
+def _require_z_regular(spec, zs, near, dist):
+    """Raise PoleError for the first z of zs whose distance `dist` to the
+    z-poles of L(z) is under POLE_TOL, naming its nearest pole `near`."""
     bad = np.flatnonzero(dist < special.POLE_TOL)
     if bad.size:
         k = bad[0]
         raise PoleError(f"{spec.family} Lax pole at z={zs[k]}",
                         nearest=near[k].item())
-    return zs
 
 
 def _lax_matrix(spec, q, p, xi, c):
@@ -500,14 +511,23 @@ def lax_pair(spec, pt, zs):
 
 def _elliptic_lax(spec, pt, zs, dz):
     """The elliptic L(z) of ``lax_batch``, or with `dz` the pair of
-    ``lax_pair``; without `dz`, ``lame_parts`` builds no d/dz parts."""
-    check_regular(spec, pt.q)
-    zs = _check_z_regular(spec, zs)
+    ``lax_pair``; without `dz`, ``lame_parts`` builds no d/dz parts.  The
+    checks of ``check_regular`` and ``_check_z_regular`` (same errors, same
+    order) read the reductions of ``lame_parts``' w and z passes."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
     N = spec.ctx.N
     p, xi = pt.p[..., None, :], pt.xi[..., None, :, :]
     m = spec.mask_active
-    l, _, zz, ldz, wpz = special.lame_parts(
-        spec.lattice, alpha_matrix(pt.q)[..., None, m], zs[:, None], dz)
+    w = alpha_matrix(pt.q)[..., None, m]
+    # the i < j roots of regular_roots among the active ones, row-major
+    upper = np.triu(m)[m]
+    i, j = spec.regular_roots
+
+    def check(w0, z0):
+        _require_regular(w[..., 0, upper], np.abs(w0[..., 0, upper]), i, j)
+        _require_z_regular(spec, zs, zs - z0[:, 0], np.abs(z0[:, 0]))
+    l, _, zz, ldz, wpz = special.lame_parts(spec.lattice, w, zs[:, None], dz,
+                                            check)
     L = np.zeros(np.shape(l)[:-1] + (N, N), dtype=complex)
     diag = np.arange(N)
     xi_diag = np.diagonal(xi, axis1=-2, axis2=-1)

@@ -9,8 +9,10 @@ conjugation problem is
 ``path(t)`` builds M(t) so, stacked over the whole output grid in one call
 before the transport (or at one complex t of collision location): one
 ``expm`` per sign over the stack and one ``parabolic_factor`` on each
-stack, with (n_+, n_-, g_+, g_-) as its stacked factors.  L(+/-i inf) is
-block triangular with block-diagonal part Lam_{+/-}, so
+stack, with (n_+, n_-, g_+, g_-) as its stacked factors.  On a grid, the
+stack ends before the first time at which a diagonal block of either
+exponential is singular, where the solve ends in a BreakdownError.
+L(+/-i inf) is block triangular with block-diagonal part Lam_{+/-}, so
 M'(t) = i (Lam_- M + M Lam_+).  The shared
 Kato transport of ``exact`` carries an eigenvector matrix k(t) of M with
 Pi_h(k^-1 k') = 0 and l(t) = log d(t), so q(t) = l(t) / 2i with no branch
@@ -92,15 +94,25 @@ def parabolic_factor(spec, A, sign):
         raise ValidationError(
             f"matrix is not block {'upper' if sign == '+' else 'lower'} "
             f"triangular for the given pi'")
+    if np.any(singular_blocks(spec, A)):
+        raise BreakdownError("singular diagonal block in parabolic factorization")
+    g = np.where(below | above, 0.0, A)
+    n = A @ np.linalg.inv(g)
+    return n, g
+
+
+def singular_blocks(spec, A):
+    """Whether a diagonal block of pi' is singular in A, or in each matrix of
+    a stack A (..., N, N): |det| < 1e-12 scale^|block| with
+    scale = max(1, max |A|)."""
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    bad = np.zeros(A.shape[:-2], dtype=bool)
     for blk in spec.subset.partition:
         idx = list(blk)
         pivot = (A[..., idx[0], idx[0]] if len(blk) == 1
                  else np.linalg.det(A[..., idx, :][..., idx]))
-        if np.any(np.abs(pivot) < 1e-12 * scale ** len(blk)):
-            raise BreakdownError("singular diagonal block in parabolic factorization")
-    g = np.where(below | above, 0.0, A)
-    n = A @ np.linalg.inv(g)
-    return n, g
+        bad |= np.abs(pivot) < 1e-12 * scale ** len(blk)
+    return bad
 
 
 def solve_trig(spec, pt0, times, tol=1e-10):
@@ -130,8 +142,14 @@ def _setup(spec, pt0):
 
     def path(t):
         t = np.asarray(t)[..., None, None]
-        np_, gp = parabolic_factor(spec, expm(1j * t * Lp), "+")
-        nm, gm = parabolic_factor(spec, expm(-1j * t * Lm), "-")
+        Ep, Em = expm(1j * t * Lp), expm(-1j * t * Lm)
+        if t.ndim == 3:  # a grid: up to its first singular block
+            bad = np.flatnonzero(singular_blocks(spec, Ep)
+                                 | singular_blocks(spec, Em))
+            if bad.size:
+                Ep, Em = Ep[:bad[0]], Em[:bad[0]]
+        np_, gp = parabolic_factor(spec, Ep, "+")
+        nm, gm = parabolic_factor(spec, Em, "-")
         return np.linalg.solve(gm, e2iq0[:, None] * gp), (np_, nm, gp, gm)
 
     def velocity(t, k, d):

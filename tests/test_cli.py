@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,27 @@ def test_exact_own_check_failure_is_breakdown(tmp_path, capsys, t_end):
                "--out", str(tmp_path / "cmp.json")) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"breakdown_at: {at};" in err
+
+
+@pytest.mark.parametrize("t_end, codes", [("15", (3,)), ("11.5", (0, 3))])
+def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
+    """trig-sl2 far past its conditioning limit ends within 30 s wall time
+    (3.5 and 4.6 s on one core of a shared 2-core machine) with no
+    traceback: its transport stalls near t = 9.85 and ends at the budget of
+    steps per output interval, and at 15 the parabolic blocks turn singular
+    from t = 14.25.  `--t-end 15` exits 3 with one breakdown_at and the rows
+    before it; `--t-end 11.5` exits 0 or 3."""
+    out = tmp_path / "long.csv"
+    t0 = time.perf_counter()
+    code = run(tmp_path, "exact", "--preset", "trig-sl2", "--t-end", t_end,
+               "--out", str(out))
+    assert time.perf_counter() - t0 <= 30.0
+    assert code in codes
+    text = read(out)
+    at = [l for l in text.splitlines() if l.startswith("# breakdown_at:")]
+    assert len(at) == (code == 3)
+    ts = [float(r[0]) for r in csv_body(text)[1]]
+    assert ts and (code == 0 or max(ts) < float(footer(text, "breakdown_at")))
 
 
 def test_scipy_is_imported_by_the_trigonometric_expm_only(tmp_path):

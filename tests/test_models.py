@@ -19,7 +19,8 @@ from spincm.models import (PhasePoint, ReducedPoint,
                            elliptic_model, eom, hamiltonian, lax, lax_batch,
                            lax_limit, lax_pair, packed_field, rational_model,
                            reduce_point, reduced_eom, trig_model)
-from spincm.rk import integrate
+from spincm.presets import load_preset
+from spincm.rk import audit, integrate
 from spincm.special import EllipticLattice, cot_c, wp, wp_prime
 from spincm.spectral import _sheet_partials
 
@@ -542,44 +543,113 @@ def test_elliptic_kernels_match_lattice_sum_oracle(lat):
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+def _count_lattice_passes(monkeypatch):
+    """Counts, filled in as the program runs, of the calls of every function
+    built by ``EllipticLattice._wp_evaluator`` ("evaluate": one lattice
+    reduction and one theta pass each), of ``EllipticLattice.reduce`` and of
+    ``EllipticLattice._theta_rows``, with the argument shapes in "shapes"."""
+    counts = {"evaluate": 0, "reduce": 0, "_theta_rows": 0, "shapes": []}
+    build = EllipticLattice._wp_evaluator
+
+    def counted_build(self, *args):
+        evaluate = build(self, *args)
+
+        def counted(w):
+            counts["evaluate"] += 1
+            counts["shapes"].append(w.shape)
+            return evaluate(w)
+        return counted
+    monkeypatch.setattr(EllipticLattice, "_wp_evaluator", counted_build)
+    for name in ("reduce", "_theta_rows"):
+        orig = getattr(EllipticLattice, name)
+
+        def counted(self, z, *args, _orig=orig, _name=name):
+            counts[_name] += 1
+            if _name == "reduce":
+                counts["shapes"].append(np.shape(z))
+            return _orig(self, z, *args)
+        monkeypatch.setattr(EllipticLattice, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("fn", [eom, reduced_eom, hamiltonian])
 def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn):
-    """One elliptic RHS or Hamiltonian: 1 lattice reduction, 1 theta pass, and
-    no call to the per-root wp / wp'."""
+    """One elliptic RHS or Hamiltonian: one call of the wp/wp' evaluator
+    (1 lattice reduction, 1 theta pass), no other reduction or theta pass,
+    and no call to the per-root wp / wp'."""
     spec = elliptic_model(ctx(3), lat)
     rpt = random_reduced(spec, np.random.default_rng(12))
     pt = rpt if fn is reduced_eom else PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
-    counts = {"reduce": 0, "_theta_ratios": 0}
-    for name in counts:
-        orig = getattr(EllipticLattice, name)
-
-        def counted(*args, _orig=orig, _name=name):
-            counts[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(EllipticLattice, name, counted)
+    counts = _count_lattice_passes(monkeypatch)
 
     def forbidden(*args):
         raise AssertionError("per-root evaluator called")
     monkeypatch.setattr(special, "wp", forbidden)
     monkeypatch.setattr(special, "wp_prime", forbidden)
     fn(spec, pt)
-    assert counts == {"reduce": 1, "_theta_ratios": 1}
+    assert counts == {"evaluate": 1, "reduce": 0, "_theta_rows": 0,
+                      "shapes": [(3,)]}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_stacked_kernel_pass_is_the_single_point_pass(lat, N):
+    """_kernel_matrices on a stack q (T, N) gives the T single-point calls'
+    kernels: bit for bit for the rational and trigonometric families, whose
+    kernels are elementwise.  The elliptic stack and a single point run one
+    evaluator; its theta product is one BLAS product over all the stack's
+    values, whose last bits depend on the number of columns (OpenBLAS, and
+    zgemv for one column), so there they agree to 1e-13 relative.  An empty
+    stack (0, N) gives two empty (0, N, N) arrays, and a real elliptic stack
+    the kernels of the same stack as complex numbers."""
+    rng = np.random.default_rng(40 + N)
+    specs = (rational_model(ctx(N), full_delta(N)),
+             trig_model(ctx(N), pi_subset(range(N - 1))),
+             elliptic_model(ctx(N), lat))
+    q = 0.5 * (rng.standard_normal((7, N)) + 1j * rng.standard_normal((7, N)))
+    q -= q.mean(axis=1, keepdims=True)
+    for spec in specs:
+        stacked = _kernel_matrices(spec, q)
+        for t in range(len(q)):
+            for whole, one in zip(stacked, _kernel_matrices(spec, q[t])):
+                if spec.family == "elliptic":
+                    assert np.all(np.abs(whole[t] - one) <= 1e-13 * np.abs(one))
+                else:
+                    assert np.array_equal(whole[t], one)
+        assert all(k.shape == (0, N, N)
+                   for k in _kernel_matrices(spec, np.zeros((0, N), complex)))
+    for whole, real in zip(_kernel_matrices(spec, q.real.astype(complex)),
+                           _kernel_matrices(spec, q.real)):
+        assert np.array_equal(whole, real)
+
+
+def test_audit_reduces_four_times(monkeypatch):
+    """An elliptic audit makes 4 lattice reductions: the Hamiltonian's kernel
+    pass over (T, roots), then lame_parts' w, z and w + z, whose w and z
+    reductions also serve the regularity and z-pole checks of the Lax path."""
+    data = load_preset("elliptic-sl3")
+    spec, d = data["model"], data["defaults"]
+    traj = integrate(spec, data["init"], d["t_end"], samples=d["samples"],
+                     tol=d["tol"])
+    counts = _count_lattice_passes(monkeypatch)
+    audit(spec, traj)
+    assert counts["evaluate"] + counts["reduce"] == 4
+    assert counts["shapes"] == [(51, 3), (51, 1, 6), (3, 1), (51, 3, 6)]
 
 
 _ZS = np.array([0.31 + 0.17j, -0.42 + 0.05j, 0.9 + 0.7j])
 
 
 @pytest.mark.parametrize("call, reductions", [
-    (lambda spec, pt: lax_batch(spec, pt, _ZS), 5),
-    (lambda spec, pt: r_action_on_M(spec, pt, _ZS[0]), 10),
-    (lambda spec, pt: _sheet_partials(spec, pt, _ZS), 5),
+    (lambda spec, pt: lax_batch(spec, pt, _ZS), 3),
+    (lambda spec, pt: r_action_on_M(spec, pt, _ZS[0]), 8),
+    (lambda spec, pt: _sheet_partials(spec, pt, _ZS), 3),
 ], ids=["lax_batch", "r_action_on_M", "sheet_partials_block"])
 def test_elliptic_lax_paths_reduce_once_per_argument_set(lat, monkeypatch, call,
                                                          reductions):
-    """The elliptic Lax paths: one reduction for check_regular, one for the
-    z check and one per argument set (w, z, w+z) of each lame_parts call
-    (r_action_on_M: its own checks and lame_parts, plus one lax); none goes
-    through the public per-argument evaluators."""
+    """The elliptic Lax paths: one reduction per argument set (w, z, w+z) of
+    each lame_parts call, whose w and z reductions also serve the regularity
+    and z-pole checks (r_action_on_M: its own two checks and lame_parts, plus
+    one lax); none goes through the public per-argument evaluators."""
     spec = elliptic_model(ctx(3), lat)
     pt = random_point(spec, np.random.default_rng(13), scale=0.5)
     count = [0]

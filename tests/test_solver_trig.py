@@ -165,6 +165,60 @@ def test_cartan_log_constant_and_errors():
     assert diags["nrejected"] > 0
 
 
+def test_transport_ends_before_the_path_breaks_down():
+    """A path with M only at its first three output times (a factorization
+    that breaks down at the fourth) ends the transport at the third, in a
+    BreakdownError at the fourth time, with the rows and factors before it."""
+    q0 = np.array([0.2, -0.2])
+    M = np.diag(np.exp(2j * q0))
+    times = np.linspace(0, 1, 6)
+
+    def path(t):
+        stack = np.broadcast_to(M, np.shape(t) + M.shape)
+        return stack[:3], (stack[:3],)
+
+    zero = np.zeros((2, 2), dtype=complex)
+    k, logds, factors, diags, error = transport(
+        path, lambda t, k, d: left_divide(k, zero @ k), ((0,), (1,)), times,
+        1e-10, 2j * q0)
+    assert isinstance(error, BreakdownError) and error.time == times[3]
+    assert "no factorization" in str(error)
+    assert len(k) == len(logds) == len(factors[0]) == 3
+    assert np.abs(logds / 2j - q0).max() == 0
+
+
+def test_path_ends_before_its_first_singular_block():
+    """On trig-sl2 over [0, 15] (101 output times) |det exp(+/-itL(+/-i inf))|
+    = 1 falls under 1e-12 scale^2 first at t = 14.25: the path over the grid
+    stops there (95 matrices), while the path at that one time raises."""
+    data = load_preset("trig-sl2")
+    spec = data["model"]
+    path = solver_trig._setup(spec, data["init"])[0]
+    times = np.linspace(0, 15, 101)
+    Ms, factors = path(times)
+    assert len(Ms) == 95 and times[95] == 14.25
+    assert all(len(fac) == 95 for fac in factors)
+    with pytest.raises(BreakdownError):
+        path(times[95])
+
+
+def test_stalled_transport_is_breakdown(monkeypatch):
+    """An output interval that takes more than STALL_STEPS accepted steps
+    ends the solve in a BreakdownError naming the stall, with the rows
+    before it; the same solve passes at the default budget."""
+    data = load_preset("trig-sl3")
+    spec, pt = data["model"], data["init"]
+    times = np.linspace(0, 0.3, 4)
+    traj, _ = solve_trig(spec, pt, times, 1e-12)
+    assert len(traj.times) == 4
+    monkeypatch.setattr(exact, "STALL_STEPS", 3)
+    with pytest.raises(BreakdownError) as exc:
+        solve_trig(spec, pt, times, 1e-12)
+    assert "stalled" in str(exc.value)
+    part = exc.value.partial
+    assert 0 < exc.value.time < 0.1 and list(part.times) == [0.0]
+
+
 # -- the closed-form Levi path -------------------------------------------------------
 
 @pytest.mark.parametrize("N, members", [(3, [0]), (4, [0, 1])])
