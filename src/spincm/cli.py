@@ -248,8 +248,7 @@ def cmd_audit(args):
 def cmd_curve(args):
     spec, pt, params, config = _resolve(args)
     if spec.family != "elliptic":
-        sys.stderr.write("curve requires the elliptic family\n")
-        return EXIT_VALIDATION
+        raise ValidationError("curve requires the elliptic family")
     rep = genericity_check(spec, pt)
     report = {"N": spec.ctx.N}
     report.update(rep.to_json_dict())

@@ -12,7 +12,8 @@ oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
 
 From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
 log d needs no branch tracking.  The transport's f writes k W and l' into one
-buffer that it reuses (``rk.dp5`` copies each stage value).
+complex buffer that it reuses (``rk.dp5`` copies each stage value), and
+``rk.dp5`` writes each output row into the transport's complex row array.
 
 Before the integration, one ``path`` call gives M and the family's factors
 over the output grid, up to the first output time at which the family's
@@ -24,8 +25,8 @@ complex secant iteration on M at complex t, until one collides.  The start
 of that interval, else the output time before the path's breakdown, is the
 transport's last output time, fixed before the transport starts, so it never
 steps into the collision.  A run that ends early anyway (a step whose eigen
-gap falls below GAP_COLLIDE, an output interval that takes more than
-STALL_STEPS accepted steps, or a collapsed step) always ends in a
+gap falls below GAP_COLLIDE, an output interval past ``rk.dp5``'s stall
+budget ``rk.STALL_STEPS``, or a collapsed step) always ends in a
 BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
@@ -76,10 +77,6 @@ from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
 P_SIGN_TOL = 1e-8
-# accepted transport steps within one output interval beyond which a run has
-# stalled: the presets, the agreement sweep and the benchmark's exact jobs
-# take at most 141, and a one-interval [0, 3] trig-sl3 grid at tol 1e-13 772
-STALL_STEPS = 5000
 
 
 @dataclass
@@ -246,11 +243,10 @@ def transport(path, velocity, blocks, times, tol, log0):
 
     W = np.zeros((N, N), dtype=complex)
     out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
-    kdot, ldot, out_real = out[:nk].reshape(N, N), out[nk:], out.view(float)
+    kdot, ldot = out[:nk].reshape(N, N), out[nk:]
 
     def f(t, y):
-        z = y.view(complex)
-        k, ell = z[:nk].reshape(N, N), z[nk:]
+        k, ell = y[:nk].reshape(N, N), y[nk:]
         d = eigs(ell)
         B = velocity(t, k, d)
         np.matmul(k, off_block(B, d, W), out=kdot)
@@ -258,28 +254,20 @@ def transport(path, velocity, blocks, times, tol, log0):
             np.divide(B.diagonal(), d, out=ldot)
         else:
             ldot[:] = B.diagonal()
-        return out_real
+        return out
 
     rows = np.empty((len(times), nk + N), dtype=complex)  # k | l, unpolished
     guard_gap = [np.inf]
-    interval = [1, 0]  # the next output time's index, accepted steps toward it
 
-    def guard(t, y):
-        gap = block_gap(eigs(y.view(complex)[nk:]), same)
+    def guard(y):
+        gap = block_gap(eigs(y[nk:]), same)
         guard_gap[0] = min(guard_gap[0], gap)
-        interval[1] += 1
-        if interval[1] > STALL_STEPS:
-            return False
-        # past an output time, as ``dp5`` delivers a sample
-        if interval[0] <= end and t >= times[interval[0]] - 1e-12:
-            interval[:] = interval[0] + 1, 0
         return gap >= GAP_COLLIDE
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
-                         np.diag(Ms[0]) if log0 is None else log0]).astype(complex)
+                         np.diag(Ms[0]) if log0 is None else log0])
     with np.errstate(invalid="ignore"):  # left_divide's flag on a singular k
-        t, stats, done = dp5(f, y0.view(float), times[:end + 1], tol,
-                             rows.view(float).__setitem__, guard)
+        t, stats, done = dp5(f, y0, times[:end + 1], tol, rows, guard)
 
     # the polish: one first-order eigen-correction of each (k, l) against M
     # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives

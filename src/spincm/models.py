@@ -372,9 +372,10 @@ def hamiltonian(spec, pt):
 
 
 def packed_field(spec, reduced=False):
-    """The vector field as field(z) -> z_dot on the packed complex state
+    """The vector field as field(t, z) -> z_dot on the packed complex state
     z = q | p | row-major m, with m = xi, or m = s when `reduced`; built once
-    per integration.
+    per integration and passed to ``rk.dp5`` as it is (the field is
+    autonomous: t is unused).
 
     Full: q_dot = p, p_dot = 1/2 (row sums - column sums) of Kp * m * m^T and
     m_dot = [m, G] with the trace-form gradient G = -K * m - 2 c0 Pi_h m.
@@ -393,7 +394,7 @@ def packed_field(spec, reduced=False):
     W, G, GM = (np.empty((N, N), dtype=complex) for _ in range(3))
     G_diag = G.reshape(-1)[::N + 1]
 
-    def field(z):
+    def field(t, z):
         q, p, m = z[:N], z[N:2 * N], z[2 * N:].reshape(N, N)
         K, Kp = kernels(q)
         np.multiply(Kp, m, out=W)
@@ -417,7 +418,7 @@ def packed_field(spec, reduced=False):
 
 def _unpacked_field(spec, q, p, m, reduced):
     N = spec.ctx.N
-    zd = packed_field(spec, reduced)(np.concatenate([q, p, m.ravel()]))
+    zd = packed_field(spec, reduced)(0.0, np.concatenate([q, p, m.ravel()]))
     return zd[:N], zd[N:2 * N], zd[2 * N:].reshape(N, N)
 
 

@@ -318,7 +318,6 @@ def test_model_and_init_files(tmp_path):
 def test_validation_exit2(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "simulate", "--preset", "no-such-preset") == 2
     assert run(tmp_path, "simulate") == 2  # neither preset nor model/init
-    assert run(tmp_path, "curve", "--preset", "rational-sl2") == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(tmp_path, "simulate", "--model", str(bad),
@@ -370,6 +369,7 @@ def test_validation_exit2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "never.csv"
     for argv in (
             ("audit", "--preset", "rational-sl2", "--z-samples", "foo"),
+            ("curve", "--preset", "rational-sl2", "--out", str(out)),
             *((cmd, "--preset", "rational-sl2", "--t-end", t_end, "--out", str(out))
               for cmd in ("simulate", "exact", "compare", "audit")
               for t_end in ("nan", "inf")),

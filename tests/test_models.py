@@ -711,7 +711,7 @@ def test_kernel_pass_checks_regularity(families, family, q, root):
         assert str(err.value) == str(ref.value)
     for reduced in (False, True):
         with pytest.raises(DomainError) as err:
-            packed_field(spec, reduced)(np.concatenate([q, p, _S3.ravel()]))
+            packed_field(spec, reduced)(0.0, np.concatenate([q, p, _S3.ravel()]))
         assert str(err.value) == str(ref.value)
 
 
@@ -767,7 +767,7 @@ def test_packed_field_is_eom(lat, family):
                 else:
                     pt = random_point(spec, rng, momentum_zero=False)
                     m, rhs = pt.xi, eom
-                zdot = field(np.concatenate([pt.q, pt.p, m.ravel()]))
+                zdot = field(0.0, np.concatenate([pt.q, pt.p, m.ravel()]))
                 qd, pd, md = rhs(spec, pt)
                 assert _bits(zdot) == _bits(np.concatenate([qd, pd, md.ravel()]))
                 assert _bits(zdot) == _bits(_fresh_field(spec, pt.q, pt.p, m, reduced))

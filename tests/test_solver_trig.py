@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from oracles import pi_root_sets
 from sampling import random_point, random_reduced
-from spincm import exact, solver_trig
+from spincm import exact, rk, solver_trig
 from spincm.errors import BreakdownError, ValidationError
 from spincm.exact import left_divide, transport
 from spincm.liecore import build_sl_context, pi_subset
@@ -203,7 +203,7 @@ def test_path_ends_before_its_first_singular_block():
 
 
 def test_stalled_transport_is_breakdown(monkeypatch):
-    """An output interval that takes more than STALL_STEPS accepted steps
+    """An output interval that takes more than rk.STALL_STEPS accepted steps
     ends the solve in a BreakdownError naming the stall, with the rows
     before it; the same solve passes at the default budget."""
     data = load_preset("trig-sl3")
@@ -211,7 +211,7 @@ def test_stalled_transport_is_breakdown(monkeypatch):
     times = np.linspace(0, 0.3, 4)
     traj, _ = solve_trig(spec, pt, times, 1e-12)
     assert len(traj.times) == 4
-    monkeypatch.setattr(exact, "STALL_STEPS", 3)
+    monkeypatch.setattr(rk, "STALL_STEPS", 3)
     with pytest.raises(BreakdownError) as exc:
         solve_trig(spec, pt, times, 1e-12)
     assert "stalled" in str(exc.value)
