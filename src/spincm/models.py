@@ -20,6 +20,10 @@ with family kernel kappa and active root set A:
                                  kappa = -1/3              elsewhere,  c0 = 1/3
     elliptic:       A = Delta,   kappa = wp(a(q)),                    c0 = 0
 
+The c0 term is the diagonal of the kernel matrix: with K_ii = 2 c0 and
+K_a = kappa_a on A (0 on the other roots),
+H = 1/2 tr p^2 - 1/2 sum_ij K_ij xi_ij xi_ji.
+
 The -1/3 constant on roots outside <pi'> is forced by the contour-integral
 definition of the Hamiltonian applied to the trigonometric Lax operator
 (the z^0 Laurent coefficient of csc^2 z is 1/3); with it the Lax equation
@@ -288,14 +292,22 @@ def _kernels(spec, lead=()):
     """fill(q) -> (K, Kp): kappa_a(q) and d kappa / d a(q) on the active mask
     at the configurations q of shape lead + (N,), after the regularity check
     of ``check_regular`` (same error, same root), in one pass over the stack.
-    K and Kp are two lead + (N, N) buffers built here, and every call writes
-    the q-dependent entries in place; the rest are set once (0, and the
-    trigonometric -1/3 outside <pi'>).  Rational and trigonometric: the
-    distance to the singular set is computed here, and ``_require_regular``
-    runs only when a value is under the margin.  Elliptic: one call of the
-    lattice's buffered wp/wp' evaluator, built here for the stack, reduces
-    the i < j roots, checks their distance and makes one theta-series pass;
-    K is mirrored as even and Kp as odd."""
+    K also carries 2 c0 on its diagonal, so that the Hamiltonian's c0 term is
+    the diagonal of -1/2 sum_ij K_ij xi_ij xi_ji and the field's gradient is
+    K * xi alone.  K and Kp are two lead + (N, N) buffers built here, and
+    every call writes the q-dependent entries in place; the rest are set
+    once (0, the diagonal 2 c0 and the trigonometric -1/3 outside <pi'>).
+
+    Rational and trigonometric: the distance to the singular set is computed
+    here, and ``_require_regular`` runs only when a value is under the
+    margin.  Then one reciprocal per root, r = 1/a(q) (trigonometric:
+    1/sin a(q)), gives K = r^2 (minus 1/3 on <pi'>) and Kp = -2 r^3
+    (times cos a(q)).  Elliptic: one call of the lattice's buffered wp/wp'
+    evaluator, built here for the stack, reduces the i < j roots, checks
+    their distance and makes one theta-series pass; K is mirrored as even and
+    Kp as odd.  So Kp_ji = -Kp_ij, bit for bit for the rational and
+    elliptic kernels and as far as libm's sin and cos are odd and even for
+    the trigonometric one."""
     N = spec.ctx.N
     K = np.zeros(lead + (N, N), dtype=complex)
     Kp = np.zeros_like(K)
@@ -321,20 +333,30 @@ def _kernels(spec, lead=()):
     rational = spec.family == "rational"
     if not rational:
         K[..., spec.mask_plus | spec.mask_minus] = -1.0 / 3.0
+        Kf[..., ::N + 1] = 2.0 / 3.0  # 2 c0
+    # the root values, their distances, r and r^2; the constants as complex
+    # 0-d arrays, which a ufunc takes without converting a Python float
+    w, dist, r, r2 = (np.empty(lead + (len(i),), dtype=t)
+                      for t in (complex, float, complex, complex))
+    minus_two, third = np.array(-2.0 + 0j), np.array(1.0 / 3.0 + 0j)
 
     def fill(q):
-        w = q[qi] - q[qj]
+        np.subtract(q[qi], q[qj], out=w)
         # the distance to the singular set of ``_nearest_singular``: {0}, pi*Z
-        dist = np.abs(w if rational else w - math.pi * np.round(w.real / math.pi))
-        if dist.min(initial=np.inf) < REGULARITY_MARGIN:
-            _require_regular(w, dist, i, j)
         if rational:
-            Kf[ij] = 1.0 / w**2
-            Kpf[ij] = -2.0 / w**3
+            np.abs(w, out=dist)
         else:
-            s = np.sin(w)
-            Kf[ij] = 1.0 / s**2 - 1.0 / 3.0
-            Kpf[ij] = -2.0 * np.cos(w) / s**3
+            np.abs(w - math.pi * np.rint(w.real / math.pi), out=dist)
+        if np.minimum.reduce(dist, axis=None, initial=np.inf) < REGULARITY_MARGIN:
+            _require_regular(w, dist, i, j)
+        np.reciprocal(w if rational else np.sin(w), out=r)
+        np.multiply(r, r, out=r2)
+        Kf[ij] = r2 if rational else np.subtract(r2, third)
+        np.multiply(r, r2, out=r)
+        if not rational:
+            np.multiply(r, np.cos(w), out=r)
+        np.multiply(r, minus_two, out=r)
+        Kpf[ij] = r
         return K, Kp
     return fill
 
@@ -345,17 +367,15 @@ def _kernel_matrices(spec, q):
     return _kernels(spec, q.shape[:-1])(q)
 
 
-def _c0(spec):
-    return 1.0 / 3.0 if spec.family == "trigonometric" else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian, equations of motion
 # ---------------------------------------------------------------------------
 
 def hamiltonian(spec, pt):
-    """Closed-form Hamiltonian of the family at a regular point; also the
-    reduced one at the lift xi := s (diag s = 0 zeroes the c0 term).
+    """Closed-form Hamiltonian of the family at a regular point,
+    1/2 tr p^2 - 1/2 sum_ij K_ij xi_ij xi_ji with the kernel matrix K of
+    ``_kernels`` (its diagonal 2 c0 gives the c0 term); also the reduced
+    one at the lift xi := s (diag s = 0 zeroes the c0 term).
 
     On a stacked point -- q and p of shape (..., N), xi (..., N, N), as
     ``rk.Trajectory.point`` gives for a slice -- it is the array (...) of the
@@ -365,9 +385,6 @@ def hamiltonian(spec, pt):
     xi = pt.xi
     h = 0.5 * np.sum(pt.p**2, axis=-1) \
         - 0.5 * np.sum(K * xi * np.swapaxes(xi, -1, -2), axis=(-2, -1))
-    c0 = _c0(spec)
-    if c0:
-        h -= c0 * np.sum(np.diagonal(xi, axis1=-2, axis2=-1) ** 2, axis=-1)
     return complex(h) if np.ndim(h) == 0 else h
 
 
@@ -377,22 +394,23 @@ def packed_field(spec, reduced=False):
     per integration and passed to ``rk.dp5`` as it is (the field is
     autonomous: t is unused).
 
-    Full: q_dot = p, p_dot = 1/2 (row sums - column sums) of Kp * m * m^T and
-    m_dot = [m, G] with the trace-form gradient G = -K * m - 2 c0 Pi_h m.
-    Reduced: the full field at the lift xi := s, projected onto the gauge
-    slice by adding [s, D] with the diagonal D = coroot_diagonal(s_dot_{a_i}),
-    which makes s_dot_{a_i} = 0.
+    Full, with the kernel matrices K, Kp of ``_kernels``: q_dot = p; p_dot =
+    the row sums of W = Kp * m * m^T, which is 1/2 (row sums - column sums)
+    because Kp is odd and m * m^T symmetric, so W is antisymmetric; and
+    m_dot = [X, m] = X m - m X with X = K * m, minus the trace-form gradient
+    (K's diagonal 2 c0 makes X = K * m + 2 c0 Pi_h m).  Reduced: the full
+    field at the lift xi := s, projected onto the gauge slice by adding
+    [s, D] with the diagonal D = coroot_diagonal(s_dot_{a_i}), which makes
+    s_dot_{a_i} = 0.
 
     Every call writes q_dot | p_dot | m_dot into one buffer and returns it:
     the same array each call, overwritten by the next one."""
     ctx = spec.ctx
     N = ctx.N
     kernels = _kernels(spec)
-    c0_twice = 2.0 * _c0(spec)
     out = np.empty(2 * N + N * N, dtype=complex)
     qd, pd, md = out[:N], out[N:2 * N], out[2 * N:].reshape(N, N)
-    W, G, GM = (np.empty((N, N), dtype=complex) for _ in range(3))
-    G_diag = G.reshape(-1)[::N + 1]
+    W, X, XM = (np.empty((N, N), dtype=complex) for _ in range(3))
 
     def field(t, z):
         q, p, m = z[:N], z[N:2 * N], z[2 * N:].reshape(N, N)
@@ -400,17 +418,12 @@ def packed_field(spec, reduced=False):
         np.multiply(Kp, m, out=W)
         np.multiply(W, m.T, out=W)
         np.add.reduce(W, axis=1, out=pd)
-        np.subtract(pd, np.add.reduce(W, axis=0), out=pd)
-        np.multiply(pd, 0.5, out=pd)
         qd[:] = p
-        np.multiply(K, m, out=G)
-        np.negative(G, out=G)
-        if c0_twice:
-            np.subtract(G_diag, c0_twice * np.diagonal(m), out=G_diag)
-        np.matmul(m, G, out=md)
-        np.subtract(md, np.matmul(G, m, out=GM), out=md)
+        np.multiply(K, m, out=X)
+        np.dot(X, m, out=md)
+        np.subtract(md, np.dot(m, X, out=XM), out=md)
         if reduced:
-            d = coroot_diagonal(ctx, np.diagonal(md, 1))
+            d = coroot_diagonal(ctx, md.diagonal(1))
             np.add(md, m * (d[None, :] - d[:, None]), out=md)
         return out
     return field

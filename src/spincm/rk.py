@@ -115,6 +115,15 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
     failed step: one that fails the guard, one past the stall budget, or a
     step size that collapses.
 
+    Times are compared with slacks that scale with the grid: in units of
+    u = min(1, 1e6 x the smallest sample spacing), a step is clamped onto a
+    sample time 1e-14 u short of it, the run ends 1e-14 u short of the last
+    one, a sample is delivered 1e-12 u short of its time, and a step
+    collapses under 1e-15 max(u, |t|) (1e-12 max(u, |t|) after a
+    DomainError).  On a grid whose samples lie 1e-6 or more apart u = 1;
+    on a finer one every slack stays under a millionth of the spacing, so a
+    step delivers only the samples it reached.
+
     Buffers: f takes and returns complex arrays; every stage value is copied
     into the stage array, so f may return one buffer that it reuses; the y
     given to f and guard is one of the step's own buffers, valid only during
@@ -129,6 +138,7 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
     """
     t = float(sample_times[0])
     t_end = float(sample_times[-1])
+    u = min(1.0, 1e6 * float(np.diff(sample_times).min(initial=np.inf)))
     yc = np.array(y0, dtype=complex)
     y = yc.view(float)
     n = y.size
@@ -145,13 +155,13 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
     stages = [(float(_C[i]), _A[i, :i], K[:i], i, yi, yi.view(complex))
               for i, yi in zip(range(1, 7), [ys] * 5 + [y1])]
 
-    while t < t_end - 1e-14:
+    while t < t_end - 1e-14 * u:
         h_step = min(h, t_end - t)
         clamped = h_step < h
-        if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14:
+        if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14 * u:
             h_step = sample_times[nxt] - t
             clamped = True
-        if h_step < 1e-15 * max(1.0, abs(t)):
+        if h_step < 1e-15 * max(u, abs(t)):
             break
         try:
             for c, a, Ki, i, yi, yic in stages:
@@ -162,7 +172,7 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
         except DomainError:
             # a trial stage left the domain (singular margin): shrink, then stop
             nrej += 1
-            if h_step < 1e-12 * max(1.0, abs(t)):
+            if h_step < 1e-12 * max(u, abs(t)):
                 break
             h = h_step * 0.25
             continue
@@ -186,7 +196,7 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
             y[:] = y1
             K[0] = K[6]  # FSAL
             nsteps += 1
-            while nxt < len(sample_times) and t >= sample_times[nxt] - 1e-12:
+            while nxt < len(sample_times) and t >= sample_times[nxt] - 1e-12 * u:
                 out[nxt] = yc
                 nxt, since = nxt + 1, 0
         else:

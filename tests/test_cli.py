@@ -58,6 +58,16 @@ def test_simulate_energy_drift_footer(tmp_path):
     assert float(footer(read(out), "energy_drift")) <= 1e-9
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "exact"])
+def test_short_horizon_runs_to_the_end(tmp_path, cmd):
+    """rational-sl2 at --t-end 1e-15, its 101 samples 1e-17 apart: exit 0
+    and every row written."""
+    out = tmp_path / f"{cmd}.csv"
+    assert run(tmp_path, cmd, "--preset", "rational-sl2", "--t-end", "1e-15",
+               "--out", str(out)) == 0
+    assert len(csv_body(read(out))[1]) == 101
+
+
 def test_simulate_blowup_exit4(tmp_path):
     out = tmp_path / "c.csv"
     assert run(tmp_path, "simulate", "--preset", "collision-sl2",

@@ -174,6 +174,22 @@ def test_oracle_stall_ends_the_run(monkeypatch):
     assert tr.last_good_time == pytest.approx(0.031, abs=1e-12)
 
 
+def test_short_horizon_delivers_each_sample_at_its_time():
+    """rational-sl2 to t = 1e-10 over 101 samples, 1e-12 apart: each row
+    holds the state at its own time.  No two consecutive rows are equal, and
+    q stays on the free flight q0 + p0 t (the force moves it by
+    1/2 |p_dot| t^2 < 1e-20) up to the rounding of 100 steps on |q| ~ 1,
+    under one ulp of |q| per step."""
+    from spincm.presets import load_preset
+    data = load_preset("rational-sl2")
+    pt = data["init"]
+    tr = integrate(data["model"], pt, 1e-10, samples=101)
+    assert not tr.blowup and len(tr.times) == 101
+    assert not any(np.array_equal(a, b) for a, b in zip(tr.y[:-1], tr.y[1:]))
+    free = pt.q + tr.times[:, None] * pt.p
+    assert np.abs(tr.q - free).max() <= 100 * np.spacing(np.abs(pt.q).max())
+
+
 def test_audit_pure(spec2):
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
     tr = integrate(spec2, pt, 0.5, samples=21, tol=1e-10)

@@ -732,10 +732,19 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+# the relative gap allowed between packed_field and the formula of
+# _fresh_field, fixed from float64: each entry is a sum of at most N = 5
+# products of a few roundings each, summed in another order
+FIELD_RTOL = 32 * np.finfo(float).eps
+
+
 def _fresh_field(spec, q, p, m, reduced):
-    """The packed field by fresh arrays, with the floating-point operations
-    of ``packed_field`` in the same order."""
+    """The packed field by fresh arrays, from the formulas of the Hamiltonian
+    of the module docstring: p_dot = 1/2 (row sums - column sums) of
+    Kp * m * m^T and m_dot = [m, G] with G = -K * m - 2 c0 Pi_h m, K the
+    root kernel alone (zero diagonal)."""
     K, Kp = _kernel_matrices(spec, q)
+    K = np.where(np.eye(len(q), dtype=bool), 0.0, K)
     W = Kp * m * m.T
     pdot = 0.5 * (W.sum(axis=1) - W.sum(axis=0))
     G = -(K * m)
@@ -748,29 +757,85 @@ def _fresh_field(spec, q, p, m, reduced):
     return np.concatenate([p, pdot, mdot.ravel()])
 
 
+def _field_cases(spec, rng):
+    """(reduced, point, its matrix, eom or reduced_eom): four full points off
+    J^-1(0) and four reduced points."""
+    for reduced in (False, True):
+        for _ in range(4):
+            if reduced:
+                pt = random_reduced(spec, rng)
+                yield reduced, pt, pt.s, reduced_eom
+            else:
+                pt = random_point(spec, rng, momentum_zero=False)
+                yield reduced, pt, pt.xi, eom
+
+
+def _family_spec(family, N, lat):
+    return {"rational": lambda: rational_model(ctx(N), full_delta(N)),
+            "trigonometric": lambda: trig_model(ctx(N), pi_subset([0])),
+            "elliptic": lambda: elliptic_model(ctx(N), lat)}[family]()
+
+
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_packed_field_is_eom(lat, family):
     """One field closure evaluated on a run of points gives, bit for bit,
-    eom / reduced_eom of each and the field of fresh arrays: its reused
+    eom / reduced_eom of each and the field of a fresh closure: its reused
     buffers carry nothing from one call to the next."""
     rng = np.random.default_rng(23)
     for N in range(2, 6):
-        spec = {"rational": lambda: rational_model(ctx(N), full_delta(N)),
-                "trigonometric": lambda: trig_model(ctx(N), pi_subset([0])),
-                "elliptic": lambda: elliptic_model(ctx(N), lat)}[family]()
-        for reduced in (False, True):
-            field = packed_field(spec, reduced)
+        spec = _family_spec(family, N, lat)
+        fields = {reduced: packed_field(spec, reduced) for reduced in (False, True)}
+        for reduced, pt, m, rhs in _field_cases(spec, rng):
+            z = np.concatenate([pt.q, pt.p, m.ravel()])
+            zdot = fields[reduced](0.0, z)
+            qd, pd, md = rhs(spec, pt)
+            assert _bits(zdot) == _bits(np.concatenate([qd, pd, md.ravel()]))
+            assert _bits(zdot) == _bits(packed_field(spec, reduced)(0.0, z))
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_packed_field_matches_formula(lat, family):
+    """packed_field against the field of ``_fresh_field``'s formulas, within
+    FIELD_RTOL of the largest entry: its p_dot is the row sums of
+    Kp * m * m^T alone, and its m_dot = [K * m + 2 c0 Pi_h m, m]."""
+    rng = np.random.default_rng(23)
+    for N in range(2, 6):
+        spec = _family_spec(family, N, lat)
+        for reduced, pt, m, _ in _field_cases(spec, rng):
+            zdot = packed_field(spec, reduced)(0.0, np.concatenate([pt.q, pt.p, m.ravel()]))
+            ref = _fresh_field(spec, pt.q, pt.p, m, reduced)
+            assert np.abs(zdot - ref).max() <= FIELD_RTOL * np.abs(ref).max()
+
+
+# the relative gap allowed between Kp_ij and -Kp_ji for the trigonometric
+# kernel -2 cos a / sin^3 a, fixed from float64: libm need not give sin and
+# cos exactly odd and even, and a few ulps of each grow threefold here
+KP_ODD_RTOL = 16 * np.finfo(float).eps
+
+
+def test_field_kernel_is_odd(lat):
+    """The Kp of the kernel pass that packed_field reads is odd,
+    Kp^T = -Kp: the identity behind its p_dot = row sums of Kp * m * m^T.
+    Bit for bit for the rational kernel (full Delta' and a two-block
+    Delta') and the elliptic one (wp' mirrored); for the trigonometric one,
+    over every pi', within KP_ODD_RTOL of |Kp|."""
+    rng = np.random.default_rng(31)
+    for N in range(2, 6):
+        specs = [rational_model(ctx(N), full_delta(N)), elliptic_model(ctx(N), lat)]
+        if N > 2:
+            half = (N + 1) // 2
+            blocks = [list(range(half)), list(range(half, N))]
+            specs.append(rational_model(
+                ctx(N), delta_subset(sorted(delta_of_partition(blocks)))))
+        for spec in specs:
             for _ in range(4):
-                if reduced:
-                    pt = random_reduced(spec, rng)
-                    m, rhs = pt.s, reduced_eom
-                else:
-                    pt = random_point(spec, rng, momentum_zero=False)
-                    m, rhs = pt.xi, eom
-                zdot = field(0.0, np.concatenate([pt.q, pt.p, m.ravel()]))
-                qd, pd, md = rhs(spec, pt)
-                assert _bits(zdot) == _bits(np.concatenate([qd, pd, md.ravel()]))
-                assert _bits(zdot) == _bits(_fresh_field(spec, pt.q, pt.p, m, reduced))
+                _, Kp = _kernel_matrices(spec, random_point(spec, rng, q_imag=0.3).q)
+                assert np.array_equal(Kp.T, -Kp)
+        for keep in itertools.product([False, True], repeat=N - 1):
+            spec = trig_model(ctx(N), pi_subset([k for k in range(N - 1) if keep[k]]))
+            for _ in range(4):
+                _, Kp = _kernel_matrices(spec, random_point(spec, rng, q_imag=0.3).q)
+                assert np.all(np.abs(Kp.T + Kp) <= KP_ODD_RTOL * np.abs(Kp))
 
 
 def test_random_point_spread():
