@@ -118,7 +118,7 @@ def _resolve(args):
     _checked("initial q", check_regular, spec, pt.q)
     if args.command in ("exact", "compare") and spec.family != "elliptic" \
             and isinstance(pt, PhasePoint):
-        _checked("initial point", _check_momentum_zero, pt)
+        _checked("initial point", _check_momentum_zero, pt.xi)
     init_json = pt.to_json_dict()
     config = {"command": args.command, "model": spec.to_json_dict(),
               "init": init_json, "params": {k: v for k, v in params.items()

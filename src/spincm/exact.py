@@ -30,17 +30,17 @@ budget ``rk.STALL_STEPS``, or a collapsed step) always ends in a
 BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
-limits)``: ``path(t)`` returns M(t) and the family's factors, stacked over
+limit)``: ``path(t)`` returns M(t) and the family's factors, stacked over
 a grid of times t (shapes (T, N, N)) up to the first time at which the
 factorization breaks down (a shorter stack), or at one complex t for
 collision location; ``velocity(t, k, d)`` returns B from the transported
 state alone; log0 is None when l = d, else l(0) = log d(0);
-``position(l)`` maps the stacked l to q; ``limits`` maps names of
-``models.LAX_LIMITS`` to L0, that limit of L at pt0 (two sign branches for
-the trigonometric family).  Each gives P = k^-1 L0 k minus the off-diagonal
-part of the same limit at (q(t), xi(t) = k^-1 xi0 k), and p = diag P.  The
-velocity may use M k = k diag(d) in place of M(t): when M solves a linear
-ODE M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
+``position(l)`` maps the stacked l to q; ``limit`` is (name, L0): a name
+of ``models.LAX_LIMITS`` and L0, that one limit of L at pt0.  It gives
+P = k^-1 L0 k minus the off-diagonal part of the same limit at
+(q(t), xi(t) = k^-1 xi0 k), and p = diag P.  The velocity may use
+M k = k diag(d) in place of M(t): when M solves a linear ODE
+M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
 from the same start, so the state drifts off M k = k diag(d) only by the
 integration error.  One stacked polish against the path's M at the output
 times reached, after the integration, removes that drift from the output,
@@ -52,8 +52,9 @@ checks each row and writes it into the trajectory's packed array, stacks
 the factors (the path's, then g, d, h, k), keeps the diagnostics and
 attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
 solved from its lift xi0 := s0 with each row written through the gauge
-reduction.  A row that fails its check (``check_state``, or the two sign
-branches of p disagreeing) ends the solve in a BreakdownError at its time.
+reduction.  A row that is not an input ``solve`` accepts (on J^-1(0), then
+``check_state``) ends the solve in a BreakdownError at its time; the largest
+|diag xi(t)| over the rows kept is ``momentum_residual``.
 
 ``left_divide`` calls numpy's own LAPACK ``zgesv`` gufunc, so a rational
 solve loads no scipy; only the trigonometric path's ``expm`` does.
@@ -68,7 +69,7 @@ from itertools import combinations
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
-from .errors import BreakdownError, DomainError, ValidationError
+from .errors import BreakdownError, ContractError, DomainError, ValidationError
 from .liecore import block_mask, reduce_gauge
 from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                      _check_momentum_zero, _lax_matrix, check_regular,
@@ -76,7 +77,6 @@ from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
 from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
-P_SIGN_TOL = 1e-8
 
 
 @dataclass
@@ -212,6 +212,12 @@ def transport(path, velocity, blocks, times, tol, log0):
     them; the smallest eigen gap seen, f-evaluations, rejected steps and the
     largest eigen residual before the polish; and a BreakdownError (not
     raised) if the run ended before times[-1], else None.
+
+    The collision pre-scan stays next to the gap guard: both end the run at
+    the same output time, but the guard only once the gap is under
+    GAP_COLLIDE, after the costliest steps.  Without the scan
+    ``collision-sl2`` and ``trig-sl2-breakdown`` write the same CSVs from
+    613 -> 3,433 and 439 -> 3,163 f-evaluations.
     """
     Ms, factors = path(times)
     defined, N = Ms.shape[0], Ms.shape[-1]  # M at times[:defined]
@@ -310,9 +316,9 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
     On an eigenvalue collision raises BreakdownError carrying the collision
     time and the partial results.  So does the first output time at which the
-    solver's own output fails a check -- the two sign branches of p(t)
-    disagreeing beyond P_SIGN_TOL, or the state failing ``check_state`` --
-    with that time and the rows before it.
+    solver's own output fails a check -- xi(t) off J^-1(0)
+    (``models._check_momentum_zero``, the check of pt0), or the state failing
+    ``check_state`` -- with that time and the rows before it.
     """
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
@@ -321,11 +327,11 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     reduced = isinstance(pt0, ReducedPoint)
     if reduced:
         pt0 = PhasePoint(q=pt0.q, p=pt0.p, xi=pt0.s)
-    _check_momentum_zero(pt0)
+    _check_momentum_zero(pt0.xi)
     check_regular(spec, pt0.q)
     times = _validate_times(times)
 
-    path, velocity, log0, position, limits = setup(spec, pt0)
+    path, velocity, log0, position, (which, L0) = setup(spec, pt0)
     k, ell, path_factors, diags, error = transport(
         path, velocity, spec.subset.partition, times, tol, log0)
     ts = times[:len(k)]  # the output times reached
@@ -334,27 +340,20 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     q = position(ell)
     N = spec.ctx.N
     off = ~np.eye(N, dtype=bool)
-    P = [kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
-         for which, L0 in limits.items()]
-    p = P[0][:, range(N), range(N)]
+    P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
+    p = P[:, range(N), range(N)]
 
     # the rows up to the first output time whose state fails a check
     n, failed = ts.size, None
-    if len(P) == 2:
-        mism = np.abs(P[0] - P[1]).max(axis=(1, 2))
-        bad = np.flatnonzero(mism > P_SIGN_TOL)
-        if bad.size:
-            n = bad[0]
-            failed = (f"the two sign branches of p(t) disagree by "
-                      f"{mism[n]:.3e} > P_SIGN_TOL")
     y = np.empty((n, 2 * N + N * N), dtype=complex)
     for i in range(n):
         try:
+            _check_momentum_zero(xi[i])
             # diag s = diag xi: the reduced check is at least as strict
             row = (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]),
                                reduced=True)
                    if reduced else check_state(q[i], p[i], xi[i]))
-        except ValidationError as exc:
+        except (ContractError, ValidationError) as exc:
             n, failed = i, f"the state fails its check: {exc}"
             break
         y[i] = np.concatenate([v.ravel() for v in row])
@@ -363,9 +362,8 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
                                f"{failed}", time=float(ts[n]), gap=diags["min_gap"])
         ts, y, k, ell = ts[:n], y[:n], k[:n], ell[:n]
         path_factors = tuple(fac[:n] for fac in path_factors)
-    if len(P) == 2:
-        diags["p_sign_mismatch"] = float(mism[:n].max(initial=0.0))
-    diags["p_offdiag_residual"] = float(np.abs(P[0][:n, off]).max(initial=0.0))
+    diags["momentum_residual"] = float(np.abs(xi[:n, ~off]).max(initial=0.0))
+    diags["p_offdiag_residual"] = float(np.abs(P[:n, off]).max(initial=0.0))
 
     traj = Trajectory(times=ts, y=y, reduced=reduced, provenance=provenance,
                       stats=dict(diags))

@@ -576,9 +576,11 @@ def lax_limit(spec, pt, which):
     return _lax_matrix(spec, pt.q, pt.p, pt.xi, c)
 
 
-def _check_momentum_zero(pt):
-    scale = max(1.0, float(np.abs(pt.xi).max(initial=0.0)))
-    if np.abs(np.diag(pt.xi)).max(initial=0.0) > MOMENTUM_TOL * scale:
+def _check_momentum_zero(xi):
+    """The J^-1(0) check of inputs and of exact-solver rows: |diag xi| at
+    most MOMENTUM_TOL max(1, max |xi|)."""
+    scale = max(1.0, float(np.abs(xi).max(initial=0.0)))
+    if np.abs(np.diag(xi)).max(initial=0.0) > MOMENTUM_TOL * scale:
         raise ContractError("requires J^-1(0): Pi_h(xi) must vanish")
 
 

@@ -43,7 +43,8 @@ def solve_rational(spec, pt0, times, tol=1e-10):
     Returns (Trajectory, RationalFactorization), or for a ReducedPoint pt0 a
     reduced Trajectory and None (``exact.solve``).  On an eigenvalue collision
     raises BreakdownError carrying the collision time and the partial results,
-    as at the first output time where the state fails its check.
+    as at the first output time where xi(t) leaves J^-1(0) or the state
+    fails its check.
     """
     return exact.solve(spec, pt0, times, tol, family="rational",
                        provenance="exact-rational",
@@ -57,4 +58,4 @@ def _setup(spec, pt0):
     Q0 = np.diag(pt0.q)
     return (lambda t: (Q0 + np.asarray(t)[..., None, None] * Linf, ()),
             lambda t, k, d: exact.left_divide(k, Linf @ k), None,
-            lambda d: d, {"rational_inf": Linf})
+            lambda d: d, ("rational_inf", Linf))

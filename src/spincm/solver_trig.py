@@ -26,9 +26,9 @@ a linear ODE, so the drift off M k = k d stays at the integration error (see
 ``exact``).  Then, on the stack of output times,
 
     xi(t) = k(t)^-1 xi0 k(t)
-    p(t)  = diag P,  P = k(t)^-1 L(+/-i inf) k(t)
-                         - off-diagonal L(+/-i inf)(q(t), xi(t));
-            ``exact`` compares both sign branches.
+    p(t)  = diag P,  P = k(t)^-1 L(+i inf) k(t)
+                         - off-diagonal L(+i inf)(q(t), xi(t));
+            L(-i inf) = L(+i inf) + 2i xi gives the same p on J^-1(0).
 
 ``expm`` imports scipy's at its first call, so importing this module loads
 no scipy.
@@ -121,9 +121,9 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 
     Returns (Trajectory, TrigFactorization), or for a ReducedPoint pt0 a
     reduced Trajectory and None (``exact.solve``).  Raises BreakdownError on
-    Levi eigenvalue collision, and at the first output time where the two
-    sign branches of p(t) disagree beyond ``exact.P_SIGN_TOL`` or the state
-    fails its check.
+    Levi eigenvalue collision, at the first time where the family's path has
+    no factorization, and at the first output time where xi(t) leaves
+    J^-1(0) or the state fails its check.
     """
     return exact.solve(spec, pt0, times, tol, family="trigonometric",
                        provenance="exact-trig",
@@ -132,7 +132,7 @@ def solve_trig(spec, pt0, times, tol=1e-10):
 
 def _setup(spec, pt0):
     """M(t) from the parabolic factors, the velocity B(k, d), q = l/2i and
-    the two limits L(+/-i inf)."""
+    the limit L(+i inf)."""
     N = spec.ctx.N
     Lp = lax_limit(spec, pt0, "trig_plus_i_inf")
     Lm = lax_limit(spec, pt0, "trig_minus_i_inf")
@@ -157,4 +157,4 @@ def _setup(spec, pt0):
         return 1j * (X[:, :N] * d + d[:, None] * X[:, N:])
 
     return (path, velocity, 2j * pt0.q, lambda logd: logd / 2j,
-            {"trig_plus_i_inf": Lp, "trig_minus_i_inf": Lm})
+            ("trig_plus_i_inf", Lp))

@@ -123,7 +123,7 @@ class LatticeOracle:
 
 def r_action_on_M(spec, pt, z):
     """Closed-form (R(q) M)(z) on J^-1(0), M(z) = L(z)/z."""
-    _check_momentum_zero(pt)
+    _check_momentum_zero(pt.xi)
     zs = _check_z_regular(spec, z)
     z = complex(zs[0])
     check_regular(spec, pt.q)
@@ -162,7 +162,7 @@ def lax_residual(spec, pt, z, delta=1e-4):
     central difference of step `delta` along the straight line x +/- delta f(x),
     f the vector field of ``eom``: the same O(delta^2) approximation of
     d/dt L(x(t)) as a difference along the flow."""
-    _check_momentum_zero(pt)
+    _check_momentum_zero(pt.xi)
     RM = r_action_on_M(spec, pt, z)
     L0 = lax(spec, pt, z)
     f = eom(spec, pt)

@@ -201,8 +201,9 @@ def test_criterion_6_trig_exact():
         tro = integrate(spec, pt, 0.5, samples=101, tol=1e-12)
         for attr in ("q", "p", "xi"):
             assert sup_gap(tre, tro, attr) <= 1e-5
-        # dual-sign internal agreement of p(t)
-        assert fact.diagnostics["p_sign_mismatch"] <= 1e-8
+        # dual-sign internal agreement of p(t):
+        # |P(+i inf) - P(-i inf)| = 2 max |diag xi(t)|
+        assert 2 * fact.diagnostics["momentum_residual"] <= 1e-8
         # limiting-Lax Lax equation along the exact flow (5-point stencil)
         dense = np.linspace(0.0, 0.5, 251)
         trd, _ = solve_trig(spec, pt, dense)

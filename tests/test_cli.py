@@ -133,8 +133,8 @@ def test_exact_trig_breakdown(tmp_path):
 @pytest.mark.parametrize("t_end", ["4", "6"])
 def test_exact_own_check_failure_is_breakdown(tmp_path, capsys, t_end):
     """trig-sl2 run to t = 4 or 6: at some output time the solver's own
-    output fails a check (q no longer traceless, or the two sign branches of
-    p(t) apart by more than P_SIGN_TOL).  exact exits 3 with the rows before
+    output fails a check (q no longer traceless, or xi(t) off J^-1(0) by
+    more than MOMENTUM_TOL).  exact exits 3 with the rows before
     that output time and one breakdown_at naming it; compare exits 3 with its
     one stderr line."""
     out = tmp_path / "e.csv"

@@ -61,6 +61,38 @@ def test_exact_agrees_with_oracle(shape, N, seed):
         assert np.abs(getattr(tre, attr) - getattr(tro, attr)).max() <= bound, attr
 
 
+# -- the trigonometric -> rational scaling limit, no oracle in the loop ----------
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("N", [2, 3, 4, 6])
+def test_trig_solver_scales_to_the_rational_one(N, seed):
+    """With pi' = Pi every root has the kernel csc^2 a - 1/3 = 1/a^2 + a^2/15
+    + O(a^4), so the trigonometric flow from (eps q, p, eps xi), read at
+    t = eps tau as (q/eps, p, xi/eps), is the rational flow with
+    Delta' = Delta from (q, p, xi) at tau up to O(eps^4).  The two exact
+    solvers share only the transport, so this checks each one's xi, torus
+    angle included, against the other.  The sup gap of the three at
+    eps = 0.01 stays under 5e-8 (measured 1.6e-10 to 2.1e-8), and from
+    eps = 0.03 it falls by 3^4 = 81 within a factor 2 (measured 80.9 to
+    81.1)."""
+    rat, _ = _shape("rational-full", N)
+    trig, _ = _shape("trig-all", N)
+    pt = random_point(rat, np.random.default_rng(seed), scale=0.4,
+                      spread=max(1.5, 0.5 * (N - 1)))
+    tau = np.linspace(0, 1, 21)
+    ref, _ = solve_rational(rat, pt, tau, 1e-13)
+
+    def gap(eps):
+        tr, _ = solve_trig(trig, PhasePoint(q=eps * pt.q, p=pt.p, xi=eps * pt.xi),
+                           eps * tau, 1e-13)
+        return max(np.abs(tr.q / eps - ref.q).max(), np.abs(tr.p - ref.p).max(),
+                   np.abs(tr.xi / eps - ref.xi).max())
+
+    fine = gap(0.01)
+    assert fine <= 5e-8
+    assert 40.5 <= gap(0.03) / fine <= 162
+
+
 # -- breakdown at N = 4: real symmetric positive xi, converging p -------------
 
 def _collision_course(N, xi_scale, q_step, p_step):

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import r_action_on_M
 from sampling import random_point, random_reduced
-from spincm import exact, solver_rational, solver_trig
+from spincm import exact, models, solver_rational, solver_trig
 from spincm.exact import left_divide, present, transport
 from spincm.errors import (BreakdownError, ContractError, DomainError,
                            ValidationError)
@@ -365,6 +365,22 @@ def test_one_level_set_tolerance(spec2):
             solve_rational(spec2, pt, np.linspace(0, 0.5, 6))
         with pytest.raises(ContractError):
             r_action_on_M(spec2, pt, 1.0)
+
+
+@pytest.mark.parametrize("preset, solve", [("rational-sl3-full", solve_rational),
+                                           ("trig-sl3", solve_trig)])
+def test_row_off_momentum_zero_is_breakdown(monkeypatch, preset, solve):
+    """Each output row meets the input's J^-1(0) check: with MOMENTUM_TOL at
+    1e-20 the exact start passes and the first row that the transport moves
+    off diag xi = 0 by rounding ends the solve at times[1], one row kept."""
+    monkeypatch.setattr(models, "MOMENTUM_TOL", 1e-20)
+    data = load_preset(preset)
+    dfl = data["defaults"]
+    times = np.linspace(0.0, dfl["t_end"], dfl["samples"])
+    with pytest.raises(BreakdownError, match=r"J\^-1\(0\)") as exc:
+        solve(data["model"], data["init"], times, dfl["tol"])
+    assert exc.value.time == times[1]
+    assert len(exc.value.partial.y) == 1
 
 
 def test_solver_validations(spec2):

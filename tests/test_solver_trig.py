@@ -344,7 +344,8 @@ def test_solve_sl2_matches_oracle(spec2):
     tro = integrate(spec2, pt, 0.5, samples=51, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(tre, tro, attr) <= 1e-6
-    assert fact.diagnostics["p_sign_mismatch"] <= 1e-8
+    # |P(+i inf) - P(-i inf)| = 2 max |diag xi(t)|
+    assert 2 * fact.diagnostics["momentum_residual"] <= 1e-8
 
 
 def test_solve_sl3_matches_oracle():
@@ -508,7 +509,32 @@ def test_solve_complex_q_datum():
     tro = integrate(spec, pt, 0.4, samples=41, tol=1e-12)
     for attr in ("q", "p", "xi"):
         assert sup_gap(tre, tro, attr) <= 1e-6
-    assert fact.diagnostics["p_sign_mismatch"] <= 1e-8
+    # |P(+i inf) - P(-i inf)| = 2 max |diag xi(t)|
+    assert 2 * fact.diagnostics["momentum_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("preset, t_end", [("trig-sl2", 0.5), ("trig-sl2", 3.0),
+                                           ("trig-sl2", 3.6), ("trig-sl3", 0.3)])
+def test_momentum_residual_is_half_the_sign_branch_gap(preset, t_end):
+    """The two limits L(+/-i inf) differ only in their z-part, -/+i times xi,
+    so the momentum maps P+/- = k^-1 L(+/-i inf) k - off-diagonal
+    L(+/-i inf)(q(t), xi(t)) differ by exactly 2i diag xi(t): their largest
+    gap, rebuilt here from the factor dump, is twice the solver's
+    ``momentum_residual``, to 1e-14 + 1e-3 of its value."""
+    data = load_preset(preset)
+    spec, pt, dfl = data["model"], data["init"], data["defaults"]
+    times = np.linspace(0.0, t_end, dfl["samples"])
+    tr, fact = solve_trig(spec, pt, times, dfl["tol"])
+    k = fact.k_plus
+    kinv = np.linalg.inv(k)
+    off = ~np.eye(spec.ctx.N, dtype=bool)
+    P = [kinv @ lax_limit(spec, pt, which) @ k
+         - off * [lax_limit(spec, tr.point(i), which) for i in range(len(k))]
+         for which in ("trig_plus_i_inf", "trig_minus_i_inf")]
+    gap = np.abs(P[0] - P[1]).max()
+    value = 2 * fact.diagnostics["momentum_residual"]
+    assert len(k) == len(times)
+    assert abs(gap - value) <= 1e-14 + 1e-3 * value
 
 
 # -- beyond N = 4: trigonometric N = 5, 6 against the oracle -------------------------
