@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 `compare` threshold failed (report still written,
 with "pass": false), 2 validation error (malformed or out-of-domain input,
 found before any integration), 3 factorization breakdown: an eigenvalue
 collision, or the exact solver's own output failing a check (`exact`: partial
-CSV still written), 4 oracle blow-up (`simulate`: partial CSV still written;
-`audit`: JSON still written, with "blowup": true and drifts up to the last
-good time), 5 requested exact mode unsupported for the family.  `compare`
-writes no report on 3 or 4: one stderr line names the exact solver's
-breakdown_at or the oracle's blowup_at.  Outputs embed the config
+CSV still written, and the breakdown's message on one stderr line), 4 oracle
+blow-up (`simulate`: partial CSV still written; `audit`: JSON still written,
+with "blowup": true and drifts up to the last good time), 5 requested exact
+mode unsupported for the family.  `compare` writes no report on 3 or 4: one
+stderr line names the exact solver's breakdown_at and the breakdown's
+message, or the oracle's blowup_at.  Outputs embed the config
 hash, the library version and the seed; identical configs produce identical
 bytes.
 """
@@ -197,6 +198,7 @@ def cmd_exact(args):
     except BreakdownError as exc:
         traj, fact = exc.partial, exc.factors
         code = EXIT_BREAKDOWN
+        sys.stderr.write(f"{exc}\n")
     lines = trajectory_csv_lines(traj, _meta(config))
     if traj.breakdown_time is not None:
         lines.append(f"# breakdown_at: {float(traj.breakdown_time)!r}")
@@ -221,7 +223,7 @@ def cmd_compare(args):
         traj_e, _fact = _exact(spec, pt, params)
     except BreakdownError as exc:
         sys.stderr.write(f"compare: factorization breakdown, breakdown_at: "
-                         f"{float(exc.time)!r}; no report written\n")
+                         f"{float(exc.time)!r}; {exc}; no report written\n")
         return EXIT_BREAKDOWN
     report = {f"sup_{v}": float(np.abs(getattr(traj_e, v) - getattr(traj_o, v)).max())
               for v in ("q", "p", "xi")}

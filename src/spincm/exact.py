@@ -14,6 +14,9 @@ From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
 log d needs no branch tracking.  The transport's f writes k W and l' into one
 complex buffer that it reuses (``rk.dp5`` copies each stage value), and
 ``rk.dp5`` writes each output row into the transport's complex row array.
+The within-block index pairs (``block_pairs``) are fixed before the run: f
+gathers B and scatters W over their flat indices, and the guard, the gaps
+and the discriminants read the eigenvalues at them.
 
 Before the integration, one ``path`` call gives M and the family's factors
 over the output grid, up to the first output time at which the family's
@@ -48,13 +51,15 @@ and its size before the polish, max |k^-1 M k - diag d| / max(1, |d|), is
 the diagnostic ``eig_residual``.
 
 ``solve`` checks the input, runs the transport, maps the stack to states,
-checks each row and writes it into the trajectory's packed array, stacks
+checks the rows and writes them into the trajectory's packed array, stacks
 the factors (the path's, then g, d, h, k), keeps the diagnostics and
 attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
 solved from its lift xi0 := s0 with each row written through the gauge
 reduction.  A row that is not an input ``solve`` accepts (on J^-1(0), then
-``check_state``) ends the solve in a BreakdownError at its time; the largest
-|diag xi(t)| over the rows kept is ``momentum_residual``.
+``check_state``) ends the solve in a BreakdownError at its time: one
+stacked pass (``models._first_failed_row``) finds the first such row, whose
+own checks then give the message; the largest |diag xi(t)| over the rows
+kept is ``momentum_residual``.
 
 ``left_divide`` calls numpy's own LAPACK ``zgesv`` gufunc, so a rational
 solve loads no scipy; only the trigonometric path's ``expm`` does.
@@ -69,8 +74,9 @@ from itertools import combinations
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
+from . import models
 from .errors import BreakdownError, ContractError, DomainError, ValidationError
-from .liecore import block_mask, reduce_gauge
+from .liecore import reduce_gauge
 from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                      _check_momentum_zero, _lax_matrix, check_regular,
                      check_state)
@@ -139,11 +145,18 @@ def left_divide(k, rhs):
     return X
 
 
-def block_gap(d, same):
+def block_pairs(blocks):
+    """The within-block index pairs i < j of a partition, block by block in
+    the order of ``combinations``, as two index arrays (I, J)."""
+    pairs = [ij for blk in blocks for ij in combinations(blk, 2)]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+
+def block_gap(d, pairs):
     """Minimal within-block eigenvalue distance of each row of d (..., N)
-    (inf without such pairs)."""
-    return np.abs(d[..., :, None] - d[..., None, :])[..., same].min(
-        axis=-1, initial=np.inf)
+    over the pairs (I, J) of ``block_pairs`` (inf without such pairs)."""
+    I, J = pairs
+    return np.abs(d[..., I] - d[..., J]).min(axis=-1, initial=np.inf)
 
 
 def block_eigvals(M, blocks):
@@ -157,18 +170,17 @@ def block_eigvals(M, blocks):
     return vals
 
 
-def _discriminant(vals, blocks):
-    """Product over the blocks of the squared within-block eigenvalue
+def _discriminant(vals, pairs):
+    """Product over the within-block pairs (I, J) of the squared eigenvalue
     differences of each row of vals (..., N): analytic in t, with a zero at
     each collision."""
     D = np.ones(vals.shape[:-1], dtype=complex)
-    for blk in blocks:
-        for i, j in combinations(blk, 2):
-            D *= (vals[..., i] - vals[..., j]) ** 2
+    for i, j in pairs.T.tolist():
+        D *= (vals[..., i] - vals[..., j]) ** 2
     return D
 
 
-def locate_collision(path, blocks, same, t_lo, t_hi):
+def locate_collision(path, blocks, pairs, t_lo, t_hi):
     """The BreakdownError at the eigenvalue collision in [t_lo, t_hi], or
     None.  It root-finds the within-block discriminant product D(t) of the
     block-diagonal M(t) = path(t)[0] by a complex secant iteration: D is
@@ -176,7 +188,7 @@ def locate_collision(path, blocks, same, t_lo, t_hi):
     sqrt-type collisions that pointwise gap thresholds cannot.  A collision
     is a located zero numerically on the real axis inside the bracket."""
     def disc(t):
-        return _discriminant(block_eigvals(path(t)[0], blocks), blocks)[()]
+        return _discriminant(block_eigvals(path(t)[0], blocks), pairs)[()]
 
     span = t_hi - t_lo
     t0, t1 = complex(t_lo), complex(t_hi)
@@ -198,7 +210,7 @@ def locate_collision(path, blocks, same, t_lo, t_hi):
     if not (on_axis and inside and abs(d1) <= 1e-10 * dscale):
         return None
     t_star = float(t1.real)
-    gap = float(block_gap(block_eigvals(path(t_star)[0], blocks), same))
+    gap = float(block_gap(block_eigvals(path(t_star)[0], blocks), pairs))
     return BreakdownError(f"factorization breakdown: eigenvalue collision at "
                           f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
@@ -223,31 +235,40 @@ def transport(path, velocity, blocks, times, tol, log0):
     defined, N = Ms.shape[0], Ms.shape[-1]  # M at times[:defined]
     nk = N * N
     group = log0 is not None
-    same = block_mask(N, blocks)
+    pairs = block_pairs(blocks)
+    # W's entries, the ordered within-block pairs (r, c), r != c, and their
+    # flat indices into an N x N matrix
+    r, c = np.concatenate((pairs, pairs[::-1]), axis=1)
+    flat = r * N + c
     vals = block_eigvals(Ms, blocks)
-    path_gaps = block_gap(vals, same)
+    path_gaps = block_gap(vals, pairs)
     # the last output time: the start of the first interval over which the
     # discriminants turn by more than 2 rad and a collision is located there,
     # else the last one with an M
-    D = _discriminant(vals, blocks)
+    D = _discriminant(vals, pairs)
     with np.errstate(divide="ignore", invalid="ignore"):
         turns = (D[:-1] != 0) & (np.abs(np.angle(D[1:] / D[:-1])) > 2.0)
     end, collision = defined - 1, None
-    for c in np.flatnonzero(turns):
-        collision = locate_collision(path, blocks, same, times[c], times[c + 1])
+    for i in np.flatnonzero(turns):
+        collision = locate_collision(path, blocks, pairs, times[i], times[i + 1])
         if collision is not None:
-            end = c
+            end = i
             break
 
     def eigs(ell):
         return np.exp(ell) if group else ell
 
     def off_block(B, d, out):
-        """W_ij = B_ij / (d_j - d_i) for i != j in one block; `out` holds the
-        zeros elsewhere."""
-        return np.divide(B, d[..., None, :] - d[..., :, None], out=out, where=same)
+        """W_ij = B_ij / (d_j - d_i) for i != j in one block, of B and d
+        stacked over leading axes, gathered and scattered over `flat`; `out`
+        holds the zeros elsewhere."""
+        lead = B.shape[:-2]
+        out.reshape(lead + (nk,))[..., flat] = (
+            B.reshape(lead + (nk,))[..., flat] / (d[..., c] - d[..., r]))
+        return out
 
     W = np.zeros((N, N), dtype=complex)
+    Wf = W.reshape(nk)
     out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
     kdot, ldot = out[:nk].reshape(N, N), out[nk:]
 
@@ -255,7 +276,8 @@ def transport(path, velocity, blocks, times, tol, log0):
         k, ell = y[:nk].reshape(N, N), y[nk:]
         d = eigs(ell)
         B = velocity(t, k, d)
-        np.matmul(k, off_block(B, d, W), out=kdot)
+        Wf[flat] = B.take(flat) / (d[c] - d[r])
+        np.matmul(k, W, out=kdot)
         if group:
             np.divide(B.diagonal(), d, out=ldot)
         else:
@@ -266,7 +288,7 @@ def transport(path, velocity, blocks, times, tol, log0):
     guard_gap = [np.inf]
 
     def guard(y):
-        gap = block_gap(eigs(y[nk:]), same)
+        gap = block_gap(eigs(y[nk:]), pairs)
         guard_gap[0] = min(guard_gap[0], gap)
         return gap >= GAP_COLLIDE
 
@@ -295,7 +317,7 @@ def transport(path, velocity, blocks, times, tol, log0):
     error = collision
     if done <= end:
         error = locate_collision(
-            path, blocks, same, times[done - 1], times[done]) or BreakdownError(
+            path, blocks, pairs, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
             f"(eigen gap {min_gap:.3e}) with no eigenvalue collision located",
             time=t, gap=min_gap)
@@ -343,24 +365,34 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
     p = P[:, range(N), range(N)]
 
-    # the rows up to the first output time whose state fails a check
-    n, failed = ts.size, None
-    y = np.empty((n, 2 * N + N * N), dtype=complex)
-    for i in range(n):
+    # the rows up to the first output time whose state fails a check: the
+    # tests of every row at once, then the gauge reduction and its check row
+    # by row on a reduced solve; the failing row's own checks give the message
+    def row_checks(i):
+        _check_momentum_zero(xi[i])
+        # diag s = diag xi: the reduced check is at least as strict
+        return (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]), reduced=True)
+                if reduced else check_state(q[i], p[i], xi[i]))
+
+    n = models._first_failed_row(q, p, xi, reduced)
+    m = xi[:n]
+    if reduced:
+        m = np.empty_like(m)
+        for i in range(n):
+            try:
+                m[i] = row_checks(i)[2]
+            except (ContractError, ValidationError):
+                n = i
+                break
+    y = np.concatenate((q[:n], p[:n], m[:n].reshape(n, N * N)), axis=1)
+    if n < ts.size:
         try:
-            _check_momentum_zero(xi[i])
-            # diag s = diag xi: the reduced check is at least as strict
-            row = (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]),
-                               reduced=True)
-                   if reduced else check_state(q[i], p[i], xi[i]))
+            row_checks(n)
         except (ContractError, ValidationError) as exc:
-            n, failed = i, f"the state fails its check: {exc}"
-            break
-        y[i] = np.concatenate([v.ravel() for v in row])
-    if failed is not None:
-        error = BreakdownError(f"factorization breakdown at t = {ts[n]:.9g}: "
-                               f"{failed}", time=float(ts[n]), gap=diags["min_gap"])
-        ts, y, k, ell = ts[:n], y[:n], k[:n], ell[:n]
+            error = BreakdownError(
+                f"factorization breakdown at t = {ts[n]:.9g}: the state fails "
+                f"its check: {exc}", time=float(ts[n]), gap=diags["min_gap"])
+        ts, k, ell = ts[:n], k[:n], ell[:n]
         path_factors = tuple(fac[:n] for fac in path_factors)
     diags["momentum_residual"] = float(np.abs(xi[:n, ~off]).max(initial=0.0))
     diags["p_offdiag_residual"] = float(np.abs(P[:n, off]).max(initial=0.0))

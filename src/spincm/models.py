@@ -584,6 +584,31 @@ def _check_momentum_zero(xi):
         raise ContractError("requires J^-1(0): Pi_h(xi) must vanish")
 
 
+def _first_failed_row(q, p, xi, reduced=False):
+    """The first row of a stacked state, q and p (T, N) and xi (T, N, N),
+    that fails ``_check_momentum_zero`` or ``check_state``'s traceless q, p
+    and (unless `reduced`) xi, else T.  Each test is the one-row test with
+    the same arithmetic, so a row's flag is that row's own verdict: the
+    one-row |sum| and |trace| are scalar absolute values, which are
+    ``np.hypot`` (numpy's array |.| of a complex differs from it in the last
+    bit)."""
+    N = q.shape[-1]
+
+    def bound(a, axes):  # 1e-10 max(1, max |a|) N, as _vec and check_state
+        return 1e-10 * np.fmax(1.0, np.abs(a).max(axis=axes, initial=0.0)) * N
+
+    def over(z, b):
+        return np.hypot(z.real, z.imag) > b
+
+    diag = xi.diagonal(axis1=-2, axis2=-1)
+    bad = (np.abs(diag).max(axis=-1, initial=0.0)
+           > MOMENTUM_TOL * np.fmax(1.0, np.abs(xi).max(axis=(-2, -1), initial=0.0)))
+    bad |= over(q.sum(axis=-1), bound(q, -1)) | over(p.sum(axis=-1), bound(p, -1))
+    if not reduced:
+        bad |= over(diag.sum(axis=-1), bound(xi, (-2, -1)))
+    return int(bad.argmax()) if bad.any() else len(bad)
+
+
 def contour_radius(spec):
     """Half the distance from 0 to the nearest z-singularity of L(z)."""
     if spec.family == "rational":

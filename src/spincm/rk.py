@@ -6,14 +6,17 @@ The step / accept / sample loop is one core, ``dp5``, over a packed complex
 state and a callable f(t, y) on it; the exact solvers run their transport
 ODE on it too.  The stages and the embedded error control run on the
 buffers' stacked real/imaginary coordinates, so the standard error norm
-applies unchanged.  A step allocates no state array: the stage inputs, the
-error estimate and its scale live in buffers built before the step loop,
-and f may return one buffer that it reuses.  Each sample is written into a
-row of the caller's array; a run ends early only on a failed step (the
-guard, the stall budget STALL_STEPS per output interval, or a collapsed
-step), with fewer samples.  The oracle's f is ``models.packed_field``,
-built once per integration; its regularity check, at y0 and at every stage,
-is the singularity-margin abort.
+applies unchanged.  The state and the seven stage slopes share one real
+(8, n) array [y | K_0 .. K_6], and each step scales the tableau [A; ERR] by
+its step size once, so a stage input and the error estimate are one
+matrix-vector product each.  A step allocates no state array: the stage
+inputs, the error estimate and its scale live in buffers built before the
+step loop, and f may return one buffer that it reuses.  Each sample is
+written into a row of the caller's array; a run ends early only on a failed
+step (the guard, the stall budget STALL_STEPS per output interval, or a
+collapsed step), with fewer samples.  The oracle's f is
+``models.packed_field``, built once per integration; its regularity check,
+at y0 and at every stage, is the singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -53,6 +56,9 @@ _A = np.array([
 ])
 _ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
+# [A; ERR]: times the step size h, rows 0..6 give the stage inputs' slope
+# coefficients and row 7 the error estimate's
+_AE = np.vstack([_A, _ERR])
 # accepted steps within one output interval beyond which a run has stalled:
 # the oracle takes at most 547 on the presets (trig-sl2 to t = 15), the exact
 # transport at most 141 on the presets, the agreement sweep and the
@@ -109,9 +115,10 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
 
     Steps are clamped to land on every sample time; sample i goes into row
     i of the complex array `out` (row 0 is y0).  An accepted step must give
-    a finite state that passes ``guard(y)``, if a guard is given, and be at
-    most the STALL_STEPS-th accepted step since the last sample; a stage
-    raising DomainError shrinks the step.  The one way a run ends early is a
+    a finite state (an infinite or NaN entry fails the step) that passes
+    ``guard(y)``, if a guard is given, and be at most the STALL_STEPS-th
+    accepted step since the last sample; a stage raising DomainError
+    shrinks the step.  The one way a run ends early is a
     failed step: one that fails the guard, one past the stall budget, or a
     step size that collapses.
 
@@ -127,48 +134,58 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
     Buffers: f takes and returns complex arrays; every stage value is copied
     into the stage array, so f may return one buffer that it reuses; the y
     given to f and guard is one of the step's own buffers, valid only during
-    the call.  The stages and the error norm run on the buffers' real views.
-    The last stage is evaluated at y + h A[6] K, which is the 5th-order
-    solution (its weights are A[6] and c7 = 1): it becomes the new state when
-    the step is accepted.
+    the call.  The stages and the error norm run on the buffers' real views:
+    y and the slopes K_0..K_6 are the rows of one real array YK, and each
+    step fills C = [1 | h A; 0 | h ERR] with one multiplication, so stage i
+    is evaluated at C[i, :i+1] @ YK[:i+1] and the error estimate is
+    C[7] @ YK, scaled by tol (1 + max(|y|, |y1|)) with |y| kept from the last
+    accepted step, and its norm is one dot product.  The last stage is
+    evaluated at y + h A[6] K, which is the 5th-order solution (its weights
+    are A[6] and c7 = 1): it becomes the new state when the step is accepted.
 
     Returns (t, stats, n): the time reached, {nsteps, nrejected, nfev}, and
     the number of samples delivered; a run that ended early delivered fewer
     than len(sample_times).
     """
-    t = float(sample_times[0])
-    t_end = float(sample_times[-1])
+    ts = np.asarray(sample_times, dtype=float).tolist()
+    t, t_end = ts[0], ts[-1]
     u = min(1.0, 1e6 * float(np.diff(sample_times).min(initial=np.inf)))
-    yc = np.array(y0, dtype=complex)
-    y = yc.view(float)
-    n = y.size
+    y0 = np.asarray(y0, dtype=complex)
+    n = 2 * y0.size
+    # [y | K_0 .. K_6] and the step's coefficients C = [1 | h A; 0 | h ERR]
+    YK = np.empty((8, n))
+    YKc = YK.view(complex)
+    y, yc = YK[0], YKc[0]
+    yc[:] = y0
     out[0] = yc
+    C = np.zeros((8, 8))
+    C[:7, 0] = 1.0
+    hAE = C[:, 1:]
     nxt, since = 1, 0
     h = min(1e-3, (t_end - t) / 100)
-    K = np.empty((7, n))
-    Kc = K.view(complex)
-    Kc[0] = f(t, yc)
+    YKc[1] = f(t, yc)
     nfev, nsteps, nrej = 1, 0, 0
-    # stage inputs (ys, and y1 for the last stage), the error and its scale
-    ys, y1, err, sc = (np.empty(n) for _ in range(4))
+    # stage inputs (ys, and y1 for the last stage), the error, |y|, |y1|, scale
+    ys, y1, err, ay, ay1, sc = (np.empty(n) for _ in range(6))
     y1c = y1.view(complex)
-    stages = [(float(_C[i]), _A[i, :i], K[:i], i, yi, yi.view(complex))
+    np.abs(y, out=ay)
+    stages = [(float(_C[i]), C[i, :i + 1], YK[:i + 1], YKc[i + 1], yi, yi.view(complex))
               for i, yi in zip(range(1, 7), [ys] * 5 + [y1])]
+    err_row = C[7]
 
     while t < t_end - 1e-14 * u:
         h_step = min(h, t_end - t)
         clamped = h_step < h
-        if nxt < len(sample_times) and t + h_step >= sample_times[nxt] - 1e-14 * u:
-            h_step = sample_times[nxt] - t
+        if nxt < len(ts) and t + h_step >= ts[nxt] - 1e-14 * u:
+            h_step = ts[nxt] - t
             clamped = True
         if h_step < 1e-15 * max(u, abs(t)):
             break
+        np.multiply(_AE, h_step, out=hAE)
         try:
-            for c, a, Ki, i, yi, yic in stages:
-                np.matmul(a, Ki, out=yi)
-                yi *= h_step
-                yi += y
-                Kc[i] = f(t + c * h_step, yic)
+            for c, ci, YKi, Ki, yi, yic in stages:
+                np.matmul(ci, YKi, out=yi)
+                Ki[:] = f(t + c * h_step, yic)
         except DomainError:
             # a trial stage left the domain (singular margin): shrink, then stop
             nrej += 1
@@ -177,26 +194,26 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
             h = h_step * 0.25
             continue
         nfev += 6
-        np.matmul(_ERR, K, out=err)
-        err *= h_step
-        np.abs(y, out=sc)
-        np.maximum(sc, np.abs(y1, out=ys), out=sc)
+        np.matmul(err_row, YK, out=err)
+        np.abs(y1, out=ay1)
+        np.maximum(ay, ay1, out=sc)
         sc *= tol
         sc += tol
         err /= sc
-        err *= err
-        enorm = math.sqrt(float(np.add.reduce(err)) / n)
+        enorm = math.sqrt(float(np.dot(err, err)) / n)
         accepted = enorm <= 1.0
         if accepted:
             since += 1
-            if (not np.isfinite(y1).all() or (guard is not None and not guard(y1c))
-                    or since > STALL_STEPS):
+            # not < inf: an infinite or NaN entry
+            if (not np.maximum.reduce(ay1) < math.inf
+                    or (guard is not None and not guard(y1c)) or since > STALL_STEPS):
                 break
             t += h_step
             y[:] = y1
-            K[0] = K[6]  # FSAL
+            ay, ay1 = ay1, ay
+            YK[1] = YK[7]  # FSAL
             nsteps += 1
-            while nxt < len(sample_times) and t >= sample_times[nxt] - 1e-12 * u:
+            while nxt < len(ts) and t >= ts[nxt] - 1e-12 * u:
                 out[nxt] = yc
                 nxt, since = nxt + 1, 0
         else:

@@ -21,7 +21,8 @@ transport velocity is autonomous,
 
     B = k^-1 M' k = i (k^-1 Lam_- k d + d k^-1 Lam_+ k),
 
-one solve of k against [Lam_- k | Lam_+ k] with no M(t) and no expm; M solves
+one solve of k against [Lam_- k | Lam_+ k], written into one (N, 2N)
+buffer built once, with no M(t) and no expm; M solves
 a linear ODE, so the drift off M k = k d stays at the integration error (see
 ``exact``).  Then, on the stack of output times,
 
@@ -152,8 +153,13 @@ def _setup(spec, pt0):
         nm, gm = parabolic_factor(spec, Em, "-")
         return np.linalg.solve(gm, e2iq0[:, None] * gp), (np_, nm, gp, gm)
 
+    LK = np.empty((N, 2 * N), dtype=complex)  # Lam_- k | Lam_+ k
+    LKm, LKp = LK[:, :N], LK[:, N:]
+
     def velocity(t, k, d):
-        X = exact.left_divide(k, np.concatenate((Lam_m @ k, Lam_p @ k), axis=1))
+        np.matmul(Lam_m, k, out=LKm)
+        np.matmul(Lam_p, k, out=LKp)
+        X = exact.left_divide(k, LK)
         return 1j * (X[:, :N] * d + d[:, None] * X[:, N:])
 
     return (path, velocity, 2j * pt0.q, lambda logd: logd / 2j,

@@ -153,6 +153,28 @@ def test_exact_own_check_failure_is_breakdown(tmp_path, capsys, t_end):
     assert err.count("\n") == 1 and f"breakdown_at: {at};" in err
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (("--preset", "collision-sl2"), "eigenvalue collision"),
+    (("--preset", "trig-sl2", "--t-end", "4"), "fails its check")])
+def test_breakdown_names_its_cause(tmp_path, capsys, argv, cause):
+    """On exit 3 exact writes the breakdown's message as its one stderr
+    line; compare, where its oracle reaches the end (trig-sl2; on
+    collision-sl2 the oracle blows up first), appends it to its one line
+    after breakdown_at."""
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    assert run(tmp_path, "exact", *argv, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and cause in err
+    code = run(tmp_path, "compare", *argv, "--out", str(tmp_path / "c.json"))
+    assert code == (4 if "collision-sl2" in argv else 3)
+    if code == 3:
+        at = footer(read(out), "breakdown_at")
+        assert capsys.readouterr().err == (
+            f"compare: factorization breakdown, breakdown_at: {at}; "
+            f"{err.strip()}; no report written\n")
+
+
 @pytest.mark.parametrize("t_end, codes", [("15", (3,)), ("11.5", (0, 3))])
 def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
     """trig-sl2 far past its conditioning limit ends within 30 s wall time

@@ -139,24 +139,36 @@ def test_dp5_f_may_reuse_its_buffer():
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("case", ["guard", "domain"])
+@pytest.mark.parametrize("case", ["guard", "domain", "nan", "overflow"])
 def test_dp5_ends_early_only_on_a_failed_step(case):
     """dp5 on f = -y over 11 nodes of [0, 1]: a guard that fails on the
-    state past t = 0.55, y < exp(-0.55), or an f that raises DomainError
-    there, ends the run with 6 samples, in rows 0..5 of `out`; the rows
-    after them stay untouched."""
+    state past t = 0.55, y < exp(-0.55), an f that raises DomainError there
+    or one that returns NaN there ends the run with 6 samples, in rows 0..5
+    of `out`; the rows after them stay untouched.  A constant f = 1e308 from
+    y0 = 0 over 11 nodes of [0, 10] at tol 1e-3 overflows the state on its
+    way to t = 2 while the error estimate stays finite: 2 samples."""
     def f(t, y):
+        if case == "overflow":
+            return np.full(2, 1e308, dtype=complex)
         if case == "domain" and t > 0.55:
             raise DomainError("past 0.55")
+        if case == "nan" and t > 0.55:
+            return np.full(2, np.nan, dtype=complex)
         return -y
 
     guard = (lambda y: y[0].real >= np.exp(-0.55)) if case == "guard" else None
-    times = np.linspace(0.0, 1.0, 11)
+    if case == "overflow":
+        times, y0, tol, kept = np.linspace(0.0, 10.0, 11), np.zeros(2), 1e-3, 2
+        expected = 1e308 * times[:kept, None]
+    else:
+        times, y0, tol, kept = np.linspace(0.0, 1.0, 11), np.ones(2), 1e-9, 6
+        expected = np.exp(-times[:kept, None])
     out = np.full((11, 2), np.nan, dtype=complex)
-    _, _, n = dp5(f, np.ones(2), times, 1e-9, out, guard)
-    assert n == 6
-    assert np.allclose(out[:6], np.exp(-times[:6, None]), rtol=1e-8, atol=0)
-    assert np.isnan(out[6:]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, n = dp5(f, y0, times, tol, out, guard)
+    assert n == kept
+    assert np.allclose(out[:kept], expected, rtol=1e-8, atol=0)
+    assert np.isnan(out[kept:]).all()
 
 
 def test_oracle_stall_ends_the_run(monkeypatch):

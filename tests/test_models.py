@@ -846,3 +846,56 @@ def test_random_point_spread():
     check_regular(spec, pt.q)
     i, j = spec.regular_roots
     assert np.abs(pt.q[i] - pt.q[j]).min() >= 0.3
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_first_failed_row_is_the_row_loop(monkeypatch, reduced):
+    """models._first_failed_row flags the same first row as the one-row
+    checks run in order (_check_momentum_zero, then check_state's traceless
+    q, p and xi; xi's trace is not a test of a reduced row), bit for bit:
+    stacks of 8 rows on J^-1(0), one row moved to within 3 ulps of a
+    check's bound, in a random complex direction (a sum v - v + s is exactly
+    s), so that a |.| computed otherwise than the one-row check's would flip
+    some verdicts.  For xi's
+    trace, MOMENTUM_TOL is raised to 1, read at call time, so that the
+    J^-1(0) test passes first."""
+    from spincm import models
+    N, T = 3, 8
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    cases = 0
+    for _ in range(400):
+        q = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
+        q -= q.mean(axis=1, keepdims=True)
+        p = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
+        p -= p.mean(axis=1, keepdims=True)
+        xi = 3.0 * (rng.standard_normal((T, N, N)) + 1j * rng.standard_normal((T, N, N)))
+        xi[:, range(N), range(N)] = 0.0
+        i, which = rng.integers(T), rng.integers(4)
+        step = (1.0 + rng.integers(-3, 4) * eps) * np.exp(2j * np.pi * rng.uniform())
+        monkeypatch.setattr(models, "MOMENTUM_TOL", 1.0 if which == 3 else 1e-10)
+        if which == 0:  # |diag xi| at MOMENTUM_TOL max(1, max |xi|)
+            xi[i, 0, 0] = models.MOMENTUM_TOL * max(1.0, float(np.abs(xi[i]).max())) * step
+            xi[i, 1, 1] = -xi[i, 0, 0]
+        else:  # |trace| of q, p or xi at 1e-10 max(1, max |.|) N, exactly
+            a = (q, p, xi)[which - 1][i]
+            v = a.reshape(-1)[1]
+            top = float(np.abs(a).max()) if which == 3 else abs(v)
+            row = np.array([v, -v, 1e-10 * max(1.0, top) * N * step])
+            if which == 3:
+                a[range(N), range(N)] = row
+            else:
+                a[:] = row
+        want = T
+        for r in range(T):
+            try:
+                models._check_momentum_zero(xi[r])
+                models._vec(q[r], N, "q"), models._vec(p[r], N, "p")
+                if not reduced:
+                    models.check_state(q[r], p[r], xi[r])
+            except (ContractError, ValidationError):
+                want = r
+                break
+        assert models._first_failed_row(q, p, xi, reduced) == want
+        cases += want < T
+    assert 50 <= cases <= 350

@@ -383,6 +383,32 @@ def test_row_off_momentum_zero_is_breakdown(monkeypatch, preset, solve):
     assert len(exc.value.partial.y) == 1
 
 
+def test_row_off_traceless_q_is_breakdown(monkeypatch):
+    """The stacked row check ends a solve at the first row that fails any
+    of the row checks, with that row's own message: a position map that
+    moves q off trace zero from row 5 on ends rational-sl3-full at times[5]
+    on "q must be traceless", five rows kept."""
+    setup0 = solver_rational._setup
+
+    def setup(spec, pt0):
+        path, velocity, log0, position, limit = setup0(spec, pt0)
+
+        def broken(ell):
+            q = position(ell).copy()
+            q[5:, 0] += 1e-3
+            return q
+        return path, velocity, log0, broken, limit
+
+    monkeypatch.setattr(solver_rational, "_setup", setup)
+    data = load_preset("rational-sl3-full")
+    dfl = data["defaults"]
+    times = np.linspace(0.0, dfl["t_end"], dfl["samples"])
+    with pytest.raises(BreakdownError, match="q must be traceless") as exc:
+        solve_rational(data["model"], data["init"], times, dfl["tol"])
+    assert exc.value.time == times[5]
+    assert len(exc.value.partial.y) == 5
+
+
 def test_solver_validations(spec2):
     pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
     bad_xi = E12 + E21 + np.diag([0.2, -0.2])
