@@ -54,12 +54,10 @@ the diagnostic ``eig_residual``.
 checks the rows and writes them into the trajectory's packed array, stacks
 the factors (the path's, then g, d, h, k), keeps the diagnostics and
 attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
-solved from its lift xi0 := s0 with each row written through the gauge
-reduction.  A row that is not an input ``solve`` accepts (on J^-1(0), then
-``check_state``) ends the solve in a BreakdownError at its time: one
-stacked pass (``models._first_failed_row``) finds the first such row, whose
-own checks then give the message; the largest |diag xi(t)| over the rows
-kept is ``momentum_residual``.
+solved from its lift xi0 := s0, its rows reduced at once.  The first row
+that fails ``models.check_rows``, the checks of an input point, ends the
+solve in a BreakdownError at its time with that check's message; the
+largest |diag xi(t)| over the rows kept is ``momentum_residual``.
 
 ``left_divide`` calls numpy's own LAPACK ``zgesv`` gufunc, so a rational
 solve loads no scipy; only the trigonometric path's ``expm`` does.
@@ -74,12 +72,11 @@ from itertools import combinations
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _solve
 
-from . import models
-from .errors import BreakdownError, ContractError, DomainError, ValidationError
+from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
 from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                      _check_momentum_zero, _lax_matrix, check_regular,
-                     check_state)
+                     check_rows)
 from .rk import Trajectory, check_tol, dp5
 
 GAP_COLLIDE = 1e-6
@@ -337,10 +334,10 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     Returns (Trajectory, factorization); for a ReducedPoint pt0, the reduced
     trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
     On an eigenvalue collision raises BreakdownError carrying the collision
-    time and the partial results.  So does the first output time at which the
-    solver's own output fails a check -- xi(t) off J^-1(0)
-    (``models._check_momentum_zero``, the check of pt0), or the state failing
-    ``check_state`` -- with that time and the rows before it.
+    time and the partial results.  So does the first output time whose state
+    fails ``models.check_rows`` -- xi(t) off J^-1(0) (the test of pt0), or
+    q, p, xi or s failing a test of an input point -- with that time and the
+    rows before it.  A row outside U raises the reduction's DomainError.
     """
     if spec.family != family:
         raise ValidationError(f"the exact {family} solver requires a {family} "
@@ -365,33 +362,14 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
     p = P[:, range(N), range(N)]
 
-    # the rows up to the first output time whose state fails a check: the
-    # tests of every row at once, then the gauge reduction and its check row
-    # by row on a reduced solve; the failing row's own checks give the message
-    def row_checks(i):
-        _check_momentum_zero(xi[i])
-        # diag s = diag xi: the reduced check is at least as strict
-        return (check_state(q[i], p[i], reduce_gauge(spec.ctx, xi[i]), reduced=True)
-                if reduced else check_state(q[i], p[i], xi[i]))
-
-    n = models._first_failed_row(q, p, xi, reduced)
-    m = xi[:n]
-    if reduced:
-        m = np.empty_like(m)
-        for i in range(n):
-            try:
-                m[i] = row_checks(i)[2]
-            except (ContractError, ValidationError):
-                n = i
-                break
+    # the rows up to the first output time whose state fails a check
+    m = reduce_gauge(spec.ctx, xi) if reduced else xi
+    n, exc = check_rows(q, p, m, reduced, xi=xi)
     y = np.concatenate((q[:n], p[:n], m[:n].reshape(n, N * N)), axis=1)
-    if n < ts.size:
-        try:
-            row_checks(n)
-        except (ContractError, ValidationError) as exc:
-            error = BreakdownError(
-                f"factorization breakdown at t = {ts[n]:.9g}: the state fails "
-                f"its check: {exc}", time=float(ts[n]), gap=diags["min_gap"])
+    if exc is not None:
+        error = BreakdownError(
+            f"factorization breakdown at t = {ts[n]:.9g}: the state fails "
+            f"its check: {exc}", time=float(ts[n]), gap=diags["min_gap"])
         ts, k, ell = ts[:n], k[:n], ell[:n]
         path_factors = tuple(fac[:n] for fac in path_factors)
     diags["momentum_residual"] = float(np.abs(xi[:n, ~off]).max(initial=0.0))

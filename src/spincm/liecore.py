@@ -151,39 +151,53 @@ def validate_root_subset(ctx, subset):
 
 
 def gauge_group_element(ctx, xi):
-    """The diagonal gauge g(xi) = exp(sum_ij C_ji log(xi_{a_j}) h_{a_i}), principal log.
+    """The diagonal gauge g(xi) = exp(sum_ij C_ji log(xi_{a_j}) h_{a_i}), principal log,
+    of each xi of a stack (..., N, N).
 
     Requires xi in U: xi_{a_i} != 0 for every simple root.
     """
     xi = np.asarray(xi, dtype=complex)
-    N = ctx.N
-    scale = max(1.0, float(np.abs(xi).max(initial=0.0)))
-    logs = np.zeros(N - 1, dtype=complex)
-    for k in range(N - 1):
-        v = xi[k, k + 1]
-        if abs(v) <= 1e-12 * scale:
-            raise DomainError(f"outside U: xi_(alpha_{k + 1}) = 0")
-        logs[k] = cmath.log(v)
-    return np.diag(np.exp(coroot_diagonal(ctx, logs)))
+    simple = xi.diagonal(1, -2, -1)
+    scale = np.fmax(1.0, np.abs(xi).max(axis=(-2, -1), initial=0.0))
+    # |.| as the scalar one: numpy's array |.| of a complex differs from it
+    outside = np.hypot(simple.real, simple.imag) <= 1e-12 * scale[..., None]
+    if outside.any():
+        k = np.argwhere(outside)[0][-1]
+        raise DomainError(f"outside U: xi_(alpha_{k + 1}) = 0")
+    logs = np.array([cmath.log(v) for v in simple.ravel()], dtype=complex)
+    d = np.exp(coroot_diagonal(ctx, logs.reshape(simple.shape)))
+    return d[..., None, :] * np.eye(ctx.N)
 
 
 def coroot_diagonal(ctx, x):
-    """Diagonal of sum_ij C_ji x_j h_{a_i} for x indexed by the simple roots."""
-    coeff = ctx.inv_cartan.T @ x
-    diag = np.zeros(ctx.N, dtype=complex)
-    diag[:-1] += coeff
-    diag[1:] -= coeff
+    """Diagonal of sum_ij C_ji x_j h_{a_i} for x (..., N-1) indexed by the
+    simple roots, over leading axes."""
+    coeff = (ctx.inv_cartan.T @ x[..., None])[..., 0]
+    diag = np.zeros(x.shape[:-1] + (ctx.N,), dtype=complex)
+    diag[..., :-1] += coeff
+    diag[..., 1:] -= coeff
     return diag
 
 
+def snap_simple_roots(s):
+    """The simple-root entries of a stack s (..., N, N) that are not 1 within
+    1e-8, as a mask (..., N-1); the others are set to exactly 1 in place."""
+    N = s.shape[-1]
+    simple = s.diagonal(1, -2, -1)
+    bad = np.hypot(simple.real - 1.0, simple.imag) > 1e-8
+    s[..., range(N - 1), range(1, N)] = np.where(bad, simple, 1.0)
+    return bad
+
+
 def reduce_gauge(ctx, xi):
-    """s = g(xi)^-1 xi g(xi); simple-root entries of s are snapped to exactly 1."""
-    g = gauge_group_element(ctx, xi)
-    gd = np.diag(g)
-    s = xi * np.outer(1.0 / gd, gd)
-    for k in range(ctx.N - 1):
-        if abs(s[k, k + 1] - 1.0) > 1e-8:
-            raise RuntimeError(
-                f"gauge reduction failed: s_(alpha_{k + 1}) = {s[k, k + 1]}")
-        s[k, k + 1] = 1.0
+    """s = g(xi)^-1 xi g(xi) of each xi of a stack (..., N, N); simple-root
+    entries of s are snapped to exactly 1."""
+    gd = gauge_group_element(ctx, xi).diagonal(0, -2, -1)
+    # np.multiply, as `*` on a large temporary swaps the operands (elision)
+    s = np.multiply(xi, (1.0 / gd)[..., :, None] * gd[..., None, :])
+    bad = snap_simple_roots(s)
+    if bad.any():
+        *row, k = np.argwhere(bad)[0]
+        raise RuntimeError(f"gauge reduction failed: s_(alpha_{k + 1}) = "
+                           f"{s[(*row, k, k + 1)]}")
     return s

@@ -41,7 +41,7 @@ from . import special
 from .errors import (ContractError, DomainError, PoleError, ValidationError,
                      _integral, require_keys)
 from .liecore import (LieContext, RootSubset, block_mask, coroot_diagonal,
-                      reduce_gauge, validate_root_subset)
+                      reduce_gauge, snap_simple_roots, validate_root_subset)
 from .special import EllipticLattice
 
 REGULARITY_MARGIN = 1e-6
@@ -54,39 +54,72 @@ FAMILIES = ("rational", "trigonometric", "elliptic")
 # phase points
 # ---------------------------------------------------------------------------
 
-def _vec(x, N, name):
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.size != N:
-        raise ValidationError(f"{name} must have {N} entries, got {v.size}")
-    if abs(v.sum()) > 1e-10 * max(1.0, np.abs(v).max(initial=0.0)) * N:
-        raise ValidationError(f"{name} must be traceless (sum={v.sum():.3e})")
-    return v
+def check_rows(q, p, m, reduced=False, xi=None):
+    """The checks of a phase point over a stack of rows, q and p (T, N) and m
+    (T, N, N): (n, error), the first row that fails a test and that test's
+    error there, else (T, None).  In order: with the lift `xi` (T, N, N),
+    J^-1(0), |diag xi| <= MOMENTUM_TOL max(1, max |xi|) (a ContractError;
+    the only test when q is None); q and p of length N and traceless, |sum|
+    <= 1e-10 max(1, max |.|) N; m N x N and a traceless xi or, when
+    `reduced`, an s with |diag s| <= 1e-10 and s_{a_i} = 1 within 1e-8, then
+    set to exactly 0 and 1 in m (ValidationErrors).  A row's verdict is the
+    same alone as in a stack."""
+    n, error = len(xi if q is None else q), None
+
+    def test(bad, err):  # err(r): the test's error at row r
+        nonlocal n, error
+        if bad[:n].any():  # a row before those flagged so far
+            n = int(bad.argmax())
+            error = err(n)
+
+    def untraced(total, a):  # |.| as the scalar one, np.hypot: numpy's
+        # array |.| of a complex differs from it in the last bit
+        scale = np.fmax(1.0, np.abs(a).reshape(len(a), -1).max(axis=-1, initial=0.0))
+        return np.hypot(total.real, total.imag) > 1e-10 * scale * N
+
+    if xi is not None:
+        scale = np.fmax(1.0, np.abs(xi).max(axis=(-2, -1), initial=0.0))
+        test(np.abs(xi.diagonal(0, -2, -1)).max(axis=-1, initial=0.0)
+             > MOMENTUM_TOL * scale,
+             lambda r: ContractError("requires J^-1(0): Pi_h(xi) must vanish"))
+    if q is None:
+        return n, error
+    N, every = q.shape[-1], np.ones(len(q), dtype=bool)
+    for name, v in (("q", q), ("p", p)):
+        if v.shape[-1] != N:
+            test(every, lambda r: ValidationError(
+                f"{name} must have {N} entries, got {v.shape[-1]}"))
+        total = v.sum(axis=-1)
+        test(untraced(total, v), lambda r: ValidationError(
+            f"{name} must be traceless (sum={total[r]:.3e})"))
+    if m.shape[1:] != (N, N):
+        test(every, lambda r: ValidationError(
+            f"{'s' if reduced else 'xi'} must be {N}x{N}, got {m.shape[1:]}"))
+    elif not reduced:
+        test(untraced(np.trace(m, axis1=1, axis2=2), m),
+             lambda r: ValidationError("xi must be traceless"))
+    else:
+        test(np.abs(m.diagonal(0, 1, 2)).max(axis=-1, initial=0.0) > 1e-10,
+             lambda r: ValidationError("s must have zero diagonal"))
+        m[:, range(N), range(N)] = 0.0
+        bad = snap_simple_roots(m)
+        k = bad.argmax(axis=-1)  # each row's first failing simple root
+        test(bad.any(axis=-1), lambda r: ValidationError(
+            f"s_(alpha_{k[r] + 1}) = {m[r, k[r], k[r] + 1]} != 1 on a "
+            f"reduced point"))
+    return n, error
 
 
 def check_state(q, p, m, reduced=False):
-    """(q, p, m) as complex arrays after the checks of a phase point: q and p
-    traceless vectors of one length N and m an N x N matrix, either a traceless
-    xi or, when `reduced`, an s with zero diagonal and s_{a_i} = 1 within 1e-8,
-    returned with those entries snapped to exactly 1 and 0."""
-    N = np.size(q)
-    q, p = _vec(q, N, "q"), _vec(p, N, "p")
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (N, N):
-        raise ValidationError(f"{'s' if reduced else 'xi'} must be {N}x{N}, got {m.shape}")
-    if not reduced:
-        if abs(np.trace(m)) > 1e-10 * max(1.0, np.abs(m).max(initial=0.0)) * N:
-            raise ValidationError("xi must be traceless")
-        return q, p, m
-    m = m.copy()
-    if np.abs(np.diag(m)).max(initial=0.0) > 1e-10:
-        raise ValidationError("s must have zero diagonal")
-    for k in range(N - 1):
-        if abs(m[k, k + 1] - 1.0) > 1e-8:
-            raise ValidationError(
-                f"s_(alpha_{k + 1}) = {m[k, k + 1]} != 1 on a reduced point")
-        m[k, k + 1] = 1.0
-    np.fill_diagonal(m, 0.0)
-    return q, p, m
+    """(q, p, m) of one phase point as complex arrays after ``check_rows`` on
+    a stack of one, raising its error; a reduced m is a snapped copy."""
+    q = np.asarray(q, dtype=complex).reshape(1, -1)
+    p = np.asarray(p, dtype=complex).reshape(1, -1)
+    m = (np.array if reduced else np.asarray)(m, dtype=complex)
+    _, error = check_rows(q, p, m[None], reduced)
+    if error is not None:
+        raise error
+    return q[0], p[0], m
 
 
 class _Point:
@@ -577,36 +610,10 @@ def lax_limit(spec, pt, which):
 
 
 def _check_momentum_zero(xi):
-    """The J^-1(0) check of inputs and of exact-solver rows: |diag xi| at
-    most MOMENTUM_TOL max(1, max |xi|)."""
-    scale = max(1.0, float(np.abs(xi).max(initial=0.0)))
-    if np.abs(np.diag(xi)).max(initial=0.0) > MOMENTUM_TOL * scale:
-        raise ContractError("requires J^-1(0): Pi_h(xi) must vanish")
-
-
-def _first_failed_row(q, p, xi, reduced=False):
-    """The first row of a stacked state, q and p (T, N) and xi (T, N, N),
-    that fails ``_check_momentum_zero`` or ``check_state``'s traceless q, p
-    and (unless `reduced`) xi, else T.  Each test is the one-row test with
-    the same arithmetic, so a row's flag is that row's own verdict: the
-    one-row |sum| and |trace| are scalar absolute values, which are
-    ``np.hypot`` (numpy's array |.| of a complex differs from it in the last
-    bit)."""
-    N = q.shape[-1]
-
-    def bound(a, axes):  # 1e-10 max(1, max |a|) N, as _vec and check_state
-        return 1e-10 * np.fmax(1.0, np.abs(a).max(axis=axes, initial=0.0)) * N
-
-    def over(z, b):
-        return np.hypot(z.real, z.imag) > b
-
-    diag = xi.diagonal(axis1=-2, axis2=-1)
-    bad = (np.abs(diag).max(axis=-1, initial=0.0)
-           > MOMENTUM_TOL * np.fmax(1.0, np.abs(xi).max(axis=(-2, -1), initial=0.0)))
-    bad |= over(q.sum(axis=-1), bound(q, -1)) | over(p.sum(axis=-1), bound(p, -1))
-    if not reduced:
-        bad |= over(diag.sum(axis=-1), bound(xi, (-2, -1)))
-    return int(bad.argmax()) if bad.any() else len(bad)
+    """The J^-1(0) test of ``check_rows`` on one xi, raising its error."""
+    _, error = check_rows(None, None, None, xi=np.asarray(xi)[None])
+    if error is not None:
+        raise error
 
 
 def contour_radius(spec):

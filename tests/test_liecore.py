@@ -1,5 +1,6 @@
 """Root data, subsets, and the gauge reduction map."""
 
+import cmath
 import itertools
 
 import numpy as np
@@ -137,6 +138,45 @@ def test_reduction_normalizes_simple_roots(N):
         s = reduce_gauge(ctx, xi)
         for k in range(N - 1):
             assert abs(s[k, k + 1] - 1.0) < 1e-12
+
+
+def _reduce_row(ctx, xi):
+    """The gauge reduction of one matrix, entry by entry: cmath.log of each
+    simple-root entry, the matrix-vector product inv_cartan.T @ logs, and
+    s_(alpha_k) := 1."""
+    N = ctx.N
+    logs = np.array([cmath.log(xi[k, k + 1]) for k in range(N - 1)])
+    coeff = ctx.inv_cartan.T @ logs
+    diag = np.zeros(N, dtype=complex)
+    diag[:-1] += coeff
+    diag[1:] -= coeff
+    gd = np.exp(diag)
+    s = xi * np.outer(1.0 / gd, gd)
+    s[range(N - 1), range(1, N)] = 1.0
+    return s
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_stacked_reduce_gauge_is_the_row_loop(N):
+    """reduce_gauge and gauge_group_element over a stack equal them row by
+    row, and the row-by-row arithmetic, bit for bit; 500 rows of N = 6 are
+    above numpy's temporary-elision size.  A stack with one row outside U
+    raises that row's DomainError."""
+    ctx = build_sl_context(N)
+    rng = np.random.default_rng(40 + N)
+    for scale in (0.3, 1.0, 5.0):
+        xi = scale * (rng.standard_normal((500, N, N))
+                      + 1j * rng.standard_normal((500, N, N)))
+        xi[:, range(N), range(N)] = 0.0
+        s = reduce_gauge(ctx, xi)
+        assert np.array_equal(s, [reduce_gauge(ctx, x) for x in xi])
+        assert np.array_equal(s, [_reduce_row(ctx, x) for x in xi])
+        assert np.array_equal(gauge_group_element(ctx, xi[:7]),
+                              [gauge_group_element(ctx, x) for x in xi[:7]])
+    k = rng.integers(N - 1)
+    xi[3, k, k + 1] = 0.0
+    with pytest.raises(DomainError, match=fr"^outside U: xi_\(alpha_{k + 1}\) = 0$"):
+        reduce_gauge(ctx, xi[:8])
 
 
 def test_h_equivariance_branch_safe():

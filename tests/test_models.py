@@ -849,21 +849,23 @@ def test_random_point_spread():
 
 
 @pytest.mark.parametrize("reduced", [False, True])
-def test_first_failed_row_is_the_row_loop(monkeypatch, reduced):
-    """models._first_failed_row flags the same first row as the one-row
-    checks run in order (_check_momentum_zero, then check_state's traceless
-    q, p and xi; xi's trace is not a test of a reduced row), bit for bit:
-    stacks of 8 rows on J^-1(0), one row moved to within 3 ulps of a
-    check's bound, in a random complex direction (a sum v - v + s is exactly
-    s), so that a |.| computed otherwise than the one-row check's would flip
-    some verdicts.  For xi's
-    trace, MOMENTUM_TOL is raised to 1, read at call time, so that the
-    J^-1(0) test passes first."""
+def test_row_verdict_is_the_row_alone(monkeypatch, reduced):
+    """models.check_rows over a stack of 8 rows gives each row the verdict
+    of the one-point checks on that row alone (_check_momentum_zero, then
+    check_state): the first failing row and its error.  The rows are on
+    J^-1(0), one of them moved to within 3 ulps of a test's bound in a
+    random complex direction (a sum v - v + s is exactly s), so that a |.|
+    computed otherwise than the one-point check's would flip some verdicts.
+    For xi's trace, MOMENTUM_TOL is raised to 1, read at call time, so that
+    the J^-1(0) test passes first.  A reduced row is s = xi with its
+    simple-root entries 1, on the lift xi: with max |xi| > 1, a diag xi
+    that passes J^-1(0) fails "s must have zero diagonal" and nothing
+    earlier."""
     from spincm import models
     N, T = 3, 8
     eps = np.finfo(float).eps
     rng = np.random.default_rng(3)
-    cases = 0
+    cases = zero_diagonal = 0
     for _ in range(400):
         q = rng.standard_normal((T, N)) + 1j * rng.standard_normal((T, N))
         q -= q.mean(axis=1, keepdims=True)
@@ -886,16 +888,24 @@ def test_first_failed_row_is_the_row_loop(monkeypatch, reduced):
                 a[range(N), range(N)] = row
             else:
                 a[:] = row
-        want = T
+        m = xi.copy()
+        if reduced:
+            m[:, range(N - 1), range(1, N)] = 1.0
+        want, alone = T, None
         for r in range(T):
             try:
                 models._check_momentum_zero(xi[r])
-                models._vec(q[r], N, "q"), models._vec(p[r], N, "p")
-                if not reduced:
-                    models.check_state(q[r], p[r], xi[r])
-            except (ContractError, ValidationError):
-                want = r
+                models.check_state(q[r], p[r], m[r], reduced)
+            except (ContractError, ValidationError) as exc:
+                want, alone = r, exc
                 break
-        assert models._first_failed_row(q, p, xi, reduced) == want
+        n, error = models.check_rows(q, p, m, reduced, xi=xi)
+        assert n == want
+        assert (type(error), str(error)) == (type(alone), str(alone))
         cases += want < T
+        if reduced and which == 0 and isinstance(alone, ValidationError):
+            assert np.abs(xi[i]).max() > 1.0
+            assert str(alone) == "s must have zero diagonal"
+            zero_diagonal += 1
     assert 50 <= cases <= 350
+    assert zero_diagonal >= 10 if reduced else zero_diagonal == 0

@@ -486,6 +486,34 @@ def test_reduced_sl3():
     assert sup_gap(trr, tro, "xi") <= 1e-5
 
 
+@pytest.mark.parametrize("t_end", [4.0, 6.0])
+def test_reduced_row_check_breakdown(t_end):
+    """trig-sl2's point and its reduction, run past the output time whose
+    state fails a check: the reduced solve breaks down no later than the
+    full one, on a named check, and its rows before that time are the
+    reduction of the full rows, bit for bit."""
+    data = load_preset("trig-sl2")
+    spec, pt = data["model"], data["init"]
+    times = np.linspace(0.0, t_end, 101)
+    errs = []
+    for start in (pt, reduce_point(spec.ctx, pt)):
+        with pytest.raises(BreakdownError) as exc:
+            solve_trig(spec, start, times, tol=1e-10)
+        errs.append(exc.value)
+    full, red = errs
+    assert red.time <= full.time
+    assert "the state fails its check: " in str(red)
+    assert any(check in str(red) for check in (
+        "requires J^-1(0)", "must be traceless", "zero diagonal", "!= 1"))
+    rows = red.partial
+    assert rows.reduced and 0 < len(rows.times) <= len(full.partial.times)
+    for i in range(len(rows.times)):
+        want = reduce_point(spec.ctx, full.partial.point(i))
+        assert np.array_equal(rows.q[i], want.q)
+        assert np.array_equal(rows.p[i], want.p)
+        assert np.array_equal(rows.xi[i], want.s)
+
+
 def test_trig_breakdown_detected(spec2):
     pt = PhasePoint(q=[np.pi / 8, -np.pi / 8], p=[-1, 1],
                     xi=0.2 * (E12 + E21))
