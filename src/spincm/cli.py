@@ -169,6 +169,7 @@ def cmd_simulate(args):
     lines = trajectory_csv_lines(traj, _meta(config))
     lines.append(f"# energy_drift: {drift(energy)!r}")
     lines.append(f"# momentum_drift: {drift(mom)!r}")
+    lines += [f"# {key}: {traj.stats[key]}" for key in ("nfev", "nsteps", "nrejected")]
     if traj.blowup:
         lines.append(f"# blowup_at: {float(traj.last_good_time)!r}")
     _write_lines(args.out, lines)
@@ -200,6 +201,8 @@ def cmd_exact(args):
         code = EXIT_BREAKDOWN
         sys.stderr.write(f"{exc}\n")
     lines = trajectory_csv_lines(traj, _meta(config))
+    lines += [f"# {key}: {int(traj.stats[key])}" for key in ("nfev", "nrejected")]
+    lines += [f"# {key}: {traj.stats[key]!r}" for key in ("min_gap", "eig_residual")]
     if traj.breakdown_time is not None:
         lines.append(f"# breakdown_at: {float(traj.breakdown_time)!r}")
     _write_lines(args.out, lines)

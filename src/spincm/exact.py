@@ -5,15 +5,17 @@ Both solvers diagonalize a block-diagonal family matrix path
 M(t) = k(t) diag(d(t)) k(t)^-1 and conjugate by k(t).  ``transport``
 integrates Kato's adiabatic transport equation (Kato 1950) for the
 eigenvector matrix k and l = d (or l = log d for a group-valued path) on the
-oracle's Dormand-Prince core ``rk.dp5``.  With the velocity B = k^-1 M' k:
+oracle's DOP853 core ``rk.dop853``.  With the velocity B = k^-1 M' k:
 
     k' = k W,   W_ij = B_ij / (d_j - d_i) for i != j in one block, W_ii = 0,
     l' = diag(B)   (l = d),     or     l' = diag(B) / d   (l = log d).
 
 From k(0) = I, Pi_h(k^-1 k') = 0 and det k = 1 hold by construction, and
 log d needs no branch tracking.  The transport's f writes k W and l' into one
-complex buffer that it reuses (``rk.dp5`` copies each stage value), and
-``rk.dp5`` writes each output row into the transport's complex row array.
+complex buffer that it reuses (``rk.dop853`` copies each stage value), and
+``rk.dop853`` writes each output row into the transport's complex row array:
+the state at the end of a step, or the defect-checked continuous extension
+at an output time inside one, so the steps run freely over the grid.
 The within-block index pairs (``block_pairs``) are fixed before the run: f
 gathers B and scatters W over their flat indices, and the guard, the gaps
 and the discriminants read the eigenvalues at them.
@@ -28,7 +30,7 @@ complex secant iteration on M at complex t, until one collides.  The start
 of that interval, else the output time before the path's breakdown, is the
 transport's last output time, fixed before the transport starts, so it never
 steps into the collision.  A run that ends early anyway (a step whose eigen
-gap falls below GAP_COLLIDE, an output interval past ``rk.dp5``'s stall
+gap falls below GAP_COLLIDE, an output interval past ``rk.dop853``'s stall
 budget ``rk.STALL_STEPS``, or a collapsed step) always ends in a
 BreakdownError, never in a silent state.
 
@@ -77,7 +79,7 @@ from .liecore import reduce_gauge
 from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                      _check_momentum_zero, _lax_matrix, check_regular,
                      check_rows)
-from .rk import Trajectory, check_tol, dp5
+from .rk import Trajectory, check_tol, dop853
 
 GAP_COLLIDE = 1e-6
 
@@ -225,8 +227,8 @@ def transport(path, velocity, blocks, times, tol, log0):
     The collision pre-scan stays next to the gap guard: both end the run at
     the same output time, but the guard only once the gap is under
     GAP_COLLIDE, after the costliest steps.  Without the scan
-    ``collision-sl2`` and ``trig-sl2-breakdown`` write the same CSVs from
-    613 -> 3,433 and 439 -> 3,163 f-evaluations.
+    ``collision-sl2`` and ``trig-sl2-breakdown`` write the same rows and
+    breakdown_at from 784 -> 3,720 and 651 -> 3,449 f-evaluations.
     """
     Ms, factors = path(times)
     defined, N = Ms.shape[0], Ms.shape[-1]  # M at times[:defined]
@@ -292,7 +294,7 @@ def transport(path, velocity, blocks, times, tol, log0):
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(Ms[0]) if log0 is None else log0])
     with np.errstate(invalid="ignore"):  # left_divide's flag on a singular k
-        t, stats, done = dp5(f, y0, times[:end + 1], tol, rows, guard)
+        t, stats, done = dop853(f, y0, times[:end + 1], tol, rows, guard)
 
     # the polish: one first-order eigen-correction of each (k, l) against M
     # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives
@@ -359,7 +361,8 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     q = position(ell)
     N = spec.ctx.N
     off = ~np.eye(N, dtype=bool)
-    P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
+    with np.errstate(invalid="ignore"):  # a non-finite row fails check_rows
+        P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
     p = P[:, range(N), range(N)]
 
     # the rows up to the first output time whose state fails a check

@@ -59,11 +59,11 @@ def check_rows(q, p, m, reduced=False, xi=None):
     (T, N, N): (n, error), the first row that fails a test and that test's
     error there, else (T, None).  In order: with the lift `xi` (T, N, N),
     J^-1(0), |diag xi| <= MOMENTUM_TOL max(1, max |xi|) (a ContractError;
-    the only test when q is None); q and p of length N and traceless, |sum|
-    <= 1e-10 max(1, max |.|) N; m N x N and a traceless xi or, when
-    `reduced`, an s with |diag s| <= 1e-10 and s_{a_i} = 1 within 1e-8, then
-    set to exactly 0 and 1 in m (ValidationErrors).  A row's verdict is the
-    same alone as in a stack."""
+    the only test when q is None); q and p of length N, finite and
+    traceless, |sum| <= 1e-10 max(1, max |.|) N; m N x N, finite, and a
+    traceless xi or, when `reduced`, an s with |diag s| <= 1e-10 and
+    s_{a_i} = 1 within 1e-8, then set to exactly 0 and 1 in m
+    (ValidationErrors).  A row's verdict is the same alone as in a stack."""
     n, error = len(xi if q is None else q), None
 
     def test(bad, err):  # err(r): the test's error at row r
@@ -85,17 +85,26 @@ def check_rows(q, p, m, reduced=False, xi=None):
     if q is None:
         return n, error
     N, every = q.shape[-1], np.ones(len(q), dtype=bool)
+
+    def finite(name, v):
+        test(~np.isfinite(v.reshape(len(v), -1)).all(axis=-1),
+             lambda r: ValidationError(f"{name} must be finite"))
+
     for name, v in (("q", q), ("p", p)):
         if v.shape[-1] != N:
             test(every, lambda r: ValidationError(
                 f"{name} must have {N} entries, got {v.shape[-1]}"))
+        finite(name, v)
         total = v.sum(axis=-1)
         test(untraced(total, v), lambda r: ValidationError(
             f"{name} must be traceless (sum={total[r]:.3e})"))
+    label = "s" if reduced else "xi"
     if m.shape[1:] != (N, N):
         test(every, lambda r: ValidationError(
-            f"{'s' if reduced else 'xi'} must be {N}x{N}, got {m.shape[1:]}"))
-    elif not reduced:
+            f"{label} must be {N}x{N}, got {m.shape[1:]}"))
+        return n, error
+    finite(label, m)
+    if not reduced:
         test(untraced(np.trace(m, axis1=1, axis2=2), m),
              lambda r: ValidationError("xi must be traceless"))
     else:
@@ -424,8 +433,9 @@ def hamiltonian(spec, pt):
 def packed_field(spec, reduced=False):
     """The vector field as field(t, z) -> z_dot on the packed complex state
     z = q | p | row-major m, with m = xi, or m = s when `reduced`; built once
-    per integration and passed to ``rk.dp5`` as it is (the field is
-    autonomous: t is unused).
+    per integration and passed to ``rk.dop853`` as it is (the field is
+    autonomous: t is unused).  The integrator calls it at every stage and at
+    every sample inside a step, for the sample's defect.
 
     Full, with the kernel matrices K, Kp of ``_kernels``: q_dot = p; p_dot =
     the row sums of W = Kp * m * m^T, which is 1/2 (row sums - column sums)

@@ -1,22 +1,27 @@
-"""Independent numerical oracle: adaptive Dormand-Prince 5(4) integration of the
-full or reduced equations of motion over complex phase space, with output at
-equally spaced sample times, singularity-margin abort, and invariant auditing.
+"""Independent numerical oracle: adaptive DOP853 integration (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5-6) of the full or reduced equations
+of motion over complex phase space, with output at equally spaced sample
+times, singularity-margin abort, and invariant auditing.
 
-The step / accept / sample loop is one core, ``dp5``, over a packed complex
-state and a callable f(t, y) on it; the exact solvers run their transport
-ODE on it too.  The stages and the embedded error control run on the
-buffers' stacked real/imaginary coordinates, so the standard error norm
-applies unchanged.  The state and the seven stage slopes share one real
-(8, n) array [y | K_0 .. K_6], and each step scales the tableau [A; ERR] by
-its step size once, so a stage input and the error estimate are one
-matrix-vector product each.  A step allocates no state array: the stage
-inputs, the error estimate and its scale live in buffers built before the
-step loop, and f may return one buffer that it reuses.  Each sample is
-written into a row of the caller's array; a run ends early only on a failed
-step (the guard, the stall budget STALL_STEPS per output interval, or a
-collapsed step), with fewer samples.  The oracle's f is
-``models.packed_field``, built once per integration; its regularity check,
-at y0 and at every stage, is the singularity-margin abort.
+The step / accept / sample loop is one core, ``dop853``, over a packed
+complex state and a callable f(t, y) on it; the exact solvers run their
+transport ODE on it too.  The stages and the embedded 8(5,3) error control
+run on the buffers' stacked real/imaginary coordinates, so the standard
+error norm applies unchanged.  The state, the sixteen stage slopes and f at
+a sample share one real (18, n) array [y | K_0 .. K_15 | f], and each step
+scales the tableau by its step size once, so a stage input, the new state
+and the two error estimates are one matrix product each.  Steps run freely
+over the sample times (the one clamp is onto the last): a sample inside a
+step comes from the 7th-order continuous extension, and its defect
+u' - f(u) is checked, and steers the step size, like the error estimate.
+A step allocates no state array: the stage inputs, the error estimates,
+the samples and their scale live in buffers built before the step loop,
+and f may return one buffer that it reuses.  Each sample is written into a
+row of the caller's array; a run ends early only on a failed step (the
+guard, the stall budget STALL_STEPS per output interval, or a collapsed
+step), with fewer samples.  The oracle's f is ``models.packed_field``,
+built once per integration; its regularity check, at y0, at every stage
+and at every sample, is the singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -42,27 +47,124 @@ from .errors import DomainError, ValidationError
 from .models import (PhasePoint, ReducedPoint, contour_radius, hamiltonian,
                      lax_batch, packed_field)
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince 1980); row i of _A holds the
-# stage weights of stage i, and the 5th-order weights are its last row
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40])
-# [A; ERR]: times the step size h, rows 0..6 give the stage inputs' slope
-# coefficients and row 7 the error estimate's
-_AE = np.vstack([_A, _ERR])
+# DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.5-6;
+# Hairer's Fortran DOP853), as in scipy/integrate/_ivp/dop853_coefficients.py.
+# Stages 0..11 make the step, stage 12 is f at the 8th-order solution (its
+# weights are _A[12], c = 1) and stages 13..15 serve the dense output; row i
+# of _A holds the nonzero weights {j: a_ij} of stage i
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+_A = np.zeros((16, 16))
+for _i, _row in enumerate([
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+]):
+    _A[_i, list(_row)] = list(_row.values())
+_B = _A[12]
+# the embedded error estimators of orders 5 and 3, over the stages 0..11
+_E5 = np.zeros(16)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+# the 7th-order continuous extension: with x = (s - t) / h in [0, 1],
+# u(s) = y + h sum_i w_i(x) _G[i] . K over the stages K_0..K_15, where
+# w_i = x, x(1-x), x^2(1-x), x^2(1-x)^2, ..., x^4(1-x)^3 (``_weights``) and
+# the rows of _G are B, e_0 - B, 2B - e_0 - e_12 and the four rows of D
+_D = np.zeros((4, 16))
+for _i, _row in enumerate([
+    [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
+]):
+    _D[_i, [0] + list(range(5, 16))] = _row
+_G = np.vstack([_B, np.eye(16)[0] - _B, 2 * _B - np.eye(16)[0] - np.eye(16)[12], _D])
+# the step's coefficient rows over [y | K_0 .. K_15], times h in columns 1..:
+# rows 0..10 the inputs of stages 1..11, row 11 the 8th-order solution y1
+# (the input of stage 12), rows 12..14 the inputs of stages 13..15, and rows
+# 15, 16 the two error estimates (no y term)
+_STEP = np.zeros((17, 17))
+_STEP[:15, 0] = 1.0
+_STEP[:15, 1:] = _A[1:]
+_STEP[15:, 1:] = [_E5, _E3]
+del _i, _row
 # accepted steps within one output interval beyond which a run has stalled:
-# the oracle takes at most 547 on the presets (trig-sl2 to t = 15), the exact
-# transport at most 141 on the presets, the agreement sweep and the
-# benchmark's exact jobs, and 772 on a one-interval [0, 3] trig-sl3 grid at
+# the oracle takes at most 154 on the presets (trig-sl2 to t = 15) and 274 in
+# the agreement tests (a collision approach at tol 1e-13), the exact
+# transport at most 74 on the presets, the agreement tests and the
+# benchmark's exact jobs, and 169 on a one-interval [0, 3] trig-sl3 grid at
 # tol 1e-13
 STALL_STEPS = 5000
 
@@ -109,39 +211,74 @@ def check_tol(tol):
         raise ValidationError(f"tol={tol} outside [1e-13, 1e-3]")
 
 
-def dp5(f, y0, sample_times, tol, out, guard=None):
-    """Adaptive Dormand-Prince 5(4) of y' = f(t, y) from the complex state
-    y0 at sample_times[0] to sample_times[-1].
+def _factor(norm):
+    """The step size's factor after a step whose error or defect norm is
+    `norm`: 0.9 norm^(-1/8) within [0.2, 5] (0.2 for a NaN norm)."""
+    return 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.125))
 
-    Steps are clamped to land on every sample time; sample i goes into row
-    i of the complex array `out` (row 0 is y0).  An accepted step must give
-    a finite state (an infinite or NaN entry fails the step) that passes
-    ``guard(y)``, if a guard is given, and be at most the STALL_STEPS-th
-    accepted step since the last sample; a stage raising DomainError
-    shrinks the step.  The one way a run ends early is a
-    failed step: one that fails the guard, one past the stall budget, or a
-    step size that collapses.
+
+def _weights(x, out):
+    """The dense output's weights w_0..w_6 at x and their x-derivatives, into
+    the rows of `out` (2, 7)."""
+    w, dw, fx = x, 1.0, (1.0 - x, x)
+    ws, dws = [w], [dw]
+    for i in range(1, 7):
+        g = fx[(i + 1) % 2]
+        w, dw = w * g, dw * g + (w if i % 2 == 0 else -w)
+        ws.append(w)
+        dws.append(dw)
+    out[0], out[1] = ws, dws
+
+
+def dop853(f, y0, sample_times, tol, out, guard=None):
+    """Adaptive DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5-6) of
+    y' = f(t, y) from the complex state y0 at sample_times[0] to
+    sample_times[-1].
+
+    Steps run freely over the sample times; the one clamp is onto the last.
+    Sample i goes into row i of the complex array `out` (row 0 is y0): a
+    sample at the end of an accepted step is its state, one strictly inside
+    comes from the 7th-order continuous extension u (3 more stages per such
+    step) and must be finite and pass a defect check (one more
+    f-evaluation): h (u'(s) - f(s, u(s))), scaled like the error estimate,
+    has an RMS norm of at most 1.  A failing sample, or a DomainError at it
+    or in the extension's stages, retries the step clamped onto that
+    sample, and the step after the retry is at most the failed one times
+    the step-size factor of the failed sample's defect.
+
+    An accepted step must give a finite state (an infinite or NaN entry
+    fails the step) that passes ``guard(y)``, if a guard is given, and be at
+    most the STALL_STEPS-th accepted step since the last sample; a step that
+    fails there and reaches past the next sample time is retried onto it.  A
+    stage raising DomainError shrinks the step.  The one way a run ends
+    early is a failed step: one that fails the guard, the finite state or
+    the stall budget without reaching past a sample, or a step size that
+    collapses.
 
     Times are compared with slacks that scale with the grid: in units of
-    u = min(1, 1e6 x the smallest sample spacing), a step is clamped onto a
-    sample time 1e-14 u short of it, the run ends 1e-14 u short of the last
-    one, a sample is delivered 1e-12 u short of its time, and a step
-    collapses under 1e-15 max(u, |t|) (1e-12 max(u, |t|) after a
-    DomainError).  On a grid whose samples lie 1e-6 or more apart u = 1;
-    on a finer one every slack stays under a millionth of the spacing, so a
-    step delivers only the samples it reached.
+    u = min(1, 1e6 x the smallest sample spacing), a step is clamped onto the
+    last sample time 1e-14 u short of it, the run ends 1e-14 u short of it,
+    a step delivers as its end state every sample 1e-12 u short of its end
+    time or nearer, and a step collapses under 1e-15 max(u, |t|) (1e-12
+    max(u, |t|) after a DomainError).  On a grid whose samples lie 1e-6 or
+    more apart u = 1; on a finer one every slack stays under a millionth of
+    the spacing.
 
     Buffers: f takes and returns complex arrays; every stage value is copied
     into the stage array, so f may return one buffer that it reuses; the y
     given to f and guard is one of the step's own buffers, valid only during
-    the call.  The stages and the error norm run on the buffers' real views:
-    y and the slopes K_0..K_6 are the rows of one real array YK, and each
-    step fills C = [1 | h A; 0 | h ERR] with one multiplication, so stage i
-    is evaluated at C[i, :i+1] @ YK[:i+1] and the error estimate is
-    C[7] @ YK, scaled by tol (1 + max(|y|, |y1|)) with |y| kept from the last
-    accepted step, and its norm is one dot product.  The last stage is
-    evaluated at y + h A[6] K, which is the 5th-order solution (its weights
-    are A[6] and c7 = 1): it becomes the new state when the step is accepted.
+    the call.  The stages, the error norm and the samples run on the
+    buffers' real views: y, the slopes K_0..K_15 and f at a sample are the
+    rows of one real array YK, and each step fills its coefficients
+    C = [1 | h A; 0 | h E5; 0 | h E3] with one multiplication, so a stage
+    input, the 8th-order solution y1 and the two error estimates are one
+    matrix product each.  The error norm is DOP853's 8(5,3) one,
+    |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) with the estimates scaled by
+    tol (1 + max(|y|, |y1|)) (|y| kept from the last accepted step).  The
+    step size follows the larger of the error norm and the step's largest
+    sample defect by the factor 0.9 norm^(-1/8) within [0.2, 5].  Stage 12,
+    f at y1, is evaluated once the error is accepted and becomes the next
+    step's stage 0.
 
     Returns (t, stats, n): the time reached, {nsteps, nrejected, nfev}, and
     the number of samples delivered; a run that ended early delivered fewer
@@ -152,39 +289,47 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
     u = min(1.0, 1e6 * float(np.diff(sample_times).min(initial=np.inf)))
     y0 = np.asarray(y0, dtype=complex)
     n = 2 * y0.size
-    # [y | K_0 .. K_6] and the step's coefficients C = [1 | h A; 0 | h ERR]
-    YK = np.empty((8, n))
+    # [y | K_0 .. K_15 | f at a sample] and the step's coefficients
+    YK = np.empty((18, n))
     YKc = YK.view(complex)
     y, yc = YK[0], YKc[0]
     yc[:] = y0
     out[0] = yc
-    C = np.zeros((8, 8))
-    C[:7, 0] = 1.0
+    C = _STEP.copy()
     hAE = C[:, 1:]
+    # a sample's rows over YK: [1 | h w(x) G | 0] gives u(s) and
+    # [0 | h w'(x) G | -h] h (u'(s) - f(s, u(s))); the weights w, w' and h G
+    S = np.zeros((2, 18))
+    S[0, 0] = 1.0
+    W = np.empty((2, 7))
+    hG = np.empty((7, 16))
     nxt, since = 1, 0
-    h = min(1e-3, (t_end - t) / 100)
+    # the step size, and its cap for the step after a retry onto a sample
+    h, hcap = min(1e-3, (t_end - t) / 100), math.inf
     YKc[1] = f(t, yc)
     nfev, nsteps, nrej = 1, 0, 0
-    # stage inputs (ys, and y1 for the last stage), the error, |y|, |y1|, scale
-    ys, y1, err, ay, ay1, sc = (np.empty(n) for _ in range(6))
-    y1c = y1.view(complex)
+    # stage inputs (ys, and y1), |y|, |y1|, the scale, the errors, a sample
+    ys, y1, ay, ay1, sc, us = (np.empty(n) for _ in range(6))
+    err = np.empty((2, n))
+    y1c, usc = y1.view(complex), us.view(complex)
     np.abs(y, out=ay)
-    stages = [(float(_C[i]), C[i, :i + 1], YK[:i + 1], YKc[i + 1], yi, yi.view(complex))
-              for i, yi in zip(range(1, 7), [ys] * 5 + [y1])]
-    err_row = C[7]
+    stages = [(float(_C[i]), C[i - 1, :i + 1], YK[:i + 1], YKc[i + 1], ys.view(complex))
+              for i in (*range(1, 12), 13, 14, 15)]
+    main, extra = stages[:11], stages[11:]
+    y1_row, err_rows = C[11, :13], C[15:, :13]
 
     while t < t_end - 1e-14 * u:
         h_step = min(h, t_end - t)
         clamped = h_step < h
-        if nxt < len(ts) and t + h_step >= ts[nxt] - 1e-14 * u:
-            h_step = ts[nxt] - t
+        if t + h_step >= t_end - 1e-14 * u:
+            h_step = t_end - t
             clamped = True
         if h_step < 1e-15 * max(u, abs(t)):
             break
-        np.multiply(_AE, h_step, out=hAE)
+        np.multiply(_STEP[:, 1:], h_step, out=hAE)
         try:
-            for c, ci, YKi, Ki, yi, yic in stages:
-                np.matmul(ci, YKi, out=yi)
+            for c, ci, YKi, Ki, yic in main:
+                np.matmul(ci, YKi, out=ys)
                 Ki[:] = f(t + c * h_step, yic)
         except DomainError:
             # a trial stage left the domain (singular margin): shrink, then stop
@@ -193,52 +338,103 @@ def dp5(f, y0, sample_times, tol, out, guard=None):
                 break
             h = h_step * 0.25
             continue
-        nfev += 6
-        np.matmul(err_row, YK, out=err)
+        nfev += 11
+        np.matmul(y1_row, YK[:13], out=y1)
+        np.matmul(err_rows, YK[:13], out=err)
         np.abs(y1, out=ay1)
         np.maximum(ay, ay1, out=sc)
         sc *= tol
         sc += tol
         err /= sc
-        enorm = math.sqrt(float(np.dot(err, err)) / n)
-        accepted = enorm <= 1.0
-        if accepted:
-            since += 1
-            # not < inf: an infinite or NaN entry
-            if (not np.maximum.reduce(ay1) < math.inf
-                    or (guard is not None and not guard(y1c)) or since > STALL_STEPS):
+        e5, e3 = float(np.dot(err[0], err[0])), float(np.dot(err[1], err[1]))
+        enorm = e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
+        if not enorm <= 1.0:
+            nrej, h = nrej + 1, h_step * _factor(enorm)
+            continue
+        t1 = t + h_step
+        # the samples strictly inside the step: rows nxt .. inner - 1
+        inner = nxt
+        while inner < len(ts) and ts[inner] < t1 - 1e-12 * u:
+            inner += 1
+        # not < inf: an infinite or NaN entry
+        if (not np.maximum.reduce(ay1) < math.inf
+                or (guard is not None and not guard(y1c)) or since >= STALL_STEPS):
+            if inner == nxt:
                 break
-            t += h_step
-            y[:] = y1
-            ay, ay1 = ay1, ay
-            YK[1] = YK[7]  # FSAL
-            nsteps += 1
-            while nxt < len(ts) and t >= ts[nxt] - 1e-12 * u:
-                out[nxt] = yc
-                nxt, since = nxt + 1, 0
-        else:
+            # retry onto the next sample before ending the run
+            nrej, h = nrej + 1, ts[nxt] - t
+            continue
+        try:
+            YKc[13] = f(t1, y1c)
+        except DomainError:
             nrej += 1
-        fac = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
-        if not accepted:
-            h = h_step * min(1.0, fac)
-        elif clamped:
-            h = max(h, h_step * fac)
-        else:
-            h = h_step * fac
+            if h_step < 1e-12 * max(u, abs(t)):
+                break
+            h = h_step * 0.25
+            continue
+        nfev += 1
+        # the interior samples, each finite and within its defect bound; a
+        # DomainError counts as an infinite defect at the sample it stops
+        failed, dnorm, j = None, 0.0, nxt
+        if inner > nxt:
+            try:
+                for c, ci, YKi, Ki, yic in extra:
+                    np.matmul(ci, YKi, out=ys)
+                    Ki[:] = f(t + c * h_step, yic)
+                nfev += 3
+                np.multiply(_G, h_step, out=hG)
+                S[1, 17] = -h_step
+                for j in range(nxt, inner):
+                    _weights((ts[j] - t) / h_step, W)
+                    np.matmul(W, hG, out=S[:, 1:17])
+                    np.matmul(S[0, :17], YK[:17], out=us)
+                    if not np.maximum.reduce(np.abs(us, out=ys)) < math.inf:
+                        failed, dnorm = j, math.inf
+                        break
+                    out[j] = usc
+                    YKc[17] = f(ts[j], usc)
+                    nfev += 1
+                    np.matmul(S[1], YK, out=ys)
+                    ys /= sc
+                    dn = math.sqrt(float(np.dot(ys, ys)) / n)
+                    if not dn <= 1.0:  # also NaN
+                        failed, dnorm = j, dn
+                        break
+                    dnorm = max(dnorm, dn)
+            except DomainError:
+                failed, dnorm = j, math.inf
+        if failed is not None:
+            # retry onto the failing sample; the step after it is no longer
+            # than the defect allows
+            nrej, h, hcap = nrej + 1, ts[failed] - t, h_step * _factor(dnorm)
+            continue
+        t = t1
+        y[:] = y1
+        ay, ay1 = ay1, ay
+        YK[1] = YK[13]  # FSAL
+        nsteps, since = nsteps + 1, since + 1
+        if inner > nxt:
+            nxt, since = inner, 0
+        while nxt < len(ts) and t >= ts[nxt] - 1e-12 * u:
+            out[nxt] = yc
+            nxt, since = nxt + 1, 0
+        h_new = h_step * _factor(max(enorm, dnorm))
+        h, hcap = min(max(h, h_new) if clamped else h_new, hcap), math.inf
 
     return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, nxt
 
 
 def integrate(spec, pt0, t_end, samples=200, tol=1e-10):
-    """Adaptive RK5(4) trajectory of pt0 at `samples` equally spaced times,
-    with the vector field of ``models.packed_field`` built once.
+    """Adaptive DOP853 trajectory of pt0 at `samples` equally spaced
+    times, with the vector field of ``models.packed_field`` built once.
 
     Aborts cleanly (blowup flag + last good time) when the configuration comes
     within the kernel pass's REGULARITY_MARGIN of the singular set: every
-    stage checks it, the last one at the new state, and a stage that fails
-    shrinks the step until the step size collapses.  An output interval past
-    ``dp5``'s stall budget ends the run the same way.  A pt0 within that
-    margin raises the DomainError of the field's first evaluation.
+    stage checks it, one of them at the new state, and a stage that fails
+    shrinks the step until the step size collapses (a sample that fails
+    retries the step onto it).  An output interval past ``dop853``'s stall
+    budget ends the run the same way.  A pt0 within that margin raises the
+    DomainError of the field's first evaluation.
     """
     check_tol(tol)
     if samples < 2:
@@ -252,7 +448,7 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10):
     sample_times = np.linspace(0.0, float(t_end), int(samples))
     out = np.empty((sample_times.size, 2 * N + N * N), dtype=complex)
     y0 = np.concatenate([pt0.q, pt0.p, getattr(pt0, pt0._matrix).ravel()])
-    t, stats, n = dp5(packed_field(spec, reduced), y0, sample_times, tol, out)
+    t, stats, n = dop853(packed_field(spec, reduced), y0, sample_times, tol, out)
     blowup = n < sample_times.size
     return Trajectory(times=sample_times[:n], y=out[:n], reduced=reduced,
                       provenance="oracle", stats=stats, blowup=blowup,

@@ -178,8 +178,8 @@ def test_breakdown_names_its_cause(tmp_path, capsys, argv, cause):
 @pytest.mark.parametrize("t_end, codes", [("15", (3,)), ("11.5", (0, 3))])
 def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
     """trig-sl2 far past its conditioning limit ends within 30 s wall time
-    (3.5 and 4.6 s on one core of a shared 2-core machine) with no
-    traceback: its transport stalls near t = 9.85 and ends at the budget of
+    (4.9 and 5.6 s on one core of a shared 2-core machine) with no
+    traceback: its transport stalls near t = 8.5 and ends at the budget of
     steps per output interval, and at 15 the parabolic blocks turn singular
     from t = 14.25.  `--t-end 15` exits 3 with one breakdown_at and the rows
     before it; `--t-end 11.5` exits 0 or 3."""
@@ -299,6 +299,79 @@ def test_simulate_drifts_are_audits(tmp_path):
     text, d = read(csv), json.loads(read(js))
     for key in ("energy_drift", "momentum_drift"):
         assert float(footer(text, key)) == d[key], key
+
+
+def test_elliptic_audit_energy_within_bound(tmp_path):
+    """audit --preset elliptic-sl2 at its defaults: most of its 101 samples
+    come from the dense output, each checked by its defect, and the energy
+    drift stays within 1e-8 (4.4e-9; with each defect measured but none
+    failing its sample, 1.2e-8)."""
+    out = tmp_path / "a.json"
+    assert run(tmp_path, "audit", "--preset", "elliptic-sl2", "--out", str(out)) == 0
+    assert json.loads(read(out))["energy_drift"] <= 1e-8
+
+
+@pytest.mark.parametrize("preset", ["rational-sl2", "collision-sl2"])
+def test_step_count_footers(tmp_path, preset):
+    """simulate writes the oracle's nfev, nsteps and nrejected after its
+    drift lines; exact writes its transport's nfev, nrejected, min_gap and
+    eig_residual, also when it ends in a breakdown (collision-sl2).  Each
+    reads back equal to the trajectory's stats."""
+    from spincm.errors import BreakdownError
+    from spincm.presets import load_preset
+    from spincm.rk import integrate
+    from spincm.solver_rational import solve_rational
+    data = load_preset(preset)
+    spec, pt, d = data["model"], data["init"], data["defaults"]
+    sim, ex = tmp_path / "s.csv", tmp_path / "e.csv"
+    run(tmp_path, "simulate", "--preset", preset, "--out", str(sim))
+    run(tmp_path, "exact", "--preset", preset, "--out", str(ex))
+    def trailer(text):  # the keys of the '#' lines after the last row
+        lines = text.splitlines()
+        last = max(i for i, l in enumerate(lines) if not l.startswith("#"))
+        return [l[2:].split(":")[0] for l in lines[last + 1:]]
+
+    broke = preset == "collision-sl2"
+    text = read(sim)
+    assert trailer(text) == ["energy_drift", "momentum_drift", "nfev", "nsteps",
+                             "nrejected"] + ["blowup_at"] * broke
+    stats = integrate(spec, pt, d["t_end"], samples=d["samples"], tol=d["tol"]).stats
+    for key in ("nfev", "nsteps", "nrejected"):
+        assert int(footer(text, key)) == stats[key], key
+    try:
+        traj = solve_rational(spec, pt, np.linspace(0, d["t_end"], d["samples"]),
+                              d["tol"])[0]
+    except BreakdownError as exc:
+        traj = exc.partial
+    text = read(ex)
+    assert trailer(text) == ["nfev", "nrejected", "min_gap",
+                             "eig_residual"] + ["breakdown_at"] * broke
+    for key in ("nfev", "nrejected", "min_gap", "eig_residual"):
+        assert float(footer(text, key)) == traj.stats[key], key
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "exact", "compare", "audit"])
+def test_non_finite_point_exit2(tmp_path, capsys, cmd):
+    """An --init point with a NaN in q or an infinite xi entry is refused
+    with exit 2 and one error line naming the field, before any
+    integration, by every command that integrates."""
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "N": 2, "family": "rational",
+        "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}}))
+    out = tmp_path / "never.out"
+    for field, init in (
+            ("q", {"q": [[float("nan"), 0], [0, 0]], "p": [[2, 0], [-2, 0]],
+                   "xi": [[0, 0], [1, 0], [1, 0], [0, 0]]}),
+            ("xi", {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
+                    "xi": [[0, 0], [float("inf"), 0], [1, 0], [0, 0]]})):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(init))
+        assert run(tmp_path, cmd, "--model", str(model), "--init", str(path),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {field} must be finite"], err
+    assert not out.exists()
 
 
 def test_curve_reports(tmp_path):

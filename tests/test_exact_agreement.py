@@ -107,9 +107,9 @@ def _collision_course(N, xi_scale, q_step, p_step):
 
 
 @pytest.mark.parametrize("family, t_end, samples", [
-    # the last row before the collision at t = 0.4421 is t = 0.425: within
-    # 0.002 of the collision the oracle at tol 1e-12 is off by 2e-9 in p,
-    # where the exact solves at tol 1e-12 and 1e-13 agree to 4e-14
+    # the last row before the collision at t = 0.4421 is t = 0.425; on a
+    # grid with a row at t = 0.44, 0.002 before it, the oracle at tol 1e-12
+    # and 1e-13 agree to 1.5e-10 in p (test_oracle_tol_gap_near_collision)
     pytest.param("rational", 1.0, 41, id="rational-n4"),
     pytest.param("trigonometric", 1.5, 151, id="trig-n4")])
 def test_breakdown_n4_matches_oracle(family, t_end, samples):
@@ -136,11 +136,25 @@ def test_breakdown_n4_matches_oracle(family, t_end, samples):
         assert np.abs(getattr(part, attr) - getattr(tro, attr)[:rows]).max() <= bound, attr
 
 
+def test_oracle_tol_gap_near_collision():
+    """The N = 4 rational collision-course point on 101 samples of [0, 1]:
+    the oracle at tol 1e-12 and at tol 1e-13 agree in p within 1e-9 on every
+    row that both deliver, t = 0.44 included, 0.002 before the collision at
+    0.44208: the oracle's own error there stays under the agreement sweep's
+    p bound (1.5e-10)."""
+    spec, _ = _shape("rational-full", 4)
+    pt = _collision_course(4, 1.0, 0.5, 0.5)
+    a, b = (integrate(spec, pt, 1.0, samples=101, tol=tol) for tol in (1e-12, 1e-13))
+    n = min(len(a.times), len(b.times))
+    assert a.blowup and b.blowup and a.times[n - 1] == 0.44
+    assert np.abs(a.p[:n] - b.p[:n]).max() <= 1e-9
+
+
 @pytest.mark.parametrize("preset, solve, pinned", [
     ("trig-sl2-breakdown", solve_trig,
-     (439, 9, 0.10060477321862651, 0.31312015211944494)),
+     (651, 20, 0.10060477321862651, 0.31312015211944494)),
     ("collision-sl2", solve_rational,
-     (613, 8, 0.11532562594670874, 0.6666666666666666))])
+     (784, 21, 0.11532562594670874, 0.6666666666666666))])
 def test_breakdown_diagnostics_pinned(preset, solve, pinned):
     """The breakdown presets' transport work, smallest eigen gap and
     collision time, to the last digit: the collision scan stops the

@@ -11,7 +11,7 @@ from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, check_regular, elliptic_model,
                            hamiltonian, lax_batch, lax_pair, packed_field,
                            rational_model, trig_model)
-from spincm.rk import (Trajectory, audit, conserved, default_z_samples, dp5,
+from spincm.rk import (Trajectory, audit, conserved, default_z_samples, dop853,
                        integrate, trajectory_csv_lines)
 from spincm.special import EllipticLattice
 
@@ -69,36 +69,38 @@ def test_blowup_flag_before_nan(spec2):
     assert np.all(np.isfinite(tr.y))
 
 
-def test_fifth_order_convergence(spec2):
-    """Step halving changes the global error by a factor consistent with a
-    5th-order method (free flight is integrated exactly, so a nonlinear
-    trajectory is used).  At a loose tol the clamping to the sample grid
-    fixes every step after a few warm-up ones at the grid spacing h, all of
-    them accepted."""
-    pt = PhasePoint(q=[1, -1], p=[2, -2], xi=E12 + E21)
-    ref = integrate(spec2, pt, 1.0, samples=2, tol=1e-13).y[-1]
+def test_eighth_order_convergence(spec2):
+    """Step halving changes the global error by a factor consistent with an
+    8th-order method (free flight is integrated exactly, so a nonlinear
+    trajectory is used).  Each interval of a grid of spacing H <= 0.1 is
+    its own run, clamped onto its end: at a loose tol its steps are H/100,
+    H/20, H/4 and the rest of H, all accepted, so halving H halves every
+    step.  The reference is the same grid at H/8."""
+    pt = PhasePoint(q=[0.4, -0.4], p=[1, -1], xi=E12 + E21)
     field = packed_field(spec2)
     y0 = np.concatenate([pt.q, pt.p, pt.xi.ravel()])
 
-    def err(h):
-        times = np.linspace(0.0, 1.0, round(1.0 / h) + 1)
-        out = np.empty((times.size, y0.size), dtype=complex)
-        _, stats, n = dp5(field, y0, times, 1.0, out)
-        assert n == times.size and stats["nrejected"] == 0
-        return np.abs(out[-1] - ref).max()
-    ratio = err(0.1) / err(0.05)
-    assert 16.0 <= ratio <= 64.0
+    def run(H):
+        y, out = y0, np.empty((2, y0.size), dtype=complex)
+        for a, b in itertools.pairwise(np.linspace(0.0, 1.0, round(1.0 / H) + 1)):
+            _, stats, n = dop853(field, y, [a, b], 1.0, out)
+            assert n == 2 and stats == {"nsteps": 4, "nrejected": 0, "nfev": 49}
+            y = out[1].copy()
+        return y
+    ref = run(0.05 / 8)
+    ratio = np.abs(run(0.05) - ref).max() / np.abs(run(0.025) - ref).max()
+    assert 128.0 <= ratio <= 512.0
 
 
-# (nfev, nsteps, nrejected) of `integrate` on each preset at its defaults, as
-# the oracle made them before its loop became the shared `rk.dp5` core
+# (nfev, nsteps, nrejected) of `integrate` on each preset at its defaults,
+# on the DOP853 core `rk.dop853`
 ORACLE_COUNTS = {
-    "collision-sl2": (3733, 620, 3), "elliptic-sl2": (2419, 395, 8),
-    "elliptic-sl3": (1033, 170, 2), "free-flight": (613, 102, 0),
-    "nilpotent-xi-sl2": (313, 52, 0), "rational-sl2": (613, 102, 0),
-    "rational-sl3": (613, 102, 0), "rational-sl3-full": (613, 102, 0),
-    "reduced-rational-sl2": (613, 102, 0), "trig-sl2": (607, 101, 0),
-    "trig-sl2-breakdown": (3283, 542, 6), "trig-sl3": (367, 61, 0),
+    "collision-sl2": (4064, 172, 166), "elliptic-sl2": (1838, 101, 28),
+    "elliptic-sl3": (948, 48, 16), "free-flight": (184, 6, 0),
+    "nilpotent-xi-sl2": (119, 5, 0), "rational-sl2": (259, 11, 0),
+    "rational-sl3": (319, 15, 0), "rational-sl3-full": (334, 16, 0),
+    "reduced-rational-sl2": (259, 11, 0), "trig-sl2": (292, 13, 0),
+    "trig-sl2-breakdown": (3630, 156, 152), "trig-sl3": (288, 13, 2),
 }
 
 
@@ -115,7 +117,7 @@ def test_oracle_counts_pinned(name):
 
 
 def test_dp5_f_may_reuse_its_buffer():
-    """dp5 copies every stage value: an f that returns one buffer that it
+    """dop853 copies every stage value: an f that returns one buffer that it
     overwrites gives the same samples and counts, bit for bit, as an f that
     returns fresh arrays."""
     A = np.random.default_rng(5).standard_normal((6, 6))
@@ -132,7 +134,7 @@ def test_dp5_f_may_reuse_its_buffer():
     runs = []
     for f in (fresh, reused):
         out = np.empty((11, 6), dtype=complex)
-        _, stats, n = dp5(f, np.linspace(-1.0, 1.0, 6), np.linspace(0, 2, 11),
+        _, stats, n = dop853(f, np.linspace(-1.0, 1.0, 6), np.linspace(0, 2, 11),
                           1e-9, out)
         assert n == 11 and stats["nfev"] > 6 * 11
         runs.append((out.tobytes(), stats))
@@ -141,7 +143,7 @@ def test_dp5_f_may_reuse_its_buffer():
 
 @pytest.mark.parametrize("case", ["guard", "domain", "nan", "overflow"])
 def test_dp5_ends_early_only_on_a_failed_step(case):
-    """dp5 on f = -y over 11 nodes of [0, 1]: a guard that fails on the
+    """dop853 on f = -y over 11 nodes of [0, 1]: a guard that fails on the
     state past t = 0.55, y < exp(-0.55), an f that raises DomainError there
     or one that returns NaN there ends the run with 6 samples, in rows 0..5
     of `out`; the rows after them stay untouched.  A constant f = 1e308 from
@@ -165,7 +167,7 @@ def test_dp5_ends_early_only_on_a_failed_step(case):
         expected = np.exp(-times[:kept, None])
     out = np.full((11, 2), np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, n = dp5(f, y0, times, tol, out, guard)
+        _, _, n = dop853(f, y0, times, tol, out, guard)
     assert n == kept
     assert np.allclose(out[:kept], expected, rtol=1e-8, atol=0)
     assert np.isnan(out[kept:]).all()
@@ -174,12 +176,12 @@ def test_dp5_ends_early_only_on_a_failed_step(case):
 def test_oracle_stall_ends_the_run(monkeypatch):
     """An output interval past rk.STALL_STEPS accepted steps ends the oracle
     as a blow-up at the last accepted step, with the samples before it; at
-    the default budget the same run takes 20 steps and delivers both rows."""
+    the default budget the same run takes 10 steps and delivers both rows."""
     from spincm import rk
     from spincm.presets import load_preset
     data = load_preset("rational-sl2")
     tr = integrate(data["model"], data["init"], 1.0, samples=2)
-    assert not tr.blowup and len(tr.times) == 2 and tr.stats["nsteps"] == 20
+    assert not tr.blowup and len(tr.times) == 2 and tr.stats["nsteps"] == 10
     monkeypatch.setattr(rk, "STALL_STEPS", 3)
     tr = integrate(data["model"], data["init"], 1.0, samples=2)
     assert tr.blowup and len(tr.times) == 1 and tr.stats["nsteps"] == 3

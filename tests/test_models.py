@@ -849,6 +849,34 @@ def test_random_point_spread():
 
 
 @pytest.mark.parametrize("reduced", [False, True])
+def test_non_finite_rows_fail_their_field(reduced):
+    """models.check_rows refuses a NaN or an infinite entry in q, p or the
+    matrix with a ValidationError naming the field, at the first such row;
+    every other test passes a NaN (each is a `>` comparison)."""
+    from spincm import models
+    N, T = 3, 6
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((T, N)) + 0j
+    q -= q.mean(axis=1, keepdims=True)
+    p = q[::-1].copy()
+    xi = rng.standard_normal((T, N, N)) + 0j
+    xi[:, range(N), range(N)] = 0.0
+    if reduced:
+        xi[:, range(N - 1), range(1, N)] = 1.0
+    label = "s" if reduced else "xi"
+    for field, r, c, bad in (("q", 3, 0, np.nan), ("p", 2, 1, np.inf),
+                             (label, 4, 5, -np.inf), (label, 1, 2, np.nan)):
+        arrs = {"q": q.copy(), "p": p.copy(), label: xi.copy()}
+        arrs[field].reshape(T, -1)[r, c] = bad
+        n, error = models.check_rows(arrs["q"], arrs["p"], arrs[label], reduced)
+        assert (n, type(error), str(error)) == (
+            r, ValidationError, f"{field} must be finite"), (field, r)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            models.check_state(arrs["q"][r], arrs["p"][r], arrs[label][r], reduced)
+    assert models.check_rows(q, p, xi.copy(), reduced) == (T, None)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
 def test_row_verdict_is_the_row_alone(monkeypatch, reduced):
     """models.check_rows over a stack of 8 rows gives each row the verdict
     of the one-point checks on that row alone (_check_momentum_zero, then

@@ -568,3 +568,27 @@ def test_fault_points_q_p_match_oracle(seed):
 def test_fault_points_xi_matches_oracle(family, N, seed):
     tre, tro = _fault_case(seed, family, N)
     assert sup_gap(tre, tro, "xi") <= 1e-6
+
+
+def test_non_finite_row_ends_the_solve():
+    """An output row that is not finite fails the finite test of
+    models.check_rows: the exact solve ends in the row check's
+    BreakdownError at that row's time, with the rows before it."""
+    data = load_preset("rational-sl2")
+
+    def setup(spec, pt0):
+        path, velocity, log0, position, limit = solver_rational._setup(spec, pt0)
+
+        def nan_from_row_5(d):
+            q = position(d).copy()
+            q[5:, 0] = np.nan
+            return q
+        return path, velocity, log0, nan_from_row_5, limit
+    times = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(BreakdownError) as exc:
+        exact.solve(data["model"], data["init"], times, 1e-10, family="rational",
+                    provenance="exact-rational",
+                    factorization=solver_rational.RationalFactorization, setup=setup)
+    assert exc.value.time == times[5]
+    assert str(exc.value).endswith("the state fails its check: q must be finite")
+    assert np.array_equal(exc.value.partial.times, times[:5])
