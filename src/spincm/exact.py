@@ -31,8 +31,8 @@ of that interval, else the output time before the path's breakdown, is the
 transport's last output time, fixed before the transport starts, so it never
 steps into the collision.  A run that ends early anyway (a step whose eigen
 gap falls below GAP_COLLIDE, an output interval past ``rk.dop853``'s stall
-budget ``rk.STALL_STEPS``, or a collapsed step) always ends in a
-BreakdownError, never in a silent state.
+budget ``rk.STALL_STEPS`` accepted steps per output interval, or a
+collapsed step) always ends in a BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
 limit)``: ``path(t)`` returns M(t) and the family's factors, stacked over

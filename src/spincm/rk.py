@@ -14,14 +14,20 @@ and the two error estimates are one matrix product each.  Steps run freely
 over the sample times (the one clamp is onto the last): a sample inside a
 step comes from the 7th-order continuous extension, and its defect
 u' - f(u) is checked, and steers the step size, like the error estimate.
-A step allocates no state array: the stage inputs, the error estimates,
-the samples and their scale live in buffers built before the step loop,
-and f may return one buffer that it reuses.  Each sample is written into a
-row of the caller's array; a run ends early only on a failed step (the
-guard, the stall budget STALL_STEPS per output interval, or a collapsed
-step), with fewer samples.  The oracle's f is ``models.packed_field``,
-built once per integration; its regularity check, at y0, at every stage
-and at every sample, is the singularity-margin abort.
+The step-size factor is DOP853's 0.9 norm^(-1/8), capped after an
+unclamped accepted step by Gustafsson's predictive factor (Gustafsson, ACM
+TOMS 20 (1994); Hairer & Wanner, Solving ODEs II, IV.8), which carries the
+last ratio of accepted steps: steps that shrink geometrically into the
+singular set follow the shrink instead of alternating between an accepted
+and a rejected step.  A step allocates no state array: the stage inputs,
+the error estimates, the samples and their scale live in buffers built
+before the step loop, and f may return one buffer that it reuses.  Each
+sample is written into a row of the caller's array; a run ends early only
+on a failed step (the guard, the stall budget of STALL_STEPS accepted
+steps per output interval, or a collapsed step), with fewer samples.  The
+oracle's f is ``models.packed_field``, built once per integration; its
+regularity check, at y0, at every stage and at every sample, is the
+singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -160,12 +166,14 @@ _STEP[:15, 0] = 1.0
 _STEP[:15, 1:] = _A[1:]
 _STEP[15:, 1:] = [_E5, _E3]
 del _i, _row
-# accepted steps within one output interval beyond which a run has stalled:
-# the oracle takes at most 154 on the presets (trig-sl2 to t = 15) and 274 in
-# the agreement tests (a collision approach at tol 1e-13), the exact
-# transport at most 74 on the presets, the agreement tests and the
-# benchmark's exact jobs, and 169 on a one-interval [0, 3] trig-sl3 grid at
-# tol 1e-13
+# accepted steps within one output interval beyond which a run has stalled,
+# at least 3x the most that a run needs: in the test suite, the presets and
+# the benchmark's jobs the oracle takes at most 83 in a run that finishes,
+# 152 on trig-sl2 to t = 15 (ended by the regularity margin) and 299 on a
+# collision approach (tol 1e-13), the exact transport at most 77; on a
+# one-interval [0, 3] trig-sl3 grid at tol 1e-13 the oracle takes 196 and
+# the transport 174, and on a one-interval [0, 20] elliptic-sl2 grid
+# (simulate --t-end 20 --samples 2) the oracle takes 1,558
 STALL_STEPS = 5000
 
 
@@ -276,7 +284,13 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) with the estimates scaled by
     tol (1 + max(|y|, |y1|)) (|y| kept from the last accepted step).  The
     step size follows the larger of the error norm and the step's largest
-    sample defect by the factor 0.9 norm^(-1/8) within [0.2, 5].  Stage 12,
+    sample defect by the factor 0.9 norm^(-1/8) within [0.2, 5].  After an
+    accepted step of size h that was not clamped and whose norm is positive,
+    the factor is also at most Gustafsson's predictive one,
+    0.9 (h / h_acc) (e_acc / norm^2)^(1/8) within [0.2, 5], where h_acc and
+    e_acc = max(0.01, norm) are those of the last such step (none before
+    the first).  A rejected or clamped step neither uses nor sets h_acc and
+    e_acc, and the cap after a retry onto a sample still applies.  Stage 12,
     f at y1, is evaluated once the error is accepted and becomes the next
     step's stage 0.
 
@@ -306,6 +320,8 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     nxt, since = 1, 0
     # the step size, and its cap for the step after a retry onto a sample
     h, hcap = min(1e-3, (t_end - t) / 100), math.inf
+    # the last accepted step that set the predictive term, and its norm
+    h_acc = e_acc = None
     YKc[1] = f(t, yc)
     nfev, nsteps, nrej = 1, 0, 0
     # stage inputs (ys, and y1), |y|, |y1|, the scale, the errors, a sample
@@ -418,7 +434,15 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
         while nxt < len(ts) and t >= ts[nxt] - 1e-12 * u:
             out[nxt] = yc
             nxt, since = nxt + 1, 0
-        h_new = h_step * _factor(max(enorm, dnorm))
+        norm = max(enorm, dnorm)
+        h_new = h_step * _factor(norm)
+        if not clamped and norm:
+            # Gustafsson's predictive factor: the last step ratio carries a
+            # geometric shrink, as into the singular set, that norm misses
+            if h_acc is not None:
+                h_new = min(h_new, h_step * max(
+                    0.2, 0.9 * (h_step / h_acc) * (e_acc / norm ** 2) ** 0.125))
+            h_acc, e_acc = h_step, max(1e-2, norm)
         h, hcap = min(max(h, h_new) if clamped else h_new, hcap), math.inf
 
     return t, {"nsteps": nsteps, "nrejected": nrej, "nfev": nfev}, nxt

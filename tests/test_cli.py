@@ -68,6 +68,17 @@ def test_short_horizon_runs_to_the_end(tmp_path, cmd):
     assert len(csv_body(read(out))[1]) == 101
 
 
+def test_coarse_grid_regular_run_is_no_stall(tmp_path):
+    """elliptic-sl2 to t = 20 on two samples: one output interval of about
+    1,560 accepted steps on a regular trajectory, within rk.STALL_STEPS, so
+    exit 0 and both rows written, not a blow-up."""
+    out = tmp_path / "e.csv"
+    assert run(tmp_path, "simulate", "--preset", "elliptic-sl2", "--t-end", "20",
+               "--samples", "2", "--out", str(out)) == 0
+    assert footer(read(out), "blowup_at") is None
+    assert len(csv_body(read(out))[1]) == 2
+
+
 def test_simulate_blowup_exit4(tmp_path):
     out = tmp_path / "c.csv"
     assert run(tmp_path, "simulate", "--preset", "collision-sl2",

@@ -152,9 +152,9 @@ def test_oracle_tol_gap_near_collision():
 
 @pytest.mark.parametrize("preset, solve, pinned", [
     ("trig-sl2-breakdown", solve_trig,
-     (651, 20, 0.10060477321862651, 0.31312015211944494)),
+     (465, 5, 0.10060477321862651, 0.31312015211944494)),
     ("collision-sl2", solve_rational,
-     (784, 21, 0.11532562594670874, 0.6666666666666666))])
+     (609, 9, 0.11532562594670874, 0.6666666666666666))])
 def test_breakdown_diagnostics_pinned(preset, solve, pinned):
     """The breakdown presets' transport work, smallest eigen gap and
     collision time, to the last digit: the collision scan stops the
