@@ -254,6 +254,9 @@ def cmd_curve(args):
     spec, pt, params, config = _resolve(args)
     if spec.family != "elliptic":
         raise ValidationError("curve requires the elliptic family")
+    if isinstance(pt, ReducedPoint):
+        # the lift xi := s: the curve is invariant under the torus conjugation
+        pt = PhasePoint(q=pt.q, p=pt.p, xi=pt.s)
     rep = genericity_check(spec, pt)
     report = {"N": spec.ctx.N}
     report.update(rep.to_json_dict())

@@ -23,6 +23,9 @@ The genericity grid and the contours are evaluated over whole arrays of z,
 in blocks of Z_BLOCK: one ``models.lax_pair`` call for the stacked L(z) and
 dL/dz (one lattice reduction and one theta pass per argument set), one
 batched Faddeev-LeVerrier recursion and one stacked eigvals call per block.
+The subcell contours share one node grid: the branch function is evaluated
+once per node, in one call, and each contour gathers its values from it;
+only their refinement midpoints are evaluated on their own.
 """
 
 from __future__ import annotations
@@ -197,13 +200,14 @@ def _branch_function(spec, pt):
     return D
 
 
-def _winding(fun, points):
+def _winding(fun, points, vals=None):
     """Winding number of fun along a closed polyline, doubling the sampling
     until phase steps are resolved and the total is integer; None on failure.
-    fun maps an array of points to their values; each refinement evaluates
-    only the new midpoints."""
+    fun maps an array of points to their values; `vals`, when given, are the
+    values at `points`, and each refinement evaluates only the new midpoints."""
     pts = np.asarray(points, dtype=complex)
-    vals = fun(pts)
+    if vals is None:
+        vals = fun(pts)
     for refine in range(MAX_DOUBLINGS + 1):
         if refine:
             mids = 0.5 * (pts + np.roll(pts, -1))
@@ -216,17 +220,6 @@ def _winding(fun, points):
         if np.abs(steps).max() < 2.6 and abs(total - round(total)) < 0.05:
             return int(round(total))
     return None
-
-
-def _cell_boundary(corner, e1, e2, m):
-    """Closed polyline around corner + [0,1]e1 + [0,1]e2, m points per edge."""
-    ts = np.arange(m) / m
-    return np.concatenate([
-        corner + ts * e1,
-        corner + e1 + ts * e2,
-        corner + e1 + e2 - ts * e1,
-        corner + e2 - ts * e2,
-    ])
 
 
 def branch_count_genus(spec, pt):
@@ -249,21 +242,46 @@ def branch_count_genus(spec, pt):
 
 def _count_branch_points(spec, pt):
     """branch_count_genus without its genericity gate, for callers that have
-    already run genericity_check."""
+    already run genericity_check.
+
+    The cell base + [0, 1] 2 omega_1 + [0, 1] 2 omega_2 is an n x n grid, n =
+    CELL_GRID * EDGE_SAMPLES.  D is evaluated once, in one call, on the grid
+    nodes (a, b) that lie on a subcell line (a or b a multiple of
+    EDGE_SAMPLES); each subcell's counter-clockwise ring of 4 EDGE_SAMPLES
+    nodes gathers its values from that array, and its refinement evaluates
+    only the ring's new midpoints.  Neighbouring rings read the same values
+    along their shared edge, so the sum of the windings is the winding of D
+    along the outer boundary.  Its opposite edges are evaluated at their own
+    nodes, a period apart, not identified with each other: identified, the
+    sum would vanish by construction and B = N^2 + N would check nothing;
+    evaluated, a missed or extra zero moves B."""
     lat = spec.lattice
     N = spec.ctx.N
     D = _branch_function(spec, pt)
     p1, p2 = 2 * lat.omega1, 2 * lat.omega2
 
+    m, n = EDGE_SAMPLES, CELL_GRID * EDGE_SAMPLES
+    a, b = np.indices((n + 1, n + 1))
+    on_line = (a % m == 0) | (b % m == 0)
+    # index of grid node (a, b) among those on a line
+    node = np.cumsum(on_line).reshape(on_line.shape) - 1
+    # a subcell's ring as (a, b) offsets from its corner node (i m, j m)
+    k, zero, full = np.arange(m), np.zeros(m, dtype=int), np.full(m, m)
+    da = np.concatenate([k, full, m - k, zero])
+    db = np.concatenate([zero, k, full, m - k])
+    rings = [node[i * m + da, j * m + db]
+             for i, j in itertools.product(range(CELL_GRID), repeat=2)]
+    s, u = a[on_line] / n, b[on_line] / n
+
     for jitter in (0.0, 0.0371 + 0.0213j, -0.0241 + 0.0431j):
-        # base corner placing the lattice point 0 at the center of a cell
+        # base corner placing the lattice point 0 at the center of a subcell
         base = -(1.0 + 1.0 / CELL_GRID) * (lat.omega1 + lat.omega2)
         base = base + jitter * (p1 + p2)
-        e1, e2 = p1 / CELL_GRID, p2 / CELL_GRID
+        Z = base + s * p1 + u * p2
+        vals = D(Z)
         total = 0
-        for i, j in itertools.product(range(CELL_GRID), repeat=2):
-            corner = base + i * e1 + j * e2
-            w = _winding(D, _cell_boundary(corner, e1, e2, EDGE_SAMPLES))
+        for ring in rings:
+            w = _winding(D, Z[ring], vals[ring])
             if w is None:
                 break
             total += w
@@ -274,4 +292,3 @@ def _count_branch_points(spec, pt):
             return int(B), int(B // 2 - N + 1)
     raise RuntimeError("branch counting failed: contour through a zero even "
                        "after jittering the fundamental domain")
-

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from spincm.cli import main
+from spincm.models import reduce_point
+from spincm.presets import load_preset
 
 
 def run(tmp_path, *argv):
@@ -398,6 +400,19 @@ def test_curve_reports(tmp_path):
                "--out", str(out2)) == 0
     d2 = json.loads(read(out2))
     assert d2["ga2"] is False and d2["genus"] is None
+
+
+def test_curve_on_a_reduced_point(tmp_path):
+    # a reduced point is counted at its lift xi := s, the same curve as xi's
+    d = load_preset("elliptic-sl2")
+    model, init = tmp_path / "model.json", tmp_path / "init.json"
+    model.write_text(json.dumps(d["model"].to_json_dict()))
+    init.write_text(json.dumps(reduce_point(d["model"].ctx, d["init"]).to_json_dict()))
+    out = tmp_path / "curve.json"
+    assert run(tmp_path, "curve", "--model", str(model), "--init", str(init),
+               "--out", str(out)) == 0
+    rep = json.loads(read(out))
+    assert (rep["B"], rep["genus"]) == (6, 2)
 
 
 def test_determinism(tmp_path):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from sampling import random_point
+from spincm import spectral
 from spincm.errors import DomainError, ValidationError
 from spincm.liecore import build_sl_context
 from spincm.models import PhasePoint, elliptic_model, lax
+from spincm.presets import load_preset
 from spincm.rk import audit, integrate
 from spincm.special import EllipticLattice
-from spincm.spectral import (GA1_GRID, Z_BLOCK, _branch_function, _winding,
+from spincm.spectral import (GA1_GRID, Z_BLOCK, _branch_function,
+                             _count_branch_points, _winding,
                              branch_count_genus, char_poly_coeffs, gauge_lax,
                              genericity_check)
 
@@ -135,10 +138,8 @@ def test_singular_xi_is_not_generic(lat):
         branch_count_genus(spec, pt)
 
 
-def test_branch_count_generic_n4_with_zero_near_puncture(lat):
-    # a generic N = 4 point whose branch function has a zero close to z = 0;
-    # measuring the pole order on small circles around 0 used to fail here
-    rng = np.random.default_rng(3)
+def _generic_n4_point(seed):
+    rng = np.random.default_rng(seed)
     N, scale = 4, 0.5
     q = (np.linspace(0.45, -0.45, N) * (0.9 + 0.2 * rng.uniform())
          + 0.05 * rng.standard_normal(N) + 0.08j * rng.standard_normal(N))
@@ -147,8 +148,59 @@ def test_branch_count_generic_n4_with_zero_near_puncture(lat):
     p = p - p.mean()
     xi = scale * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     np.fill_diagonal(xi, 0.0)
-    spec = elliptic_model(build_sl_context(N), lat)
-    assert branch_count_genus(spec, PhasePoint(q=q, p=p, xi=xi)) == (20, 7)
+    return PhasePoint(q=q, p=p, xi=xi)
+
+
+def test_branch_count_generic_n4_with_zero_near_puncture(lat):
+    # a generic N = 4 point whose branch function has a zero close to z = 0;
+    # measuring the pole order on small circles around 0 used to fail here
+    spec = elliptic_model(build_sl_context(4), lat)
+    assert branch_count_genus(spec, _generic_n4_point(3)) == (20, 7)
+
+
+@pytest.fixture
+def sheet_calls(monkeypatch):
+    """The z array of every spectral._sheet_partials call, in order."""
+    calls = []
+    sheet_partials = spectral._sheet_partials
+
+    def counted(spec, pt, zs):
+        calls.append(np.asarray(zs))
+        return sheet_partials(spec, pt, zs)
+    monkeypatch.setattr(spectral, "_sheet_partials", counted)
+    return calls
+
+
+def test_branch_count_evaluates_one_node_grid(sheet_calls):
+    # the 4 x 4 subcell lines of the 96 x 96 grid hold 945 nodes, each
+    # evaluated once, where 16 rings of 96 points were 1,536 evaluations
+    d = load_preset("elliptic-sl2")
+    assert _count_branch_points(d["model"], d["init"]) == (6, 2)
+    assert [zs.size for zs in sheet_calls] == [945]
+    assert len(set(np.round(sheet_calls[0], 12))) == 945
+
+
+@pytest.mark.parametrize("seed, sizes", [(3, [945]), (2, [945, 96, 96])])
+def test_branch_count_refines_at_new_points_only(lat, sheet_calls, seed, sizes):
+    # after the node grid, a ring that needs refinement evaluates only its
+    # 96 new midpoints: the point of seed 2 refines two rings once each
+    spec = elliptic_model(build_sl_context(4), lat)
+    assert _count_branch_points(spec, _generic_n4_point(seed)) == (20, 7)
+    assert [zs.size for zs in sheet_calls] == sizes
+    zs = np.concatenate(sheet_calls)
+    assert len(set(np.round(zs, 12))) == zs.size
+
+
+def test_branch_count_sees_an_extra_zero(monkeypatch):
+    # D(z) (z - z0) has one zero more than D in the cell.  The contours sum
+    # to the winding along the cell's outer boundary, whose opposite edges
+    # are evaluated rather than identified, so B counts it: N^2 + N + 1
+    d = load_preset("elliptic-sl2")
+    z0 = 0.213 + 0.117j
+    branch = spectral._branch_function
+    monkeypatch.setattr(spectral, "_branch_function",
+                        lambda spec, pt: lambda zs: branch(spec, pt)(zs) * (zs - z0))
+    assert _count_branch_points(d["model"], d["init"])[0] == 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
