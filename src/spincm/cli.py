@@ -117,8 +117,7 @@ def _resolve(args):
         zs = _checked(what, _z_list, spec, params)
         _checked(what, _check_z_regular, spec, zs)
     _checked("initial q", check_regular, spec, pt.q)
-    if args.command in ("exact", "compare") and spec.family != "elliptic" \
-            and isinstance(pt, PhasePoint):
+    if args.command in ("exact", "compare") and spec.family != "elliptic":
         _checked("initial point", _check_momentum_zero, pt.xi)
     init_json = pt.to_json_dict()
     config = {"command": args.command, "model": spec.to_json_dict(),
@@ -254,9 +253,6 @@ def cmd_curve(args):
     spec, pt, params, config = _resolve(args)
     if spec.family != "elliptic":
         raise ValidationError("curve requires the elliptic family")
-    if isinstance(pt, ReducedPoint):
-        # the lift xi := s: the curve is invariant under the torus conjugation
-        pt = PhasePoint(q=pt.q, p=pt.p, xi=pt.s)
     rep = genericity_check(spec, pt)
     report = {"N": spec.ctx.N}
     report.update(rep.to_json_dict())

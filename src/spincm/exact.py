@@ -56,8 +56,8 @@ the diagnostic ``eig_residual``.
 checks the rows and writes them into the trajectory's packed array, stacks
 the factors (the path's, then g, d, h, k), keeps the diagnostics and
 attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
-solved from its lift xi0 := s0, its rows reduced at once.  The first row
-that fails ``models.check_rows``, the checks of an input point, ends the
+solved from its lift ``pt0.xi`` = s0, its rows reduced at once.  The first
+row that fails ``models.check_rows``, the checks of an input point, ends the
 solve in a BreakdownError at its time with that check's message; the
 largest |diag xi(t)| over the rows kept is ``momentum_residual``.
 
@@ -76,9 +76,8 @@ from numpy.linalg._umath_linalg import solve as _solve
 
 from .errors import BreakdownError, DomainError, ValidationError
 from .liecore import reduce_gauge
-from .models import (LAX_LIMITS, PhasePoint, ReducedPoint,
-                     _check_momentum_zero, _lax_matrix, check_regular,
-                     check_rows)
+from .models import (LAX_LIMITS, ReducedPoint, _check_momentum_zero,
+                     _lax_matrix, check_regular, check_rows)
 from .rk import Trajectory, check_tol, dop853
 
 GAP_COLLIDE = 1e-6
@@ -334,7 +333,8 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     with the transport integrated at error tolerance `tol`.
 
     Returns (Trajectory, factorization); for a ReducedPoint pt0, the reduced
-    trajectory of the lift xi0 := s0 (rows s = g(xi)^-1 xi g(xi)) and None.
+    trajectory of its lift pt0.xi = s0, the point itself passed to `setup`
+    (rows s = g(xi)^-1 xi g(xi)), and None.
     On an eigenvalue collision raises BreakdownError carrying the collision
     time and the partial results.  So does the first output time whose state
     fails ``models.check_rows`` -- xi(t) off J^-1(0) (the test of pt0), or
@@ -346,8 +346,6 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
                               f"ModelSpec")
     check_tol(tol)
     reduced = isinstance(pt0, ReducedPoint)
-    if reduced:
-        pt0 = PhasePoint(q=pt0.q, p=pt0.p, xi=pt0.s)
     _check_momentum_zero(pt0.xi)
     check_regular(spec, pt0.q)
     times = _validate_times(times)

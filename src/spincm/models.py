@@ -182,6 +182,11 @@ class ReducedPoint(_Point):
 
     _matrix = "s"
 
+    @property
+    def xi(self):
+        """The lift xi := s, at which the library reads a reduced point."""
+        return self.s
+
 
 def reduce_point(ctx, pt):
     """Reduction (q,p,xi) -> (q,p, g(xi)^-1 xi g(xi)); requires xi in U."""
@@ -416,8 +421,8 @@ def _kernel_matrices(spec, q):
 def hamiltonian(spec, pt):
     """Closed-form Hamiltonian of the family at a regular point,
     1/2 tr p^2 - 1/2 sum_ij K_ij xi_ij xi_ji with the kernel matrix K of
-    ``_kernels`` (its diagonal 2 c0 gives the c0 term); also the reduced
-    one at the lift xi := s (diag s = 0 zeroes the c0 term).
+    ``_kernels`` (its diagonal 2 c0 gives the c0 term); on a ReducedPoint the
+    reduced one, at its lift pt.xi = s (diag s = 0 zeroes the c0 term).
 
     On a stacked point -- q and p of shape (..., N), xi (..., N, N), as
     ``rk.Trajectory.point`` gives for a slice -- it is the array (...) of the
@@ -480,8 +485,9 @@ def _unpacked_field(spec, q, p, m, reduced):
 
 def eom(spec, pt):
     """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field
-    (``packed_field``)."""
-    return _unpacked_field(spec, pt.q, pt.p, pt.xi, False)
+    (``packed_field``); on a ReducedPoint, (q_dot, p_dot, s_dot) of
+    ``reduced_eom``: the point's type chooses the flow."""
+    return _unpacked_field(spec, pt.q, pt.p, pt.xi, isinstance(pt, ReducedPoint))
 
 
 def reduced_eom(spec, rpt):

@@ -198,14 +198,12 @@ class Trajectory:
         self.q, self.p = self.y[:, :N], self.y[:, N:2 * N]
         self.xi = self.y[:, 2 * N:].reshape(-1, N, N)
 
-    def point(self, i, cls=None):
-        """The state at row i as a `cls` on views of the row, unchecked: by
-        default a ReducedPoint on a reduced trajectory, else a PhasePoint; a
-        PhasePoint of a reduced row is its lift xi := s.  For a slice i it is
-        the stacked point of those rows: q and p of shape (T, N), the matrix
-        (T, N, N)."""
-        if cls is None:
-            cls = ReducedPoint if self.reduced else PhasePoint
+    def point(self, i):
+        """The state at row i on views of the row, unchecked: a ReducedPoint
+        on a reduced trajectory (its ``xi`` is the lift xi := s), else a
+        PhasePoint.  For a slice i it is the stacked point of those rows: q
+        and p of shape (T, N), the matrix (T, N, N)."""
+        cls = ReducedPoint if self.reduced else PhasePoint
         N, row = self.N, self.y[i]
         pt = cls.__new__(cls)
         pt.q, pt.p = row[..., :N], row[..., N:2 * N]
@@ -471,7 +469,7 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10):
     N = spec.ctx.N
     sample_times = np.linspace(0.0, float(t_end), int(samples))
     out = np.empty((sample_times.size, 2 * N + N * N), dtype=complex)
-    y0 = np.concatenate([pt0.q, pt0.p, getattr(pt0, pt0._matrix).ravel()])
+    y0 = np.concatenate([pt0.q, pt0.p, pt0.xi.ravel()])
     t, stats, n = dop853(packed_field(spec, reduced), y0, sample_times, tol, out)
     blowup = n < sample_times.size
     return Trajectory(times=sample_times[:n], y=out[:n], reduced=reduced,
@@ -519,7 +517,7 @@ def conserved(spec, traj):
     Hamiltonian and the norm of diag xi, each over all rows at once.  A
     reduced trajectory is audited at its lift xi := s; its momentum norm is
     that of diag s, 0 on the slice."""
-    energy = hamiltonian(spec, traj.point(slice(None), PhasePoint))
+    energy = hamiltonian(spec, traj.point(slice(None)))
     d = np.diagonal(traj.xi, axis1=1, axis2=2).copy()
     # the two dot products of np.linalg.norm per row, as stacked 1 x N @ N x 1
     re, im = d.real[:, None, :], d.imag[:, None, :]
@@ -549,8 +547,7 @@ def audit(spec, traj, z_samples=None):
     if z_samples is None:
         z_samples = default_z_samples(spec)
     energy, mom = conserved(spec, traj)
-    eigs = np.linalg.eigvals(lax_batch(spec, traj.point(slice(None), PhasePoint),
-                                       z_samples))
+    eigs = np.linalg.eigvals(lax_batch(spec, traj.point(slice(None)), z_samples))
     dist = np.abs(eigs[:, :, :, None] - eigs[0, :, None, :])  # (T, K, N, N)
     return InvariantReport(
         times=traj.times, z_samples=list(z_samples), energy=energy,

@@ -251,7 +251,7 @@ def test_stacked_audit_matches_rows(name):
     spec, d = data["model"], data["defaults"]
     tr = integrate(spec, data["init"], d["t_end"], samples=int(d["samples"]),
                    tol=d.get("tol", 1e-10))
-    rows = [tr.point(k, PhasePoint) for k in range(len(tr.times))]
+    rows = [tr.point(k) for k in range(len(tr.times))]
     energy, mom = conserved(spec, tr)
     ref = np.array([hamiltonian(spec, pt) for pt in rows])
     if spec.family == "rational":

@@ -14,15 +14,16 @@ from spincm import special
 from spincm.errors import ContractError, DomainError, PoleError, ValidationError
 from spincm.liecore import (build_sl_context, coroot_diagonal, delta_subset,
                             pi_subset)
-from spincm.models import (PhasePoint, ReducedPoint,
+from spincm.models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                            _kernel_matrices, alpha_matrix, check_regular,
                            elliptic_model, eom, hamiltonian, lax, lax_batch,
                            lax_limit, lax_pair, packed_field, rational_model,
                            reduce_point, reduced_eom, trig_model)
 from spincm.presets import load_preset
-from spincm.rk import audit, integrate
+from spincm.rk import audit, default_z_samples, integrate
 from spincm.special import EllipticLattice, cot_c, wp, wp_prime
-from spincm.spectral import _sheet_partials
+from spincm.spectral import (_sheet_partials, branch_count_genus,
+                             char_poly_coeffs, gauge_lax, genericity_check)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T
@@ -408,6 +409,56 @@ def test_reduced_eom_matches_reduction_of_full_flow(families):
             assert np.abs(sd - fd_s).max() < 1e-6
             assert np.abs(qd - fd_q).max() < 1e-6
             assert np.abs(pd - fd_p).max() < 1e-6
+
+
+def _same_bits(a, b):
+    """a and b equal bit for bit: arrays, numbers, tuples and dataclasses of
+    them."""
+    if hasattr(a, "__dataclass_fields__"):
+        a, b = vars(a), vars(b)
+        assert a.keys() == b.keys()
+        a, b = list(a.values()), list(b.values())
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same_bits(x, y)
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert _bits(a) == _bits(b)
+
+
+@pytest.mark.parametrize("name", ["elliptic-sl2", "elliptic-sl3", "trig-sl3",
+                                  "rational-sl3-full"])
+def test_reduced_point_is_read_at_its_lift(name):
+    """Every public entry point takes a ReducedPoint and reads it at its lift
+    xi := s: each gives on rpt, bit for bit, what it gives on
+    PhasePoint(q, p, xi=s); eom follows the point's type and gives the
+    reduced field; the elliptic curve keeps its genus."""
+    data = load_preset(name)
+    spec = data["model"]
+    rpt = reduce_point(spec.ctx, data["init"])
+    lift = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
+    assert rpt.xi is rpt.s
+    zs = default_z_samples(spec)
+    calls = [lambda pt: hamiltonian(spec, pt),
+             lambda pt: lax(spec, pt, zs[0]),
+             lambda pt: lax_batch(spec, pt, zs),
+             lambda pt: char_poly_coeffs(spec, pt, zs[1])]
+    if spec.family == "elliptic":
+        calls += [lambda pt: lax_pair(spec, pt, zs),
+                  lambda pt: gauge_lax(spec, pt, zs[2]),
+                  lambda pt: genericity_check(spec, pt)]
+    else:
+        calls += [lambda pt, which=which: lax_limit(spec, pt, which)
+                  for which, (family, _) in LAX_LIMITS.items()
+                  if family == spec.family]
+    for call in calls:
+        _same_bits(call(rpt), call(lift))
+    _same_bits(eom(spec, rpt), reduced_eom(spec, rpt))
+    if spec.family == "elliptic":
+        assert branch_count_genus(spec, rpt) == {"elliptic-sl2": (6, 2),
+                                                 "elliptic-sl3": (12, 4)}[name]
 
 
 def test_reduce_point_requires_U(spec_r2):
