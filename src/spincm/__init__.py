@@ -12,7 +12,7 @@ from .liecore import (LieContext, RootSubset, build_sl_context, delta_subset,
                       pi_subset, validate_root_subset)
 from .models import (ModelSpec, PhasePoint, ReducedPoint, elliptic_model,
                      eom, hamiltonian, lax, lax_limit, rational_model,
-                     reduce_point, reduced_eom, trig_model)
+                     reduce_point, trig_model)
 from .rk import Trajectory, audit, integrate
 from .solver_rational import solve_rational
 from .solver_trig import solve_trig
@@ -23,8 +23,8 @@ __all__ = [
     "LieContext", "RootSubset", "build_sl_context", "delta_subset",
     "pi_subset", "validate_root_subset", "ModelSpec", "PhasePoint",
     "ReducedPoint", "elliptic_model", "eom", "hamiltonian", "lax",
-    "lax_limit", "rational_model", "reduce_point", "reduced_eom",
-    "trig_model", "Trajectory", "audit", "integrate", "solve_rational",
-    "solve_trig", "EllipticLattice", "branch_count_genus",
-    "char_poly_coeffs", "gauge_lax", "genericity_check",
+    "lax_limit", "rational_model", "reduce_point", "trig_model",
+    "Trajectory", "audit", "integrate", "solve_rational", "solve_trig",
+    "EllipticLattice", "branch_count_genus", "char_poly_coeffs",
+    "gauge_lax", "genericity_check",
 ]

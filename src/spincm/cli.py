@@ -75,11 +75,11 @@ def _point_from_json(d):
 def _resolve(args):
     """(spec, pt, params, config_dict) from --preset or --model/--init, with
     the input checked before any integration: the seed against [0, 2^64),
-    the JSON records, the run parameters (of the command line or the preset)
-    as finite numbers, with `samples` an integer >= 2 and stored as an int,
-    the z-samples (of --z-samples or the preset) against the Lax poles, q
-    against the singular set and, for `exact` and `compare` on a full point,
-    J^-1(0)."""
+    the JSON records, the point's N against the model's, the run parameters
+    (of the command line or the preset) as finite numbers, with `samples` an
+    integer >= 2 and stored as an int, the z-samples (of --z-samples or the
+    preset) against the Lax poles, q against the singular set and, for
+    `exact` and `compare` on a full point, J^-1(0)."""
     if not 0 <= args.seed < 2 ** 64:
         raise ValidationError(f"--seed must be in [0, 2^64), got {args.seed}")
     params = {"t_end": 1.0, "samples": 101, "tol": 1e-10, "threshold": 1e-6}
@@ -101,6 +101,9 @@ def _resolve(args):
             raise ValidationError("need either --preset or both --model and --init")
         spec = _checked("model JSON", model_from_json_dict, _load_json(args.model))
         pt = _checked("init JSON", _point_from_json, _load_json(args.init))
+    if pt.q.size != spec.ctx.N:
+        raise ValidationError(f"initial point has N = {pt.q.size}, "
+                              f"the model has N = {spec.ctx.N}")
     for name in ("t_end", "samples", "tol", "threshold"):
         val = getattr(args, name, None)
         if val is not None:

@@ -3,11 +3,12 @@
 Hamiltonians, Lax operators L(q,p,xi)(z), limiting Lax values and
 Hamiltonian vector fields on the full and reduced phase spaces.  The reduced
 field is the full field at the lift xi := s projected onto the gauge slice
-s_{a_i} = 1.
+s_{a_i} = 1; ``eom`` gives either, as the point's type chooses.
 
 The rational and trigonometric L(z), its limits at z -> inf and
 z -> +/- i inf and the exact solvers' momentum maps all read one formula,
-``_lax_matrix``.
+``_lax_matrix``.  One ``_nearest_singular`` per family serves the
+regularity check of the root values and the z-pole check of L(z).
 
 All three families share the shape
 
@@ -167,10 +168,6 @@ class PhasePoint(_Point):
 
     _matrix = "xi"
 
-    def momentum(self):
-        """J = -Pi_h(xi), as a diagonal vector."""
-        return -np.diag(self.xi)
-
 
 @dataclass
 class ReducedPoint(_Point):
@@ -303,11 +300,6 @@ def _nearest_singular(spec, w):
     return w - z0, np.abs(z0)
 
 
-def singular_distance(spec, w):
-    """Distance of root values w to the family's singular set ({0}, pi*Z, Lambda)."""
-    return _nearest_singular(spec, w)[1]
-
-
 def _require_regular(w, dist, rows, cols):
     """Raise DomainError naming the first root (rows[k], cols[k]) whose value
     lies closer than REGULARITY_MARGIN to the singular set.  w and dist hold
@@ -332,7 +324,7 @@ def check_regular(spec, q):
     i, j = spec.regular_roots
     q = np.asarray(q)
     w = q[..., i] - q[..., j]
-    _require_regular(w, singular_distance(spec, w), i, j)
+    _require_regular(w, _nearest_singular(spec, w)[1], i, j)
 
 
 def _kernels(spec, lead=()):
@@ -477,23 +469,15 @@ def packed_field(spec, reduced=False):
     return field
 
 
-def _unpacked_field(spec, q, p, m, reduced):
-    N = spec.ctx.N
-    zd = packed_field(spec, reduced)(0.0, np.concatenate([q, p, m.ravel()]))
-    return zd[:N], zd[N:2 * N], zd[2 * N:].reshape(N, N)
-
-
 def eom(spec, pt):
     """(q_dot, p_dot, xi_dot) of the family's Hamiltonian vector field
-    (``packed_field``); on a ReducedPoint, (q_dot, p_dot, s_dot) of
-    ``reduced_eom``: the point's type chooses the flow."""
-    return _unpacked_field(spec, pt.q, pt.p, pt.xi, isinstance(pt, ReducedPoint))
-
-
-def reduced_eom(spec, rpt):
-    """(q_dot, p_dot, s_dot) on TU x g_red: the full field at the lift xi := s,
-    projected onto the gauge slice (``packed_field``)."""
-    return _unpacked_field(spec, rpt.q, rpt.p, rpt.s, True)
+    (``packed_field``); on a ReducedPoint, (q_dot, p_dot, s_dot) on
+    TU x g_red, the full field at the lift xi := s projected onto the gauge
+    slice: the point's type chooses the flow."""
+    N = spec.ctx.N
+    field = packed_field(spec, isinstance(pt, ReducedPoint))
+    zd = field(0.0, np.concatenate([pt.q, pt.p, pt.xi.ravel()]))
+    return zd[:N], zd[N:2 * N], zd[2 * N:].reshape(N, N)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,8 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     fails the step) that passes ``guard(y)``, if a guard is given, and be at
     most the STALL_STEPS-th accepted step since the last sample; a step that
     fails there and reaches past the next sample time is retried onto it.  A
-    stage raising DomainError shrinks the step.  The one way a run ends
+    DomainError from stage 1 through stage 12 (the guard included) shrinks
+    the step.  The one way a run ends
     early is a failed step: one that fails the guard, the finite state or
     the stall budget without reaching past a sample, or a step size that
     collapses.
@@ -345,42 +346,36 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
             for c, ci, YKi, Ki, yic in main:
                 np.matmul(ci, YKi, out=ys)
                 Ki[:] = f(t + c * h_step, yic)
-        except DomainError:
-            # a trial stage left the domain (singular margin): shrink, then stop
-            nrej += 1
-            if h_step < 1e-12 * max(u, abs(t)):
-                break
-            h = h_step * 0.25
-            continue
-        nfev += 11
-        np.matmul(y1_row, YK[:13], out=y1)
-        np.matmul(err_rows, YK[:13], out=err)
-        np.abs(y1, out=ay1)
-        np.maximum(ay, ay1, out=sc)
-        sc *= tol
-        sc += tol
-        err /= sc
-        e5, e3 = float(np.dot(err[0], err[0])), float(np.dot(err[1], err[1]))
-        enorm = e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
-        if not enorm <= 1.0:
-            nrej, h = nrej + 1, h_step * _factor(enorm)
-            continue
-        t1 = t + h_step
-        # the samples strictly inside the step: rows nxt .. inner - 1
-        inner = nxt
-        while inner < len(ts) and ts[inner] < t1 - 1e-12 * u:
-            inner += 1
-        # not < inf: an infinite or NaN entry
-        if (not np.maximum.reduce(ay1) < math.inf
-                or (guard is not None and not guard(y1c)) or since >= STALL_STEPS):
-            if inner == nxt:
-                break
-            # retry onto the next sample before ending the run
-            nrej, h = nrej + 1, ts[nxt] - t
-            continue
-        try:
+            nfev += 11
+            np.matmul(y1_row, YK[:13], out=y1)
+            np.matmul(err_rows, YK[:13], out=err)
+            np.abs(y1, out=ay1)
+            np.maximum(ay, ay1, out=sc)
+            sc *= tol
+            sc += tol
+            err /= sc
+            e5, e3 = float(np.dot(err[0], err[0])), float(np.dot(err[1], err[1]))
+            enorm = e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
+            if not enorm <= 1.0:
+                nrej, h = nrej + 1, h_step * _factor(enorm)
+                continue
+            t1 = t + h_step
+            # the samples strictly inside the step: rows nxt .. inner - 1
+            inner = nxt
+            while inner < len(ts) and ts[inner] < t1 - 1e-12 * u:
+                inner += 1
+            # not < inf: an infinite or NaN entry
+            if (not np.maximum.reduce(ay1) < math.inf
+                    or (guard is not None and not guard(y1c))
+                    or since >= STALL_STEPS):
+                if inner == nxt:
+                    break
+                # retry onto the next sample before ending the run
+                nrej, h = nrej + 1, ts[nxt] - t
+                continue
             YKc[13] = f(t1, y1c)
         except DomainError:
+            # a trial stage left the domain (singular margin): shrink, then stop
             nrej += 1
             if h_step < 1e-12 * max(u, abs(t)):
                 break

@@ -45,8 +45,6 @@ from . import exact
 from .errors import BreakdownError, ValidationError
 from .models import lax_limit
 
-_scipy_expm = None  # scipy.linalg.expm, bound by the first ``expm`` call
-
 
 @dataclass
 class TrigFactorization(exact.Factorization):
@@ -72,10 +70,8 @@ class TrigFactorization(exact.Factorization):
 def expm(A):
     """The matrix exponential of A, or of each matrix of a stack A (..., N, N),
     by scipy's ``expm``, which the first call imports."""
-    global _scipy_expm
-    if _scipy_expm is None:
-        from scipy.linalg import expm as _scipy_expm
-    return _scipy_expm(A)
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 def parabolic_factor(spec, A, sign):

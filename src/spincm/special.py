@@ -1,7 +1,7 @@
-"""Scalar kernels of the Lax operators: cot (the z-part of the trigonometric
-L(z); the rational and trigonometric root kernels are built in ``models``)
-and the Weierstrass functions wp, wp', zeta, sigma and l(w,z) of a period
-lattice.
+"""Scalar kernels of the Lax operators: cot (``_cot``, the z-part of the
+trigonometric L(z), whose poles on pi*Z ``models`` checks; the rational and
+trigonometric root kernels are built in ``models``) and the Weierstrass
+functions wp, wp', zeta, sigma and l(w,z) of a period lattice.
 
 Weierstrass evaluation goes through Jacobi theta_1 series in the nome (spectrally
 accurate); arguments are reduced to the centered fundamental cell and the exact
@@ -18,8 +18,8 @@ one reduction and one pass over the leading rows
 pass), which also gives sigma' with no division by theta_1; ``lame_parts``
 gives l(w,z), zeta(w), zeta(z), d/dz l(w,z) and wp(z) -- all that the
 elliptic L(z) and dL/dz, and the r-matrix action of the test oracles, need --
-from one such pass per argument set.  Points closer than POLE_TOL to a pole
-raise PoleError.
+from one such pass per argument set.  Weierstrass arguments closer than
+POLE_TOL to a lattice point raise PoleError.
 """
 
 from __future__ import annotations
@@ -39,22 +39,10 @@ def _as_array(z):
     return arr, arr.ndim == 0
 
 
-def cot_c(z):
-    """cot z of a scalar or an array, stable for large |Im z| (saturates to
-    -/+ i) by one-sided exponential forms with |w| <= 1; poles on pi*Z."""
-    arr, scalar = _as_array(z)
-    near = math.pi * np.round(arr.real / math.pi)
-    bad = np.flatnonzero(np.abs(arr - near) < POLE_TOL)
-    if bad.size:
-        raise PoleError(f"cot pole at z={arr.flat[bad[0]]}",
-                        nearest=near.flat[bad[0]].item())
-    out = _cot(arr)
-    return complex(out) if scalar else out
-
-
 def _cot(z):
-    """cot z of the array z by the forms of ``cot_c``, unchecked: for callers
-    that have checked the poles themselves."""
+    """cot z of the complex array z, stable for large |Im z| (saturates to
+    -/+ i) by one-sided exponential forms with |w| <= 1.  Its poles on pi*Z
+    are not checked: the caller checks them (``models._check_z_regular``)."""
     up = z.imag >= 0.0
     w = np.exp(np.where(up, 2j, -2j) * z)
     return np.where(up, 1j * (w + 1.0) / (w - 1.0), 1j * (1.0 + w) / (1.0 - w))
@@ -337,8 +325,3 @@ def l_func(lat, w, z):
     """l(w,z) = -sigma(w+z) / (sigma(w) sigma(z))."""
     out = lame_parts(lat, w, z)[0]
     return complex(out) if (np.ndim(w) == 0 and np.ndim(z) == 0) else out
-
-
-def l_func_dz(lat, w, z):
-    """d/dz l(w,z) = l(w,z) (zeta(w+z) - zeta(z))."""
-    return lame_parts(lat, w, z)[3]

@@ -115,10 +115,6 @@ class SpectralSample:
     z: complex
     a: np.ndarray
 
-    @property
-    def N(self):
-        return self.a.size
-
 
 def char_poly_coeffs(spec, pt, z):
     """Spectral sample at z; a_{N-1} = tr L(z) vanishes for traceless data."""
@@ -200,14 +196,12 @@ def _branch_function(spec, pt):
     return D
 
 
-def _winding(fun, points, vals=None):
+def _winding(fun, points, vals):
     """Winding number of fun along a closed polyline, doubling the sampling
     until phase steps are resolved and the total is integer; None on failure.
-    fun maps an array of points to their values; `vals`, when given, are the
-    values at `points`, and each refinement evaluates only the new midpoints."""
+    fun maps an array of points to their values; `vals` are the values at
+    `points`, and each refinement evaluates only the new midpoints."""
     pts = np.asarray(points, dtype=complex)
-    if vals is None:
-        vals = fun(pts)
     for refine in range(MAX_DOUBLINGS + 1):
         if refine:
             mids = 0.5 * (pts + np.roll(pts, -1))

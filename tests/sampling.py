@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spincm.models import PhasePoint, ReducedPoint, singular_distance
+from spincm.models import PhasePoint, ReducedPoint, _nearest_singular
 
 
 def random_point(spec, rng, scale=0.4, momentum_zero=True, q_imag=0.0,
@@ -18,7 +18,7 @@ def random_point(spec, rng, scale=0.4, momentum_zero=True, q_imag=0.0,
         q = q + 0.1 * rng.standard_normal(N) + 1j * q_imag * rng.standard_normal(N)
         q = q - q.mean()
         i, j = spec.regular_roots
-        if singular_distance(spec, q[i] - q[j]).min(initial=np.inf) < margin:
+        if _nearest_singular(spec, q[i] - q[j])[1].min(initial=np.inf) < margin:
             continue
         break
     p = p_scale * (rng.standard_normal(N) + 1j * q_imag * rng.standard_normal(N))

@@ -591,3 +591,72 @@ def test_preset_dir_env(tmp_path, monkeypatch, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: "), (zs, cmd, err)
             assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["rational", "elliptic"])
+def test_model_and_point_of_different_n_exit2(tmp_path, monkeypatch, capsys, family):
+    """A model and an initial point of different N are refused with exit 2
+    and one error line by all five commands, in both directions and from
+    --model/--init as from a SPINCM_PRESET_DIR preset."""
+    dicts = {}
+    for N in (2, 3):
+        d = load_preset(f"{family}-sl{N}")
+        dicts[N] = d["model"].to_json_dict(), d["init"].to_json_dict()
+        (tmp_path / f"model{N}.json").write_text(json.dumps(dicts[N][0]))
+        (tmp_path / f"init{N}.json").write_text(json.dumps(dicts[N][1]))
+    monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
+    out = tmp_path / "never.out"
+    for m, n in ((2, 3), (3, 2)):
+        (tmp_path / f"mixed{m}{n}.json").write_text(json.dumps(
+            {"model": dicts[m][0], "init": dicts[n][1]}))
+        for cmd in ("simulate", "exact", "compare", "audit", "curve"):
+            for source in (("--model", str(tmp_path / f"model{m}.json"),
+                            "--init", str(tmp_path / f"init{n}.json")),
+                           ("--preset", f"mixed{m}{n}")):
+                assert run(tmp_path, cmd, *source, "--out", str(out)) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert err == [f"error: initial point has N = {n}, "
+                               f"the model has N = {m}"], (cmd, source, err)
+    assert not out.exists()
+
+
+_MODEL_SL2 = {"N": 2, "family": "rational",
+              "root_subset": {"kind": "delta", "members": [[1, 2], [2, 1]]}}
+_INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
+             "xi": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("argv, model, init, code, err", [
+    (("simulate",), _MODEL_SL2, {"q": _INIT_SL2["q"], "p": _INIT_SL2["p"]}, 2,
+     "error: initial point JSON needs an 'xi' or 's' field"),
+    (("simulate",), _MODEL_SL2, {**_INIT_SL2, "xi": _INIT_SL2["xi"][:3]}, 2,
+     "error: xi must have 4 entries, got 3"),
+    (("simulate",), {**_MODEL_SL2, "root_subset": {
+        "kind": "delta", "members": [[1, 3], [3, 1]]}}, _INIT_SL2, 2,
+     "error: root pair (0, 2) out of range for N=2"),
+    (("simulate",), {**_MODEL_SL2, "root_subset": {"kind": "gamma", "members": []}},
+     _INIT_SL2, 2, "error: unknown root-subset kind 'gamma'"),
+    (("simulate",), {**_MODEL_SL2, "family": "hyperbolic"}, _INIT_SL2, 2,
+     "error: unknown family 'hyperbolic'"),
+    (("compare", "--preset", "elliptic-sl2"), None, None, 5,
+     "compare requires a family with an exact solver"),
+    (("simulate", "--preset", "rational-sl2"), None, None, 0, None),
+    (("compare", "--preset", "rational-sl2"), None, None, 0, None),
+], ids=["no-xi-or-s", "xi-entry-count", "root-pair-range", "root-subset-kind",
+        "family", "compare-elliptic", "simulate-stdout", "compare-stdout"])
+def test_command_outcome(tmp_path, capsys, argv, model, init, code, err):
+    """The exit code and the one stderr line of a command with no --out; an
+    exit-0 run writes its artifact to stdout, the bytes that --out writes."""
+    argv = list(argv)
+    if model is not None:
+        for name, d in (("model", model), ("init", init)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert run(tmp_path, *argv) == code
+    cap = capsys.readouterr()
+    if err is not None:
+        assert (cap.out, cap.err.splitlines()) == ("", [err])
+        return
+    out = tmp_path / "out"
+    assert run(tmp_path, *argv, "--out", str(out)) == code
+    assert cap.err == "" and cap.out == out.read_text()

@@ -18,10 +18,10 @@ from spincm.models import (LAX_LIMITS, PhasePoint, ReducedPoint,
                            _kernel_matrices, alpha_matrix, check_regular,
                            elliptic_model, eom, hamiltonian, lax, lax_batch,
                            lax_limit, lax_pair, packed_field, rational_model,
-                           reduce_point, reduced_eom, trig_model)
+                           reduce_point, trig_model)
 from spincm.presets import load_preset
 from spincm.rk import audit, default_z_samples, integrate
-from spincm.special import EllipticLattice, cot_c, wp, wp_prime
+from spincm.special import EllipticLattice, wp, wp_prime
 from spincm.spectral import (_sheet_partials, branch_count_genus,
                              char_poly_coeffs, gauge_lax, genericity_check)
 
@@ -191,8 +191,9 @@ def test_trig_lax_batch_matches_cot(spec_t2):
     pt = PhasePoint(q=[0.4, -0.4], p=[0.3, -0.3], xi=E12 + 2 * E21)
     zs = np.array([0.7, 0.9 - 0.4j, 1.1 + 0.3j, 0.2 + 50j, -0.6 - 50j])
     Ls = lax_batch(spec_t2, pt, zs)
-    for z, L in zip(zs, Ls):
-        dL = L - Ls[0] - (cot_c(z) - cot_c(zs[0])) * pt.xi
+    cot = special._cot(zs)
+    for c, L in zip(cot, Ls):
+        dL = L - Ls[0] - (c - cot[0]) * pt.xi
         assert np.abs(dL).max() <= 1e-14
     with pytest.raises(PoleError) as exc:
         lax_batch(spec_t2, pt, [0.5, math.pi + 1e-12])
@@ -368,11 +369,12 @@ def test_momentum_conserved_on_level_set(families, family):
 
 def test_reduced_cartan_correction_empty_for_sl2(spec_r2):
     """At N = 2 the full field keeps s_(a_1) = 1, so the projection adds
-    nothing: reduced_eom is eom of the lift xi := s, bit for bit."""
+    nothing: eom of the reduced point is eom of the lift xi := s, bit for
+    bit."""
     rng = np.random.default_rng(4)
     rpt = random_reduced(spec_r2, rng)
     lift = PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
-    for mine, full in zip(reduced_eom(spec_r2, rpt), eom(spec_r2, lift)):
+    for mine, full in zip(eom(spec_r2, rpt), eom(spec_r2, lift)):
         assert np.array_equal(mine, full)
 
 
@@ -382,15 +384,16 @@ def test_reduced_flow_stays_in_g_red(families, family):
     rng = np.random.default_rng(5)
     for _ in range(20):
         rpt = random_reduced(spec, rng)
-        _, _, sd = reduced_eom(spec, rpt)
+        _, _, sd = eom(spec, rpt)
         assert abs(np.trace(sd)) < 1e-10
         for k in range(spec.ctx.N - 1):
             assert abs(sd[k, k + 1]) < 1e-10
 
 
 def test_reduced_eom_matches_reduction_of_full_flow(families):
-    """s_dot from reduced_eom == d/dt of g(xi)^-1 xi g(xi) along the full flow,
-    for every family (the trigonometric one has the c0 term)."""
+    """s_dot from eom of a reduced point == d/dt of g(xi)^-1 xi g(xi) along
+    the full flow, for every family (the trigonometric one has the c0
+    term)."""
     rng = np.random.default_rng(6)
     delta = 1e-5
     for spec in families.values():
@@ -405,7 +408,7 @@ def test_reduced_eom_matches_reduction_of_full_flow(families):
             fd_s = (plus.s - minus.s) / (2 * delta)
             fd_q = (plus.q - minus.q) / (2 * delta)
             fd_p = (plus.p - minus.p) / (2 * delta)
-            qd, pd, sd = reduced_eom(spec, rpt)
+            qd, pd, sd = eom(spec, rpt)
             assert np.abs(sd - fd_s).max() < 1e-6
             assert np.abs(qd - fd_q).max() < 1e-6
             assert np.abs(pd - fd_p).max() < 1e-6
@@ -455,7 +458,9 @@ def test_reduced_point_is_read_at_its_lift(name):
                   if family == spec.family]
     for call in calls:
         _same_bits(call(rpt), call(lift))
-    _same_bits(eom(spec, rpt), reduced_eom(spec, rpt))
+    N = spec.ctx.N
+    zd = packed_field(spec, True)(0.0, np.concatenate([rpt.q, rpt.p, rpt.s.ravel()]))
+    _same_bits(eom(spec, rpt), (zd[:N], zd[N:2 * N], zd[2 * N:].reshape(N, N)))
     if spec.family == "elliptic":
         assert branch_count_genus(spec, rpt) == {"elliptic-sl2": (6, 2),
                                                  "elliptic-sl3": (12, 4)}[name]
@@ -623,14 +628,16 @@ def _count_lattice_passes(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("fn", [eom, reduced_eom, hamiltonian])
-def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn):
+@pytest.mark.parametrize("fn, reduced", [(eom, False), (eom, True),
+                                         (hamiltonian, False)],
+                         ids=["eom", "reduced_eom", "hamiltonian"])
+def test_elliptic_rhs_is_one_kernel_pass(lat, monkeypatch, fn, reduced):
     """One elliptic RHS or Hamiltonian: one call of the wp/wp' evaluator
     (1 lattice reduction, 1 theta pass), no other reduction or theta pass,
     and no call to the per-root wp / wp'."""
     spec = elliptic_model(ctx(3), lat)
     rpt = random_reduced(spec, np.random.default_rng(12))
-    pt = rpt if fn is reduced_eom else PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
+    pt = rpt if reduced else PhasePoint(q=rpt.q, p=rpt.p, xi=rpt.s)
     counts = _count_lattice_passes(monkeypatch)
 
     def forbidden(*args):
@@ -713,7 +720,7 @@ def test_elliptic_lax_paths_reduce_once_per_argument_set(lat, monkeypatch, call,
 
     def forbidden(*args):
         raise AssertionError("public per-argument evaluator called")
-    for name in ("sigma_w", "l_func", "l_func_dz", "zeta_w", "wp"):
+    for name in ("sigma_w", "l_func", "zeta_w", "wp"):
         monkeypatch.setattr(special, name, forbidden)
     call(spec, pt)
     assert count[0] == reductions
@@ -756,7 +763,7 @@ def test_kernel_pass_checks_regularity(families, family, q, root):
     p = np.array([0.1, -0.3, 0.2])
     for fn, pt in ((eom, PhasePoint(q=q, p=p, xi=_S3)),
                    (hamiltonian, PhasePoint(q=q, p=p, xi=_S3)),
-                   (reduced_eom, ReducedPoint(q=q, p=p, s=_S3))):
+                   (eom, ReducedPoint(q=q, p=p, s=_S3))):
         with pytest.raises(DomainError) as err:
             fn(spec, pt)
         assert str(err.value) == str(ref.value)
@@ -809,16 +816,14 @@ def _fresh_field(spec, q, p, m, reduced):
 
 
 def _field_cases(spec, rng):
-    """(reduced, point, its matrix, eom or reduced_eom): four full points off
-    J^-1(0) and four reduced points."""
+    """(reduced, point): four full points off J^-1(0) and four reduced
+    points."""
     for reduced in (False, True):
         for _ in range(4):
             if reduced:
-                pt = random_reduced(spec, rng)
-                yield reduced, pt, pt.s, reduced_eom
+                yield reduced, random_reduced(spec, rng)
             else:
-                pt = random_point(spec, rng, momentum_zero=False)
-                yield reduced, pt, pt.xi, eom
+                yield reduced, random_point(spec, rng, momentum_zero=False)
 
 
 def _family_spec(family, N, lat):
@@ -830,16 +835,17 @@ def _family_spec(family, N, lat):
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_packed_field_is_eom(lat, family):
     """One field closure evaluated on a run of points gives, bit for bit,
-    eom / reduced_eom of each and the field of a fresh closure: its reused
-    buffers carry nothing from one call to the next."""
+    eom of each (the reduced field on a reduced point) and the field of a
+    fresh closure: its reused buffers carry nothing from one call to the
+    next."""
     rng = np.random.default_rng(23)
     for N in range(2, 6):
         spec = _family_spec(family, N, lat)
         fields = {reduced: packed_field(spec, reduced) for reduced in (False, True)}
-        for reduced, pt, m, rhs in _field_cases(spec, rng):
-            z = np.concatenate([pt.q, pt.p, m.ravel()])
+        for reduced, pt in _field_cases(spec, rng):
+            z = np.concatenate([pt.q, pt.p, pt.xi.ravel()])
             zdot = fields[reduced](0.0, z)
-            qd, pd, md = rhs(spec, pt)
+            qd, pd, md = eom(spec, pt)
             assert _bits(zdot) == _bits(np.concatenate([qd, pd, md.ravel()]))
             assert _bits(zdot) == _bits(packed_field(spec, reduced)(0.0, z))
 
@@ -852,9 +858,10 @@ def test_packed_field_matches_formula(lat, family):
     rng = np.random.default_rng(23)
     for N in range(2, 6):
         spec = _family_spec(family, N, lat)
-        for reduced, pt, m, _ in _field_cases(spec, rng):
-            zdot = packed_field(spec, reduced)(0.0, np.concatenate([pt.q, pt.p, m.ravel()]))
-            ref = _fresh_field(spec, pt.q, pt.p, m, reduced)
+        for reduced, pt in _field_cases(spec, rng):
+            z = np.concatenate([pt.q, pt.p, pt.xi.ravel()])
+            zdot = packed_field(spec, reduced)(0.0, z)
+            ref = _fresh_field(spec, pt.q, pt.p, pt.xi, reduced)
             assert np.abs(zdot - ref).max() <= FIELD_RTOL * np.abs(ref).max()
 
 

@@ -228,7 +228,7 @@ def test_winding_evaluates_each_point_once():
     # from the top corner: the phase step across it is resolved only after
     # two doublings (4 -> 8 -> 16 points)
     square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-    assert _winding(fun, square) == 1
+    assert _winding(fun, square, fun(square)) == 1
     assert len(seen) == 16
     assert len(set(np.round(seen, 12))) == 16
 
