@@ -115,33 +115,43 @@ def block_mask(N, partition):
     return mask
 
 
+def _one_based(indices):
+    """A 0-based index tuple, nested or not, as the 1-based one of the JSON."""
+    return tuple(_one_based(k) if isinstance(k, tuple) else k + 1 for k in indices)
+
+
 def validate_root_subset(ctx, subset):
-    """Validate and attach the partition; ValidationError names violations."""
+    """Validate and attach the partition; ValidationError names violations by
+    the 1-based indices of the model JSON."""
     N = ctx.N
     if subset.kind == "delta":
         members = set()
         for pair in subset.members:
             i, j = pair
             if not (0 <= i < N and 0 <= j < N) or i == j:
-                raise ValidationError(f"root pair {pair} out of range for N={N}")
+                raise ValidationError(
+                    f"root pair {_one_based(pair)} out of range for N={N}")
             members.add((i, j))
         for (i, j) in members:
             if (j, i) not in members:
                 raise ValidationError(
-                    f"Delta' not symmetric: ({i},{j}) present but ({j},{i}) missing")
+                    f"Delta' not symmetric: ({i + 1},{j + 1}) present but "
+                    f"({j + 1},{i + 1}) missing")
         partition = partition_from_pairs(N, members)
         # a symmetric Delta' is closed iff it is all roots of its partition
         full = set(map(tuple, np.argwhere(block_mask(N, partition)).tolist()))
         if members != full:
-            raise ValidationError(f"Delta' not closed: partition {partition} "
-                                  f"requires {min(full - members)}")
+            raise ValidationError(
+                f"Delta' not closed: partition {_one_based(partition)} "
+                f"requires {_one_based(min(full - members))}")
         return RootSubset(kind="delta", members=tuple(sorted(members)),
                           partition=partition)
 
     if subset.kind == "pi":
         for k in subset.members:
             if not (0 <= k < N - 1):
-                raise ValidationError(f"simple-root index {k} out of range for N={N}")
+                raise ValidationError(
+                    f"simple-root index {k + 1} out of range for N={N}")
         members = tuple(sorted(set(subset.members)))
         # <pi'> = roots inside the interval blocks generated by the chosen simples
         partition = partition_from_pairs(N, [(k, k + 1) for k in members])

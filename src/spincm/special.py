@@ -7,7 +7,12 @@ Weierstrass evaluation goes through Jacobi theta_1 series in the nome (spectrall
 accurate); arguments are reduced to the centered fundamental cell and the exact
 quasi-periodicity factors are reapplied.  theta_1 and its first three
 derivatives come from one product of a fixed (4, 2*nmax) coefficient array with
-the stacked sines and cosines.  wp and wp' come from one function,
+the stacked sines and cosines of the odd harmonics (2n+1) v.  For sigma and
+zeta (``EllipticLattice._theta_rows``, called on up to thousands of arguments)
+the harmonics come from one sin v, cos v pair by angle addition; the wp/wp'
+evaluator, called once per integrator stage on the N(N-1)/2 root values,
+takes sin and cos of every harmonic, as two ufuncs cost less than a loop
+over the harmonics at that size.  wp and wp' come from that one function,
 ``EllipticLattice._wp_evaluator``: built once per argument shape, it reduces
 the arguments and makes that one series pass into buffers allocated at build
 time; the kernel pass of ``models`` builds one per vector field or stacked
@@ -148,9 +153,27 @@ class EllipticLattice:
     # -- theta core ---------------------------------------------------------
     def _theta_rows(self, v, k):
         """theta_1 and its first k - 1 derivatives at the array v: the leading
-        k rows of the series times [sin; cos], shape (k,) + v.shape."""
-        arg = np.multiply.outer(self._odd, v.ravel())
-        th = self._series[:k] @ np.concatenate([np.sin(arg), np.cos(arg)])
+        k rows of the series times [sin; cos] of the odd harmonics (2n+1) v,
+        shape (k,) + v.shape.
+
+        The harmonics take one complex sin v, cos v pair: row n + 1 is row n
+        turned by the angle 2v (sin(a + 2v) = sin a cos 2v + cos a sin 2v,
+        cos(a + 2v) = cos a cos 2v - sin a sin 2v), written in place into the
+        [sin; cos] buffer.  This is as accurate as sin and cos of every
+        harmonic; the doubling form (blocks turned by 2v, 4v, 8v, ...) makes
+        fewer numpy calls but is no faster.  ``_wp_evaluator`` keeps sin and
+        cos of every harmonic: on the N(N-1)/2 arguments of one integrator
+        stage, a loop over the harmonics costs several times the two ufuncs."""
+        nmax = self._odd.size
+        x = v.ravel()
+        sc = np.empty((2 * nmax, x.size), dtype=complex)
+        sin, cos = sc[:nmax], sc[nmax:]
+        s, c = np.sin(x, out=sin[0]), np.cos(x, out=cos[0])
+        s2, c2 = 2.0 * s * c, c * c - s * s
+        for n in range(1, nmax):
+            s, c = (np.add(s * c2, c * s2, out=sin[n]),
+                    np.subtract(c * c2, s * s2, out=cos[n]))
+        th = self._series[:k] @ sc
         return th.reshape((k,) + v.shape)
 
     def _v(self, z):

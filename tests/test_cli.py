@@ -633,7 +633,16 @@ _INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
      "error: xi must have 4 entries, got 3"),
     (("simulate",), {**_MODEL_SL2, "root_subset": {
         "kind": "delta", "members": [[1, 3], [3, 1]]}}, _INIT_SL2, 2,
-     "error: root pair (0, 2) out of range for N=2"),
+     "error: root pair (1, 3) out of range for N=2"),
+    (("simulate",), {**_MODEL_SL2, "N": 3, "root_subset": {
+        "kind": "delta", "members": [[1, 2]]}}, _INIT_SL2, 2,
+     "error: Delta' not symmetric: (1,2) present but (2,1) missing"),
+    (("simulate",), {**_MODEL_SL2, "N": 3, "root_subset": {
+        "kind": "delta", "members": [[1, 2], [2, 1], [2, 3], [3, 2]]}}, _INIT_SL2, 2,
+     "error: Delta' not closed: partition ((1, 2, 3),) requires (1, 3)"),
+    (("simulate",), {"N": 3, "family": "trigonometric", "root_subset": {
+        "kind": "pi", "members": [3]}}, _INIT_SL2, 2,
+     "error: simple-root index 3 out of range for N=3"),
     (("simulate",), {**_MODEL_SL2, "root_subset": {"kind": "gamma", "members": []}},
      _INIT_SL2, 2, "error: unknown root-subset kind 'gamma'"),
     (("simulate",), {**_MODEL_SL2, "family": "hyperbolic"}, _INIT_SL2, 2,
@@ -642,11 +651,13 @@ _INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
      "compare requires a family with an exact solver"),
     (("simulate", "--preset", "rational-sl2"), None, None, 0, None),
     (("compare", "--preset", "rational-sl2"), None, None, 0, None),
-], ids=["no-xi-or-s", "xi-entry-count", "root-pair-range", "root-subset-kind",
+], ids=["no-xi-or-s", "xi-entry-count", "root-pair-range", "root-pair-asymmetric",
+        "root-subset-not-closed", "simple-root-range", "root-subset-kind",
         "family", "compare-elliptic", "simulate-stdout", "compare-stdout"])
 def test_command_outcome(tmp_path, capsys, argv, model, init, code, err):
     """The exit code and the one stderr line of a command with no --out; an
-    exit-0 run writes its artifact to stdout, the bytes that --out writes."""
+    exit-0 run writes its artifact to stdout, the bytes that --out writes.
+    A refused root subset is named by the model JSON's own 1-based indices."""
     argv = list(argv)
     if model is not None:
         for name, d in (("model", model), ("init", init)):

@@ -215,9 +215,49 @@ def test_further_l_zeta_identities(lat):
 
 
 def test_trig_degeneration():
+    """As Im tau -> oo the lattice functions become trigonometric: with
+    w1 = pi/2, eta1 = pi/6, so sigma(z) = sin z e^{z^2/6} and
+    zeta(z) = cot z + z/3."""
     lat = EllipticLattice(math.pi / 2, 40j)
     for z in (0.3, 0.7 + 0.2j, 1.1 - 0.3j):
         assert abs(wp(lat, z) - (1.0 / np.sin(z) ** 2 - 1.0 / 3.0)) < 1e-4
+    for z in (0.3, 0.7 + 0.2j, 1.1 - 0.3j, 1e-7 + 2e-8j):
+        sigma = np.sin(z) * np.exp(z * z / 6)
+        zeta = np.cos(z) / np.sin(z) + z / 3
+        assert abs(sigma_w(lat, z) - sigma) <= 1e-12 * abs(sigma)
+        assert abs(zeta_w(lat, z) - zeta) <= 1e-12 * abs(zeta)
+
+
+def direct_theta_rows(lat, v, k):
+    """The leading k theta rows from np.sin and np.cos of every odd harmonic
+    (2n+1) v, against the lattice's series coefficients."""
+    arg = np.multiply.outer(lat._odd, np.ravel(v))
+    th = lat._series[:k] @ np.concatenate([np.sin(arg), np.cos(arg)])
+    return th.reshape((k,) + np.shape(v))
+
+
+@pytest.mark.parametrize("im_tau, nmax", [(0.8, 9), (0.1, 16), (0.02, 32)])
+def test_theta_rows_match_direct_harmonics(im_tau, nmax):
+    """theta_1 and its three derivatives from the angle-addition harmonics
+    against sin and cos of every harmonic, each row within 1e-12 of its
+    largest magnitude: on random cell points, |z| ~ 1e-7 and points next to
+    the cell corners (largest |Im v|), as a flat, a 0-d and a stacked
+    (T, K, N, N) argument."""
+    lat = EllipticLattice(1.0, 0.35 + 1j * im_tau)
+    assert lat._odd.size == nmax
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-0.5, 0.5, (2, 28))
+    corners = (1 - 1e-6) * np.array([1, 1, -1, -1]) * (
+        lat.omega1 + np.array([1, -1, 1, -1]) * lat.omega2)
+    tiny = 1e-7 * np.exp(2j * np.pi * rng.uniform(size=4))
+    z = np.concatenate([2 * lat.omega1 * x + 2 * lat.omega2 * y, corners, tiny])
+    for v in (lat._v(z), lat._v(z).reshape(2, 2, 3, 3), lat._v(corners[0]),
+              lat._v(tiny[0])):
+        mine, ref = lat._theta_rows(v, 4), direct_theta_rows(lat, v, 4)
+        assert mine.shape == ref.shape == (4,) + v.shape
+        mine, ref = mine.reshape(4, -1), ref.reshape(4, -1)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(mine - ref) <= 1e-12 * scale)
 
 
 def test_theta_vs_lattice_sum_oracle(lat, oracle):
