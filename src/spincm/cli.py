@@ -90,7 +90,10 @@ def _resolve(args):
             require_keys(d, ("model", "init"), "preset")
             spec = _checked("preset model", model_from_json_dict, d["model"])
             pt = _checked("preset init", _point_from_json, d["init"])
-            params.update(d.get("defaults", {}))
+            defaults = d.get("defaults", {})
+            if not isinstance(defaults, dict):
+                raise ValidationError("preset JSON's 'defaults' must be an object")
+            params.update(defaults)
         else:
             data = load_preset(args.preset, seed=args.seed)
             spec = data["model"]

@@ -30,8 +30,7 @@ complex secant iteration on M at complex t, until one collides.  The start
 of that interval, else the output time before the path's breakdown, is the
 transport's last output time, fixed before the transport starts, so it never
 steps into the collision.  A run that ends early anyway (a step whose eigen
-gap falls below GAP_COLLIDE, an output interval past ``rk.dop853``'s stall
-budget ``rk.STALL_STEPS`` accepted steps per output interval, or a
+gap falls below GAP_COLLIDE, a row that fails the solve's check, or a
 collapsed step) always ends in a BreakdownError, never in a silent state.
 
 A family supplies ``setup(spec, pt0) -> (path, velocity, log0, position,
@@ -48,18 +47,23 @@ M k = k diag(d) in place of M(t): when M solves a linear ODE
 M' = A M + M C, the transported M~ = k diag(d) k^-1 solves the same ODE
 from the same start, so the state drifts off M k = k diag(d) only by the
 integration error.  One stacked polish against the path's M at the output
-times reached, after the integration, removes that drift from the output,
-and its size before the polish, max |k^-1 M k - diag d| / max(1, |d|), is
-the diagnostic ``eig_residual``.
+times removes that drift from the rows, and its size before the polish,
+max |k^-1 M k - diag d| / max(1, |d|), over the rows written, is the
+diagnostic ``eig_residual``.
 
-``solve`` checks the input, runs the transport, maps the stack to states,
-checks the rows and writes them into the trajectory's packed array, stacks
-the factors (the path's, then g, d, h, k), keeps the diagnostics and
-attaches the partial results to a ``BreakdownError``; a ``ReducedPoint`` is
-solved from its lift ``pt0.xi`` = s0, its rows reduced at once.  The first
-row that fails ``models.check_rows``, the checks of an input point, ends the
-solve in a BreakdownError at its time with that check's message; the
-largest |diag xi(t)| over the rows kept is ``momentum_residual``.
+``solve`` checks the input, runs the transport with its row check (the
+polished rows mapped to states and checked by ``models.check_rows``, the
+checks of an input point), writes the rows into the trajectory's packed
+array, stacks the factors (the path's, then g, d, h, k), keeps the
+diagnostics and attaches the partial results to a ``BreakdownError``; a
+``ReducedPoint`` is solved from its lift ``pt0.xi`` = s0, its rows reduced
+at once.  The transport's guard runs the check on the rows delivered so far
+at its T-th, 2T-th, 4T-th, ... call (T output times), and one stacked pass
+over the rows reached keeps those before the first failing row, which ends
+the solve in a BreakdownError at its time with that check's message.  A
+regular solve takes fewer steps than it has output times, so only that pass
+checks it.  The largest |diag xi(t)| over the rows kept is
+``momentum_residual``.
 
 ``left_divide`` calls numpy's own LAPACK ``zgesv`` gufunc, so a rational
 solve loads no scipy; only the trigonometric path's ``expm`` does.
@@ -213,15 +217,19 @@ def locate_collision(path, blocks, pairs, t_lo, t_hi):
                           f"t = {t_star:.9g} (gap {gap:.3e})", time=t_star, gap=gap)
 
 
-def transport(path, velocity, blocks, times, tol, log0):
+def transport(path, velocity, blocks, times, tol, log0, check):
     """Kato transport of the eigenvector matrix of a block-diagonal path over
-    the output grid `times` (see the module docstring).
+    the output grid `times` (see the module docstring), up to its first row
+    that fails ``check(k, l) -> (n, error, states)``: on polished stacks k
+    and l, the first failing row (else their length), its error (else None)
+    and the caller's states of the rows.
 
-    Returns (k, l, path_factors, diagnostics, error): the polished k and l
-    at the output times reached, stacked; the path's stacked factors at
-    them; the smallest eigen gap seen, f-evaluations, rejected steps and the
-    largest eigen residual before the polish; and a BreakdownError (not
-    raised) if the run ended before times[-1], else None.
+    Returns (k, l, states, path_factors, diagnostics, error): the polished k
+    and l at the output times up to the first failing row, stacked; the
+    states of every row reached; the path's stacked factors at the rows
+    kept; the smallest eigen gap seen, f-evaluations, rejected steps and the
+    largest eigen residual before the polish over the rows kept; and a
+    BreakdownError (not raised) if the rows end before times[-1], else None.
 
     The collision pre-scan stays next to the gap guard: both end the run at
     the same output time, but the guard only once the gap is under
@@ -256,15 +264,6 @@ def transport(path, velocity, blocks, times, tol, log0):
     def eigs(ell):
         return np.exp(ell) if group else ell
 
-    def off_block(B, d, out):
-        """W_ij = B_ij / (d_j - d_i) for i != j in one block, of B and d
-        stacked over leading axes, gathered and scattered over `flat`; `out`
-        holds the zeros elsewhere."""
-        lead = B.shape[:-2]
-        out.reshape(lead + (nk,))[..., flat] = (
-            B.reshape(lead + (nk,))[..., flat] / (d[..., c] - d[..., r]))
-        return out
-
     W = np.zeros((N, N), dtype=complex)
     Wf = W.reshape(nk)
     out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
@@ -283,37 +282,56 @@ def transport(path, velocity, blocks, times, tol, log0):
         return out
 
     rows = np.empty((len(times), nk + N), dtype=complex)  # k | l, unpolished
-    guard_gap = [np.inf]
 
-    def guard(y):
+    def polish(n):
+        """(k, l, residual) of the first n rows: one first-order
+        eigen-correction of each (k, l) against M itself, in the transport's
+        gauge: R = k^-1 M k = diag(d) + E gives k (I + W(R)) and diag R, with
+        errors O(E^2), so the trace of l is exact."""
+        k, ell = rows[:n, :nk].reshape(n, N, N), rows[:n, nk:]
+        d = eigs(ell)
+        R = np.linalg.solve(k, Ms[:n] @ k)
+        dr = R.diagonal(axis1=1, axis2=2)
+        residual = (np.abs(R - d[:, :, None] * np.eye(N)).max(axis=(1, 2))
+                    / np.maximum(1.0, np.abs(d).max(axis=1)))
+        WR = np.zeros_like(R)
+        WR.reshape(n, nk)[:, flat] = R.reshape(n, nk)[:, flat] / (d[:, c] - d[:, r])
+        return k + k @ WR, ell + np.log(dr / d) if group else dr.copy(), residual
+
+    gap_seen, calls, check_at, ok = np.inf, 0, len(times), True
+
+    def guard(y, n):
+        """The eigen gap of y, and the row check on the n rows delivered at
+        the T-th, 2T-th, 4T-th, ... call; False from the first failing row on."""
+        nonlocal gap_seen, calls, check_at, ok
         gap = block_gap(eigs(y[nk:]), pairs)
-        guard_gap[0] = min(guard_gap[0], gap)
-        return gap >= GAP_COLLIDE
+        gap_seen, calls = min(gap_seen, gap), calls + 1
+        if ok and calls == check_at:
+            check_at *= 2
+            try:
+                ok = check(*polish(n)[:2])[0] == n
+            except DomainError:  # a row outside U fails
+                ok = False
+        return ok and gap >= GAP_COLLIDE
 
     y0 = np.concatenate([np.eye(N, dtype=complex).ravel(),
                          np.diag(Ms[0]) if log0 is None else log0])
     with np.errstate(invalid="ignore"):  # left_divide's flag on a singular k
         t, stats, done = dop853(f, y0, times[:end + 1], tol, rows, guard)
-
-    # the polish: one first-order eigen-correction of each (k, l) against M
-    # itself, in the transport's gauge: R = k^-1 M k = diag(d) + E gives
-    # k (I + W(R)) and diag R, with errors O(E^2), so the trace of l is exact
-    k, ell = rows[:done, :nk].reshape(done, N, N), rows[:done, nk:]
-    d = eigs(ell)
-    R = np.linalg.solve(k, Ms[:done] @ k)
-    dr = R.diagonal(axis1=1, axis2=2)
-    residual = (np.abs(R - d[:, :, None] * np.eye(N)).max(axis=(1, 2))
-                / np.maximum(1.0, np.abs(d).max(axis=1)))
-    k = k + k @ off_block(R, d, np.zeros_like(R))
-    ell = ell + np.log(dr / d) if group else dr.copy()
+    k, ell, residual = polish(done)
+    n, exc, states = check(k, ell)
 
     # the path gaps at the output times up to the first one not reached
-    min_gap = float(min(guard_gap[0], path_gaps[:done + 1].min()))
+    min_gap = float(min(gap_seen, path_gaps[:done + 1].min()))
     diags = {"min_gap": min_gap, "nfev": float(stats["nfev"]),
              "nrejected": float(stats["nrejected"]),
-             "eig_residual": float(residual.max())}
+             "eig_residual": float(residual[:n].max(initial=0.0))}
     error = collision
-    if done <= end:
+    if exc is not None:
+        error = BreakdownError(
+            f"factorization breakdown at t = {times[n]:.9g}: the state fails "
+            f"its check: {exc}", time=float(times[n]), gap=min_gap)
+    elif done <= end:
         error = locate_collision(
             path, blocks, pairs, times[done - 1], times[done]) or BreakdownError(
             f"factorization breakdown: the transport stalled at t = {t:.9g} "
@@ -324,7 +342,7 @@ def transport(path, velocity, blocks, times, tol, log0):
             f"factorization breakdown at t = {times[defined]:.9g}: the "
             f"family's path has no factorization there",
             time=float(times[defined]), gap=min_gap)
-    return k, ell, tuple(fac[:done] for fac in factors), diags, error
+    return k[:n], ell[:n], states, tuple(fac[:n] for fac in factors), diags, error
 
 
 def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
@@ -351,28 +369,27 @@ def solve(spec, pt0, times, tol=1e-10, *, family, provenance, factorization,
     times = _validate_times(times)
 
     path, velocity, log0, position, (which, L0) = setup(spec, pt0)
-    k, ell, path_factors, diags, error = transport(
-        path, velocity, spec.subset.partition, times, tol, log0)
-    ts = times[:len(k)]  # the output times reached
-    kinv = np.linalg.inv(k)
-    xi = kinv @ pt0.xi @ k
-    q = position(ell)
     N = spec.ctx.N
     off = ~np.eye(N, dtype=bool)
-    with np.errstate(invalid="ignore"):  # a non-finite row fails check_rows
-        P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off, LAX_LIMITS[which][1])
-    p = P[:, range(N), range(N)]
 
-    # the rows up to the first output time whose state fails a check
-    m = reduce_gauge(spec.ctx, xi) if reduced else xi
-    n, exc = check_rows(q, p, m, reduced, xi=xi)
+    def check(k, ell):
+        """``check_rows``' (n, error) on the states of polished stacks k, l,
+        and those states (q, p, m, xi, P): m = xi, or s on a reduced solve."""
+        kinv = np.linalg.inv(k)
+        xi = kinv @ pt0.xi @ k
+        q = position(ell)
+        with np.errstate(invalid="ignore"):  # a non-finite row fails check_rows
+            P = kinv @ L0 @ k - _lax_matrix(spec, q, 0.0, xi * off,
+                                            LAX_LIMITS[which][1])
+        p = P[:, range(N), range(N)]
+        m = reduce_gauge(spec.ctx, xi) if reduced else xi
+        return (*check_rows(q, p, m, reduced, xi=xi), (q, p, m, xi, P))
+
+    k, ell, (q, p, m, xi, P), path_factors, diags, error = transport(
+        path, velocity, spec.subset.partition, times, tol, log0, check)
+    n = len(k)  # the rows up to the first output time whose state fails
+    ts = times[:n]
     y = np.concatenate((q[:n], p[:n], m[:n].reshape(n, N * N)), axis=1)
-    if exc is not None:
-        error = BreakdownError(
-            f"factorization breakdown at t = {ts[n]:.9g}: the state fails "
-            f"its check: {exc}", time=float(ts[n]), gap=diags["min_gap"])
-        ts, k, ell = ts[:n], k[:n], ell[:n]
-        path_factors = tuple(fac[:n] for fac in path_factors)
     diags["momentum_residual"] = float(np.abs(xi[:n, ~off]).max(initial=0.0))
     diags["p_offdiag_residual"] = float(np.abs(P[:n, off]).max(initial=0.0))
 

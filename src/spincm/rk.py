@@ -7,25 +7,20 @@ The step / accept / sample loop is one core, ``dop853``, over a packed
 complex state and a callable f(t, y) on it; the exact solvers run their
 transport ODE on it too.  The stages and the embedded 8(5,3) error control
 run on the buffers' stacked real/imaginary coordinates, so the standard
-error norm applies unchanged.  The state, the sixteen stage slopes and f at
-a sample share one real (18, n) array [y | K_0 .. K_15 | f], and each step
-scales the tableau by its step size once, so a stage input, the new state
-and the two error estimates are one matrix product each.  Steps run freely
-over the sample times (the one clamp is onto the last): a sample inside a
-step comes from the 7th-order continuous extension, and its defect
+error norm applies unchanged; ``dop853`` says how its buffers make each
+stage one matrix product and a step allocate no state array.  Steps run
+freely over the sample times (the one clamp is onto the last): a sample
+inside a step comes from the 7th-order continuous extension, and its defect
 u' - f(u) is checked, and steers the step size, like the error estimate.
 The step-size factor is DOP853's 0.9 norm^(-1/8), capped after an
 unclamped accepted step by Gustafsson's predictive factor (Gustafsson, ACM
 TOMS 20 (1994); Hairer & Wanner, Solving ODEs II, IV.8), which carries the
 last ratio of accepted steps: steps that shrink geometrically into the
 singular set follow the shrink instead of alternating between an accepted
-and a rejected step.  A step allocates no state array: the stage inputs,
-the error estimates, the samples and their scale live in buffers built
-before the step loop, and f may return one buffer that it reuses.  Each
-sample is written into a row of the caller's array; a run ends early only
-on a failed step (the guard, the stall budget of STALL_STEPS accepted
-steps per output interval, or a collapsed step), with fewer samples.  The
-oracle's f is ``models.packed_field``, built once per integration; its
+and a rejected step.  Each sample is written into a row of the caller's
+array; a run ends early only on a failed step (the guard, a non-finite
+state, or a collapsed step), with fewer samples: there is no step budget.
+The oracle's f is ``models.packed_field``, built once per integration; its
 regularity check, at y0, at every stage and at every sample, is the
 singularity-margin abort.
 
@@ -166,15 +161,6 @@ _STEP[:15, 0] = 1.0
 _STEP[:15, 1:] = _A[1:]
 _STEP[15:, 1:] = [_E5, _E3]
 del _i, _row
-# accepted steps within one output interval beyond which a run has stalled,
-# at least 3x the most that a run needs: in the test suite, the presets and
-# the benchmark's jobs the oracle takes at most 83 in a run that finishes,
-# 152 on trig-sl2 to t = 15 (ended by the regularity margin) and 299 on a
-# collision approach (tol 1e-13), the exact transport at most 77; on a
-# one-interval [0, 3] trig-sl3 grid at tol 1e-13 the oracle takes 196 and
-# the transport 174, and on a one-interval [0, 20] elliptic-sl2 grid
-# (simulate --t-end 20 --samples 2) the oracle takes 1,558
-STALL_STEPS = 5000
 
 
 @dataclass
@@ -253,14 +239,13 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     the step-size factor of the failed sample's defect.
 
     An accepted step must give a finite state (an infinite or NaN entry
-    fails the step) that passes ``guard(y)``, if a guard is given, and be at
-    most the STALL_STEPS-th accepted step since the last sample; a step that
-    fails there and reaches past the next sample time is retried onto it.  A
-    DomainError from stage 1 through stage 12 (the guard included) shrinks
-    the step.  The one way a run ends
-    early is a failed step: one that fails the guard, the finite state or
-    the stall budget without reaching past a sample, or a step size that
-    collapses.
+    fails the step) that passes ``guard(y, n)``, if a guard is given, where n
+    is the number of samples delivered so far (rows 0 .. n - 1 of `out`); a
+    step that fails there and reaches past the next sample time is retried
+    onto it.  A DomainError from stage 1 through stage 12 (the guard
+    included) shrinks the step.  The one way a run ends early is a failed
+    step: one that fails the guard or the finite state without reaching past
+    a sample, or a step size that collapses.
 
     Times are compared with slacks that scale with the grid: in units of
     u = min(1, 1e6 x the smallest sample spacing), a step is clamped onto the
@@ -316,7 +301,7 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     S[0, 0] = 1.0
     W = np.empty((2, 7))
     hG = np.empty((7, 16))
-    nxt, since = 1, 0
+    nxt = 1
     # the step size, and its cap for the step after a retry onto a sample
     h, hcap = min(1e-3, (t_end - t) / 100), math.inf
     # the last accepted step that set the predictive term, and its norm
@@ -366,8 +351,7 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
                 inner += 1
             # not < inf: an infinite or NaN entry
             if (not np.maximum.reduce(ay1) < math.inf
-                    or (guard is not None and not guard(y1c))
-                    or since >= STALL_STEPS):
+                    or (guard is not None and not guard(y1c, nxt))):
                 if inner == nxt:
                     break
                 # retry onto the next sample before ending the run
@@ -421,12 +405,10 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
         y[:] = y1
         ay, ay1 = ay1, ay
         YK[1] = YK[13]  # FSAL
-        nsteps, since = nsteps + 1, since + 1
-        if inner > nxt:
-            nxt, since = inner, 0
+        nsteps, nxt = nsteps + 1, inner
         while nxt < len(ts) and t >= ts[nxt] - 1e-12 * u:
             out[nxt] = yc
-            nxt, since = nxt + 1, 0
+            nxt += 1
         norm = max(enorm, dnorm)
         h_new = h_step * _factor(norm)
         if not clamped and norm:
@@ -449,8 +431,7 @@ def integrate(spec, pt0, t_end, samples=200, tol=1e-10):
     within the kernel pass's REGULARITY_MARGIN of the singular set: every
     stage checks it, one of them at the new state, and a stage that fails
     shrinks the step until the step size collapses (a sample that fails
-    retries the step onto it).  An output interval past ``dop853``'s stall
-    budget ends the run the same way.  A pt0 within that margin raises the
+    retries the step onto it).  A pt0 within that margin raises the
     DomainError of the field's first evaluation.
     """
     check_tol(tol)

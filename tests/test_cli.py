@@ -71,14 +71,15 @@ def test_short_horizon_runs_to_the_end(tmp_path, cmd):
 
 
 def test_coarse_grid_regular_run_is_no_stall(tmp_path):
-    """elliptic-sl2 to t = 20 on two samples: one output interval of about
-    1,560 accepted steps on a regular trajectory, within rk.STALL_STEPS, so
-    exit 0 and both rows written, not a blow-up."""
+    """elliptic-sl2 to t = 20 and 70 on two samples: one output interval of
+    about 1,560 and 5,430 accepted steps on a regular trajectory, which no
+    step budget ends, so exit 0 and both rows written, not a blow-up."""
     out = tmp_path / "e.csv"
-    assert run(tmp_path, "simulate", "--preset", "elliptic-sl2", "--t-end", "20",
-               "--samples", "2", "--out", str(out)) == 0
-    assert footer(read(out), "blowup_at") is None
-    assert len(csv_body(read(out))[1]) == 2
+    for t_end in ("20", "70"):
+        assert run(tmp_path, "simulate", "--preset", "elliptic-sl2", "--t-end",
+                   t_end, "--samples", "2", "--out", str(out)) == 0
+        assert footer(read(out), "blowup_at") is None
+        assert len(csv_body(read(out))[1]) == 2
 
 
 def test_simulate_blowup_exit4(tmp_path):
@@ -188,14 +189,14 @@ def test_breakdown_names_its_cause(tmp_path, capsys, argv, cause):
             f"{err.strip()}; no report written\n")
 
 
-@pytest.mark.parametrize("t_end, codes", [("15", (3,)), ("11.5", (0, 3))])
+@pytest.mark.parametrize("t_end, codes", [("15", (3,)), ("11.5", (3,))])
 def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
-    """trig-sl2 far past its conditioning limit ends within 30 s wall time
-    (4.9 and 5.6 s on one core of a shared 2-core machine) with no
-    traceback: its transport stalls near t = 8.5 and ends at the budget of
-    steps per output interval, and at 15 the parabolic blocks turn singular
-    from t = 14.25.  `--t-end 15` exits 3 with one breakdown_at and the rows
-    before it; `--t-end 11.5` exits 0 or 3."""
+    """trig-sl2 far past its conditioning limit: the first row that fails its
+    check (J^-1(0) at t = 3.9 of --t-end 15, q's trace at 3.91 of 11.5) ends
+    the transport by the next in-run check, so exit 3 with one breakdown_at
+    and the 26 and 34 rows before it, after at most 5,000 f-evaluations
+    (1,442 and 1,413) and within 30 s wall time."""
+    at, rows = {"15": (3.9, 26), "11.5": (3.91, 34)}[t_end]
     out = tmp_path / "long.csv"
     t0 = time.perf_counter()
     code = run(tmp_path, "exact", "--preset", "trig-sl2", "--t-end", t_end,
@@ -203,10 +204,11 @@ def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
     assert time.perf_counter() - t0 <= 30.0
     assert code in codes
     text = read(out)
-    at = [l for l in text.splitlines() if l.startswith("# breakdown_at:")]
-    assert len(at) == (code == 3)
+    assert [l for l in text.splitlines() if l.startswith("# breakdown_at:")] == [
+        f"# breakdown_at: {at!r}"]
     ts = [float(r[0]) for r in csv_body(text)[1]]
-    assert ts and (code == 0 or max(ts) < float(footer(text, "breakdown_at")))
+    assert len(ts) == rows and max(ts) < at
+    assert int(footer(text, "nfev")) <= 5000
 
 
 def test_scipy_is_imported_by_the_trigonometric_expm_only(tmp_path):
@@ -651,15 +653,25 @@ _INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
      "compare requires a family with an exact solver"),
     (("simulate", "--preset", "rational-sl2"), None, None, 0, None),
     (("compare", "--preset", "rational-sl2"), None, None, 0, None),
+    (("simulate", "--preset", "listed-defaults"),
+     {"model": _MODEL_SL2, "init": _INIT_SL2, "defaults": [1, 2]}, None, 2,
+     "error: preset JSON's 'defaults' must be an object"),
 ], ids=["no-xi-or-s", "xi-entry-count", "root-pair-range", "root-pair-asymmetric",
         "root-subset-not-closed", "simple-root-range", "root-subset-kind",
-        "family", "compare-elliptic", "simulate-stdout", "compare-stdout"])
-def test_command_outcome(tmp_path, capsys, argv, model, init, code, err):
+        "family", "compare-elliptic", "simulate-stdout", "compare-stdout",
+        "preset-defaults-not-object"])
+def test_command_outcome(tmp_path, monkeypatch, capsys, argv, model, init, code,
+                         err):
     """The exit code and the one stderr line of a command with no --out; an
     exit-0 run writes its artifact to stdout, the bytes that --out writes.
-    A refused root subset is named by the model JSON's own 1-based indices."""
+    A refused root subset is named by the model JSON's own 1-based indices.
+    A `model` with no `init` is a whole SPINCM_PRESET_DIR preset, named by
+    the last argument."""
     argv = list(argv)
-    if model is not None:
+    monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
+    if model is not None and init is None:
+        (tmp_path / f"{argv[-1]}.json").write_text(json.dumps(model))
+    elif model is not None:
         for name, d in (("model", model), ("init", init)):
             (tmp_path / f"{name}.json").write_text(json.dumps(d))
             argv += [f"--{name}", str(tmp_path / f"{name}.json")]

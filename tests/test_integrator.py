@@ -164,9 +164,12 @@ def test_dp5_ends_early_only_on_a_failed_step(case):
     """dop853 on f = -y over 11 nodes of [0, 1]: a guard that fails on the
     state past t = 0.55, y < exp(-0.55), an f that raises DomainError there
     or one that returns NaN there ends the run with 6 samples, in rows 0..5
-    of `out`; the rows after them stay untouched.  A constant f = 1e308 from
-    y0 = 0 over 11 nodes of [0, 10] at tol 1e-3 overflows the state on its
-    way to t = 2 while the error estimate stays finite: 2 samples."""
+    of `out`; the rows after them stay untouched.  The guard's second
+    argument n is the number of samples delivered: rows 0..n-1 of `out`
+    already hold their final samples, at times before the guarded state's,
+    and n grows to the 6 samples of the run.  A constant f = 1e308 from y0 = 0 over 11 nodes of [0, 10] at
+    tol 1e-3 overflows the state on its way to t = 2 while the error
+    estimate stays finite: 2 samples."""
     def f(t, y):
         if case == "overflow":
             return np.full(2, 1e308, dtype=complex)
@@ -176,7 +179,12 @@ def test_dp5_ends_early_only_on_a_failed_step(case):
             return np.full(2, np.nan, dtype=complex)
         return -y
 
-    guard = (lambda y: y[0].real >= np.exp(-0.55)) if case == "guard" else None
+    delivered = []
+
+    def guard(y, n):
+        delivered.append((n, out[:n].copy(), -np.log(y[0].real)))
+        return y[0].real >= np.exp(-0.55)
+
     if case == "overflow":
         times, y0, tol, kept = np.linspace(0.0, 10.0, 11), np.zeros(2), 1e-3, 2
         expected = 1e308 * times[:kept, None]
@@ -185,25 +193,15 @@ def test_dp5_ends_early_only_on_a_failed_step(case):
         expected = np.exp(-times[:kept, None])
     out = np.full((11, 2), np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, n = dop853(f, y0, times, tol, out, guard)
+        _, _, n = dop853(f, y0, times, tol, out, guard if case == "guard" else None)
     assert n == kept
+    if case == "guard":
+        ns = [n for n, _, _ in delivered]
+        assert ns == sorted(ns) and ns[-1] == kept
+        for n, rows, t in delivered:
+            assert np.array_equal(rows, out[:n]) and times[n - 1] < t
     assert np.allclose(out[:kept], expected, rtol=1e-8, atol=0)
     assert np.isnan(out[kept:]).all()
-
-
-def test_oracle_stall_ends_the_run(monkeypatch):
-    """An output interval past rk.STALL_STEPS accepted steps ends the oracle
-    as a blow-up at the last accepted step, with the samples before it; at
-    the default budget the same run takes 10 steps and delivers both rows."""
-    from spincm import rk
-    from spincm.presets import load_preset
-    data = load_preset("rational-sl2")
-    tr = integrate(data["model"], data["init"], 1.0, samples=2)
-    assert not tr.blowup and len(tr.times) == 2 and tr.stats["nsteps"] == 10
-    monkeypatch.setattr(rk, "STALL_STEPS", 3)
-    tr = integrate(data["model"], data["init"], 1.0, samples=2)
-    assert tr.blowup and len(tr.times) == 1 and tr.stats["nsteps"] == 3
-    assert tr.last_good_time == pytest.approx(0.031, abs=1e-12)
 
 
 def test_short_horizon_delivers_each_sample_at_its_time():

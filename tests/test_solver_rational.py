@@ -50,12 +50,17 @@ def col(t):
     return np.asarray(t)[..., None, None]
 
 
+def every_row(k, d):
+    """A transport's row check that accepts every row."""
+    return len(k), None, None
+
+
 def run_transport(M, Mdot, blocks, times, tol=1e-12):
     """(times, k, d) at the output times of the transport along M(t), M
     stacked over an array of times."""
-    k, d, _, diags, error = transport(lambda t: (M(t), ()),
-                                      lambda t, k, d: left_divide(k, Mdot @ k),
-                                      blocks, times, tol, None)
+    k, d, _, _, diags, error = transport(lambda t: (M(t), ()),
+                                         lambda t, k, d: left_divide(k, Mdot @ k),
+                                         blocks, times, tol, None, every_row)
     assert error is None and diags["nfev"] > 1
     return list(zip(times, k, d))
 
@@ -94,10 +99,10 @@ def test_left_divide_singular_k_raises_without_warning(k):
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(DomainError, match="singular transported"):
             transport(path, lambda t, kk, d: left_divide(k, E @ kk),
-                      block, times, 1e-10, None)
+                      block, times, 1e-10, None, every_row)
         kt, *_, error = transport(
             path, lambda t, kk, d: left_divide(kk if t < 0.4 else k, E @ kk),
-            block, times, 1e-10, None)
+            block, times, 1e-10, None, every_row)
     assert len(kt) == 2 and isinstance(error, BreakdownError)
     assert "stalled" in str(error) and 0.4 - 1e-9 <= error.time <= 0.4
 
@@ -180,9 +185,9 @@ def test_diagonalize_continuation():
                 np.where(first, M0 - D0, X))
 
     times = np.array([0.0, 0.5, 1.0, 1.01])
-    k, d, _, diags, error = transport(lambda t: (path(t)[0], ()),
-                                      lambda t, k, d: left_divide(k, path(t)[1] @ k),
-                                      ((0, 1),), times, 1e-12, None)
+    k, d, _, _, diags, error = transport(
+        lambda t: (path(t)[0], ()), lambda t, k, d: left_divide(k, path(t)[1] @ k),
+        ((0, 1),), times, 1e-12, None, every_row)
     assert error is None
     out = list(zip(times, k, d))
     (_, k0, d0), (_, k1, d1) = out[-2], out[-1]

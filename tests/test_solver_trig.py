@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from oracles import pi_root_sets
 from sampling import random_point, random_reduced
-from spincm import exact, rk, solver_trig
+from spincm import exact, solver_trig
 from spincm.errors import BreakdownError, ValidationError
 from spincm.exact import left_divide, transport
 from spincm.liecore import build_sl_context, pi_subset
@@ -114,6 +114,11 @@ def test_parabolic_membership_masks(N, members):
 
 # -- the transported log of a group-valued path -----------------------------------
 
+def every_row(k, logd):
+    """A transport's row check that accepts every row."""
+    return len(k), None, None
+
+
 def test_cartan_log_unwraps_free_path():
     """On a free path diag(e^{2i(q0 + t p)}) the transported log follows
     2i(q0 + t p) past the branch cut of the principal log."""
@@ -125,10 +130,10 @@ def test_cartan_log_unwraps_free_path():
         return np.exp(2j * (q0 + np.asarray(t)[..., None] * p))[..., None] * np.eye(2)
 
     times = np.linspace(0, 1.0, 60)
-    _, logds, _, diags, error = transport(
+    _, logds, _, _, diags, error = transport(
         lambda t: (Mfun(t), ()),
         lambda t, k, d: left_divide(k, Mfun(t) * 2j * p @ k),
-        ((0,), (1,)), times, 1e-10, 2j * q0)
+        ((0,), (1,)), times, 1e-10, 2j * q0, every_row)
     out = list(zip(times, logds))
     assert error is None and len(out) == len(times)
     for t, logd in out:
@@ -146,10 +151,10 @@ def test_cartan_log_constant_and_errors():
 
     def run(Mdot):
         times = np.linspace(0, 1, 5)
-        _, logds, _, diags, error = transport(
+        _, logds, _, _, diags, error = transport(
             lambda t: (np.broadcast_to(M, np.shape(t) + M.shape), ()),
             lambda t, k, d: left_divide(k, Mdot(t) @ k),
-            ((0,), (1,)), times, 1e-10, 2j * q0)
+            ((0,), (1,)), times, 1e-10, 2j * q0, every_row)
         out[:] = zip(times, logds)
         return diags, error
 
@@ -178,9 +183,9 @@ def test_transport_ends_before_the_path_breaks_down():
         return stack[:3], (stack[:3],)
 
     zero = np.zeros((2, 2), dtype=complex)
-    k, logds, factors, diags, error = transport(
+    k, logds, _, factors, diags, error = transport(
         path, lambda t, k, d: left_divide(k, zero @ k), ((0,), (1,)), times,
-        1e-10, 2j * q0)
+        1e-10, 2j * q0, every_row)
     assert isinstance(error, BreakdownError) and error.time == times[3]
     assert "no factorization" in str(error)
     assert len(k) == len(logds) == len(factors[0]) == 3
@@ -200,23 +205,6 @@ def test_path_ends_before_its_first_singular_block():
     assert all(len(fac) == 95 for fac in factors)
     with pytest.raises(BreakdownError):
         path(times[95])
-
-
-def test_stalled_transport_is_breakdown(monkeypatch):
-    """An output interval that takes more than rk.STALL_STEPS accepted steps
-    ends the solve in a BreakdownError naming the stall, with the rows
-    before it; the same solve passes at the default budget."""
-    data = load_preset("trig-sl3")
-    spec, pt = data["model"], data["init"]
-    times = np.linspace(0, 0.3, 4)
-    traj, _ = solve_trig(spec, pt, times, 1e-12)
-    assert len(traj.times) == 4
-    monkeypatch.setattr(rk, "STALL_STEPS", 3)
-    with pytest.raises(BreakdownError) as exc:
-        solve_trig(spec, pt, times, 1e-12)
-    assert "stalled" in str(exc.value)
-    part = exc.value.partial
-    assert 0 < exc.value.time < 0.1 and list(part.times) == [0.0]
 
 
 # -- the closed-form Levi path -------------------------------------------------------
