@@ -87,6 +87,8 @@ def _resolve(args):
         preset_dir = os.environ.get("SPINCM_PRESET_DIR")
         if preset_dir and os.path.exists(os.path.join(preset_dir, args.preset + ".json")):
             d = _load_json(os.path.join(preset_dir, args.preset + ".json"))
+            if not isinstance(d, dict):
+                raise ValidationError("preset JSON must be an object")
             require_keys(d, ("model", "init"), "preset")
             spec = _checked("preset model", model_from_json_dict, d["model"])
             pt = _checked("preset init", _point_from_json, d["init"])

@@ -15,7 +15,13 @@ log d needs no branch tracking.  The transport's f writes k W and l' into one
 complex buffer that it reuses (``rk.dop853`` copies each stage value), and
 ``rk.dop853`` writes each output row into the transport's complex row array:
 the state at the end of a step, or the defect-checked continuous extension
-at an output time inside one, so the steps run freely over the grid.
+at an output time inside one, so the steps run freely over the grid.  The
+m >= 2 output rows inside one step reach f as one stack (m, N^2 + N) at
+their times (m,), and f makes one velocity call on the stacked k
+(m, N, N) and d (m, N), so the family's velocity and ``left_divide`` take
+such stacks (with buffers built per stack height); a DomainError from that
+call, a singular k in any row, retries the step onto its first output
+time, the conservative choice.
 The within-block index pairs (``block_pairs``) are fixed before the run: f
 gathers B and scatters W over their flat indices, and the guard, the gaps
 and the discriminants read the eigenvalues at them.
@@ -38,7 +44,8 @@ limit)``: ``path(t)`` returns M(t) and the family's factors, stacked over
 a grid of times t (shapes (T, N, N)) up to the first time at which the
 factorization breaks down (a shorter stack), or at one complex t for
 collision location; ``velocity(t, k, d)`` returns B from the transported
-state alone; log0 is None when l = d, else l(0) = log d(0);
+state alone, or the stack B (m, N, N) from t (m,), k (m, N, N), d (m, N);
+log0 is None when l = d, else l(0) = log d(0);
 ``position(l)`` maps the stacked l to q; ``limit`` is (name, L0): a name
 of ``models.LAX_LIMITS`` and L0, that one limit of L at pt0.  It gives
 P = k^-1 L0 k minus the off-diagonal part of the same limit at
@@ -134,15 +141,17 @@ def _validate_times(times):
 
 def left_divide(k, rhs):
     """k^-1 rhs for the transported eigenvector matrix k (N, N) and a complex
-    rhs (N, M), by numpy's private gufunc ``numpy.linalg._umath_linalg.solve``:
-    the LAPACK ``zgesv`` behind ``np.linalg.solve``, called without that
-    wrapper's per-call type and error-state set-up, which costs several times
-    the solve at these sizes.  On an exactly singular k the gufunc fills the
-    result with NaN and raises the floating-point invalid flag; the velocities
-    run inside ``transport``, which ignores that flag over the whole run, so
-    they see only the DomainError."""
+    rhs (N, M), or for each of the stacks k (m, N, N) and rhs (m, N, M), by
+    numpy's private gufunc ``numpy.linalg._umath_linalg.solve``: the LAPACK
+    ``zgesv`` behind ``np.linalg.solve``, called without that wrapper's
+    per-call type and error-state set-up, which costs several times the
+    solve at these sizes.  On an exactly singular k (any k of a stack) the
+    gufunc fills its result with NaN and raises the floating-point invalid
+    flag; the velocities run inside ``transport``, which ignores that flag
+    over the whole run, so they see only the DomainError."""
     X = _solve(k, rhs)
-    if cmath.isnan(X.item(0)):
+    if (cmath.isnan(X.item(0)) if X.ndim == 2
+            else any(map(cmath.isnan, X[:, 0, 0].tolist()))):
         raise DomainError("singular transported eigenvector matrix")
     return X
 
@@ -268,8 +277,34 @@ def transport(path, velocity, blocks, times, tol, log0, check):
     Wf = W.reshape(nk)
     out = np.empty(nk + N, dtype=complex)  # k' | l', reused by every call
     kdot, ldot = out[:nk].reshape(N, N), out[nk:]
+    # per stack height: k' | l', W and the flat indices of W's entries over
+    # the stack (take and put are several times faster than [:, flat])
+    stacks = {}
+
+    def stacked(t, y):
+        m = len(y)
+        if m not in stacks:
+            o = np.empty((m, nk + N), dtype=complex)
+            stacks[m] = (o, o[:, :nk].reshape(m, N, N), o[:, nk:],
+                         np.zeros((m, N, N), dtype=complex),
+                         (np.arange(m)[:, None] * nk + flat).ravel())
+        o, kdot, ldot, Wm, at = stacks[m]
+        k, ell = y[:, :nk].reshape(m, N, N), y[:, nk:]
+        d = eigs(ell)
+        B = velocity(t, k, d)
+        Wm.put(at, B.reshape(m, nk).take(flat, axis=1)
+               / (d.take(c, axis=1) - d.take(r, axis=1)))
+        np.matmul(k, Wm, out=kdot)
+        Bd = B.diagonal(0, 1, 2)
+        if group:
+            np.divide(Bd, d, out=ldot)
+        else:
+            ldot[:] = Bd
+        return o
 
     def f(t, y):
+        if y.ndim == 2:
+            return stacked(t, y)
         k, ell = y[:nk].reshape(N, N), y[nk:]
         d = eigs(ell)
         B = velocity(t, k, d)

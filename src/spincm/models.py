@@ -352,11 +352,12 @@ def _kernels(spec, lead=()):
     Kp = np.zeros_like(K)
     Kf, Kpf = K.reshape(lead + (N * N,)), Kp.reshape(lead + (N * N,))
     i, j = spec.regular_roots
-    # the last-axis indices of the roots in q and (row-major) in K; on one
-    # configuration plain index arrays, which index several times faster
-    # than (..., index)
-    at = (lambda a: (Ellipsis, a)) if lead else (lambda a: a)
-    qi, qj, ij, ji = at(i), at(j), at(i * N + j), at(j * N + i)
+    # the last-axis indices of the roots in q and (row-major) in K: on one
+    # configuration plain index arrays, on a stack the same after its open
+    # index grids, which index several times faster than (..., index)
+    grid = tuple(g[..., None] for g in np.indices(lead, sparse=True))
+    qi, qj, ij, ji = ((*grid, a) if lead else a
+                      for a in (i, j, i * N + j, j * N + i))
     if spec.family == "elliptic":
         w = np.empty(lead + (len(i),), dtype=complex)  # the root values
         evaluate = spec.lattice._wp_evaluator(
@@ -444,15 +445,46 @@ def packed_field(spec, reduced=False):
     s_dot_{a_i} = 0.
 
     Every call writes q_dot | p_dot | m_dot into one buffer and returns it:
-    the same array each call, overwritten by the next one."""
+    the same array each call, overwritten by the next one.
+
+    A stack of states z (M, 2N + N^2) at times t (M,) -- the samples inside
+    one integrator step -- gives the stack of their fields, row for row the
+    field of each state alone, from one regularity check and one kernel pass
+    over the stack.  Its kernels and buffers are built at the first stack of
+    each height M; a single state keeps its own unstacked code."""
     ctx = spec.ctx
     N = ctx.N
     kernels = _kernels(spec)
     out = np.empty(2 * N + N * N, dtype=complex)
     qd, pd, md = out[:N], out[N:2 * N], out[2 * N:].reshape(N, N)
     W, X, XM = (np.empty((N, N), dtype=complex) for _ in range(3))
+    stacks = {}
+
+    def stacked(z):
+        M = len(z)
+        if M not in stacks:
+            o = np.empty((M, 2 * N + N * N), dtype=complex)
+            stacks[M] = (_kernels(spec, (M,)), o, o[:, :N], o[:, N:2 * N],
+                         o[:, 2 * N:].reshape(M, N, N),
+                         *(np.empty((M, N, N), dtype=complex) for _ in range(3)))
+        kernels_m, o, qd, pd, md, W, X, XM = stacks[M]
+        q, p, m = z[:, :N], z[:, N:2 * N], z[:, 2 * N:].reshape(M, N, N)
+        K, Kp = kernels_m(q)
+        np.multiply(Kp, m, out=W)
+        np.multiply(W, m.transpose(0, 2, 1), out=W)
+        np.add.reduce(W, axis=2, out=pd)
+        qd[:] = p
+        np.multiply(K, m, out=X)
+        np.matmul(X, m, out=md)
+        np.subtract(md, np.matmul(m, X, out=XM), out=md)
+        if reduced:
+            d = coroot_diagonal(ctx, md.diagonal(1, 1, 2))
+            np.add(md, m * (d[:, None, :] - d[:, :, None]), out=md)
+        return o
 
     def field(t, z):
+        if z.ndim == 2:
+            return stacked(z)
         q, p, m = z[:N], z[N:2 * N], z[2 * N:].reshape(N, N)
         K, Kp = kernels(q)
         np.multiply(Kp, m, out=W)

@@ -12,6 +12,11 @@ stage one matrix product and a step allocate no state array.  Steps run
 freely over the sample times (the one clamp is onto the last): a sample
 inside a step comes from the 7th-order continuous extension, and its defect
 u' - f(u) is checked, and steers the step size, like the error estimate.
+The samples inside one step share its stages, so they take one pass (Hairer,
+Norsett & Wanner, II.6): their states in one product, f once on their stack
+and their defect norms in one reduction; so f takes a state or a stack of
+states, and a DomainError from that one call retries the step onto its
+first inner sample.
 The step-size factor is DOP853's 0.9 norm^(-1/8), capped after an
 unclamped accepted step by Gustafsson's predictive factor (Gustafsson, ACM
 TOMS 20 (1994); Hairer & Wanner, Solving ODEs II, IV.8), which carries the
@@ -21,8 +26,8 @@ and a rejected step.  Each sample is written into a row of the caller's
 array; a run ends early only on a failed step (the guard, a non-finite
 state, or a collapsed step), with fewer samples: there is no step budget.
 The oracle's f is ``models.packed_field``, built once per integration; its
-regularity check, at y0, at every stage and at every sample, is the
-singularity-margin abort.
+regularity check, at y0, at every stage and at every stack of samples, is
+the singularity-margin abort.
 
 A ``Trajectory`` is one complex array y of shape (T, 2N + N^2), row i the
 packed q | p | row-major xi (or s) at times[i]; the oracle and the exact
@@ -120,9 +125,16 @@ _E3 = _B.copy()
 _E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
                     0.220588235294117647058823529412e-1]
 # the 7th-order continuous extension: with x = (s - t) / h in [0, 1],
-# u(s) = y + h sum_i w_i(x) _G[i] . K over the stages K_0..K_15, where
-# w_i = x, x(1-x), x^2(1-x), x^2(1-x)^2, ..., x^4(1-x)^3 (``_weights``) and
-# the rows of _G are B, e_0 - B, 2B - e_0 - e_12 and the four rows of D
+# u(s) = y + h sum_i w_i(x) _G[i] . K over the stages K_0..K_15, where the
+# rows of _G are B, e_0 - B, 2B - e_0 - e_12 and the four rows of D, and the
+# weights are the fixed polynomials w_i = x^a (1-x)^b, (a, b) = (1, 0),
+# (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3): the running products of
+# the factors x, 1-x, x, 1-x, ...  Their derivatives are
+# w_i' = x^(a-1) (1-x)^(b-1) (a - (a+b) x) = w_{i-2} (a - (a+b) x), with
+# w_{-2} = w_{-1} = 1.  At one x, [1, x] _LIN is the row of the seven
+# factors and the seven a - (a+b) x
+_LIN = np.array([[0.0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4],
+                 [1, -1, 1, -1, 1, -1, 1, 0, -2, -3, -4, -5, -6, -7]])
 _D = np.zeros((4, 16))
 for _i, _row in enumerate([
     [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
@@ -209,17 +221,25 @@ def _factor(norm):
     return 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.125))
 
 
-def _weights(x, out):
-    """The dense output's weights w_0..w_6 at x and their x-derivatives, into
-    the rows of `out` (2, 7)."""
-    w, dw, fx = x, 1.0, (1.0 - x, x)
-    ws, dws = [w], [dw]
-    for i in range(1, 7):
-        g = fx[(i + 1) % 2]
-        w, dw = w * g, dw * g + (w if i % 2 == 0 else -w)
-        ws.append(w)
-        dws.append(dw)
-    out[0], out[1] = ws, dws
+def _sample_pass(m, n):
+    """The buffers of ``dop853``'s pass over m samples inside a step, on n
+    real coordinates, with their views.  Per sample: [1, x] (m, 2) (view
+    x); the weights w then w' (m, 14) (views w, w[:, :5], w'[:, 2:], and
+    (2m, 7), a row w then a row w' per sample); the rows [1 | h w G] and
+    [0 | h w' G] (2m, 17) (view of the G columns); their products u and
+    h u' (2m, n) (views U and D of the rows u and h u', their complex views,
+    and D's rows as (m, 1, n) and (m, n, 1)); D's squared row norms
+    (m, 1, 1); U's finite entries (m, n); h f (m, n/2)."""
+    X = np.ones((m, 2))
+    W = np.empty((m, 14))
+    WG = np.zeros((2 * m, 17))
+    WG[0::2, 0] = 1.0
+    UD = np.empty((2 * m, n))
+    U, D = UD[0::2], UD[1::2]
+    return (X, X[:, 1], W, W[:, :7], W[:, :5], W[:, 9:], W.reshape(2 * m, 7), WG,
+            WG[:, 1:], UD, U, U.view(complex), D, D.view(complex), D[:, None],
+            D[..., None], np.empty((m, 1, 1)), np.empty((m, n), dtype=bool),
+            np.empty((m, n // 2), dtype=complex))
 
 
 def dop853(f, y0, sample_times, tol, out, guard=None):
@@ -230,13 +250,22 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     Steps run freely over the sample times; the one clamp is onto the last.
     Sample i goes into row i of the complex array `out` (row 0 is y0): a
     sample at the end of an accepted step is its state, one strictly inside
-    comes from the 7th-order continuous extension u (3 more stages per such
-    step) and must be finite and pass a defect check (one more
-    f-evaluation): h (u'(s) - f(s, u(s))), scaled like the error estimate,
-    has an RMS norm of at most 1.  A failing sample, or a DomainError at it
-    or in the extension's stages, retries the step clamped onto that
-    sample, and the step after the retry is at most the failed one times
-    the step-size factor of the failed sample's defect.
+    comes from the 7th-order continuous extension u (3 more stages per step
+    with such samples) and must be finite and pass a defect check:
+    h (u'(s) - f(s, u(s))), scaled like the error estimate, has an RMS norm
+    of at most 1.  The m samples s_j inside one step come from the same
+    stages, so one pass checks them all: the weights and their derivatives
+    at every x_j = (s_j - t) / h, one product for every u(s_j) and
+    h u'(s_j), one call of f on the stack of the finite ones (on the state
+    itself when m = 1; each row counts as one f-evaluation) and one
+    reduction for their defect norms.  The first sample that is not finite
+    or fails its defect retries the step clamped onto that sample, and the
+    step after the retry is at most the failed one times the step-size
+    factor of that sample's defect; a DomainError from the extension's
+    stages or from the call of f on the samples retries the step onto its
+    first inner sample, the nearest one.  The samples' rows of `out` are
+    written only when all of them pass, so a run that ends early leaves
+    every row after its last delivered sample untouched.
 
     An accepted step must give a finite state (an infinite or NaN entry
     fails the step) that passes ``guard(y, n)``, if a guard is given, where n
@@ -256,15 +285,20 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     more apart u = 1; on a finer one every slack stays under a millionth of
     the spacing.
 
-    Buffers: f takes and returns complex arrays; every stage value is copied
-    into the stage array, so f may return one buffer that it reuses; the y
-    given to f and guard is one of the step's own buffers, valid only during
-    the call.  The stages, the error norm and the samples run on the
-    buffers' real views: y, the slopes K_0..K_15 and f at a sample are the
-    rows of one real array YK, and each step fills its coefficients
-    C = [1 | h A; 0 | h E5; 0 | h E3] with one multiplication, so a stage
-    input, the 8th-order solution y1 and the two error estimates are one
-    matrix product each.  The error norm is DOP853's 8(5,3) one,
+    Buffers: f takes and returns complex arrays: f(t, y) of a state y (n,)
+    at a time t, and, at the m >= 2 samples inside a step, the stack (m, n)
+    of f at the states y (m, n) at the times t (m,).  Every value f returns
+    is copied or used before its next call, so f may return one buffer per
+    shape that it reuses; the y given to f and guard is one of the step's
+    own buffers, valid only during the call.  The stages, the error norm
+    and the samples run on the buffers' real views: y and the slopes
+    K_0..K_15 are the rows of one real array YK, and each step fills its
+    coefficients C = [1 | h A; 0 | h E5; 0 | h E3] with one multiplication,
+    so a stage input, the 8th-order solution y1 and the two error estimates
+    are one matrix product each; so are [u; h u'] of all the samples inside
+    a step, from their rows [1 | h w G; 0 | h w' G] (the pass's buffers are
+    built at the first step with that many samples).  The error norm is
+    DOP853's 8(5,3) one,
     |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)) with the estimates scaled by
     tol (1 + max(|y|, |y1|)) (|y| kept from the last accepted step).  The
     step size follows the larger of the error norm and the step's largest
@@ -282,25 +316,22 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     the number of samples delivered; a run that ended early delivered fewer
     than len(sample_times).
     """
-    ts = np.asarray(sample_times, dtype=float).tolist()
+    tarr = np.asarray(sample_times, dtype=float)
+    ts = tarr.tolist()
     t, t_end = ts[0], ts[-1]
-    u = min(1.0, 1e6 * float(np.diff(sample_times).min(initial=np.inf)))
+    u = min(1.0, 1e6 * float(np.diff(tarr).min(initial=np.inf)))
     y0 = np.asarray(y0, dtype=complex)
     n = 2 * y0.size
-    # [y | K_0 .. K_15 | f at a sample] and the step's coefficients
-    YK = np.empty((18, n))
+    # [y | K_0 .. K_15] and the step's coefficients
+    YK = np.empty((17, n))
     YKc = YK.view(complex)
     y, yc = YK[0], YKc[0]
     yc[:] = y0
     out[0] = yc
     C = _STEP.copy()
     hAE = C[:, 1:]
-    # a sample's rows over YK: [1 | h w(x) G | 0] gives u(s) and
-    # [0 | h w'(x) G | -h] h (u'(s) - f(s, u(s))); the weights w, w' and h G
-    S = np.zeros((2, 18))
-    S[0, 0] = 1.0
-    W = np.empty((2, 7))
-    hG = np.empty((7, 16))
+    # the sample passes' buffers, by number of samples in the step
+    passes = {}
     nxt = 1
     # the step size, and its cap for the step after a retry onto a sample
     h, hcap = min(1e-3, (t_end - t) / 100), math.inf
@@ -308,10 +339,12 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
     h_acc = e_acc = None
     YKc[1] = f(t, yc)
     nfev, nsteps, nrej = 1, 0, 0
-    # stage inputs (ys, and y1), |y|, |y1|, the scale, the errors, a sample
-    ys, y1, ay, ay1, sc, us = (np.empty(n) for _ in range(6))
+    # stage inputs (ys, and y1), |y|, |y1|, the scale
+    ys, y1, ay, ay1, sc = (np.empty(n) for _ in range(5))
+    # the errors, their rows as (2, 1, n) and (2, n, 1), and their squares
     err = np.empty((2, n))
-    y1c, usc = y1.view(complex), us.view(complex)
+    err_r, err_c, e2 = err[:, None], err[..., None], np.empty((2, 1, 1))
+    y1c = y1.view(complex)
     np.abs(y, out=ay)
     stages = [(float(_C[i]), C[i - 1, :i + 1], YK[:i + 1], YKc[i + 1], ys.view(complex))
               for i in (*range(1, 12), 13, 14, 15)]
@@ -339,7 +372,7 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
             sc *= tol
             sc += tol
             err /= sc
-            e5, e3 = float(np.dot(err[0], err[0])), float(np.dot(err[1], err[1]))
+            e5, e3 = np.matmul(err_r, err_c, out=e2).ravel().tolist()
             enorm = e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
             if not enorm <= 1.0:
                 nrej, h = nrej + 1, h_step * _factor(enorm)
@@ -366,36 +399,57 @@ def dop853(f, y0, sample_times, tol, out, guard=None):
             h = h_step * 0.25
             continue
         nfev += 1
-        # the interior samples, each finite and within its defect bound; a
-        # DomainError counts as an infinite defect at the sample it stops
-        failed, dnorm, j = None, 0.0, nxt
-        if inner > nxt:
+        # the samples strictly inside the step, rows nxt .. inner - 1, in one
+        # pass: the first that is not finite or over its defect bound fails,
+        # and a DomainError fails the first sample; their rows are written
+        # only when all pass
+        failed, dnorm, m = None, 0.0, inner - nxt
+        if m:
+            if m not in passes:
+                passes[m] = _sample_pass(m, n)
+            (X, x, W, w, w5, dw2, Wr, WG, wG, UD, U, Uc, D, Dc, Drow, Dcol, ss,
+             finite, hF) = passes[m]
             try:
                 for c, ci, YKi, Ki, yic in extra:
                     np.matmul(ci, YKi, out=ys)
                     Ki[:] = f(t + c * h_step, yic)
                 nfev += 3
-                np.multiply(_G, h_step, out=hG)
-                S[1, 17] = -h_step
-                for j in range(nxt, inner):
-                    _weights((ts[j] - t) / h_step, W)
-                    np.matmul(W, hG, out=S[:, 1:17])
-                    np.matmul(S[0, :17], YK[:17], out=us)
-                    if not np.maximum.reduce(np.abs(us, out=ys)) < math.inf:
-                        failed, dnorm = j, math.inf
-                        break
-                    out[j] = usc
-                    YKc[17] = f(ts[j], usc)
-                    nfev += 1
-                    np.matmul(S[1], YK, out=ys)
-                    ys /= sc
-                    dn = math.sqrt(float(np.dot(ys, ys)) / n)
-                    if not dn <= 1.0:  # also NaN
-                        failed, dnorm = j, dn
-                        break
-                    dnorm = max(dnorm, dn)
+                # [1, x] _LIN gives the factors of w and the linear factors of
+                # w' at each sample's x; then WG [y | K_0 .. K_15] = [u; h u']
+                np.subtract(tarr[nxt:inner], t, out=x)
+                np.divide(x, h_step, out=x)
+                np.matmul(X, _LIN, out=W)
+                np.multiply.accumulate(w, axis=1, out=w)
+                np.multiply(dw2, w5, out=dw2)
+                np.multiply(W, h_step, out=W)
+                np.matmul(Wr, _G, out=wG)
+                np.matmul(WG, YK, out=UD)
+                # the samples before the first with an infinite or NaN entry
+                good = m
+                if not np.logical_and.reduce(np.isfinite(U, out=finite), axis=None):
+                    good = int(np.argmin(np.logical_and.reduce(finite, axis=1)))
+                    Uc, D, Dc, ss, hF = Uc[:good], D[:good], Dc[:good], ss[:good], hF[:good]
+                    Drow, Dcol = D[:, None], D[..., None]
+                if good:
+                    # f on the state of one sample, else on the stack
+                    F = f(ts[nxt], Uc[0]) if m == 1 else f(tarr[nxt:nxt + good], Uc)
+                    nfev += good
+                    # the scaled defects h (u' - f(s, u)) / sc and their norms
+                    np.subtract(Dc, np.multiply(F, h_step, out=hF), out=Dc)
+                    np.divide(D, sc, out=D)
+                    np.matmul(Drow, Dcol, out=ss)
+                    for j, sq in enumerate(ss.ravel().tolist(), nxt):
+                        dn = math.sqrt(sq / n)
+                        if not dn <= 1.0:  # also NaN
+                            failed, dnorm = j, dn
+                            break
+                        dnorm = max(dnorm, dn)
+                if failed is None and good < m:
+                    failed, dnorm = nxt + good, math.inf
+                if failed is None:
+                    out[nxt:inner] = Uc
             except DomainError:
-                failed, dnorm = j, math.inf
+                failed, dnorm = nxt, math.inf
         if failed is not None:
             # retry onto the failing sample; the step after it is no longer
             # than the defect allows

@@ -22,8 +22,9 @@ transport velocity is autonomous,
     B = k^-1 M' k = i (k^-1 Lam_- k d + d k^-1 Lam_+ k),
 
 one solve of k against [Lam_- k | Lam_+ k], written into one (N, 2N)
-buffer built once, with no M(t) and no expm; M solves
-a linear ODE, so the drift off M k = k d stays at the integration error (see
+buffer built once (for a stack of k, one stacked solve into an (m, N, 2N)
+buffer built per stack height), with no M(t) and no expm; M solves a linear
+ODE, so the drift off M k = k d stays at the integration error (see
 ``exact``).  Then, on the stack of output times,
 
     xi(t) = k(t)^-1 xi0 k(t)
@@ -151,8 +152,21 @@ def _setup(spec, pt0):
 
     LK = np.empty((N, 2 * N), dtype=complex)  # Lam_- k | Lam_+ k
     LKm, LKp = LK[:, :N], LK[:, N:]
+    stacks = {}  # Lam_- k | Lam_+ k of a stack of k, by its height
+
+    def stacked(k, d):
+        m = len(k)
+        if m not in stacks:
+            stacks[m] = np.empty((m, N, 2 * N), dtype=complex)
+        LKs = stacks[m]
+        np.matmul(Lam_m, k, out=LKs[:, :, :N])
+        np.matmul(Lam_p, k, out=LKs[:, :, N:])
+        X = exact.left_divide(k, LKs)
+        return 1j * (X[:, :, :N] * d[:, None, :] + d[:, :, None] * X[:, :, N:])
 
     def velocity(t, k, d):
+        if k.ndim == 3:
+            return stacked(k, d)
         np.matmul(Lam_m, k, out=LKm)
         np.matmul(Lam_p, k, out=LKp)
         X = exact.left_divide(k, LK)

@@ -195,7 +195,7 @@ def test_exact_long_trig_horizon_ends_in_time(tmp_path, t_end, codes):
     check (J^-1(0) at t = 3.9 of --t-end 15, q's trace at 3.91 of 11.5) ends
     the transport by the next in-run check, so exit 3 with one breakdown_at
     and the 26 and 34 rows before it, after at most 5,000 f-evaluations
-    (1,442 and 1,413) and within 30 s wall time."""
+    (1,399 and 1,461) and within 30 s wall time."""
     at, rows = {"15": (3.9, 26), "11.5": (3.91, 34)}[t_end]
     out = tmp_path / "long.csv"
     t0 = time.perf_counter()
@@ -628,6 +628,9 @@ _INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
              "xi": [[0, 0], [1, 0], [1, 0], [0, 0]]}
 
 
+_PRESET = "a whole preset"
+
+
 @pytest.mark.parametrize("argv, model, init, code, err", [
     (("simulate",), _MODEL_SL2, {"q": _INIT_SL2["q"], "p": _INIT_SL2["p"]}, 2,
      "error: initial point JSON needs an 'xi' or 's' field"),
@@ -654,22 +657,27 @@ _INIT_SL2 = {"q": [[1, 0], [-1, 0]], "p": [[2, 0], [-2, 0]],
     (("simulate", "--preset", "rational-sl2"), None, None, 0, None),
     (("compare", "--preset", "rational-sl2"), None, None, 0, None),
     (("simulate", "--preset", "listed-defaults"),
-     {"model": _MODEL_SL2, "init": _INIT_SL2, "defaults": [1, 2]}, None, 2,
+     {"model": _MODEL_SL2, "init": _INIT_SL2, "defaults": [1, 2]}, _PRESET, 2,
      "error: preset JSON's 'defaults' must be an object"),
+    *((("simulate", "--preset", "not-an-object"), top, _PRESET, 2,
+       "error: preset JSON must be an object")
+      for top in (5, None, True, "model init")),
 ], ids=["no-xi-or-s", "xi-entry-count", "root-pair-range", "root-pair-asymmetric",
         "root-subset-not-closed", "simple-root-range", "root-subset-kind",
         "family", "compare-elliptic", "simulate-stdout", "compare-stdout",
-        "preset-defaults-not-object"])
+        "preset-defaults-not-object", "preset-number", "preset-null",
+        "preset-bool", "preset-string"])
 def test_command_outcome(tmp_path, monkeypatch, capsys, argv, model, init, code,
                          err):
     """The exit code and the one stderr line of a command with no --out; an
     exit-0 run writes its artifact to stdout, the bytes that --out writes.
     A refused root subset is named by the model JSON's own 1-based indices.
-    A `model` with no `init` is a whole SPINCM_PRESET_DIR preset, named by
-    the last argument."""
+    With `init` _PRESET, `model` is the JSON of a whole SPINCM_PRESET_DIR
+    preset, named by the last argument; a preset file must hold a JSON
+    object."""
     argv = list(argv)
     monkeypatch.setenv("SPINCM_PRESET_DIR", str(tmp_path))
-    if model is not None and init is None:
+    if init is _PRESET:
         (tmp_path / f"{argv[-1]}.json").write_text(json.dumps(model))
     elif model is not None:
         for name, d in (("model", model), ("init", init)):

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from sampling import random_point
+from spincm import exact
 from spincm.errors import BreakdownError
 from spincm.liecore import build_sl_context, delta_subset, pi_subset
 from spincm.models import (PhasePoint, elliptic_model, rational_model,
                            trig_model)
 from spincm.presets import load_preset
-from spincm.rk import integrate
+from spincm.rk import dop853, integrate
 from spincm.solver_rational import solve_rational
 from spincm.solver_trig import solve_trig
 from spincm.special import EllipticLattice
@@ -180,9 +181,9 @@ def test_oracle_tol_gap_near_collision():
 
 @pytest.mark.parametrize("preset, solve, pinned", [
     ("trig-sl2-breakdown", solve_trig,
-     (465, 5, 0.10060477321862651, 0.31312015211944494)),
+     (466, 5, 0.10060477321862651, 0.31312015211944494)),
     ("collision-sl2", solve_rational,
-     (609, 9, 0.11532562594670874, 0.6666666666666666))])
+     (613, 9, 0.11532562594670874, 0.6666666666666666))])
 def test_breakdown_diagnostics_pinned(preset, solve, pinned):
     """The breakdown presets' transport work, smallest eigen gap and
     collision time, to the last digit: the collision scan stops the
@@ -198,6 +199,34 @@ def test_breakdown_diagnostics_pinned(preset, solve, pinned):
 
 
 # -- the elliptic oracle through the trigonometric degeneration ---------------
+
+@pytest.mark.parametrize("name, solve", [
+    ("rational-sl3-full", solve_rational), ("rational-sl3", solve_rational),
+    ("trig-sl2", solve_trig), ("trig-sl3", solve_trig)])
+def test_stacked_transport_field_is_the_field_of_each_row(name, solve, monkeypatch):
+    """The transport's f on a stack of its own trajectory rows (M, n) at their
+    times (M,) gives row by row its value on each row alone, within 1e-13
+    of the largest entry: stacks of 2 and of all the rows."""
+    runs = []
+
+    def spy(f, y0, times, tol, out, guard):
+        result = dop853(f, y0, times, tol, out, guard)
+        runs.append((f, times, out[:result[2]].copy()))
+        return result
+
+    data = load_preset(name)
+    d = data["defaults"]
+    monkeypatch.setattr(exact, "dop853", spy)
+    solve(data["model"], data["init"], np.linspace(0, d["t_end"], d["samples"]),
+          d["tol"])
+    monkeypatch.undo()
+    (f, times, rows), = runs
+    for sl in (slice(1, 3), slice(None)):
+        ts, Y = times[sl], rows[sl]
+        stack = f(ts, Y).copy()
+        single = np.array([f(t, y).copy() for t, y in zip(ts, Y)])
+        assert np.abs(stack - single).max() <= 1e-13 * np.abs(single).max()
+
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_elliptic_oracle_tends_to_exact_trig(N):
