@@ -333,43 +333,50 @@ def _kernels(spec, lead=()):
     of ``check_regular`` (same error, same root), in one pass over the stack.
     K also carries 2 c0 on its diagonal, so that the Hamiltonian's c0 term is
     the diagonal of -1/2 sum_ij K_ij xi_ij xi_ji and the field's gradient is
-    K * xi alone.  K and Kp are two lead + (N, N) buffers built here, and
-    every call writes the q-dependent entries in place; the rest are set
-    once (0, the diagonal 2 c0 and the trigonometric -1/3 outside <pi'>).
+    K * xi alone.  K and Kp are the two halves of one (2,) + lead + (N, N)
+    buffer built here, and every call writes the q-dependent entries in
+    place; the rest are set once (0, the diagonal 2 c0 and the trigonometric
+    -1/3 outside <pi'>).
 
     Rational and trigonometric: the distance to the singular set is computed
     here, and ``_require_regular`` runs only when a value is under the
     margin.  Then one reciprocal per root, r = 1/a(q) (trigonometric:
     1/sin a(q)), gives K = r^2 (minus 1/3 on <pi'>) and Kp = -2 r^3
-    (times cos a(q)).  Elliptic: one call of the lattice's buffered wp/wp'
-    evaluator, built here for the stack, reduces the i < j roots, checks
-    their distance and makes one theta-series pass; K is mirrored as even and
-    Kp as odd.  So Kp_ji = -Kp_ij, bit for bit for the rational and
-    elliptic kernels and as far as libm's sin and cos are odd and even for
-    the trigonometric one."""
+    (times cos a(q)).  Elliptic: the i < j root values are one product
+    q @ D (D the (N, roots) +-1 difference matrix), bit for bit q_i - q_j;
+    one call of the lattice's buffered wp/wp' evaluator, built here for the
+    stack, reduces them, checks their distance and makes one theta-series
+    pass, and one put writes its rows wp, wp, wp', -wp' at K_ij, K_ji, Kp_ij,
+    Kp_ji over the whole stack.  So Kp_ji = -Kp_ij, bit for bit for the
+    rational and elliptic kernels and as far as libm's sin and cos are odd
+    and even for the trigonometric one."""
     N = spec.ctx.N
-    K = np.zeros(lead + (N, N), dtype=complex)
-    Kp = np.zeros_like(K)
-    Kf, Kpf = K.reshape(lead + (N * N,)), Kp.reshape(lead + (N * N,))
     i, j = spec.regular_roots
-    # the last-axis indices of the roots in q and (row-major) in K: on one
-    # configuration plain index arrays, on a stack the same after its open
-    # index grids, which index several times faster than (..., index)
-    grid = tuple(g[..., None] for g in np.indices(lead, sparse=True))
-    qi, qj, ij, ji = ((*grid, a) if lead else a
-                      for a in (i, j, i * N + j, j * N + i))
+    KKp = np.zeros((2,) + lead + (N, N), dtype=complex)
+    K, Kp = KKp
     if spec.family == "elliptic":
+        eye = np.eye(N, dtype=complex)
+        D = eye[:, i] - eye[:, j]  # q @ D = q_i - q_j, bit for bit
         w = np.empty(lead + (len(i),), dtype=complex)  # the root values
         evaluate = spec.lattice._wp_evaluator(
             w.shape, REGULARITY_MARGIN,
             lambda w, z0, dist: _require_regular(w, dist, i, j))
+        # flat indices in KKp of the rows wp, wp, wp', -wp': K_ij, K_ji,
+        # Kp_ij, Kp_ji of every configuration
+        at = (K.size * np.array([0, 0, 1, 1])[:, None, None]
+              + N * N * np.arange(K.size // (N * N))[:, None]
+              + np.array([i * N + j, j * N + i] * 2)[:, None, :])
 
         def fill(q):
-            _, _, k, kp = evaluate(np.subtract(q[qi], q[qj], out=w))
-            Kf[ij] = Kf[ji] = k
-            Kpf[ij], Kpf[ji] = kp, -kp
+            KKp.put(at, evaluate(np.matmul(q, D, out=w)))
             return K, Kp
         return fill
+    Kf, Kpf = K.reshape(lead + (N * N,)), Kp.reshape(lead + (N * N,))
+    # the last-axis indices of the roots in q and (row-major) in K: on one
+    # configuration plain index arrays, on a stack the same after its open
+    # index grids, which index several times faster than (..., index)
+    grid = tuple(g[..., None] for g in np.indices(lead, sparse=True))
+    qi, qj, ij = ((*grid, a) if lead else a for a in (i, j, i * N + j))
     rational = spec.family == "rational"
     if not rational:
         K[..., spec.mask_plus | spec.mask_minus] = -1.0 / 3.0

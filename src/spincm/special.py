@@ -14,17 +14,19 @@ evaluator, called once per integrator stage on the N(N-1)/2 root values,
 takes sin and cos of every harmonic, as two ufuncs cost less than a loop
 over the harmonics at that size.  wp and wp' come from that one function,
 ``EllipticLattice._wp_evaluator``: built once per argument shape, it reduces
-the arguments and makes that one series pass into buffers allocated at build
-time; the kernel pass of ``models`` builds one per vector field or stacked
-Hamiltonian, and ``wp``, ``wp_prime`` and the lattice's e-values build a fresh
-one.  sigma, zeta = sigma'/sigma and, when asked, wp at one argument set cost
-one reduction and one pass over the leading rows
-(``EllipticLattice._sigma_zeta``, whose wp row serves d/dz L(z) from the same
-pass), which also gives sigma' with no division by theta_1; ``lame_parts``
-gives l(w,z), zeta(w), zeta(z), d/dz l(w,z) and wp(z) -- all that the
-elliptic L(z) and dL/dz, and the r-matrix action of the test oracles, need --
-from one such pass per argument set.  Weierstrass arguments closer than
-POLE_TOL to a lattice point raise PoleError.
+the arguments, makes that one series pass and turns th1^(k)/th1 and their
+powers into the rows wp, wp, wp', -wp' by one product with a fixed matrix, all
+into buffers allocated at build time; the kernel pass of ``models`` builds one
+per vector field or stacked Hamiltonian and puts those rows into K and Kp, and
+``wp``, ``wp_prime`` and the lattice's e-values build a fresh one.  sigma,
+zeta = sigma'/sigma and, when asked, wp at one argument set cost one
+reduction and one pass over the leading rows (``EllipticLattice._sigma_zeta``,
+whose wp row serves d/dz L(z) from the same pass), which also gives sigma'
+with no division by theta_1; ``lame_parts`` gives l(w,z), zeta(w), zeta(z),
+d/dz l(w,z) and wp(z) -- all that the elliptic L(z) and dL/dz, and the
+r-matrix action of the test oracles, need -- from one such pass per argument
+set.  Weierstrass arguments closer than POLE_TOL to a lattice point raise
+PoleError.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class EllipticLattice:
 
         e1, e2, e3 = map(complex, _wp_at(self, [self.omega1, self.omega2,
                                                 self.omega1 + self.omega2],
-                                         2, "wp"))
+                                         0, "wp"))
         self.e_values = (e1, e2, e3)
         self.g2 = 2.0 * (e1**2 + e2**2 + e3**2)
         self.g3 = 4.0 * e1 * e2 * e3
@@ -204,87 +206,76 @@ class EllipticLattice:
         return out
 
     def _wp_evaluator(self, shape, margin, fail):
-        """evaluate(w) -> (z0, dist, wp, wp') at a complex array w of `shape`:
-        z0 is w reduced as by ``reduce``, dist = |z0|, and wp and wp' at z0
-        come from one product of the four series rows with [sin; cos] of all
-        the values.  When some dist < margin, fail(w, z0, dist) is called
-        before that product (to raise).  Built once per shape: every array,
-        those returned included, is a buffer allocated here and overwritten
-        by the next call.
+        """evaluate(w) -> rows at a complex array w of `shape`: rows, of shape
+        (4,) + shape, holds wp, wp, wp' and -wp' at w -- the four entries
+        that the elliptic kernel pass of ``models`` writes per root.  With z0
+        the w reduced as by ``reduce`` and dist = |z0|, fail(w, z0, dist) is
+        called before the theta pass when some dist < margin (to raise).
+        Built once per shape: every array, rows included, is a buffer
+        allocated here and overwritten by the next call.
 
-        With f = th1'/th1 and r_k = th1^(k)/th1, f' = r2 - f^2 and
+        The period coordinates of w, rounded in place, times the periods give
+        the lattice shift; the harmonics (2n+1) v are one outer product with
+        z0.  With f = th1'/th1 and r_k = th1^(k)/th1, f' = r2 - f^2 and
         f'' = r3 - 3 r2 f + 2 f^3, so wp = -eta1/w1 - c^2 f' and
-        wp' = -c^3 f'' with c = pi / 2w1.  Each term is computed in the order
-        written; an operation on two rows at once is the same operation on
-        each row."""
+        wp' = -c^3 f'' with c = pi / 2w1: one product of a fixed (4, 7)
+        matrix with the rows (1, f, r2, r3, f^2, r2 f, f^3) gives the four
+        rows, the constant -eta1/w1 on the row of ones and -wp' from the
+        negated coefficients of wp' (the same sums negated, so bit for bit)."""
         size, nmax = math.prod(shape), self._odd.size
-        # period coordinates of w, their nearest integers (m, n), and
-        # (2 w1 m, 2 w2 n)
-        xy = np.empty((size, 2))
-        mn = np.empty((size, 2), dtype=int)
-        shift = np.empty((size, 2), dtype=complex)
+        # period coordinates of w, then the lattice shift (Re, Im) removed
+        xy, shift = np.empty((size, 2)), np.empty(size, dtype=complex)
         z0 = np.empty(shape, dtype=complex)
         dist = np.empty(shape)
-        v = np.empty(size, dtype=complex)
         arg = np.empty((nmax, size), dtype=complex)
         sc = np.empty((2 * nmax, size), dtype=complex)
         th = np.empty((4, size), dtype=complex)
-        # rows (f, r2, r3, f^3), (3 r2, 2 f^3), (f^2, 3 r2 f), (f', f'') and
-        # (c^2 f', -c^3 f'')
-        ratios, k32, sq, fd, scaled = (np.empty((rows, size), dtype=complex)
-                                       for rows in (4, 2, 2, 2, 2))
-        wp = np.empty(shape, dtype=complex)
+        terms = np.empty((7, size), dtype=complex)
+        terms[0] = 1.0
+        rows = np.empty((4,) + shape, dtype=complex)
         # views of the buffers, taken here so that a call takes none
-        shift_m, shift_n = (shift[:, k].reshape(shape) for k in (0, 1))
-        z0_v, wp_v = z0.reshape(size), wp.reshape(size)
+        shift_xy, shift_v, z0_v, rows_v = (
+            shift.view(float).reshape(size, 2), shift.reshape(shape),
+            z0.reshape(size), rows.reshape(4, size))
         sin, cos, th0, th_k = sc[:nmax], sc[nmax:], th[0], th[1:]
-        f, r_k, r23, cube, r2_cube = (ratios[0], ratios[:3], ratios[1:3],
-                                      ratios[3], ratios[1::2])
-        (three_r2, two_cube), (f_sq, three_r2_f), fpp = k32, sq, fd[1]
-        c2_fp, out = scaled[0], (z0, dist, wp, scaled[1].reshape(shape))
+        # rows (f, r2, r3), (f^2, r2 f) and f^3 of terms, and f, (f, r2), f^2;
+        # no product writes over an operand (in place, numpy rounds a
+        # one-element complex product differently)
+        ratios, sq, cube = terms[1:4], terms[4:6], terms[6]
+        f, f_r2, f_sq = terms[1], terms[1:3], terms[4]
         # the constants, as complex arrays where numpy would cast them
         series = self._series.astype(complex)
-        odd = self._odd[:, None].astype(complex)
+        harmonics = (math.pi / (2.0 * self.omega1)) * self._odd[:, None]
         basis = self._basis_inv.T
-        periods = np.array([2 * self.omega1, 2 * self.omega2])
-        v_den = 2.0 * self.omega1
+        periods = np.array([[2 * self.omega1], [2 * self.omega2]]).view(float)
         c = math.pi / (2 * self.omega1)
-        wp_0 = -self.eta1 / self.omega1
-        three_two = np.array([[3.0], [2.0]], dtype=complex)
-        powers = np.array([[c**2], [-(c**3)]])
+        wp_row = [-self.eta1 / self.omega1, 0, -c**2, 0, c**2, 0, 0]
+        wpp_row = [0, 0, 0, -c**3, 0, 3 * c**3, -2 * c**3]
+        combine = np.array([wp_row, wp_row, wpp_row, np.negative(wpp_row)],
+                           dtype=complex)
 
         def evaluate(w):
             np.matmul(w.reshape(-1, 1).view(float), basis, out=xy)
-            np.rint(xy, out=mn, casting="unsafe")
-            np.multiply(periods, mn, out=shift)
-            np.subtract(w, shift_m, out=z0)
-            np.subtract(z0, shift_n, out=z0)
+            np.rint(xy, out=xy)
+            np.matmul(xy, periods, out=shift_xy)
+            np.subtract(w, shift_v, out=z0)
             np.abs(z0, out=dist)
             if np.minimum.reduce(dist, axis=None, initial=np.inf) < margin:
                 fail(w, z0, dist)
-            np.multiply(math.pi, z0_v, out=v)
-            np.divide(v, v_den, out=v)
-            np.multiply(odd, v, out=arg)
+            np.multiply(harmonics, z0_v, out=arg)
             np.sin(arg, out=sin)
             np.cos(arg, out=cos)
             np.matmul(series, sc, out=th)
-            np.divide(th_k, th0, out=r_k)
-            # no product writes over an operand: in place, numpy rounds a
-            # one-element complex product differently
-            np.power(f, 3, out=cube)
-            np.multiply(three_two, r2_cube, out=k32)
-            np.square(f, out=f_sq)
-            np.multiply(three_r2, f, out=three_r2_f)
-            np.subtract(r23, sq, out=fd)
-            np.add(fpp, two_cube, out=fpp)
-            np.multiply(powers, fd, out=scaled)
-            np.subtract(wp_0, c2_fp, out=wp_v)
-            return out
+            np.divide(th_k, th0, out=ratios)
+            np.multiply(f_r2, f, out=sq)
+            np.multiply(f_sq, f, out=cube)
+            np.matmul(combine, terms, out=rows_v)
+            return rows
         return evaluate
 
 
 def _wp_at(lat, z, k, what):
-    """wp (k = 2) or wp' (k = 3) at z, through a fresh ``_wp_evaluator``
+    """wp (k = 0) or wp' (k = 2) at z, row k of a fresh ``_wp_evaluator``
     that raises PoleError within POLE_TOL of the lattice."""
     arr, scalar = _as_array(z)
 
@@ -296,12 +287,12 @@ def _wp_at(lat, z, k, what):
 
 def wp(lat, z):
     """Weierstrass P function."""
-    return _wp_at(lat, z, 2, "wp")
+    return _wp_at(lat, z, 0, "wp")
 
 
 def wp_prime(lat, z):
     """Derivative of the Weierstrass P function."""
-    return _wp_at(lat, z, 3, "wp'")
+    return _wp_at(lat, z, 2, "wp'")
 
 
 def zeta_w(lat, z):

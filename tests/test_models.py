@@ -656,9 +656,11 @@ def test_stacked_kernel_pass_is_the_single_point_pass(lat, N):
     kernels are elementwise.  The elliptic stack and a single point run one
     evaluator; its theta product is one BLAS product over all the stack's
     values, whose last bits depend on the number of columns (OpenBLAS, and
-    zgemv for one column), so there they agree to 1e-13 relative.  An empty
-    stack (0, N) gives two empty (0, N, N) arrays, and a real elliptic stack
-    the kernels of the same stack as complex numbers."""
+    zgemv for one column), so there they agree to 1e-13 relative; its one
+    put of the rows wp, wp, wp', -wp' over the stack leaves every row's K
+    exactly even and Kp exactly odd.  An empty stack (0, N) gives two empty
+    (0, N, N) arrays, and a real elliptic stack the kernels of the same
+    stack as complex numbers."""
     rng = np.random.default_rng(40 + N)
     specs = (rational_model(ctx(N), full_delta(N)),
              trig_model(ctx(N), pi_subset(range(N - 1))),
@@ -673,6 +675,9 @@ def test_stacked_kernel_pass_is_the_single_point_pass(lat, N):
                     assert np.all(np.abs(whole[t] - one) <= 1e-13 * np.abs(one))
                 else:
                     assert np.array_equal(whole[t], one)
+            if spec.family == "elliptic":
+                K, Kp = stacked[0][t], stacked[1][t]
+                assert np.array_equal(K, K.T) and np.array_equal(Kp, -Kp.T)
         assert all(k.shape == (0, N, N)
                    for k in _kernel_matrices(spec, np.zeros((0, N), complex)))
     for whole, real in zip(_kernel_matrices(spec, q.real.astype(complex)),

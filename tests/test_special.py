@@ -101,6 +101,20 @@ def test_laurent_behaviour(lat):
     assert abs(sigma_w(lat, z) / z - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_wp_near_the_lattice_matches_laurent(lat, r):
+    """wp and wp' on the circle |z| = r against their three-term Laurent
+    series, z^-2 + g2 z^2/20 + g3 z^4/28 and its derivative, to 1e-13
+    relative (about 1e-15 is reached): the harmonics' sin and cos stay
+    accurate however small their argument, where exponential forms
+    (e^{i(2n+1)v} - e^{-i(2n+1)v}) / 2i lose digits like eps/|v|."""
+    z = r * np.exp(2j * np.pi * (np.arange(16) + 0.3) / 16)
+    P = z**-2 + lat.g2 / 20 * z**2 + lat.g3 / 28 * z**4
+    Pp = -2 * z**-3 + lat.g2 / 10 * z + lat.g3 / 7 * z**3
+    assert np.all(np.abs(wp(lat, z) - P) <= 1e-13 * np.abs(P))
+    assert np.all(np.abs(wp_prime(lat, z) - Pp) <= 1e-13 * np.abs(Pp))
+
+
 def test_sigma_exact_zero_on_lattice(lat):
     assert sigma_w(lat, 0.0) == 0.0
     assert sigma_w(lat, 2 * lat.omega1) == 0.0
